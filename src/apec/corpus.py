@@ -20,6 +20,7 @@ from .errors import (
     DuplicateIdError,
     EmptyCorpusError,
     MissingReferencesError,
+    NoWordsError,
     SplitSpecError,
     UnknownDocIdError,
 )
@@ -226,7 +227,8 @@ def corpus_stats(
     Micro readability pools sentence/word/syllable counts across the
     corpus; macro averages per-document index values. Similarity rows
     (source vs reference, mean per doc) are filled in only when an
-    embedding provider is given; they require every reference.
+    embedding provider is given; they require every reference. A text
+    without word tokens raises NoWordsError naming its document.
     """
     if not docs:
         raise EmptyCorpusError("cannot compute stats of an empty corpus")
@@ -235,11 +237,12 @@ def corpus_stats(
     if side == "reference" and any(doc.reference is None for doc in docs):
         raise MissingReferencesError("side=reference requires every reference")
 
-    texts = [doc.source if side == "source" else doc.reference for doc in docs]
     total_sentences = total_words = total_syllables = 0
     per_doc_fh: list[float] = []
-    for text in texts:
-        stats = text_stats(text)
+    for doc in docs:
+        stats = text_stats(doc.source if side == "source" else doc.reference)
+        if stats.word_count == 0:
+            raise NoWordsError(f"doc {doc.id}: {side} has no word tokens")
         total_sentences += stats.sentence_count
         total_words += stats.word_count
         total_syllables += stats.syllable_count

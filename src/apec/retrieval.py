@@ -5,15 +5,25 @@ terms: tokens are whitespace-split, lowercased and dropped when shorter
 than `min_token_len`. Alternatives: embedding-similarity ranking and
 seeded random sampling. A length-ratio filter can exclude training
 pairs whose adaptation is much shorter/longer than its source.
+
+Query-independent work is cached on the index: per-document length
+norms and adaptation/source length ratios on first use, and each term's
+impact vector (positions and `idf·tf·(k1+1)/(tf+norm)` weights) the
+first time a query contains the term. Weights use the direct formula's
+exact expression and are summed once per query-token occurrence, in
+query order, so scores are bit-identical to applying the formula to
+every posting on every query.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     EmptyCorpusError,
@@ -62,9 +72,47 @@ class Bm25Index:
     postings: dict[str, dict[int, int]] = field(repr=False)  # term -> pos -> tf
     idf: dict[str, float] = field(repr=False)
     params: Bm25Params = Bm25Params()
+    # term -> (positions, weights), filled by _impacts as queries need them.
+    # Pool threads share it and the cached properties below without a lock:
+    # every writer stores an equal value for its key, so a racing write is
+    # harmless and a reader sees either no entry or a whole one.
+    _impact_cache: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return len(self.doc_ids)
+
+    @cached_property
+    def _norms(self) -> tuple[float, ...]:
+        """Per-document `k1·(1 - b + b·dl/avgdl)`; needs avgdl > 0."""
+        k1, b = self.params.k1, self.params.b
+        return tuple(
+            k1 * (1.0 - b + b * dl / self.avgdl) for dl in self.doc_token_counts
+        )
+
+    @cached_property
+    def _length_ratios(self) -> tuple[float, ...]:
+        """Adaptation/source length ratio of every pair."""
+        return tuple(map(_length_ratio, self.sources, self.adaptations))
+
+    def _impacts(self, term: str) -> tuple[tuple[int, ...], tuple[float, ...]]:
+        """Positions holding an indexed term and its BM25 weight in each."""
+        impacts = self._impact_cache.get(term)
+        if impacts is None:
+            token_idf = self.idf[term]
+            k1 = self.params.k1
+            norms = self._norms
+            docs = self.postings[term]
+            impacts = (
+                tuple(docs),
+                tuple(
+                    token_idf * tf * (k1 + 1.0) / (tf + norms[pos])
+                    for pos, tf in docs.items()
+                ),
+            )
+            self._impact_cache[term] = impacts
+        return impacts
 
 
 def bm25_tokens(text: str, min_token_len: int) -> list[str]:
@@ -129,36 +177,38 @@ def build_index(
 
 def bm25_scores(index: Bm25Index, query: str) -> list[float]:
     """Okapi score of every indexed document against the query."""
-    params = index.params
     scores = [0.0] * len(index)
     if index.avgdl == 0.0:
         return scores
-    for token in bm25_tokens(query, params.min_token_len):
-        token_idf = index.idf.get(token)
-        if token_idf is None:
-            continue
-        for pos, tf in index.postings[token].items():
-            dl = index.doc_token_counts[pos]
-            norm = params.k1 * (1.0 - params.b + params.b * dl / index.avgdl)
-            scores[pos] += token_idf * tf * (params.k1 + 1.0) / (tf + norm)
+    for token in bm25_tokens(query, index.params.min_token_len):
+        if token in index.idf:
+            positions, weights = index._impacts(token)
+            for pos, weight in zip(positions, weights):
+                scores[pos] += weight
     return scores
+
+
+def _check_ratio_range(lo: float, hi: float) -> None:
+    if lo > hi:
+        raise ValueError(f"invalid ratio range [{lo}, {hi}]")
+
+
+def _length_ratio(source: str, adaptation: str) -> float:
+    source_len = len(source.split())
+    if source_len == 0:
+        raise EmptySourceError("source has no tokens; length ratio undefined")
+    return len(adaptation.split()) / source_len
 
 
 def length_ratio_admissible(source: str, adaptation: str, lo: float, hi: float) -> bool:
     """True iff adaptation/source whitespace-token ratio lies in [lo, hi]."""
-    if lo > hi:
-        raise ValueError(f"invalid ratio range [{lo}, {hi}]")
-    source_len = len(source.split())
-    if source_len == 0:
-        raise EmptySourceError("source has no tokens; length ratio undefined")
-    ratio = len(adaptation.split()) / source_len
-    return lo <= ratio <= hi
+    _check_ratio_range(lo, hi)
+    return lo <= _length_ratio(source, adaptation) <= hi
 
 
-def _ranked(positions: list[int], scores, index_ids, sources, adaptations, k: int):
-    # stable two-pass sort: descending score, ties by ascending doc id
-    positions = sorted(positions, key=lambda p: index_ids[p])
-    positions.sort(key=lambda p: scores[p], reverse=True)
+def _ranked(positions, scores, index_ids, sources, adaptations, k: int):
+    # descending score, ties by ascending doc id; nsmallest is stable
+    top = heapq.nsmallest(k, positions, key=lambda p: (-scores[p], index_ids[p]))
     return [
         Demonstration(
             source=sources[p],
@@ -166,7 +216,7 @@ def _ranked(positions: list[int], scores, index_ids, sources, adaptations, k: in
             retrieval_score=scores[p],
             rank=rank,
         )
-        for rank, p in enumerate(positions[:k], start=1)
+        for rank, p in enumerate(top, start=1)
     ]
 
 
@@ -184,13 +234,12 @@ def bm25_top_k(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    positions = list(range(len(index)))
+    positions = range(len(index))
     if ratio_filter is not None:
         lo, hi = ratio_filter
+        _check_ratio_range(lo, hi)
         positions = [
-            p
-            for p in positions
-            if length_ratio_admissible(index.sources[p], index.adaptations[p], lo, hi)
+            p for p, ratio in enumerate(index._length_ratios) if lo <= ratio <= hi
         ]
     scores = bm25_scores(index, query)
     return _ranked(
@@ -219,7 +268,7 @@ def embedding_top_k(
     scores = [cosine(query_vec, vec) for vec in source_vecs]
     sources = [source for source, _ in pairs]
     adaptations = [adaptation for _, adaptation in pairs]
-    positions = list(range(len(pairs)))
+    positions = range(len(pairs))
     return _ranked(positions, scores, positions, sources, adaptations, k)
 
 

@@ -209,7 +209,10 @@ class HttpEmbeddingProvider:
             data = response.json()["data"]
             vectors = [None] * len(data)
             for i, item in enumerate(data):
-                vectors[item.get("index", i)] = [float(v) for v in item["embedding"]]
+                slot = item.get("index", i)
+                if type(slot) is not int or not 0 <= slot < len(data):
+                    raise ValueError(f"index {slot!r} outside 0..{len(data) - 1}")
+                vectors[slot] = [float(v) for v in item["embedding"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ProviderUnavailableError(f"malformed embeddings response: {exc}") from exc
         if len(vectors) != expected or any(v is None for v in vectors):

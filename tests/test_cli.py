@@ -115,6 +115,21 @@ class TestStats:
         rc = main(["stats", "--input", str(path), "--side", "reference"])
         assert rc == EXIT_CONFIG
 
+    def test_punctuation_only_source_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "punct.jsonl"
+        write_lines(
+            path,
+            [
+                {"id": "ok", "source": "Texto con palabras.", "task": "PL"},
+                {"id": "signos", "source": "¡¿...?!", "task": "PL"},
+            ],
+        )
+        rc = main(["stats", "--input", str(path)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "doc signos" in err
+        assert "Traceback" not in err
+
 
 class TestIndex:
     def test_build_and_reuse(self, workdir, capsys):
@@ -327,7 +342,9 @@ def refine_script(path, docs, cycles):
 
 
 class TestRefine:
-    def run_refine(self, workdir, cycles=2, script_docs=None, out_name="traces.jsonl"):
+    def run_refine(
+        self, workdir, cycles=2, script_docs=None, out_name="traces.jsonl", extra=()
+    ):
         tmp_path, docs_path, train_path = workdir
         docs = [json.loads(line) for line in docs_path.read_text().splitlines()]
         initial = tmp_path / "initial.jsonl"
@@ -351,6 +368,7 @@ class TestRefine:
                 "--retries", "0",
                 "--stream", "greedy",
                 "--output", str(out_path),
+                *extra,
             ]
         )
         return rc, out_path
@@ -372,6 +390,50 @@ class TestRefine:
         rc2, out2 = self.run_refine(workdir, out_name="run2.jsonl")
         assert rc1 == rc2 == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_workers_share_index_byte_identical(self, tmp_path):
+        words = [
+            "norma", "proceso", "trámite", "solicitud", "plazo", "documento",
+            "persona", "servicio", "ayuda", "derecho", "oficina", "registro",
+        ]
+        docs = [
+            {
+                "id": f"d{i}",
+                "source": f"Documento {i}: " + " ".join(words[i:] + words[:i]) + ".",
+                "reference": f"Texto claro {i}.",
+                "task": "PL",
+            }
+            for i in range(8)
+        ]
+        train = [
+            {
+                "id": f"t{i}",
+                "source": " ".join(words[(i * 5) % 12 :] + words[: i % 7]) + ".",
+                "reference": " ".join(words[: 2 + i % 4]) + ".",
+                "task": "PL",
+            }
+            for i in range(40)
+        ]
+        docs_path = tmp_path / "docs.jsonl"
+        train_path = tmp_path / "train.jsonl"
+        write_lines(docs_path, docs)
+        write_lines(train_path, train)
+        index_path = tmp_path / "index.json"
+        rc = main(["index", "--corpus", str(train_path), "--output", str(index_path)])
+        assert rc == EXIT_OK
+        workdir = (tmp_path, docs_path, train_path)
+        outputs = []
+        for workers in ("1", "2"):
+            rc, out_path = self.run_refine(
+                workdir,
+                cycles=3,
+                out_name=f"workers{workers}.jsonl",
+                extra=["--index", str(index_path), "--workers", workers],
+            )
+            assert rc == EXIT_OK
+            outputs.append(out_path.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count(b"\n") == len(docs)
 
     def test_incomplete_traces_partial_exit(self, workdir, capsys):
         tmp_path, docs_path, train_path = workdir

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -64,6 +66,55 @@ def oracle_bm25(pairs, query, params=None):
 def oracle_ranking(pairs, query, params=None):
     scores = oracle_bm25(pairs, query, params)
     return sorted(range(len(pairs)), key=lambda p: (-scores[p], p)), scores
+
+
+def direct_scores(index, query):
+    """Every posting scored by the formula, with no cached impacts: the
+    arithmetic `bm25_scores` must reproduce bit for bit."""
+    params = index.params
+    scores = [0.0] * len(index)
+    if index.avgdl == 0.0:
+        return scores
+    for token in bm25_tokens(query, params.min_token_len):
+        token_idf = index.idf.get(token)
+        if token_idf is None:
+            continue
+        for pos, tf in index.postings[token].items():
+            dl = index.doc_token_counts[pos]
+            norm = params.k1 * (1.0 - params.b + params.b * dl / index.avgdl)
+            scores[pos] += token_idf * tf * (params.k1 + 1.0) / (tf + norm)
+    return scores
+
+
+VOCAB = [
+    "casa", "perro", "gato", "tren", "sol", "luz", "mar", "pan",
+    "grande", "verde", "azul", "rojo", "lento", "rápido", "nube",
+    "el", "la", "un", "de", "y",
+]
+
+
+def random_params(rng):
+    return Bm25Params(
+        k1=rng.choice([0.5, 1.2, 1.5, 2.0]),
+        b=rng.choice([0.0, 0.4, 0.75, 1.0]),
+        epsilon=rng.choice([0.0, 0.25, 0.5]),
+        min_token_len=rng.choice([1, 3, 4]),
+    )
+
+
+def random_case(rng):
+    """Small-vocabulary corpus with varied adaptation lengths, so
+    scores tie often and length ratios spread around 1."""
+    params = random_params(rng)
+    pairs = [
+        (
+            " ".join(rng.choices(VOCAB, k=rng.randint(1, 12))),
+            " ".join(rng.choices(VOCAB, k=rng.randint(0, 12))),
+        )
+        for _ in range(rng.randint(1, 50))
+    ]
+    queries = [" ".join(rng.choices(VOCAB, k=rng.randint(1, 8))) for _ in range(3)]
+    return params, pairs, queries
 
 
 PAIRS = [
@@ -169,27 +220,17 @@ class TestScoring:
 
     def test_oracle_equivalence_randomized(self):
         rng = random.Random(20240817)
-        vocab = [
-            "casa", "perro", "gato", "tren", "sol", "luz", "mar", "pan",
-            "grande", "verde", "azul", "rojo", "lento", "rápido", "nube",
-            "el", "la", "un", "de", "y",
-        ]
         for trial in range(40):
-            params = Bm25Params(
-                k1=rng.choice([0.5, 1.2, 1.5, 2.0]),
-                b=rng.choice([0.0, 0.4, 0.75, 1.0]),
-                epsilon=rng.choice([0.0, 0.25, 0.5]),
-                min_token_len=rng.choice([1, 3, 4]),
-            )
+            params = random_params(rng)
             n_docs = rng.randint(1, 50)
             pairs = [
                 (
-                    " ".join(rng.choices(vocab, k=rng.randint(0, 12))),
+                    " ".join(rng.choices(VOCAB, k=rng.randint(0, 12))),
                     "adaptación",
                 )
                 for _ in range(n_docs)
             ]
-            query = " ".join(rng.choices(vocab, k=rng.randint(1, 8)))
+            query = " ".join(rng.choices(VOCAB, k=rng.randint(1, 8)))
             index = build_index(pairs, params=params)
             got = bm25_scores(index, query)
             want = oracle_bm25(pairs, query, params)
@@ -241,6 +282,97 @@ class TestTopK:
         assert len(demos) == 1
         assert demos[0].adaptation == "uno dos tres cuatro"
         assert demos[0].rank == 1
+
+
+class TestCachedScoring:
+    def test_ratio_filter_is_filter_then_oracle_rank(self):
+        rng = random.Random(20240818)
+        saw_tie = saw_k_below = saw_k_above = False
+        for trial in range(60):
+            params, pairs, queries = random_case(rng)
+            lo, hi = sorted(rng.choice([0.0, 0.25, 0.5, 1.0, 1.5, 3.0]) for _ in "lh")
+            index = build_index(pairs, params=params)
+            admissible = {
+                p for p, pair in enumerate(pairs)
+                if length_ratio_admissible(*pair, lo, hi)
+            }
+            for query in queries:
+                order, oracle = oracle_ranking(pairs, query, params)
+                expected = [p for p in order if p in admissible]
+                scores = bm25_scores(index, query)
+                for k in (1, len(admissible) - 1, len(admissible) + 3):
+                    if k < 1:
+                        continue
+                    demos = bm25_top_k(index, query, k=k, ratio_filter=(lo, hi))
+                    want = expected[:k]
+                    assert [(d.source, d.adaptation) for d in demos] == [
+                        pairs[p] for p in want
+                    ], (trial, query, k)
+                    assert [d.retrieval_score for d in demos] == [scores[p] for p in want]
+                    assert [d.rank for d in demos] == list(range(1, len(want) + 1))
+                    saw_k_below |= k < len(admissible)
+                    saw_k_above |= k > len(admissible)
+                top = [oracle[p] for p in expected]
+                saw_tie |= len(set(top)) < len(top)
+        assert saw_tie and saw_k_below and saw_k_above
+
+    def test_bad_ratio_range_through_top_k(self):
+        index = build_index(PAIRS)
+        with pytest.raises(ValueError):
+            bm25_top_k(index, "casa", k=2, ratio_filter=(1.5, 0.5))
+
+    def test_blank_source_through_top_k(self):
+        index = build_index([("casa verde", "casa"), ("   ", "algo")])
+        for _ in range(2):  # a failed ratio pass leaves nothing cached
+            with pytest.raises(EmptySourceError):
+                bm25_top_k(index, "casa", k=2, ratio_filter=(0.0, 9.0))
+        assert len(bm25_top_k(index, "casa", k=2)) == 2
+
+    def test_bad_range_checked_before_blank_source(self):
+        index = build_index([("   ", "algo")])
+        with pytest.raises(ValueError):
+            bm25_top_k(index, "casa", k=1, ratio_filter=(2.0, 1.0))
+
+    def test_warm_and_reloaded_scores_exact(self, tmp_path):
+        rng = random.Random(20240819)
+        for trial in range(30):
+            params, pairs, queries = random_case(rng)
+            ids = [f"d{p}" for p in range(len(pairs))]
+            warm = build_index(pairs, params=params, ids=ids)
+            path = tmp_path / f"index{trial}.json"
+            save_index(warm, path)
+            loaded = load_index(path, dict(zip(ids, pairs)))
+            for query in queries + queries:  # second round hits the warm cache
+                fresh = build_index(pairs, params=params, ids=ids)
+                want = direct_scores(fresh, query)
+                assert bm25_scores(warm, query) == want, (trial, query)
+                assert bm25_scores(loaded, query) == want, (trial, query)
+                assert bm25_scores(fresh, query) == want, (trial, query)
+
+    def test_repeated_query_tokens_accumulate_per_occurrence(self):
+        index = build_index(PAIRS)
+        query = "casa verde casa casa jardín verde"
+        assert bm25_scores(index, query) == direct_scores(index, query)
+
+    def test_shared_index_across_threads(self):
+        rng = random.Random(20240820)
+        pairs = [
+            (" ".join(rng.choices(VOCAB, k=rng.randint(1, 30))), "a")
+            for _ in range(300)
+        ]
+        queries = [" ".join(rng.choices(VOCAB, k=rng.randint(1, 20))) for _ in range(40)]
+        reference = build_index(pairs)
+        expected = [direct_scores(reference, q) for q in queries]
+        shared = build_index(pairs)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(bm25_scores, shared, q) for q in queries * 4]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == expected * 4
 
 
 class TestLengthRatio:

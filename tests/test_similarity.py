@@ -281,6 +281,17 @@ class TestHttpEmbeddingProvider:
             provider.embed(["x"])
         assert len(provider._session.requests) == 4
 
+    @pytest.mark.parametrize("index", [2, -1, "0", None])
+    def test_bad_index_is_malformed(self, index):
+        payload = {
+            "data": [
+                {"index": 0, "embedding": [1.0]},
+                {"index": index, "embedding": [2.0]},
+            ]
+        }
+        with pytest.raises(ProviderUnavailableError, match="malformed embeddings"):
+            HttpEmbeddingProvider._parse(FakeResponse(200, payload), 2)
+
     def test_count_mismatch(self):
         provider = self._provider([FakeResponse(200, _emb_payload([[1.0]]))])
         with pytest.raises(ProviderUnavailableError):
