@@ -57,6 +57,7 @@ from .refine import (
 from .retrieval import (
     Bm25Params,
     bm25_top_k,
+    build_embedding_index,
     build_index,
     derive_doc_seed,
     embedding_top_k,
@@ -311,7 +312,9 @@ def cmd_adapt(args) -> int:
             else:
                 index = build_index(pairs, ids=ids)
         if args.mode == "fs-emb":
+            # built before the pool starts, so worker threads share it unlocked
             embed = make_embed_provider(args.embed, config)
+            index = build_embedding_index(pairs, embed)
 
     def demos_for(doc: Document):
         if args.mode == "zs":
@@ -320,7 +323,7 @@ def cmd_adapt(args) -> int:
             return random_k(pairs, min(k, len(pairs)), derive_doc_seed(seed, doc.id))
         if args.mode == "fs-bm25":
             return bm25_top_k(index, doc.source, k=k, ratio_filter=ratio)
-        return embedding_top_k(pairs, doc.source, k=min(k, len(pairs)), provider=embed)
+        return embedding_top_k(index, doc.source, k=k, provider=embed)
 
     failures: list[tuple[str, str]] = []
 

@@ -270,8 +270,9 @@ class HttpChatProvider:
 
     POST {endpoint} with {"model", "messages", "temperature", "top_p",
     "top_k" (sampled mode only), "max_tokens"}; the completion is read
-    from choices[0].message.content. Connection errors and 429/5xx
-    statuses raise TransientProviderError so generate_text can retry.
+    from choices[0].message.content, and a null there is an empty
+    completion. Connection errors and 429/5xx statuses raise
+    TransientProviderError so generate_text can retry.
     """
 
     def __init__(
@@ -323,9 +324,12 @@ class HttpChatProvider:
                 f"chat endpoint returned {response.status_code}: {response.text[:200]}"
             )
         try:
-            return response.json()["choices"][0]["message"]["content"]
+            content = response.json()["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise ProviderUnavailableError(f"malformed chat response: {exc}") from exc
+        if content is None or isinstance(content, str):
+            return content or ""  # a null completion is an empty one
+        raise ProviderUnavailableError(f"malformed chat response: {type(content).__name__} content")
 
 
 class ScriptedChatProvider:

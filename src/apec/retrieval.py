@@ -13,6 +13,10 @@ first time a query contains the term. Weights use the direct formula's
 exact expression and are summed once per query-token occurrence, in
 query order, so scores are bit-identical to applying the formula to
 every posting on every query.
+
+`build_embedding_index` embeds the training sources once, in one provider
+request, and keeps each vector's norm; a query is then embedded once and
+scored with one dot product per pair, bit-identical to `cosine()`.
 """
 
 from __future__ import annotations
@@ -26,12 +30,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import (
+    DimensionMismatchError,
     EmptyCorpusError,
     EmptySourceError,
     KTooLargeError,
     UnknownDocIdError,
 )
-from .similarity import CachedEmbeddingProvider, EmbeddingProvider, cosine, embed_text
+from .similarity import EmbeddingProvider, EmbeddingVector, dense_dot, dense_norm, embed_text
 
 INDEX_SCHEMA_VERSION = 1
 
@@ -247,29 +252,56 @@ def bm25_top_k(
     )
 
 
+@dataclass(frozen=True)
+class EmbeddingIndex:
+    sources: tuple[str, ...]
+    adaptations: tuple[str, ...]
+    # the provider's vectors by reference: normalized copies would double their memory
+    vectors: tuple[EmbeddingVector, ...] = field(repr=False)
+    norms: tuple[float, ...] = field(repr=False)
+
+    def __len__(self) -> int:
+        return len(self.sources)
+
+
+def build_embedding_index(
+    pairs: list[tuple[str, str]], provider: EmbeddingProvider
+) -> EmbeddingIndex:
+    """Embed every pair source in one request and cache the vector norms."""
+    if not pairs:
+        raise EmptyCorpusError("cannot index an empty corpus")
+    sources = tuple(source for source, _ in pairs)
+    vectors = tuple(provider.embed(list(sources)))
+    dims = {len(vec) for vec in vectors}
+    if len(dims) > 1:
+        raise DimensionMismatchError(f"training vectors differ in length: {sorted(dims)}")
+    return EmbeddingIndex(
+        sources=sources,
+        adaptations=tuple(adaptation for _, adaptation in pairs),
+        vectors=vectors,
+        norms=tuple(map(dense_norm, vectors)),
+    )
+
+
 def embedding_top_k(
-    pairs: list[tuple[str, str]],
+    index: EmbeddingIndex,
     query: str,
     k: int,
     provider: EmbeddingProvider,
 ) -> list[Demonstration]:
-    """Rank pairs by embedding cosine between query and pair source."""
+    """Rank indexed pairs by the cosine of query and pair-source vectors."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not pairs:
-        raise EmptyCorpusError("cannot retrieve from an empty corpus")
-    cached = (
-        provider
-        if isinstance(provider, CachedEmbeddingProvider)
-        else CachedEmbeddingProvider(provider)
-    )
-    query_vec = embed_text(query, cached)
-    source_vecs = cached.embed([source for source, _ in pairs])
-    scores = [cosine(query_vec, vec) for vec in source_vecs]
-    sources = [source for source, _ in pairs]
-    adaptations = [adaptation for _, adaptation in pairs]
-    positions = range(len(pairs))
-    return _ranked(positions, scores, positions, sources, adaptations, k)
+    query_vec = embed_text(query, provider)
+    if len(query_vec) != len(index.vectors[0]):
+        raise DimensionMismatchError(f"query {len(query_vec)} vs index {len(index.vectors[0])} dims")
+    q_norm = dense_norm(query_vec)
+    scores = [
+        dense_dot(query_vec, vec) / (q_norm * norm) if q_norm and norm else 0.0
+        for vec, norm in zip(index.vectors, index.norms)
+    ]
+    positions = range(len(index))
+    return _ranked(positions, scores, positions, index.sources, index.adaptations, k)
 
 
 def derive_doc_seed(seed: int, doc_id) -> int:

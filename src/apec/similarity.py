@@ -11,12 +11,12 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+import operator
 import re
 import threading
 import time
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 import requests
@@ -40,6 +40,15 @@ def bow_vector(text: str) -> BowVector:
     return dict(Counter(_BOW_TOKEN.findall(text.lower())))
 
 
+def dense_dot(a: Sequence[float], b: Sequence[float]) -> float:
+    """Builtin `sum` of the pairwise products, in order; lengths unchecked."""
+    return sum(map(operator.mul, a, b))
+
+
+def dense_norm(a: Sequence[float]) -> float:
+    return math.sqrt(dense_dot(a, a))
+
+
 def cosine(a, b) -> float:
     """Cosine similarity between two sparse (mapping) or dense vectors.
 
@@ -55,9 +64,9 @@ def cosine(a, b) -> float:
             raise DimensionMismatchError(
                 f"dense vectors differ in length: {len(a)} vs {len(b)}"
             )
-        dot = sum(x * y for x, y in zip(a, b))
-        norm_a = math.sqrt(sum(x * x for x in a))
-        norm_b = math.sqrt(sum(y * y for y in b))
+        dot = dense_dot(a, b)
+        norm_a = dense_norm(a)
+        norm_b = dense_norm(b)
     else:
         raise TypeError("cosine expects two mappings or two sequences")
     if norm_a == 0.0 or norm_b == 0.0:
@@ -73,25 +82,6 @@ def combined_score(fh: float, emb_sim: float) -> float:
 def table_average(fh: float, bow_sim: float, emb_sim: float) -> float:
     """Reporting average over FH and both similarities scaled to 0-100."""
     return (fh + 100.0 * bow_sim + 100.0 * emb_sim) / 3.0
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    fh: float
-    bow_sim: float
-    emb_sim: float
-    combined: float
-    table_avg: float
-
-    @classmethod
-    def from_scores(cls, fh: float, bow_sim: float, emb_sim: float) -> "MetricReport":
-        return cls(
-            fh=fh,
-            bow_sim=bow_sim,
-            emb_sim=emb_sim,
-            combined=combined_score(fh, emb_sim),
-            table_avg=table_average(fh, bow_sim, emb_sim),
-        )
 
 
 @runtime_checkable
@@ -223,7 +213,7 @@ class HttpEmbeddingProvider:
 
 
 class CachedEmbeddingProvider:
-    """Caches another provider's vectors by (provider id, exact text).
+    """Caches another provider's vectors by exact text.
 
     Safe under concurrent use; repeat texts are served from the cache
     instead of hitting the upstream provider again.
@@ -232,18 +222,17 @@ class CachedEmbeddingProvider:
     def __init__(self, provider: EmbeddingProvider):
         self._provider = provider
         self.provider_id = provider.provider_id
-        self._cache: dict[tuple[str, str], EmbeddingVector] = {}
+        self._cache: dict[str, EmbeddingVector] = {}
         self._lock = threading.Lock()
 
     def embed(self, texts: list[str]) -> list[EmbeddingVector]:
         with self._lock:
-            missing = [t for t in texts if (self.provider_id, t) not in self._cache]
             # dedupe while preserving order
-            missing = list(dict.fromkeys(missing))
+            missing = list(dict.fromkeys(t for t in texts if t not in self._cache))
         if missing:
             fetched = self._provider.embed(missing)
             with self._lock:
                 for text, vector in zip(missing, fetched):
-                    self._cache[(self.provider_id, text)] = vector
+                    self._cache[text] = vector
         with self._lock:
-            return [self._cache[(self.provider_id, t)] for t in texts]
+            return [self._cache[t] for t in texts]

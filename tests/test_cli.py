@@ -1,6 +1,9 @@
 import json
+import time
 
 import pytest
+
+import apec.cli
 
 from apec.cli import (
     EXIT_CHECK_FAILED,
@@ -327,6 +330,84 @@ class TestAdapt:
         assert rc == EXIT_PROVIDER
 
 
+def write_workers_corpus(tmp_path):
+    """8 docs over 40 overlapping training pairs, so retrieval picks vary."""
+    words = [
+        "norma", "proceso", "trámite", "solicitud", "plazo", "documento",
+        "persona", "servicio", "ayuda", "derecho", "oficina", "registro",
+    ]
+    docs = [
+        {
+            "id": f"d{i}",
+            "source": f"Documento {i}: " + " ".join(words[i:] + words[:i]) + ".",
+            "reference": f"Texto claro {i}.",
+            "task": "PL",
+        }
+        for i in range(8)
+    ]
+    train = [
+        {
+            "id": f"t{i}",
+            "source": " ".join(words[(i * 5) % 12 :] + words[: i % 7]) + ".",
+            "reference": " ".join(words[: 2 + i % 4]) + ".",
+            "task": "PL",
+        }
+        for i in range(40)
+    ]
+    docs_path = tmp_path / "docs.jsonl"
+    train_path = tmp_path / "train.jsonl"
+    write_lines(docs_path, docs)
+    write_lines(train_path, train)
+    return docs, docs_path, train_path
+
+
+class DemoEchoProvider:
+    """Answers with every turn of the request, demonstrations included, so
+    a wrong or reordered demonstration changes the output bytes. The
+    short sleep lets pool threads interleave."""
+
+    provider_id = "demo-echo"
+
+    def complete(self, request):
+        time.sleep(0.002)
+        return " | ".join(content for _, content in request.messages)
+
+
+class TestAdaptWorkers:
+    @pytest.mark.parametrize(
+        "mode_args", [["--mode", "fs-emb", "--embed", "hash:64"], ["--mode", "fs-bm25"]]
+    )
+    def test_workers_byte_identical(self, tmp_path, monkeypatch, mode_args):
+        monkeypatch.setattr(
+            apec.cli, "make_chat_provider", lambda spec, config: DemoEchoProvider()
+        )
+        docs, docs_path, train_path = write_workers_corpus(tmp_path)
+        outputs = []
+        for workers in ("1", "2"):
+            out_path = tmp_path / f"adapt{workers}.jsonl"
+            rc = main(
+                [
+                    "adapt",
+                    "--input", str(docs_path),
+                    "--corpus", str(train_path),
+                    *mode_args,
+                    "--k", "3",
+                    "--provider", "echo",
+                    "--workers", workers,
+                    "--output", str(out_path),
+                ]
+            )
+            assert rc == EXIT_OK
+            outputs.append(out_path.read_bytes())
+        assert outputs[0] == outputs[1]
+        records = [json.loads(line) for line in outputs[0].decode().splitlines()]
+        assert [r["doc_id"] for r in records] == [d["id"] for d in docs]
+        # three demonstration pairs ahead of the source, varying by document
+        turns = [r["adaptation"].split(" | ") for r in records]
+        assert all(len(t) == 7 for t in turns)
+        assert len({tuple(t[:6]) for t in turns}) > 1
+
+
 def refine_script(path, docs, cycles):
     """One parseable revision per doc per cycle, matched on the source."""
     entries = []
@@ -392,32 +473,7 @@ class TestRefine:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_workers_share_index_byte_identical(self, tmp_path):
-        words = [
-            "norma", "proceso", "trámite", "solicitud", "plazo", "documento",
-            "persona", "servicio", "ayuda", "derecho", "oficina", "registro",
-        ]
-        docs = [
-            {
-                "id": f"d{i}",
-                "source": f"Documento {i}: " + " ".join(words[i:] + words[:i]) + ".",
-                "reference": f"Texto claro {i}.",
-                "task": "PL",
-            }
-            for i in range(8)
-        ]
-        train = [
-            {
-                "id": f"t{i}",
-                "source": " ".join(words[(i * 5) % 12 :] + words[: i % 7]) + ".",
-                "reference": " ".join(words[: 2 + i % 4]) + ".",
-                "task": "PL",
-            }
-            for i in range(40)
-        ]
-        docs_path = tmp_path / "docs.jsonl"
-        train_path = tmp_path / "train.jsonl"
-        write_lines(docs_path, docs)
-        write_lines(train_path, train)
+        docs, docs_path, train_path = write_workers_corpus(tmp_path)
         index_path = tmp_path / "index.json"
         rc = main(["index", "--corpus", str(train_path), "--output", str(index_path)])
         assert rc == EXIT_OK

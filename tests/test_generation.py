@@ -420,6 +420,21 @@ class TestHttpChatProvider:
         with pytest.raises(ProviderUnavailableError):
             provider.complete(REQUEST)
 
+    def test_null_content_is_empty_completion(self):
+        payload = {"choices": [{"message": {"role": "assistant", "content": None}}]}
+        session = FakeSession([FakeResponse(200, payload)])
+        provider = HttpChatProvider("http://llm", "m", session=session)
+        with pytest.raises(ResponseEmptyError):
+            generate_text(provider, REQUEST, retries=2, backoff=0.0)
+        assert len(session.calls) == 1
+
+    @pytest.mark.parametrize("content", [42, ["a", "b"], {"text": "x"}, True])
+    def test_non_string_content_is_malformed(self, content):
+        session = FakeSession([FakeResponse(200, _chat_payload(content))])
+        provider = HttpChatProvider("http://llm", "m", session=session)
+        with pytest.raises(ProviderUnavailableError, match="malformed chat response"):
+            provider.complete(REQUEST)
+
     def test_retry_loop_integration(self):
         session = FakeSession(
             [FakeResponse(429), FakeResponse(200, _chat_payload("listo"))]

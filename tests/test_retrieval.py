@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from apec.errors import (
+    DimensionMismatchError,
     EmptyCorpusError,
     EmptySourceError,
     KTooLargeError,
@@ -16,6 +17,7 @@ from apec.retrieval import (
     bm25_scores,
     bm25_tokens,
     bm25_top_k,
+    build_embedding_index,
     build_index,
     derive_doc_seed,
     embedding_top_k,
@@ -24,7 +26,7 @@ from apec.retrieval import (
     random_k,
     save_index,
 )
-from apec.similarity import HashEmbeddingProvider
+from apec.similarity import CachedEmbeddingProvider, HashEmbeddingProvider, cosine
 
 from conftest import PlantedEmbeddingProvider
 
@@ -392,10 +394,15 @@ class TestLengthRatio:
             length_ratio_admissible("uno", "dos", 1.5, 0.5)
 
 
+def emb_top_k(pairs, query, k, provider):
+    """Build an embedding index over pairs, then query it once."""
+    return embedding_top_k(build_embedding_index(pairs, provider), query, k, provider)
+
+
 class TestEmbeddingTopK:
     def test_identical_text_ranks_first(self):
         pairs = [("rojo", "a"), ("verde", "b"), ("azul", "c")]
-        demos = embedding_top_k(pairs, "verde", k=2, provider=HashEmbeddingProvider())
+        demos = emb_top_k(pairs, "verde", k=2, provider=HashEmbeddingProvider())
         assert demos[0].source == "verde"
         assert demos[0].retrieval_score == pytest.approx(1.0)
         assert demos[0].rank == 1
@@ -404,16 +411,145 @@ class TestEmbeddingTopK:
         provider = PlantedEmbeddingProvider(
             {"q": [1.0, 0.0], "x": [0.6, 0.8], "y": [0.6, 0.8]}
         )
-        demos = embedding_top_k([("x", "a"), ("y", "b")], "q", k=2, provider=provider)
+        demos = emb_top_k([("x", "a"), ("y", "b")], "q", k=2, provider=provider)
         assert [d.source for d in demos] == ["x", "y"]
 
     def test_empty_pairs(self):
         with pytest.raises(EmptyCorpusError):
-            embedding_top_k([], "q", k=1, provider=HashEmbeddingProvider())
+            emb_top_k([], "q", k=1, provider=HashEmbeddingProvider())
 
     def test_k_validation(self):
         with pytest.raises(ValueError):
-            embedding_top_k([("a", "b")], "q", k=0, provider=HashEmbeddingProvider())
+            emb_top_k([("a", "b")], "q", k=0, provider=HashEmbeddingProvider())
+
+
+class CountingEmbedder:
+    """Uncached 2-d embedder that records every text it is asked for."""
+
+    provider_id = "counting"
+
+    def __init__(self):
+        self.requested = []
+
+    def embed(self, texts):
+        self.requested.extend(texts)
+        return [[float(len(t)), 1.0] for t in texts]
+
+
+def oracle_emb_top_k(pairs, query, k, provider):
+    """Rank by (-cosine, position) with `cosine()` on fresh vectors."""
+    query_vec = provider.embed([query])[0]
+    vecs = provider.embed([source for source, _ in pairs])
+    scores = [cosine(query_vec, vec) for vec in vecs]
+    order = sorted(range(len(pairs)), key=lambda p: (-scores[p], p))[:k]
+    return [(pairs[p][0], pairs[p][1], scores[p], rank) for rank, p in enumerate(order, 1)]
+
+
+def as_tuples(demos):
+    return [(d.source, d.adaptation, d.retrieval_score, d.rank) for d in demos]
+
+
+class TestEmbeddingIndex:
+    @pytest.mark.parametrize("dim", [1, 3, 32, 768])
+    def test_matches_cosine_oracle(self, dim):
+        rng = random.Random(dim)
+        n = 40
+        vectors = {}
+        for i in range(n):
+            vec = [rng.gauss(0.0, 1.0) * 10.0 ** rng.uniform(-3, 3) for _ in range(dim)]
+            vectors[f"s{i}"] = vec
+        # planted exact ties, a zero vector and the query itself
+        vectors["s3"] = list(vectors["s7"])
+        vectors["s11"] = [2.0 * v for v in vectors["s7"]]
+        vectors["s5"] = [0.0] * dim
+        vectors["q"] = [rng.gauss(0.0, 1.0) for _ in range(dim)]
+        vectors["s20"] = list(vectors["q"])
+        provider = PlantedEmbeddingProvider(vectors)
+        pairs = [(f"s{i}", f"a{i}") for i in range(n)]
+        index = build_embedding_index(pairs, provider)
+        for k in (1, 5, n - 1, n, n + 10):
+            got = as_tuples(embedding_top_k(index, "q", k, provider))
+            assert got == oracle_emb_top_k(pairs, "q", k, provider)
+        got = as_tuples(embedding_top_k(index, "s7", n, provider))
+        assert got == oracle_emb_top_k(pairs, "s7", n, provider)
+        scores = {source: score for source, _, score, _ in got}
+        assert scores["s3"] == scores["s7"] == scores["s11"]
+        assert scores["s5"] == 0.0
+        ranked = [source for source, *_ in got]
+        assert ranked.index("s3") < ranked.index("s7") < ranked.index("s11")
+
+    def test_zero_query_scores_zero(self):
+        provider = PlantedEmbeddingProvider(
+            {"q": [0.0, 0.0], "x": [0.6, 0.8], "y": [0.0, 0.0]}
+        )
+        index = build_embedding_index([("x", "a"), ("y", "b")], provider)
+        demos = embedding_top_k(index, "q", 2, provider)
+        assert [(d.source, d.retrieval_score) for d in demos] == [("x", 0.0), ("y", 0.0)]
+
+    def test_training_set_embedded_once(self):
+        upstream = CountingEmbedder()
+        pairs = [(f"fuente número {i}", f"a{i}") for i in range(30)]
+        index = build_embedding_index(pairs, upstream)
+        assert upstream.requested == [source for source, _ in pairs]
+        queries = ["una consulta", "otra consulta más", "fuente número 3"]
+        for query in queries:
+            embedding_top_k(index, query, 5, upstream)
+        assert upstream.requested == [source for source, _ in pairs] + queries
+
+    def test_cached_provider_serves_queries_from_cache(self):
+        upstream = CountingEmbedder()
+        cached = CachedEmbeddingProvider(upstream)
+        pairs = [("uno", "a"), ("dos", "b"), ("tres", "c")]
+        index = build_embedding_index(pairs, cached)
+        embedding_top_k(index, "dos", 2, cached)
+        embedding_top_k(index, "cuatro", 2, cached)
+        assert upstream.requested == ["uno", "dos", "tres", "cuatro"]
+
+    def test_index_holds_provider_vectors(self):
+        provider = HashEmbeddingProvider(dim=8)
+        cached = CachedEmbeddingProvider(provider)
+        pairs = [("uno", "a"), ("dos", "b")]
+        index = build_embedding_index(pairs, cached)
+        for vec, fetched in zip(index.vectors, cached.embed(["uno", "dos"])):
+            assert vec is fetched
+        assert len(index) == 2
+        assert index.adaptations == ("a", "b")
+
+    def test_shared_index_across_threads(self):
+        rng = random.Random(20261018)
+        pairs = [
+            (" ".join(rng.choices(VOCAB, k=rng.randint(1, 12))), f"a{i}") for i in range(200)
+        ]
+        queries = [" ".join(rng.choices(VOCAB, k=rng.randint(1, 8))) for _ in range(30)]
+        serial = CachedEmbeddingProvider(HashEmbeddingProvider(dim=16))
+        reference = build_embedding_index(pairs, serial)
+        expected = [as_tuples(embedding_top_k(reference, q, 7, serial)) for q in queries]
+        cached = CachedEmbeddingProvider(HashEmbeddingProvider(dim=16))
+        shared = build_embedding_index(pairs, cached)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [
+                    pool.submit(embedding_top_k, shared, q, 7, cached) for q in queries * 4
+                ]
+                results = [as_tuples(future.result(timeout=60)) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == expected * 4
+
+    def test_mixed_training_dimensions(self):
+        provider = PlantedEmbeddingProvider({"x": [1.0, 0.0], "y": [1.0, 0.0, 0.0]})
+        with pytest.raises(DimensionMismatchError):
+            build_embedding_index([("x", "a"), ("y", "b")], provider)
+
+    def test_query_dimension_mismatch(self):
+        provider = PlantedEmbeddingProvider(
+            {"q": [1.0, 0.0, 0.0], "x": [1.0, 0.0], "y": [0.0, 1.0]}
+        )
+        index = build_embedding_index([("x", "a"), ("y", "b")], provider)
+        with pytest.raises(DimensionMismatchError):
+            embedding_top_k(index, "q", 1, provider)
 
 
 class TestRandomK:

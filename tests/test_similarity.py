@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 import requests
@@ -14,10 +15,11 @@ from apec.similarity import (
     CachedEmbeddingProvider,
     HashEmbeddingProvider,
     HttpEmbeddingProvider,
-    MetricReport,
     bow_vector,
     combined_score,
     cosine,
+    dense_dot,
+    dense_norm,
     embed_text,
     table_average,
 )
@@ -108,6 +110,44 @@ class TestCosine:
         assert cosine(scaled, other) == pytest.approx(cosine(vec, other))
 
 
+def old_dense_cosine(a, b):
+    """The dense cosine expression before the dot/norm helpers, verbatim."""
+    dot = sum(x * y for x, y in zip(a, b))
+    norm_a = math.sqrt(sum(x * x for x in a))
+    norm_b = math.sqrt(sum(y * y for y in b))
+    if norm_a == 0.0 or norm_b == 0.0:
+        return 0.0
+    return dot / (norm_a * norm_b)
+
+
+def random_dense(rng, dim):
+    """Components spread over six decades, so summation order shows."""
+    return [rng.gauss(0.0, 1.0) * 10.0 ** rng.uniform(-3, 3) for _ in range(dim)]
+
+
+class TestDenseParity:
+    @pytest.mark.parametrize("dim", [1, 3, 32, 768])
+    def test_cosine_bit_identical_to_old_expression(self, dim):
+        rng = random.Random(dim)
+        vectors = [random_dense(rng, dim) for _ in range(12)] + [[0.0] * dim]
+        for a in vectors:
+            for b in vectors:
+                assert cosine(a, b) == old_dense_cosine(a, b)
+
+    @pytest.mark.parametrize("dim", [1, 3, 32, 768])
+    def test_helpers_bit_identical(self, dim):
+        rng = random.Random(1000 + dim)
+        a, b = random_dense(rng, dim), random_dense(rng, dim)
+        assert dense_dot(a, b) == sum(x * y for x, y in zip(a, b))
+        assert dense_norm(a) == math.sqrt(sum(x * x for x in a))
+
+    def test_zero_vectors(self):
+        zero = [0.0] * 4
+        assert cosine(zero, zero) == 0.0
+        assert cosine(zero, [1.0, 2.0, 3.0, 4.0]) == 0.0
+        assert dense_norm(zero) == 0.0
+
+
 class TestScores:
     def test_combined_score_known_value(self):
         assert combined_score(61.05, 0.8711) == pytest.approx(74.08, abs=5e-3)
@@ -117,12 +157,7 @@ class TestScores:
 
     def test_table_average_known_row(self):
         assert table_average(64.31, 0.5478, 0.8804) == pytest.approx(69.04, abs=5e-3)
-
-    def test_metric_report_consistency(self):
-        report = MetricReport.from_scores(61.05, 0.5293, 0.8711)
-        assert report.combined == combined_score(61.05, 0.8711)
-        assert report.table_avg == table_average(61.05, 0.5293, 0.8711)
-        assert report.table_avg == pytest.approx(67.03, abs=5e-3)
+        assert table_average(61.05, 0.5293, 0.8711) == pytest.approx(67.03, abs=5e-3)
 
 
 class TestHashEmbedder:
