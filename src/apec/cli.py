@@ -333,7 +333,7 @@ def cmd_adapt(args) -> int:
                 doc.task, doc.source, demos_for(doc), decoding=decoding
             )
             text = generate_text(provider, request, retries=retries)
-        except ProviderUnavailableError as exc:
+        except ApecError as exc:
             failures.append((doc.id, str(exc)))
             return None
         return {

@@ -14,6 +14,12 @@ exact expression and are summed once per query-token occurrence, in
 query order, so scores are bit-identical to applying the formula to
 every posting on every query.
 
+The index file stores each term's postings as one string of ascending
+comma-separated `pos,tf` fields (`"0,1,17,2"`). `load_index` leaves the
+strings as they are: it takes each term's document frequency from its
+field count, and a term is decoded into `{pos: tf}` only when a query
+first holds it, so a load never builds the postings of unqueried terms.
+
 `build_embedding_index` embeds the training sources once, in one provider
 request, and keeps each vector's norm; a query is then embedded once and
 scored with one dot product per pair, bit-identical to `cosine()`.
@@ -25,8 +31,10 @@ import hashlib
 import heapq
 import json
 import math
+import operator
 import random
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 from .errors import (
@@ -39,6 +47,7 @@ from .errors import (
 from .similarity import EmbeddingProvider, EmbeddingVector, dense_dot, dense_norm, embed_text
 
 INDEX_SCHEMA_VERSION = 1
+INDEX_KIND = "bm25-index-packed"
 
 
 @dataclass(frozen=True)
@@ -74,7 +83,7 @@ class Bm25Index:
     adaptations: tuple[str, ...]
     doc_token_counts: tuple[int, ...]
     avgdl: float
-    postings: dict[str, dict[int, int]] = field(repr=False)  # term -> pos -> tf
+    postings: Mapping[str, dict[int, int]] = field(repr=False)  # term -> pos -> tf
     idf: dict[str, float] = field(repr=False)
     params: Bm25Params = Bm25Params()
     # term -> (positions, weights), filled by _impacts as queries need them.
@@ -125,10 +134,10 @@ def bm25_tokens(text: str, min_token_len: int) -> list[str]:
     return [t for t in text.lower().split() if len(t) >= min_token_len]
 
 
-def _compute_idf(postings: dict[str, dict[int, int]], n_docs: int, epsilon: float):
+def _compute_idf(doc_freqs, n_docs: int, epsilon: float) -> dict[str, float]:
+    """idf of every term from its `(term, doc_freq)` pair."""
     idf: dict[str, float] = {}
-    for term, docs in postings.items():
-        n_t = len(docs)
+    for term, n_t in doc_freqs:
         idf[term] = math.log((n_docs - n_t + 0.5) / (n_t + 0.5))
     positive = [v for v in idf.values() if v > 0]
     floor = epsilon * (sum(positive) / len(positive)) if positive else 0.0
@@ -167,7 +176,9 @@ def build_index(
             docs = postings.setdefault(token, {})
             docs[pos] = docs.get(pos, 0) + 1
     avgdl = sum(token_counts) / len(token_counts)
-    idf = _compute_idf(postings, len(pairs), params.epsilon)
+    idf = _compute_idf(
+        ((term, len(docs)) for term, docs in postings.items()), len(pairs), params.epsilon
+    )
     return Bm25Index(
         doc_ids=tuple(ids),
         sources=sources,
@@ -331,22 +342,20 @@ def random_k(pairs: list[tuple[str, str]], k: int, seed: int) -> list[Demonstrat
 def save_index(index: Bm25Index, path) -> None:
     """Persist postings and doc references as versioned JSON.
 
-    Pair texts are not stored; loading joins doc ids back to a corpus.
+    Each term's postings are one string of `pos,tf` fields in ascending
+    position. Pair texts are not stored; loading joins doc ids back to a
+    corpus.
     """
     payload = {
         "schema_version": INDEX_SCHEMA_VERSION,
-        "kind": "bm25-index",
-        "params": {
-            "k1": index.params.k1,
-            "b": index.params.b,
-            "epsilon": index.params.epsilon,
-            "min_token_len": index.params.min_token_len,
-        },
+        "kind": INDEX_KIND,
+        "params": asdict(index.params),
         "doc_ids": list(index.doc_ids),
         "doc_token_counts": list(index.doc_token_counts),
         "avgdl": index.avgdl,
         "postings": {
-            term: sorted(docs.items()) for term, docs in index.postings.items()
+            term: ",".join([f"{pos},{tf}" for pos, tf in sorted(docs.items())])
+            for term, docs in index.postings.items()
         },
     }
     with open(path, "w", encoding="utf-8") as handle:
@@ -354,37 +363,112 @@ def save_index(index: Bm25Index, path) -> None:
         handle.write("\n")
 
 
+def _index_error(path, problem: str) -> ValueError:
+    return ValueError(f"index file {path}: {problem}; rebuild it with `apec index`")
+
+
+class _PackedPostings(Mapping):
+    """Read-only term -> {pos: tf} over the packed strings of an index file.
+
+    A term is decoded and checked on each access; `Bm25Index._impacts`
+    caches the result, so a query decodes each of its terms once.
+    """
+
+    def __init__(self, packed: dict[str, str], n_docs: int, path):
+        self._packed = packed
+        self._n_docs = n_docs
+        self._path = path
+
+    def __getitem__(self, term: str) -> dict[int, int]:
+        packed = self._packed[term]
+        try:
+            fields = map(int, packed.split(","))
+            docs = dict(zip(fields, fields))
+            positions = list(docs)
+            valid = (
+                len(positions) * 2 == packed.count(",") + 1  # even, no repeats
+                and 0 <= positions[0]
+                and positions[-1] < self._n_docs
+                and all(map(operator.lt, positions, positions[1:]))
+                and min(docs.values()) >= 1
+            )
+        except ValueError:  # a field that is not an integer
+            valid = False
+        if not valid:
+            raise _index_error(
+                self._path,
+                f"postings of {term!r} must be ascending positions in "
+                f"[0, {self._n_docs}), each with a count >= 1",
+            )
+        return docs
+
+    def __iter__(self):
+        return iter(self._packed)
+
+    def __len__(self) -> int:
+        return len(self._packed)
+
+
 def load_index(path, pairs_by_id) -> Bm25Index:
     """Load a persisted index, joining texts from `pairs_by_id`.
 
     `pairs_by_id` maps doc id -> (source, adaptation) and must cover
-    every id stored in the file.
+    every id stored in the file. Postings stay packed: each term's
+    document frequency comes from its field count, and its positions and
+    counts are decoded and checked the first time a query holds it. Any
+    malformed content raises `ValueError`, as does a file from before the
+    packed format, which `apec index` must rebuild.
     """
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
+    if not isinstance(payload, dict):
+        raise _index_error(path, "not a JSON object")
     if payload.get("schema_version") != INDEX_SCHEMA_VERSION:
         raise ValueError(
             f"unsupported index schema version {payload.get('schema_version')!r}"
         )
-    params = Bm25Params(**payload["params"])
-    doc_ids = list(payload["doc_ids"])
+    if payload.get("kind") != INDEX_KIND:
+        raise _index_error(path, f"kind is {payload.get('kind')!r}, not {INDEX_KIND!r}")
+    keys = ("params", "doc_ids", "doc_token_counts", "avgdl", "postings")
+    missing_keys = [key for key in keys if key not in payload]
+    if missing_keys:
+        raise _index_error(path, f"missing {', '.join(missing_keys)}")
+    raw_params, doc_ids, counts, avgdl, packed = (payload[key] for key in keys)
+    if not isinstance(raw_params, dict) or raw_params.keys() != asdict(Bm25Params()).keys():
+        raise _index_error(path, "params must hold exactly k1, b, epsilon, min_token_len")
+    try:
+        params = Bm25Params(**raw_params)
+    except (TypeError, ValueError) as exc:
+        raise _index_error(path, f"bad params: {exc}") from None
+    if not (isinstance(doc_ids, list) and all(isinstance(d, (str, int)) for d in doc_ids)):
+        raise _index_error(path, "doc_ids is not a list of strings and integers")
+    if not (isinstance(counts, list) and all(type(n) is int and n >= 0 for n in counts)):
+        raise _index_error(path, "doc_token_counts is not a list of token counts")
+    if len(counts) != len(doc_ids):
+        raise _index_error(path, f"{len(counts)} doc_token_counts for {len(doc_ids)} doc_ids")
+    if type(avgdl) not in (int, float):
+        raise _index_error(path, "avgdl is not a number")
+    if not (isinstance(packed, dict) and all(type(v) is str for v in packed.values())):
+        raise _index_error(path, "postings are not strings of pos,tf fields")
+    commas = [v.count(",") for v in packed.values()]  # 2 * doc_freq - 1 each
+    if not all(n % 2 for n in commas):
+        term = next(term for term, n in zip(packed, commas) if not n % 2)
+        raise _index_error(path, f"postings of {term!r} have an odd number of fields")
     missing = [doc_id for doc_id in doc_ids if doc_id not in pairs_by_id]
     if missing:
         raise UnknownDocIdError(f"index references unknown doc ids: {missing[:5]}")
-    sources = tuple(pairs_by_id[doc_id][0] for doc_id in doc_ids)
-    adaptations = tuple(pairs_by_id[doc_id][1] for doc_id in doc_ids)
-    postings = {
-        term: {int(pos): int(tf) for pos, tf in docs}
-        for term, docs in payload["postings"].items()
-    }
-    idf = _compute_idf(postings, len(doc_ids), params.epsilon)
+    idf = _compute_idf(
+        ((term, n // 2 + 1) for term, n in zip(packed, commas)),
+        len(doc_ids),
+        params.epsilon,
+    )
     return Bm25Index(
         doc_ids=tuple(doc_ids),
-        sources=sources,
-        adaptations=adaptations,
-        doc_token_counts=tuple(payload["doc_token_counts"]),
-        avgdl=float(payload["avgdl"]),
-        postings=postings,
+        sources=tuple(pairs_by_id[doc_id][0] for doc_id in doc_ids),
+        adaptations=tuple(pairs_by_id[doc_id][1] for doc_id in doc_ids),
+        doc_token_counts=tuple(counts),
+        avgdl=float(avgdl),
+        postings=_PackedPostings(packed, len(doc_ids), path),
         idf=idf,
         params=params,
     )

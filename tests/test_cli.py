@@ -134,6 +134,21 @@ class TestStats:
         assert "Traceback" not in err
 
 
+def set_postings(value):
+    def corrupt(payload):
+        payload["postings"] = {term: value for term in payload["postings"]}
+
+    return corrupt
+
+
+def old_format(payload):
+    """The layout before packed postings: [pos, tf] pairs per term."""
+    payload["kind"] = "bm25-index"
+    for term, packed in payload["postings"].items():
+        fields = [int(field) for field in packed.split(",")]
+        payload["postings"][term] = [list(pair) for pair in zip(fields[::2], fields[1::2])]
+
+
 class TestIndex:
     def test_build_and_reuse(self, workdir, capsys):
         tmp_path, docs_path, train_path = workdir
@@ -164,6 +179,57 @@ class TestIndex:
             ["index", "--corpus", str(path), "--output", str(tmp_path / "i.json")]
         )
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda p: p.pop("kind"), id="no-kind"),
+            pytest.param(lambda p: p.update(kind="bm25-index-v9"), id="wrong-kind"),
+            pytest.param(old_format, id="old-format"),
+            pytest.param(lambda p: p.pop("params"), id="no-params"),
+            pytest.param(lambda p: p.pop("postings"), id="no-postings"),
+            pytest.param(lambda p: p["params"].pop("k1"), id="params-missing-k1"),
+            pytest.param(lambda p: p.update(avgdl="4.0"), id="avgdl-string"),
+            pytest.param(lambda p: p["doc_ids"].insert(0, ["t0"]), id="list-doc-id"),
+            pytest.param(lambda p: p["doc_token_counts"].pop(), id="short-token-counts"),
+            pytest.param(set_postings([[0, 1]]), id="posting-list"),
+            pytest.param(set_postings("0,1,2"), id="odd-field-count"),
+            pytest.param(set_postings(""), id="empty-posting"),
+            pytest.param(set_postings("0,x"), id="non-integer-field"),
+            pytest.param(set_postings("0,1.5"), id="fractional-tf"),
+            pytest.param(set_postings("40,1"), id="position-past-last-doc"),
+            pytest.param(set_postings("-1,1"), id="negative-position"),
+            pytest.param(set_postings("5,1,2,1"), id="descending-positions"),
+            pytest.param(set_postings("3,1,3,1"), id="repeated-position"),
+            pytest.param(set_postings("0,0"), id="zero-tf"),
+        ],
+    )
+    def test_malformed_index_is_data_error(self, tmp_path, capsys, corrupt):
+        _, docs_path, train_path = write_workers_corpus(tmp_path)  # 40 training docs
+        index_path = tmp_path / "index.json"
+        rc = main(["index", "--corpus", str(train_path), "--output", str(index_path)])
+        assert rc == EXIT_OK
+        payload = json.loads(index_path.read_text(encoding="utf-8"))
+        corrupt(payload)
+        index_path.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        out_path = tmp_path / "adapt.jsonl"
+        rc = main(
+            [
+                "adapt",
+                "--input", str(docs_path),
+                "--corpus", str(train_path),
+                "--index", str(index_path),
+                "--mode", "fs-bm25",
+                "--provider", "echo",
+                "--output", str(out_path),
+            ]
+        )
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "rebuild it with `apec index`" in err
+        assert not out_path.exists()
 
 
 class TestAdapt:
@@ -328,6 +394,40 @@ class TestAdapt:
             ]
         )
         assert rc == EXIT_PROVIDER
+
+    @pytest.mark.parametrize(
+        "blank, want_rc, want_ids",
+        [("A", EXIT_PARTIAL, ["b", "c"]), ("ABC", EXIT_PROVIDER, [])],
+    )
+    def test_blank_completion_fails_only_its_document(
+        self, workdir, capsys, blank, want_rc, want_ids
+    ):
+        tmp_path, docs_path, _ = workdir
+        script = tmp_path / "script.jsonl"
+        write_lines(
+            script,
+            [
+                {"match": f"Fuente {x}", "response": "   " if x in blank else f"Texto {x}."}
+                for x in "ABC"
+            ],
+        )
+        out_path = tmp_path / "blank.jsonl"
+        rc = main(
+            [
+                "adapt",
+                "--input", str(docs_path),
+                "--mode", "zs",
+                "--provider", f"scripted:{script}",
+                "--output", str(out_path),
+            ]
+        )
+        assert rc == want_rc
+        records = [json.loads(line) for line in out_path.read_text().splitlines()]
+        assert [r["doc_id"] for r in records] == want_ids
+        err = capsys.readouterr().err
+        assert "error: doc a: provider returned an empty completion" in err
+        assert f"{len(blank)} of 3 documents failed" in err
+        assert "Traceback" not in err
 
 
 def write_workers_corpus(tmp_path):

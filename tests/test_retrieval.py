@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import sys
@@ -356,7 +357,8 @@ class TestCachedScoring:
         query = "casa verde casa casa jardín verde"
         assert bm25_scores(index, query) == direct_scores(index, query)
 
-    def test_shared_index_across_threads(self):
+    @pytest.mark.parametrize("persisted", [False, True], ids=["built", "loaded"])
+    def test_shared_index_across_threads(self, tmp_path, persisted):
         rng = random.Random(20240820)
         pairs = [
             (" ".join(rng.choices(VOCAB, k=rng.randint(1, 30))), "a")
@@ -366,6 +368,9 @@ class TestCachedScoring:
         reference = build_index(pairs)
         expected = [direct_scores(reference, q) for q in queries]
         shared = build_index(pairs)
+        if persisted:  # pool threads then race to decode the same packed postings
+            save_index(shared, tmp_path / "index.json")
+            shared = load_index(tmp_path / "index.json", dict(enumerate(pairs)))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -596,6 +601,32 @@ class TestPersistence:
         assert loaded.idf == pytest.approx(index.idf)
         for query in ["casa verde", "tren ciudad"]:
             assert bm25_scores(loaded, query) == bm25_scores(index, query)
+
+    def test_packed_postings_decoded_on_query(self, tmp_path):
+        ids = ["d1", "d2", "d3", "d4"]
+        path = tmp_path / "index.json"
+        save_index(build_index(PAIRS, ids=ids), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert payload["schema_version"] == 1
+        assert payload["kind"] == "bm25-index-packed"
+        assert payload["postings"]["casa"] == "0,1,2,1"
+        payload["postings"]["perro"] = "9,1"  # past the last document
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        loaded = load_index(path, dict(zip(ids, PAIRS)))
+        assert loaded.idf["perro"] == build_index(PAIRS).idf["perro"]
+        assert bm25_top_k(loaded, "casa verde", k=1)[0].source == PAIRS[2][0]
+        with pytest.raises(ValueError, match="rebuild it with `apec index`"):
+            bm25_scores(loaded, "perro")
+
+    def test_odd_field_count_fails_at_load(self, tmp_path):
+        ids = ["d1", "d2", "d3", "d4"]
+        path = tmp_path / "index.json"
+        save_index(build_index(PAIRS, ids=ids), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["postings"]["perro"] = "1,1,2"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError, match="'perro' have an odd number of fields"):
+            load_index(path, dict(zip(ids, PAIRS)))
 
     def test_missing_doc_id(self, tmp_path):
         ids = ["d1", "d2", "d3", "d4"]
