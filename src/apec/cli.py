@@ -157,9 +157,13 @@ def make_chat_provider(spec: str, config: dict):
 
 def make_embed_provider(spec: str, config: dict):
     emb = config.get("embeddings", {})
-    if spec == "hash" or spec.startswith("hash:"):
-        dim = int(spec.split(":", 1)[1]) if ":" in spec else 32
-        return CachedEmbeddingProvider(HashEmbeddingProvider(dim))
+    if spec == "hash":
+        return CachedEmbeddingProvider(HashEmbeddingProvider())
+    if spec.startswith("hash:"):
+        dim = spec[len("hash:"):]
+        if not dim.isdecimal() or int(dim) < 1:
+            raise UsageError(f"embedding spec {spec!r}: hash:DIM needs an integer DIM >= 1")
+        return CachedEmbeddingProvider(HashEmbeddingProvider(int(dim)))
     if spec == "http":
         endpoint = emb.get("endpoint") or os.environ.get("EMB_ENDPOINT", "")
         api_key = emb.get("api_key") or os.environ.get("EMB_API_KEY", "")
@@ -243,8 +247,8 @@ def _run_pool(work, items, workers: int):
 
 def cmd_stats(args) -> int:
     config = load_config(args.config)
-    docs = load_corpus(args.input, args.format)
     embed = make_embed_provider(args.embed, config) if args.embed else None
+    docs = load_corpus(args.input, args.format)
     report = corpus_stats(docs, side=args.side, embed_provider=embed)
     if args.text:
         _emit(render_stats_table(report, title=f"{args.input} [{args.side}]"), args.output)
@@ -415,9 +419,9 @@ def _partial_exit(total: int, failures: list, produced: int | None = None) -> in
 
 def cmd_evaluate(args) -> int:
     config = load_config(args.config)
+    embed = make_embed_provider(args.embed, config)
     docs = load_corpus(args.corpus, args.format)
     outputs = read_adaptations(args.input)
-    embed = make_embed_provider(args.embed, config)
     report = evaluate_run(outputs, docs, embed)
     if args.text:
         _emit(render_evaluation_table(report), args.output)
@@ -433,7 +437,7 @@ def cmd_evaluate(args) -> int:
             "rows": [vars(row) for row in report.rows],
         }
         _emit(json.dumps(payload, ensure_ascii=False, sort_keys=True), args.output)
-    return EXIT_OK
+    return _partial_exit(report.doc_count + len(report.skipped), list(report.skipped))
 
 
 def cmd_ensemble(args) -> int:

@@ -19,6 +19,7 @@ from .errors import (
     CorpusParseError,
     DuplicateIdError,
     EmptyCorpusError,
+    EmptyTextError,
     MissingReferencesError,
     NoWordsError,
     SplitSpecError,
@@ -321,6 +322,7 @@ class EvaluationReport:
     emb_sim: float
     table_avg: float
     rows: tuple[DocEvaluation, ...]
+    skipped: tuple[tuple[str, str], ...] = ()  # (doc id, reason), not in the means
 
 
 def evaluate_run(
@@ -333,7 +335,10 @@ def evaluate_run(
     Per document: readability of the adaptation, its gain over the
     source, and BoW/embedding cosine against the reference. The
     aggregate averages each column over documents; the three-way table
-    average is computed from those means.
+    average is computed from those means. A document whose adaptation
+    or source has no word tokens has no readability score: it is left
+    out of the rows and means and listed in `skipped`. If no document
+    can be scored, NoWordsError names them all.
     """
     if not outputs:
         raise EmptyCorpusError("no outputs to evaluate")
@@ -350,24 +355,40 @@ def evaluate_run(
             f"docs without references cannot be evaluated: {missing_refs[:5]}"
         )
 
-    adaptations = [outputs[doc_id] for doc_id in ordered_ids]
-    references = [docs_by_id[doc_id].reference for doc_id in ordered_ids]
-    vectors = embed_provider.embed(adaptations + references)
-
-    rows = []
-    for pos, doc_id in enumerate(ordered_ids):
+    scored: list[tuple[Document, str, float, float]] = []
+    skipped: list[tuple[str, str]] = []
+    for doc_id in ordered_ids:
         doc = docs_by_id[doc_id]
-        adaptation = adaptations[pos]
-        fh_val = fh_index(adaptation).fh
-        rows.append(
-            DocEvaluation(
-                doc_id=doc_id,
-                fh=fh_val,
-                fh_gain=fh_val - fh_index(doc.source).fh,
-                bow_sim=cosine(bow_vector(adaptation), bow_vector(doc.reference)),
-                emb_sim=cosine(vectors[pos], vectors[pos + len(ordered_ids)]),
-            )
+        adaptation = outputs[doc_id]
+        side = "adaptation"
+        try:
+            fh_val = fh_index(adaptation).fh
+            side = "source"
+            fh_source = fh_index(doc.source).fh
+        except (EmptyTextError, NoWordsError) as exc:
+            skipped.append((doc_id, f"{side}: {exc}"))
+            continue
+        scored.append((doc, adaptation, fh_val, fh_source))
+    if not scored:
+        raise NoWordsError(
+            "no document can be scored: "
+            + "; ".join(f"doc {doc_id}: {reason}" for doc_id, reason in skipped)
         )
+
+    vectors = embed_provider.embed(
+        [adaptation for _, adaptation, _, _ in scored]
+        + [doc.reference for doc, _, _, _ in scored]
+    )
+    rows = [
+        DocEvaluation(
+            doc_id=doc.id,
+            fh=fh_val,
+            fh_gain=fh_val - fh_source,
+            bow_sim=cosine(bow_vector(adaptation), bow_vector(doc.reference)),
+            emb_sim=cosine(vectors[pos], vectors[pos + len(scored)]),
+        )
+        for pos, (doc, adaptation, fh_val, fh_source) in enumerate(scored)
+    ]
 
     mean_fh = fmean(row.fh for row in rows)
     mean_gain = fmean(row.fh_gain for row in rows)
@@ -381,6 +402,7 @@ def evaluate_run(
         emb_sim=mean_emb,
         table_avg=table_average(mean_fh, mean_bow, mean_emb),
         rows=tuple(rows),
+        skipped=tuple(skipped),
     )
 
 

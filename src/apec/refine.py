@@ -45,7 +45,6 @@ class ApecConfig:
     cycles: int = 5
     demo_count: int = 5
     refine_decoding: DecodingParams = REFINE
-    strict_improvement: bool = True
     retries: int = 3
     backoff: float = 0.5
 
@@ -163,10 +162,7 @@ def run_apec(
             incomplete = True
             break
 
-        if config.strict_improvement:
-            accepted = score > current_score
-        else:
-            accepted = score >= current_score
+        accepted = score > current_score
         records.append(
             CycleRecord(
                 cycle=cycle,

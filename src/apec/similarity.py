@@ -13,6 +13,7 @@ import logging
 import math
 import operator
 import re
+import struct
 import threading
 import time
 from collections import Counter
@@ -106,6 +107,15 @@ class HashEmbeddingProvider:
     Each text hashes to a fixed unit vector, so identical texts always
     have similarity 1.0 and distinct texts are near-orthogonal for
     moderate dimensions. Suitable for dry runs and tests only.
+
+    Construction: block b (b = 0, 1, ...) is the SHA-256 digest of
+    ``text.encode("utf-8") + b"\\x00" + b.to_bytes(4, "big")``. The
+    concatenated digests are read as big-endian unsigned 32-bit words;
+    the first ``dim`` words w map to ``w / 2**31 - 1.0``, and the vector
+    is divided by its norm (in-order builtin ``sum`` of squares, then
+    ``math.sqrt``). An all-zero vector, which SHA-256 makes practically
+    impossible, becomes the first basis vector. The reference test in
+    ``tests/test_similarity.py`` pins these vectors bit for bit.
     """
 
     def __init__(self, dim: int = 32):
@@ -118,18 +128,16 @@ class HashEmbeddingProvider:
         return [self._one(text) for text in texts]
 
     def _one(self, text: str) -> EmbeddingVector:
-        raw = text.encode("utf-8")
-        values: list[float] = []
-        block = 0
-        while len(values) < self.dim:
-            digest = hashlib.sha256(raw + b"\x00" + block.to_bytes(4, "big")).digest()
-            for k in range(0, len(digest) - 3, 4):
-                if len(values) >= self.dim:
-                    break
-                word = int.from_bytes(digest[k : k + 4], "big")
-                values.append(word / 2**31 - 1.0)
-            block += 1
-        norm = math.sqrt(sum(v * v for v in values))
+        # hash the text once; each block only adds its counter to a copy
+        prefix = hashlib.sha256(text.encode("utf-8") + b"\x00")
+        digests = []
+        for block in range(-(-self.dim // 8)):  # 8 words per digest
+            state = prefix.copy()
+            state.update(block.to_bytes(4, "big"))
+            digests.append(state.digest())
+        words = struct.unpack_from(f">{self.dim}I", b"".join(digests))
+        values = [w / 2**31 - 1.0 for w in words]
+        norm = dense_norm(values)
         if norm == 0.0:  # astronomically unlikely; keep the contract anyway
             values[0] = 1.0
             norm = 1.0

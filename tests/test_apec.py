@@ -85,7 +85,6 @@ class TestApecConfig:
         config = ApecConfig()
         assert config.cycles == 5
         assert config.demo_count == 5
-        assert config.strict_improvement is True
         assert config.refine_decoding.temperature == 0.8
 
     @pytest.mark.parametrize("kwargs", [{"cycles": 0}, {"demo_count": -1}])

@@ -688,6 +688,79 @@ class TestEvaluate:
         assert rc == EXIT_OK
         assert "MEAN" in capsys.readouterr().out
 
+    def test_wordless_adaptation_is_skipped(self, workdir, capsys):
+        tmp_path, docs_path, _ = workdir
+        outputs = tmp_path / "outputs.jsonl"
+        write_lines(
+            outputs,
+            [
+                {"doc_id": "a", "adaptation": "Fuente A corta."},
+                {"doc_id": "b", "adaptation": "¡¿ ... ?!"},
+                {"doc_id": "c", "adaptation": "Fuente C clara."},
+            ],
+        )
+        argv = ["evaluate", "--input", str(outputs), "--corpus", str(docs_path), "--embed", "hash"]
+        assert main(argv) == EXIT_PARTIAL
+        captured = capsys.readouterr()
+        assert "doc b: adaptation: text has no word tokens" in captured.err
+        assert "Traceback" not in captured.err
+        payload = json.loads(captured.out)
+        assert [row["doc_id"] for row in payload["rows"]] == ["a", "c"]
+
+        # the report over the other documents is the one they get alone
+        write_lines(
+            outputs,
+            [
+                {"doc_id": "a", "adaptation": "Fuente A corta."},
+                {"doc_id": "c", "adaptation": "Fuente C clara."},
+            ],
+        )
+        assert main(argv) == EXIT_OK
+        assert json.loads(capsys.readouterr().out) == payload
+
+    def test_no_scorable_adaptation_is_data_error(self, workdir, capsys):
+        tmp_path, docs_path, _ = workdir
+        outputs = tmp_path / "outputs.jsonl"
+        write_lines(
+            outputs,
+            [
+                {"doc_id": "a", "adaptation": "¡¿ ... ?!"},
+                {"doc_id": "c", "adaptation": "   "},
+            ],
+        )
+        rc = main(
+            [
+                "evaluate",
+                "--input", str(outputs),
+                "--corpus", str(docs_path),
+                "--embed", "hash",
+            ]
+        )
+        assert rc == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "doc a: adaptation" in captured.err
+        assert "doc c: adaptation" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("spec", ["hash:", "hash:x", "hash:0", "hash:-3"])
+    def test_malformed_hash_spec_is_usage_error(self, workdir, capsys, spec):
+        tmp_path, docs_path, _ = workdir
+        outputs = tmp_path / "outputs.jsonl"
+        write_lines(outputs, [{"doc_id": "a", "adaptation": "Fuente A corta."}])
+        rc = main(
+            [
+                "evaluate",
+                "--input", str(outputs),
+                "--corpus", str(docs_path),
+                "--embed", spec,
+            ]
+        )
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"'{spec}'" in err
+        assert "Traceback" not in err
+
 
 def make_trace_record(doc_id, stream, final, final_score):
     return trace_to_dict(

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -190,6 +191,44 @@ class TestHashEmbedder:
     def test_embed_text_empty(self):
         with pytest.raises(EmptyTextError):
             embed_text("  ", HashEmbeddingProvider())
+
+
+def reference_hash_vector(text, dim):
+    """The hash embedder's original per-block loop, verbatim: the reference."""
+    raw = text.encode("utf-8")
+    values = []
+    block = 0
+    while len(values) < dim:
+        digest = hashlib.sha256(raw + b"\x00" + block.to_bytes(4, "big")).digest()
+        for k in range(0, len(digest) - 3, 4):
+            if len(values) >= dim:
+                break
+            word = int.from_bytes(digest[k : k + 4], "big")
+            values.append(word / 2**31 - 1.0)
+        block += 1
+    norm = math.sqrt(sum(v * v for v in values))
+    if norm == 0.0:
+        values[0] = 1.0
+        norm = 1.0
+    return [v / norm for v in values]
+
+
+REFERENCE_TEXTS = [
+    "",
+    "hola",
+    "¿Dónde está el niño? Mañana, señor, ¡por favor!",
+    "Vamos al mar 🌊 mañana",
+    "La información útil del año se guarda aquí. " * 113,  # ~5 KB
+]
+
+
+class TestHashEmbedderReference:
+    @pytest.mark.parametrize("dim", [1, 7, 8, 9, 32, 33, 768])
+    def test_bit_identical_to_reference_loop(self, dim):
+        provider = HashEmbeddingProvider(dim)
+        assert provider.embed(REFERENCE_TEXTS) == [
+            reference_hash_vector(text, dim) for text in REFERENCE_TEXTS
+        ]
 
 
 class CountingProvider:
