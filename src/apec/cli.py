@@ -41,6 +41,7 @@ from .errors import (
 )
 from .generation import (
     DECODING_PROFILES,
+    DEFAULT_TIMEOUT,
     EchoChatProvider,
     HttpChatProvider,
     ScriptedChatProvider,
@@ -107,8 +108,59 @@ def _interpolate(value):
     return value
 
 
+# Every config key with its default. A value is converted to its default's
+# type and a dict is a section; `apec` and `bm25` take their defaults from
+# ApecConfig and Bm25Params. A flag overrides the key that its dest names.
+_HTTP_DEFAULTS = {"endpoint": "", "api_key": "", "model": "default", "timeout": DEFAULT_TIMEOUT}
+_CONFIG_DEFAULTS = {
+    "seed": 0,
+    "workers": 1,
+    "retries": ApecConfig.retries,
+    "apec": {
+        key: getattr(ApecConfig, key) for key in ("cycles", "demo_count", "retries", "backoff")
+    },
+    "bm25": vars(Bm25Params()),
+    "llm": _HTTP_DEFAULTS,
+    "embeddings": _HTTP_DEFAULTS,
+}
+
+
+def _checked(raw: dict, defaults: dict, prefix: str = "") -> dict:
+    """`raw` with each known key converted to its default's type.
+
+    A null value drops the key, so its default applies; unknown keys
+    pass through unchanged.
+    """
+    config = {}
+    for key, value in raw.items():
+        if key not in defaults:
+            config[key] = value
+        elif value is not None:
+            config[key] = _convert(prefix + key, value, defaults[key])
+    return config
+
+
+def _convert(name: str, value, default):
+    """`value` as the type of `default`, or ConfigError naming the key.
+    Numbers may be given as strings, but may not lose digits."""
+    if isinstance(default, dict):
+        if isinstance(value, dict):
+            return _checked(value, default, name + ".")
+    elif isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            converted = type(default)(value)
+        except (ValueError, OverflowError):
+            pass
+        else:
+            if isinstance(value, str) or converted == value:
+                return converted
+    kind = "an object" if isinstance(default, dict) else type(default).__name__
+    raise ConfigError(f"config key {name} must be {kind}, got {value!r}")
+
+
 def load_config(path) -> dict:
-    """Read a JSON config file, interpolating ${ENV_VAR} in strings."""
+    """Read a JSON config file, interpolating ${ENV_VAR} in strings and
+    converting every known key (see `_CONFIG_DEFAULTS`)."""
     if path is None:
         return {}
     try:
@@ -120,22 +172,36 @@ def load_config(path) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
-    return _interpolate(raw)
+    return _checked(_interpolate(raw), _CONFIG_DEFAULTS)
 
 
-def _pick(flag, config_value, default):
-    if flag is not None:
-        return flag
-    if config_value is not None:
-        return config_value
-    return default
+def _options(config: dict, section: str = "", args=None) -> dict:
+    """Every option of a config section (the top level by default): the
+    flag of that name if given, else its config value, else its default."""
+    values = config.get(section, {}) if section else config
+    options = {}
+    for key, default in (_CONFIG_DEFAULTS[section] if section else _CONFIG_DEFAULTS).items():
+        flag = getattr(args, key, None)
+        if not isinstance(default, dict):
+            options[key] = flag if flag is not None else values.get(key, default)
+    return options
 
 
 # ------------------------------------------------------------- providers
 
 
+def _http_provider(cls, config: dict, section: str, env: str):
+    """`cls` built from a config section; ${env}_ENDPOINT and ${env}_API_KEY
+    stand in for an unset endpoint and key."""
+    settings = _options(config, section)
+    endpoint = settings["endpoint"] or os.environ.get(f"{env}_ENDPOINT", "")
+    if not endpoint:
+        raise ConfigError(f"http provider needs {section}.endpoint or {env}_ENDPOINT")
+    api_key = settings["api_key"] or os.environ.get(f"{env}_API_KEY", "")
+    return cls(endpoint, settings["model"], api_key=api_key, timeout=settings["timeout"])
+
+
 def make_chat_provider(spec: str, config: dict):
-    llm = config.get("llm", {})
     if spec == "echo":
         return EchoChatProvider()
     if spec.startswith("scripted:"):
@@ -144,19 +210,11 @@ def make_chat_provider(spec: str, config: dict):
             raise UsageError("scripted provider needs a fixture path: scripted:PATH")
         return ScriptedChatProvider.from_path(path)
     if spec == "http":
-        endpoint = llm.get("endpoint") or os.environ.get("LLM_ENDPOINT", "")
-        api_key = llm.get("api_key") or os.environ.get("LLM_API_KEY", "")
-        model = llm.get("model", "default")
-        if not endpoint:
-            raise ConfigError("http chat provider needs llm.endpoint or LLM_ENDPOINT")
-        return HttpChatProvider(
-            endpoint, model, api_key=api_key, timeout=float(llm.get("timeout", 120.0))
-        )
+        return _http_provider(HttpChatProvider, config, "llm", "LLM")
     raise UsageError(f"unknown chat provider spec {spec!r} (echo | scripted:PATH | http)")
 
 
 def make_embed_provider(spec: str, config: dict):
-    emb = config.get("embeddings", {})
     if spec == "hash":
         return CachedEmbeddingProvider(HashEmbeddingProvider())
     if spec.startswith("hash:"):
@@ -165,17 +223,8 @@ def make_embed_provider(spec: str, config: dict):
             raise UsageError(f"embedding spec {spec!r}: hash:DIM needs an integer DIM >= 1")
         return CachedEmbeddingProvider(HashEmbeddingProvider(int(dim)))
     if spec == "http":
-        endpoint = emb.get("endpoint") or os.environ.get("EMB_ENDPOINT", "")
-        api_key = emb.get("api_key") or os.environ.get("EMB_API_KEY", "")
-        model = emb.get("model", "default")
-        if not endpoint:
-            raise ConfigError(
-                "http embedding provider needs embeddings.endpoint or EMB_ENDPOINT"
-            )
         return CachedEmbeddingProvider(
-            HttpEmbeddingProvider(
-                endpoint, model, api_key=api_key, timeout=float(emb.get("timeout", 120.0))
-            )
+            _http_provider(HttpEmbeddingProvider, config, "embeddings", "EMB")
         )
     raise UsageError(f"unknown embedding provider spec {spec!r} (hash[:DIM] | http)")
 
@@ -234,12 +283,45 @@ def _training_pairs(docs: list[Document]) -> tuple[list, list]:
     return [doc.id for doc in usable], [(doc.source, doc.reference) for doc in usable]
 
 
-def _run_pool(work, items, workers: int):
-    """Apply work to items, preserving order; one worker means inline."""
+def _bm25_index(index_path, ids: list, pairs: list):
+    """The index file at `index_path` joined to the pairs, or a new index over them."""
+    if index_path:
+        return load_index(index_path, dict(zip(ids, pairs)))
+    return build_index(pairs, ids=ids)
+
+
+def _run_docs(work, docs: list[Document], workers: int) -> tuple[list, list]:
+    """Run `work(doc) -> (record, error or None)` over the documents.
+
+    Returns the records and the (doc id, error) failures, both in input
+    order; an ApecError fails only its document. One worker means inline.
+    """
+
+    def one(doc: Document):
+        try:
+            return work(doc)
+        except ApecError as exc:
+            return None, str(exc)
+
     if workers <= 1:
-        return [work(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(work, items))
+        outcomes = [one(doc) for doc in docs]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(one, docs))
+    records = [record for record, _ in outcomes if record is not None]
+    failures = [(doc.id, error) for doc, (_, error) in zip(docs, outcomes) if error is not None]
+    return records, failures
+
+
+def _partial_exit(total: int, failures: list[tuple[str, str]]) -> int:
+    """Report each (doc id, reason), in the order given: 0 when none
+    failed, 4 when all did, else 5."""
+    if not failures:
+        return EXIT_OK
+    for doc_id, reason in failures:
+        print(f"error: doc {doc_id}: {reason}", file=sys.stderr)
+    print(f"{len(failures)} of {total} documents failed", file=sys.stderr)
+    return EXIT_PROVIDER if len(failures) == total else EXIT_PARTIAL
 
 
 # ----------------------------------------------------------- subcommands
@@ -261,13 +343,7 @@ def cmd_stats(args) -> int:
 
 def cmd_index(args) -> int:
     config = load_config(args.config)
-    bm25_cfg = config.get("bm25", {})
-    params = Bm25Params(
-        k1=_pick(args.k1, bm25_cfg.get("k1"), 1.5),
-        b=_pick(args.b, bm25_cfg.get("b"), 0.75),
-        epsilon=_pick(args.epsilon, bm25_cfg.get("epsilon"), 0.25),
-        min_token_len=int(_pick(args.min_token_len, bm25_cfg.get("min_token_len"), 4)),
-    )
+    params = Bm25Params(**_options(config, "bm25", args))
     docs = load_corpus(args.corpus, args.format)
     ids, pairs = _training_pairs(docs)
     index = build_index(pairs, params=params, ids=ids)
@@ -288,6 +364,8 @@ def _parse_ratio(text: str) -> tuple[float, float]:
 
 def cmd_adapt(args) -> int:
     config = load_config(args.config)
+    if args.k < 1:
+        raise UsageError(f"--k must be >= 1, got {args.k}")
     if args.ratio and args.mode != "fs-bm25":
         raise UsageError("--ratio only applies to fs-bm25")
     if args.mode != "zs" and not args.corpus:
@@ -298,23 +376,14 @@ def cmd_adapt(args) -> int:
     docs = load_corpus(args.input, args.format)
     provider = make_chat_provider(args.provider, config)
     decoding = DECODING_PROFILES[args.decoding]
-    seed = int(_pick(args.seed, config.get("seed"), 0))
-    workers = int(_pick(args.workers, config.get("workers"), 1))
-    retries = int(_pick(args.retries, config.get("retries"), 3))
-    k = args.k
+    options = _options(config, args=args)
     ratio = _parse_ratio(args.ratio) if args.ratio else None
 
-    index = None
-    pairs = []
-    embed = None
+    index = pairs = embed = None
     if args.mode != "zs":
-        train = load_corpus(args.corpus)
-        ids, pairs = _training_pairs(train)
+        ids, pairs = _training_pairs(load_corpus(args.corpus))
         if args.mode == "fs-bm25":
-            if args.index:
-                index = load_index(args.index, dict(zip(ids, pairs)))
-            else:
-                index = build_index(pairs, ids=ids)
+            index = _bm25_index(args.index, ids, pairs)
         if args.mode == "fs-emb":
             # built before the pool starts, so worker threads share it unlocked
             embed = make_embed_provider(args.embed, config)
@@ -324,38 +393,30 @@ def cmd_adapt(args) -> int:
         if args.mode == "zs":
             return []
         if args.mode == "fs-rdm":
-            return random_k(pairs, min(k, len(pairs)), derive_doc_seed(seed, doc.id))
+            seed = derive_doc_seed(options["seed"], doc.id)
+            return random_k(pairs, min(args.k, len(pairs)), seed)
         if args.mode == "fs-bm25":
-            return bm25_top_k(index, doc.source, k=k, ratio_filter=ratio)
-        return embedding_top_k(index, doc.source, k=k, provider=embed)
-
-    failures: list[tuple[str, str]] = []
+            return bm25_top_k(index, doc.source, k=args.k, ratio_filter=ratio)
+        return embedding_top_k(index, doc.source, k=args.k, provider=embed)
 
     def work(doc: Document):
-        try:
-            request = render_initial_prompt(
-                doc.task, doc.source, demos_for(doc), decoding=decoding
-            )
-            text = generate_text(provider, request, retries=retries)
-        except ApecError as exc:
-            failures.append((doc.id, str(exc)))
-            return None
-        return {
+        request = render_initial_prompt(doc.task, doc.source, demos_for(doc), decoding=decoding)
+        record = {
             "schema_version": ARTIFACT_SCHEMA_VERSION,
             "doc_id": doc.id,
             "task": doc.task,
             "mode": args.mode,
-            "adaptation": text,
+            "adaptation": generate_text(provider, request, retries=options["retries"]),
         }
+        return record, None
 
-    results = _run_pool(work, docs, workers)
-    write_jsonl(args.output, (r for r in results if r is not None))
+    records, failures = _run_docs(work, docs, options["workers"])
+    write_jsonl(args.output, records)
     return _partial_exit(len(docs), failures)
 
 
 def cmd_refine(args) -> int:
     config = load_config(args.config)
-    apec_cfg = config.get("apec", {})
     docs = load_corpus(args.docs, args.format)
     outputs = read_adaptations(args.input)
     docs_by_id = {doc.id: doc for doc in docs}
@@ -363,58 +424,23 @@ def cmd_refine(args) -> int:
     if unknown:
         raise ConfigError(f"adaptations reference unknown doc ids: {unknown[:5]}")
 
-    train = load_corpus(args.corpus)
-    ids, pairs = _training_pairs(train)
-    if args.index:
-        index = load_index(args.index, dict(zip(ids, pairs)))
-    else:
-        index = build_index(pairs, ids=ids)
-
+    ids, pairs = _training_pairs(load_corpus(args.corpus))
+    index = _bm25_index(args.index, ids, pairs)
     provider = make_chat_provider(args.provider, config)
     embed = make_embed_provider(args.embed, config)
-    run_config = ApecConfig(
-        cycles=int(_pick(args.cycles, apec_cfg.get("cycles"), 5)),
-        demo_count=int(_pick(args.demos, apec_cfg.get("demo_count"), 5)),
-        retries=int(_pick(args.retries, apec_cfg.get("retries"), 3)),
-        backoff=float(apec_cfg.get("backoff", 0.5)),
-    )
-    workers = int(_pick(args.workers, config.get("workers"), 1))
+    run_config = ApecConfig(**_options(config, "apec", args))
+    workers = _options(config, args=args)["workers"]
     target_docs = [doc for doc in docs if doc.id in outputs]
 
-    failures: list[tuple[str, str]] = []
-
     def work(doc: Document):
-        try:
-            return run_apec(
-                doc,
-                outputs[doc.id],
-                index,
-                provider,
-                embed,
-                config=run_config,
-                stream=args.stream,
-            )
-        except ApecError as exc:
-            failures.append((doc.id, str(exc)))
-            return None
+        trace = run_apec(
+            doc, outputs[doc.id], index, provider, embed, config=run_config, stream=args.stream
+        )
+        return trace, "trace incomplete: provider gave out mid-run" if trace.incomplete else None
 
-    traces = _run_pool(work, target_docs, workers)
-    write_jsonl(args.output, (trace_to_dict(t) for t in traces if t is not None))
-    incomplete = [t.doc_id for t in traces if t is not None and t.incomplete]
-    for doc_id in incomplete:
-        failures.append((doc_id, "trace incomplete: provider gave out mid-run"))
-    complete = sum(t is not None and not t.incomplete for t in traces)
-    return _partial_exit(len(target_docs), failures, produced=complete)
-
-
-def _partial_exit(total: int, failures: list, produced: int | None = None) -> int:
-    if not failures:
-        return EXIT_OK
-    for doc_id, reason in failures:
-        print(f"error: doc {doc_id}: {reason}", file=sys.stderr)
-    print(f"{len(failures)} of {total} documents failed", file=sys.stderr)
-    done = produced if produced is not None else total - len(failures)
-    return EXIT_PROVIDER if done == 0 else EXIT_PARTIAL
+    traces, failures = _run_docs(work, target_docs, workers)
+    write_jsonl(args.output, map(trace_to_dict, traces))
+    return _partial_exit(len(target_docs), failures)
 
 
 def cmd_evaluate(args) -> int:
@@ -437,7 +463,7 @@ def cmd_evaluate(args) -> int:
             "rows": [vars(row) for row in report.rows],
         }
         _emit(json.dumps(payload, ensure_ascii=False, sort_keys=True), args.output)
-    return _partial_exit(report.doc_count + len(report.skipped), list(report.skipped))
+    return _partial_exit(report.doc_count + len(report.skipped), report.skipped)
 
 
 def cmd_ensemble(args) -> int:
@@ -560,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--provider", required=True, help="echo | scripted:PATH | http")
     p.add_argument("--embed", required=True, help="hash[:DIM] | http")
     p.add_argument("--cycles", type=int)
-    p.add_argument("--demos", type=int)
+    p.add_argument("--demos", type=int, dest="demo_count", metavar="DEMOS")
     p.add_argument("--retries", type=int)
     p.add_argument("--workers", type=int)
     p.add_argument("--stream", default="", help="stream tag recorded in traces")

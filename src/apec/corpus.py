@@ -132,24 +132,6 @@ def _check_duplicate(seen: dict[str, int], doc_id: str, line_no: int) -> None:
     seen[doc_id] = line_no
 
 
-def save_corpus(docs: list[Document], path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for doc in docs:
-            handle.write(
-                json.dumps(
-                    {
-                        "id": doc.id,
-                        "source": doc.source,
-                        "reference": doc.reference,
-                        "task": doc.task,
-                    },
-                    ensure_ascii=False,
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-
-
 def whitespace_token_count(text: str) -> int:
     return len(text.split())
 

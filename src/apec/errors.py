@@ -1,8 +1,14 @@
 """Exception types shared across the pipeline.
 
 Every failure mode that callers are expected to branch on gets its own
-class; the CLI maps them onto exit codes.
+class; the CLI maps them onto exit codes. `with_retries` is the retry
+policy that both HTTP providers go through.
 """
+
+import logging
+import time
+
+logger = logging.getLogger(__name__)
 
 
 class ApecError(Exception):
@@ -95,3 +101,23 @@ class UnknownDocIdError(ApecError):
 
 class ConfigError(ApecError):
     """Run configuration is invalid or unreadable."""
+
+
+def with_retries(attempt, retries: int, backoff: float, what: str):
+    """Return `attempt()`, retrying it while it raises TransientProviderError.
+
+    `retries` counts re-attempts after the first try; the wait before
+    re-attempt n (1, 2, ...) is `backoff * 2**(n - 1)`. Any other error
+    propagates at once. Raises ProviderUnavailableError naming `what`
+    once the attempts run out.
+    """
+    last_error = None
+    for n in range(retries + 1):
+        if n:
+            time.sleep(backoff * 2 ** (n - 1))
+        try:
+            return attempt()
+        except TransientProviderError as exc:
+            last_error = exc
+            logger.warning("%s: attempt %d of %d failed: %s", what, n + 1, retries + 1, exc)
+    raise ProviderUnavailableError(f"{what} failed after {retries + 1} attempts: {last_error}")

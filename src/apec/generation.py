@@ -16,9 +16,8 @@ from __future__ import annotations
 import json
 import re
 import threading
-import time
 from dataclasses import dataclass
-from typing import Callable, Literal, Optional, Protocol, runtime_checkable
+from typing import Literal, Optional, Protocol, runtime_checkable
 
 import requests
 
@@ -28,6 +27,7 @@ from .errors import (
     ProviderUnavailableError,
     ResponseEmptyError,
     TransientProviderError,
+    with_retries,
 )
 from .prompts import (
     ANALYSIS_HEADER,
@@ -237,32 +237,17 @@ def generate_text(
     request: GenerationRequest,
     retries: int = DEFAULT_RETRIES,
     backoff: float = 0.5,
-    on_exchange: Callable[[GenerationRequest, str], None] | None = None,
 ) -> str:
-    """Run one completion with retry on transient provider failures.
+    """Run one completion under the retry policy of `with_retries`.
 
-    `retries` counts re-attempts after the first try. Backoff doubles
-    per failure. Raises ProviderUnavailable once attempts are exhausted
-    and ResponseEmpty on a blank completion.
+    Raises ProviderUnavailable once attempts are exhausted and
+    ResponseEmpty on a blank completion.
     """
-    last_error: Exception | None = None
-    for attempt in range(retries + 1):
-        try:
-            content = provider.complete(request)
-        except TransientProviderError as exc:
-            last_error = exc
-            if attempt < retries:
-                time.sleep(backoff * (2**attempt))
-            continue
-        if not content.strip():
-            raise ResponseEmptyError("provider returned an empty completion")
-        if on_exchange is not None:
-            on_exchange(request, content)
-        return content
-    raise ProviderUnavailableError(
-        f"provider {getattr(provider, 'provider_id', '?')} failed after "
-        f"{retries + 1} attempts: {last_error}"
-    )
+    what = f"provider {getattr(provider, 'provider_id', '?')}"
+    content = with_retries(lambda: provider.complete(request), retries, backoff, what)
+    if not content.strip():
+        raise ResponseEmptyError("provider returned an empty completion")
+    return content
 
 
 class HttpChatProvider:
@@ -343,8 +328,12 @@ class ScriptedChatProvider:
 
     def __init__(self, entries: list[dict], provider_id: str = "scripted"):
         for pos, entry in enumerate(entries):
-            if "match" not in entry or "response" not in entry:
-                raise ValueError(f"fixture entry {pos} needs match and response keys")
+            fields = entry if isinstance(entry, dict) else {}
+            if not all(isinstance(fields.get(key), str) for key in ("match", "response")):
+                raise ValueError(
+                    f"fixture entry {pos} must be an object with string match and "
+                    f"response keys, got {entry!r}"
+                )
         self._entries = [dict(entry) for entry in entries]
         self._used = [False] * len(entries)
         self._lock = threading.Lock()

@@ -41,10 +41,11 @@ from .errors import (
     DimensionMismatchError,
     EmptyCorpusError,
     EmptySourceError,
+    EmptyTextError,
     KTooLargeError,
     UnknownDocIdError,
 )
-from .similarity import EmbeddingProvider, EmbeddingVector, dense_dot, dense_norm, embed_text
+from .similarity import EmbeddingProvider, EmbeddingVector, dense_dot, dense_norm
 
 INDEX_SCHEMA_VERSION = 1
 INDEX_KIND = "bm25-index-packed"
@@ -204,22 +205,11 @@ def bm25_scores(index: Bm25Index, query: str) -> list[float]:
     return scores
 
 
-def _check_ratio_range(lo: float, hi: float) -> None:
-    if lo > hi:
-        raise ValueError(f"invalid ratio range [{lo}, {hi}]")
-
-
 def _length_ratio(source: str, adaptation: str) -> float:
     source_len = len(source.split())
     if source_len == 0:
         raise EmptySourceError("source has no tokens; length ratio undefined")
     return len(adaptation.split()) / source_len
-
-
-def length_ratio_admissible(source: str, adaptation: str, lo: float, hi: float) -> bool:
-    """True iff adaptation/source whitespace-token ratio lies in [lo, hi]."""
-    _check_ratio_range(lo, hi)
-    return lo <= _length_ratio(source, adaptation) <= hi
 
 
 def _ranked(positions, scores, index_ids, sources, adaptations, k: int):
@@ -253,7 +243,8 @@ def bm25_top_k(
     positions = range(len(index))
     if ratio_filter is not None:
         lo, hi = ratio_filter
-        _check_ratio_range(lo, hi)
+        if lo > hi:
+            raise ValueError(f"invalid ratio range [{lo}, {hi}]")
         positions = [
             p for p, ratio in enumerate(index._length_ratios) if lo <= ratio <= hi
         ]
@@ -303,7 +294,9 @@ def embedding_top_k(
     """Rank indexed pairs by the cosine of query and pair-source vectors."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    query_vec = embed_text(query, provider)
+    if not query.strip():
+        raise EmptyTextError("cannot embed empty text")
+    query_vec = provider.embed([query])[0]
     if len(query_vec) != len(index.vectors[0]):
         raise DimensionMismatchError(f"query {len(query_vec)} vs index {len(index.vectors[0])} dims")
     q_norm = dense_norm(query_vec)

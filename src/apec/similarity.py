@@ -9,13 +9,11 @@ deterministic hash-based stub are provided.
 from __future__ import annotations
 
 import hashlib
-import logging
 import math
 import operator
 import re
 import struct
 import threading
-import time
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from typing import Protocol, runtime_checkable
@@ -24,11 +22,10 @@ import requests
 
 from .errors import (
     DimensionMismatchError,
-    EmptyTextError,
     ProviderUnavailableError,
+    TransientProviderError,
+    with_retries,
 )
-
-logger = logging.getLogger(__name__)
 
 BowVector = dict[str, int]
 EmbeddingVector = list[float]
@@ -94,13 +91,6 @@ class EmbeddingProvider(Protocol):
     def embed(self, texts: list[str]) -> list[EmbeddingVector]: ...
 
 
-def embed_text(text: str, provider: EmbeddingProvider) -> EmbeddingVector:
-    """Embed one text through the given provider."""
-    if not text.strip():
-        raise EmptyTextError("cannot embed empty text")
-    return provider.embed([text])[0]
-
-
 class HashEmbeddingProvider:
     """Deterministic stand-in embedder (no model, no network).
 
@@ -149,7 +139,8 @@ class HttpEmbeddingProvider:
 
     POSTs {"model": ..., "input": [...]} and reads
     {"data": [{"embedding": [...]}, ...]}. Connection errors, 429 and
-    5xx responses are retried with exponential backoff.
+    5xx responses are transient and retried by `with_retries`; any other
+    non-200 status is fatal.
     """
 
     def __init__(
@@ -171,35 +162,26 @@ class HttpEmbeddingProvider:
         self._session = requests.Session()
 
     def embed(self, texts: list[str]) -> list[EmbeddingVector]:
-        payload = {"model": self.model, "input": texts}
-        headers = {}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        last_error: Exception | None = None
-        for attempt in range(self.retries + 1):
-            if attempt:
-                time.sleep(self.backoff * 2 ** (attempt - 1))
-            try:
-                response = self._session.post(
-                    self.endpoint, json=payload, headers=headers, timeout=self.timeout
-                )
-            except requests.RequestException as exc:
-                last_error = exc
-                logger.warning("embedding request failed (attempt %d): %s", attempt + 1, exc)
-                continue
-            if response.status_code == 200:
-                return self._parse(response, len(texts))
-            last_error = ProviderUnavailableError(
-                f"embedding endpoint returned HTTP {response.status_code}"
+        what = f"embedding provider {self.provider_id}"
+        return with_retries(lambda: self._attempt(texts), self.retries, self.backoff, what)
+
+    def _attempt(self, texts: list[str]) -> list[EmbeddingVector]:
+        headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
+        try:
+            response = self._session.post(
+                self.endpoint,
+                json={"model": self.model, "input": texts},
+                headers=headers,
+                timeout=self.timeout,
             )
-            if response.status_code not in (429,) and response.status_code < 500:
-                raise last_error
-            logger.warning(
-                "embedding endpoint HTTP %d (attempt %d)", response.status_code, attempt + 1
-            )
-        raise ProviderUnavailableError(
-            f"embedding provider unreachable after {self.retries + 1} attempts: {last_error}"
-        )
+        except requests.RequestException as exc:
+            raise TransientProviderError(f"embedding request failed: {exc}") from exc
+        status = response.status_code
+        if status == 429 or status >= 500:
+            raise TransientProviderError(f"embedding endpoint returned HTTP {status}")
+        if status != 200:
+            raise ProviderUnavailableError(f"embedding endpoint returned HTTP {status}")
+        return self._parse(response, len(texts))
 
     @staticmethod
     def _parse(response, expected: int) -> list[EmbeddingVector]:

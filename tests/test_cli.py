@@ -360,6 +360,44 @@ class TestAdapt:
         )
         assert rc == EXIT_USAGE
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "mode_args",
+        [["--mode", "fs-rdm"], ["--mode", "fs-bm25"], ["--mode", "fs-emb", "--embed", "hash"]],
+    )
+    def test_k_below_one_is_usage_error(self, workdir, capsys, mode_args, k):
+        tmp_path, docs_path, train_path = workdir
+        rc = main(
+            [
+                "adapt",
+                "--input", str(docs_path),
+                "--corpus", str(train_path),
+                *mode_args,
+                "--k", k,
+                "--provider", "echo",
+                "--output", str(tmp_path / "x.jsonl"),
+            ]
+        )
+        assert rc == EXIT_USAGE
+        assert f"usage error: --k must be >= 1, got {k}" in capsys.readouterr().err
+
+    def test_non_object_fixture_line_is_data_error(self, workdir, capsys):
+        tmp_path, docs_path, _ = workdir
+        script = tmp_path / "script.jsonl"
+        script.write_text('{"match": "Fuente", "response": "x"}\n5\n', encoding="utf-8")
+        rc = main(
+            [
+                "adapt",
+                "--input", str(docs_path),
+                "--mode", "zs",
+                "--provider", f"scripted:{script}",
+                "--output", str(tmp_path / "x.jsonl"),
+            ]
+        )
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "fixture entry 1 must be an object" in err and "got 5" in err
+
     def test_partial_failure(self, workdir, capsys):
         tmp_path, docs_path, _ = workdir
         script = tmp_path / "script.jsonl"
@@ -506,6 +544,77 @@ class TestAdaptWorkers:
         turns = [r["adaptation"].split(" | ") for r in records]
         assert all(len(t) == 7 for t in turns)
         assert len({tuple(t[:6]) for t in turns}) > 1
+
+
+class SlowFirstBlankProvider:
+    """Blank completions for every document; the first document's comes last."""
+
+    provider_id = "slow-first-blank"
+
+    def complete(self, request):
+        if request.last_user_content().startswith("Documento 0:"):
+            time.sleep(0.3)
+        return "  "
+
+
+class TestFailureOrder:
+    def test_adapt_failures_in_input_order(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(
+            apec.cli, "make_chat_provider", lambda spec, config: SlowFirstBlankProvider()
+        )
+        docs, docs_path, _ = write_workers_corpus(tmp_path)
+        rc = main(
+            [
+                "adapt",
+                "--input", str(docs_path),
+                "--mode", "zs",
+                "--provider", "echo",
+                "--workers", "2",
+                "--output", str(tmp_path / "x.jsonl"),
+            ]
+        )
+        assert rc == EXIT_PROVIDER
+        err_lines = capsys.readouterr().err.splitlines()
+        assert [line for line in err_lines if line.startswith("error: doc ")] == [
+            f"error: doc {doc['id']}: provider returned an empty completion" for doc in docs
+        ]
+
+    def test_refine_incomplete_and_raised_in_input_order(self, workdir, capsys):
+        tmp_path, docs_path, train_path = workdir
+        initial = tmp_path / "initial.jsonl"
+        # a: no script entry, so its trace is incomplete; b: empty initial, so
+        # run_apec raises; c: refines fine
+        write_lines(
+            initial,
+            [
+                {"doc_id": "a", "adaptation": "Inicial a."},
+                {"doc_id": "b", "adaptation": ""},
+                {"doc_id": "c", "adaptation": "Inicial c."},
+            ],
+        )
+        script = tmp_path / "script.jsonl"
+        refine_script(script, [{"id": "c", "source": "Fuente C explica"}], cycles=1)
+        rc = main(
+            [
+                "refine",
+                "--input", str(initial),
+                "--docs", str(docs_path),
+                "--corpus", str(train_path),
+                "--provider", f"scripted:{script}",
+                "--embed", "hash",
+                "--cycles", "1",
+                "--retries", "0",
+                "--output", str(tmp_path / "traces.jsonl"),
+            ]
+        )
+        assert rc == EXIT_PARTIAL
+        errors = [
+            line for line in capsys.readouterr().err.splitlines() if line.startswith("error: doc ")
+        ]
+        assert errors == [
+            "error: doc a: trace incomplete: provider gave out mid-run",
+            "error: doc b: initial adaptation is empty",
+        ]
 
 
 def refine_script(path, docs, cycles):
@@ -944,6 +1053,73 @@ class TestConfig:
         rc = main(base + ["--config", str(config_path), "--output", str(cfg_out)])
         assert rc == EXIT_OK
         assert flag_out.read_bytes() == cfg_out.read_bytes()
+
+
+def config_argv(command, tmp_path, docs_path, train_path):
+    """A run of `command` that reads its config before anything else fails."""
+    out = str(tmp_path / "out.jsonl")
+    if command == "index":
+        return ["index", "--corpus", str(train_path), "--output", out]
+    if command == "adapt":
+        return ["adapt", "--input", str(docs_path), "--mode", "zs", "--provider", "http",
+                "--output", out]
+    if command == "refine":
+        initial = tmp_path / "initial.jsonl"
+        write_lines(initial, [{"doc_id": "a", "adaptation": "Inicial a."}])
+        return ["refine", "--input", str(initial), "--docs", str(docs_path),
+                "--corpus", str(train_path), "--provider", "echo", "--embed", "hash",
+                "--output", out]
+    return ["stats", "--input", str(docs_path), "--embed", "http", "--output", out]
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize(
+        "command, config, message",
+        [
+            ("index", {"bm25": {"k1": "abc"}}, "config key bm25.k1 must be float, got 'abc'"),
+            ("index", {"bm25": {"min_token_len": 2.5}}, "config key bm25.min_token_len"),
+            ("index", {"bm25": []}, "config key bm25 must be an object"),
+            ("adapt", {"llm": None}, "http provider needs llm.endpoint or LLM_ENDPOINT"),
+            ("adapt", {"llm": {"timeout": [1]}}, "config key llm.timeout must be float"),
+            ("adapt", {"workers": True}, "config key workers must be int, got True"),
+            ("refine", {"apec": []}, "config key apec must be an object, got []"),
+            ("refine", {"apec": {"cycles": "dos"}}, "config key apec.cycles must be int"),
+            ("stats", {"embeddings": "x"}, "config key embeddings must be an object, got 'x'"),
+        ],
+    )
+    def test_bad_value_is_config_error(
+        self, workdir, capsys, monkeypatch, command, config, message
+    ):
+        monkeypatch.delenv("LLM_ENDPOINT", raising=False)
+        tmp_path, docs_path, train_path = workdir
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        argv = config_argv(command, tmp_path, docs_path, train_path)
+        rc = main(argv + ["--config", str(config_path)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_numbers_as_strings_and_nulls(self, workdir):
+        tmp_path, _, train_path = workdir
+        outputs = []
+        for name, config in (
+            ("flags", None),
+            ("strings", {"bm25": {"k1": "1.5", "b": "0.75", "min_token_len": "4"}}),
+            ("nulls", {"bm25": {"k1": None, "epsilon": None}, "llm": None, "seed": None}),
+        ):
+            out_path = tmp_path / f"{name}.json"
+            argv = ["index", "--corpus", str(train_path), "--output", str(out_path)]
+            if config is not None:
+                config_path = tmp_path / f"{name}.config.json"
+                config_path.write_text(json.dumps(config), encoding="utf-8")
+                argv += ["--config", str(config_path)]
+            else:
+                argv += ["--k1", "1.5", "--b", "0.75"]
+            assert main(argv) == EXIT_OK
+            outputs.append(out_path.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestHelpers:

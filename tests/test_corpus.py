@@ -1,8 +1,10 @@
+import dataclasses
 import json
 from statistics import fmean
 
 import pytest
 
+from apec.cli import write_jsonl
 from apec.corpus import (
     CorpusStatsReport,
     Document,
@@ -13,7 +15,6 @@ from apec.corpus import (
     load_corpus,
     render_evaluation_table,
     render_stats_table,
-    save_corpus,
     split_corpus,
     whitespace_token_count,
 )
@@ -170,7 +171,7 @@ class TestSaveCorpus:
             Document(id="b", source="Dos.", task="ER"),
         ]
         path = tmp_path / "out.jsonl"
-        save_corpus(docs, path)
+        write_jsonl(path, [dataclasses.asdict(doc) for doc in docs])
         assert load_corpus(path) == docs
 
 

@@ -1,8 +1,10 @@
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import apec.errors
 from apec.errors import (
     EmptyAdaptationError,
     MissingCorrectionError,
@@ -27,6 +29,7 @@ from apec.generation import (
     render_initial_prompt,
 )
 from apec.retrieval import Demonstration
+from apec.similarity import HttpEmbeddingProvider
 
 from conftest import apec_response
 
@@ -279,20 +282,22 @@ class TestGenerateText:
         with pytest.raises(ResponseEmptyError):
             generate_text(provider, REQUEST, backoff=0.0)
 
-    def test_on_exchange_callback(self):
-        seen = []
-        generate_text(
-            EchoChatProvider(),
-            REQUEST,
-            on_exchange=lambda req, text: seen.append((req, text)),
-        )
-        assert seen == [(REQUEST, "hola")]
-
 
 class TestScriptedProvider:
     def test_entry_validation(self):
-        with pytest.raises(ValueError):
-            ScriptedChatProvider([{"match": "x"}])
+        good = {"match": "a", "response": "b"}
+        bad_entries = [
+            {"match": "x"},
+            5,
+            ["x", "y"],
+            "x",
+            None,
+            {"match": 5, "response": "x"},
+            {"match": "x", "response": None},
+        ]
+        for entry in bad_entries:
+            with pytest.raises(ValueError, match="fixture entry 1 must be an object"):
+                ScriptedChatProvider([good, entry])
 
     def test_match_routing(self):
         provider = ScriptedChatProvider(
@@ -442,3 +447,34 @@ class TestHttpChatProvider:
         provider = HttpChatProvider("http://llm", "m", session=session)
         assert generate_text(provider, REQUEST, retries=2, backoff=0.0) == "listo"
         assert len(session.calls) == 2
+
+
+class TestSharedRetryPolicy:
+    """Both HTTP providers retry through `with_retries`, on one schedule."""
+
+    @pytest.fixture
+    def waits(self, monkeypatch):
+        waits = []
+        monkeypatch.setattr(apec.errors, "time", SimpleNamespace(sleep=waits.append))
+        return waits
+
+    def test_chat_provider(self, waits):
+        session = FakeSession([FakeResponse(503)] * 4)
+        provider = HttpChatProvider("http://llm", "m", session=session)
+        with pytest.raises(
+            ProviderUnavailableError,
+            match="provider http:m failed after 4 attempts: chat endpoint returned 503",
+        ):
+            generate_text(provider, REQUEST, retries=3, backoff=0.5)
+        assert waits == [0.5, 1.0, 2.0]
+
+    def test_embedding_provider(self, waits):
+        provider = HttpEmbeddingProvider("http://emb", "m", retries=3, backoff=0.5)
+        provider._session = SimpleNamespace(post=lambda url, **kwargs: FakeResponse(503))
+        with pytest.raises(
+            ProviderUnavailableError,
+            match="provider http:http://emb:m failed after 4 attempts: "
+            "embedding endpoint returned HTTP 503",
+        ):
+            provider.embed(["x"])
+        assert waits == [0.5, 1.0, 2.0]

@@ -22,7 +22,6 @@ from apec.retrieval import (
     build_index,
     derive_doc_seed,
     embedding_top_k,
-    length_ratio_admissible,
     load_index,
     random_k,
     save_index,
@@ -296,8 +295,8 @@ class TestCachedScoring:
             lo, hi = sorted(rng.choice([0.0, 0.25, 0.5, 1.0, 1.5, 3.0]) for _ in "lh")
             index = build_index(pairs, params=params)
             admissible = {
-                p for p, pair in enumerate(pairs)
-                if length_ratio_admissible(*pair, lo, hi)
+                p for p, (source, adaptation) in enumerate(pairs)
+                if lo <= len(adaptation.split()) / len(source.split()) <= hi
             }
             for query in queries:
                 order, oracle = oracle_ranking(pairs, query, params)
@@ -385,18 +384,20 @@ class TestCachedScoring:
 class TestLengthRatio:
     def test_inclusive_bounds(self):
         source = "a b c d e"  # 5 tokens
-        assert length_ratio_admissible(source, "a b c d", 0.8, 1.2)  # 0.8
-        assert length_ratio_admissible(source, "a b c d e f", 0.8, 1.2)  # 1.2
-        assert not length_ratio_admissible(source, "a b c", 0.8, 1.2)  # 0.6
-        assert not length_ratio_admissible(source, "a b c d e f g", 0.8, 1.2)
+        adaptations = ["a b c d", "a b c d e f", "a b c", "a b c d e f g"]  # 0.8 1.2 0.6 1.4
+        index = build_index([(source, adaptation) for adaptation in adaptations])
+        demos = bm25_top_k(index, source, k=4, ratio_filter=(0.8, 1.2))
+        assert sorted(d.adaptation for d in demos) == adaptations[:2]
 
     def test_empty_source(self):
+        index = build_index([("   ", "algo"), ("uno dos", "uno")])
         with pytest.raises(EmptySourceError):
-            length_ratio_admissible("   ", "algo", 0.5, 1.5)
+            bm25_top_k(index, "algo", ratio_filter=(0.5, 1.5))
 
     def test_bad_range(self):
+        index = build_index([("uno", "dos")])
         with pytest.raises(ValueError):
-            length_ratio_admissible("uno", "dos", 1.5, 0.5)
+            bm25_top_k(index, "uno", ratio_filter=(1.5, 0.5))
 
 
 def emb_top_k(pairs, query, k, provider):

@@ -12,6 +12,7 @@ from apec.errors import (
     EmptyTextError,
     ProviderUnavailableError,
 )
+from apec.retrieval import build_embedding_index, embedding_top_k
 from apec.similarity import (
     CachedEmbeddingProvider,
     HashEmbeddingProvider,
@@ -21,7 +22,6 @@ from apec.similarity import (
     cosine,
     dense_dot,
     dense_norm,
-    embed_text,
     table_average,
 )
 
@@ -189,8 +189,11 @@ class TestHashEmbedder:
             HashEmbeddingProvider(dim=0)
 
     def test_embed_text_empty(self):
+        """A blank query is refused before it is embedded."""
+        provider = HashEmbeddingProvider()
+        index = build_embedding_index([("uno dos", "uno")], provider)
         with pytest.raises(EmptyTextError):
-            embed_text("  ", HashEmbeddingProvider())
+            embedding_top_k(index, "  ", k=1, provider=provider)
 
 
 def reference_hash_vector(text, dim):
