@@ -78,64 +78,3 @@ from .textstats import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ApecConfig",
-    "ApecError",
-    "ApecTrace",
-    "Bm25Index",
-    "Bm25Params",
-    "CachedEmbeddingProvider",
-    "ChatProvider",
-    "CorpusStatsReport",
-    "CycleRecord",
-    "DecodingParams",
-    "Demonstration",
-    "Document",
-    "EchoChatProvider",
-    "EmbeddingIndex",
-    "EmbeddingProvider",
-    "EnsembleChoice",
-    "EvaluationReport",
-    "FhBreakdown",
-    "GREEDY",
-    "GenerationRequest",
-    "HashEmbeddingProvider",
-    "HttpChatProvider",
-    "HttpEmbeddingProvider",
-    "INITIAL_SAMPLED",
-    "ParsedApecResponse",
-    "REFINE",
-    "ScriptedChatProvider",
-    "SplitSpec",
-    "TextStats",
-    "bm25_top_k",
-    "bow_vector",
-    "build_embedding_index",
-    "build_index",
-    "combined_score",
-    "corpus_stats",
-    "cosine",
-    "count_syllables",
-    "embedding_top_k",
-    "ensemble_select",
-    "evaluate_run",
-    "fh_from_counts",
-    "fh_index",
-    "filter_by_token_budget",
-    "generate_text",
-    "load_corpus",
-    "load_index",
-    "parse_apec_response",
-    "random_k",
-    "render_apec_prompt",
-    "render_initial_prompt",
-    "run_apec",
-    "save_index",
-    "score_candidate",
-    "segment_sentences",
-    "split_corpus",
-    "table_average",
-    "text_stats",
-    "tokenize_words",
-]

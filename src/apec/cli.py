@@ -19,6 +19,7 @@ so reruns with the same seed and scripted providers are byte-equal.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -35,13 +36,13 @@ from .corpus import (
     render_stats_table,
 )
 from .errors import (
+    DEFAULT_TIMEOUT,
     ApecError,
     ConfigError,
     ProviderUnavailableError,
 )
 from .generation import (
     DECODING_PROFILES,
-    DEFAULT_TIMEOUT,
     EchoChatProvider,
     HttpChatProvider,
     ScriptedChatProvider,
@@ -97,8 +98,8 @@ def _interpolate(value):
         def sub(match):
             name = match.group(1)
             if name not in os.environ:
-                print(f"warning: env var {name} unset; using empty string", file=sys.stderr)
-            return os.environ.get(name, "")
+                raise ConfigError(f"config refers to unset environment variable {name}")
+            return os.environ[name]
 
         return _ENV_REF.sub(sub, value)
     if isinstance(value, dict):
@@ -110,11 +111,12 @@ def _interpolate(value):
 
 # Every config key with its default. A value is converted to its default's
 # type and a dict is a section; `apec` and `bm25` take their defaults from
-# ApecConfig and Bm25Params. A flag overrides the key that its dest names.
+# ApecConfig and Bm25Params, which also hold the range rules (_RULES). A
+# flag overrides the key that its dest names.
 _HTTP_DEFAULTS = {"endpoint": "", "api_key": "", "model": "default", "timeout": DEFAULT_TIMEOUT}
 _CONFIG_DEFAULTS = {
     "seed": 0,
-    "workers": 1,
+    "workers": ApecConfig.workers,
     "retries": ApecConfig.retries,
     "apec": {
         key: getattr(ApecConfig, key) for key in ("cycles", "demo_count", "retries", "backoff")
@@ -123,6 +125,7 @@ _CONFIG_DEFAULTS = {
     "llm": _HTTP_DEFAULTS,
     "embeddings": _HTTP_DEFAULTS,
 }
+_RULES = {"": ApecConfig, "apec": ApecConfig, "bm25": Bm25Params}
 
 
 def _checked(raw: dict, defaults: dict, prefix: str = "") -> dict:
@@ -177,13 +180,27 @@ def load_config(path) -> dict:
 
 def _options(config: dict, section: str = "", args=None) -> dict:
     """Every option of a config section (the top level by default): the
-    flag of that name if given, else its config value, else its default."""
+    flag of that name if given, else its config value, else its default.
+    A value that breaks its rule in `_RULES` is a UsageError from a flag
+    and a ConfigError from the config."""
     values = config.get(section, {}) if section else config
+    rules = _RULES.get(section)
+    ruled = {field.name for field in dataclasses.fields(rules)} if rules else set()
     options = {}
     for key, default in (_CONFIG_DEFAULTS[section] if section else _CONFIG_DEFAULTS).items():
+        if isinstance(default, dict):
+            continue
         flag = getattr(args, key, None)
-        if not isinstance(default, dict):
-            options[key] = flag if flag is not None else values.get(key, default)
+        value = options[key] = flag if flag is not None else values.get(key, default)
+        if key not in ruled:
+            continue
+        try:
+            rules(**{key: value})
+        except ValueError as exc:
+            if flag is not None:
+                raise UsageError(f"{exc}, got {value}") from exc
+            name = f"{section}.{key}" if section else key
+            raise ConfigError(f"config key {name}: {exc}, got {value!r}") from exc
     return options
 
 
@@ -194,11 +211,14 @@ def _http_provider(cls, config: dict, section: str, env: str):
     """`cls` built from a config section; ${env}_ENDPOINT and ${env}_API_KEY
     stand in for an unset endpoint and key."""
     settings = _options(config, section)
+    timeout = settings["timeout"]
+    if timeout <= 0:
+        raise ConfigError(f"config key {section}.timeout: timeout must be > 0, got {timeout}")
     endpoint = settings["endpoint"] or os.environ.get(f"{env}_ENDPOINT", "")
     if not endpoint:
         raise ConfigError(f"http provider needs {section}.endpoint or {env}_ENDPOINT")
     api_key = settings["api_key"] or os.environ.get(f"{env}_API_KEY", "")
-    return cls(endpoint, settings["model"], api_key=api_key, timeout=settings["timeout"])
+    return cls(endpoint, settings["model"], api_key=api_key, timeout=timeout)
 
 
 def make_chat_provider(spec: str, config: dict):

@@ -1,12 +1,18 @@
-"""Exception types shared across the pipeline.
+"""Exception types shared across the pipeline, and the provider transport.
 
 Every failure mode that callers are expected to branch on gets its own
 class; the CLI maps them onto exit codes. `with_retries` is the retry
-policy that both HTTP providers go through.
+policy and `post_json` the one HTTP request that both HTTP providers go
+through.
 """
 
+import http.client
+import json
 import logging
 import time
+import urllib.error
+import urllib.parse
+import urllib.request
 
 logger = logging.getLogger(__name__)
 
@@ -103,6 +109,11 @@ class ConfigError(ApecError):
     """Run configuration is invalid or unreadable."""
 
 
+DEFAULT_RETRIES = 3
+DEFAULT_BACKOFF = 0.5
+DEFAULT_TIMEOUT = 120.0
+
+
 def with_retries(attempt, retries: int, backoff: float, what: str):
     """Return `attempt()`, retrying it while it raises TransientProviderError.
 
@@ -121,3 +132,49 @@ def with_retries(attempt, retries: int, backoff: float, what: str):
             last_error = exc
             logger.warning("%s: attempt %d of %d failed: %s", what, n + 1, retries + 1, exc)
     raise ProviderUnavailableError(f"{what} failed after {retries + 1} attempts: {last_error}")
+
+
+def check_endpoint(endpoint: str) -> str:
+    """`endpoint` if it is an http:// or https:// URL with a host and a
+    valid port, else ConfigError."""
+    try:
+        parts = urllib.parse.urlsplit(endpoint)
+        parts.port  # raises ValueError on a malformed port
+    except ValueError as exc:
+        raise ConfigError(f"endpoint {endpoint!r} is not a valid URL: {exc}") from exc
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ConfigError(f"endpoint {endpoint!r} must be an http:// or https:// URL with a host")
+    return endpoint
+
+
+def post_json(endpoint: str, payload, api_key: str, timeout: float, what: str):
+    """POST `payload` as JSON once and return the decoded body of a 200 reply.
+
+    Sends `Authorization: Bearer` only when `api_key` is set, over a new
+    connection per call. A connection error, timeout, cut-off body, 429
+    or 5xx raises TransientProviderError; any other status, or a body
+    that is not JSON, raises ProviderUnavailableError. `what` names the
+    endpoint in messages.
+    """
+    headers = {"Content-Type": "application/json"}
+    if api_key:
+        headers["Authorization"] = f"Bearer {api_key}"
+    request = urllib.request.Request(
+        endpoint, data=json.dumps(payload).encode("utf-8"), headers=headers, method="POST"
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as response:
+            status, body = response.status, response.read()
+    except urllib.error.HTTPError as exc:
+        with exc:  # holds the response; close it
+            status = exc.code
+    except (OSError, http.client.HTTPException) as exc:
+        raise TransientProviderError(f"{what} request failed: {exc}") from exc
+    if status == 429 or status >= 500:
+        raise TransientProviderError(f"{what} returned HTTP {status}")
+    if status != 200:
+        raise ProviderUnavailableError(f"{what} returned HTTP {status}")
+    try:
+        return json.loads(body)
+    except ValueError as exc:
+        raise ProviderUnavailableError(f"{what} returned a body that is not JSON: {exc}") from exc

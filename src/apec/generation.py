@@ -19,14 +19,16 @@ import threading
 from dataclasses import dataclass
 from typing import Literal, Optional, Protocol, runtime_checkable
 
-import requests
-
 from .errors import (
+    DEFAULT_BACKOFF,
+    DEFAULT_RETRIES,
+    DEFAULT_TIMEOUT,
     EmptyAdaptationError,
     MissingCorrectionError,
     ProviderUnavailableError,
     ResponseEmptyError,
-    TransientProviderError,
+    check_endpoint,
+    post_json,
     with_retries,
 )
 from .prompts import (
@@ -43,8 +45,6 @@ from .prompts import (
 from .retrieval import Demonstration
 
 DEFAULT_MAX_NEW_TOKENS = 2048
-DEFAULT_TIMEOUT = 120.0
-DEFAULT_RETRIES = 3
 
 
 @dataclass(frozen=True)
@@ -236,7 +236,7 @@ def generate_text(
     provider: ChatProvider,
     request: GenerationRequest,
     retries: int = DEFAULT_RETRIES,
-    backoff: float = 0.5,
+    backoff: float = DEFAULT_BACKOFF,
 ) -> str:
     """Run one completion under the retry policy of `with_retries`.
 
@@ -254,10 +254,9 @@ class HttpChatProvider:
     """OpenAI-compatible chat completions client.
 
     POST {endpoint} with {"model", "messages", "temperature", "top_p",
-    "top_k" (sampled mode only), "max_tokens"}; the completion is read
-    from choices[0].message.content, and a null there is an empty
-    completion. Connection errors and 429/5xx statuses raise
-    TransientProviderError so generate_text can retry.
+    "top_k" (sampled mode only), "max_tokens"} through `post_json`; the
+    completion is read from choices[0].message.content, and a null there
+    is an empty completion.
     """
 
     def __init__(
@@ -266,15 +265,12 @@ class HttpChatProvider:
         model: str,
         api_key: str | None = None,
         timeout: float = DEFAULT_TIMEOUT,
-        session: requests.Session | None = None,
     ):
-        self.endpoint = endpoint
+        self.endpoint = check_endpoint(endpoint)
         self.model = model
+        self.api_key = api_key
         self.timeout = timeout
         self.provider_id = f"http:{model}"
-        self._session = session or requests.Session()
-        if api_key:
-            self._session.headers["Authorization"] = f"Bearer {api_key}"
 
     def _payload(self, request: GenerationRequest) -> dict:
         messages = []
@@ -296,21 +292,12 @@ class HttpChatProvider:
         return payload
 
     def complete(self, request: GenerationRequest) -> str:
+        body = post_json(
+            self.endpoint, self._payload(request), self.api_key, self.timeout, "chat endpoint"
+        )
         try:
-            response = self._session.post(
-                self.endpoint, json=self._payload(request), timeout=self.timeout
-            )
-        except requests.RequestException as exc:
-            raise TransientProviderError(f"chat request failed: {exc}") from exc
-        if response.status_code == 429 or response.status_code >= 500:
-            raise TransientProviderError(f"chat endpoint returned {response.status_code}")
-        if response.status_code != 200:
-            raise ProviderUnavailableError(
-                f"chat endpoint returned {response.status_code}: {response.text[:200]}"
-            )
-        try:
-            content = response.json()["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            content = body["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError) as exc:
             raise ProviderUnavailableError(f"malformed chat response: {exc}") from exc
         if content is None or isinstance(content, str):
             return content or ""  # a null completion is an empty one

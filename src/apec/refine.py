@@ -16,6 +16,8 @@ from typing import Optional
 
 from .corpus import Document
 from .errors import (
+    DEFAULT_BACKOFF,
+    DEFAULT_RETRIES,
     EmptyAdaptationError,
     EmptyCandidateError,
     EmptyTextError,
@@ -42,17 +44,21 @@ TRACE_SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class ApecConfig:
+    """Run settings and their range rules; `workers` is the CLI's document
+    pool size, which run_apec does not read."""
+
     cycles: int = 5
     demo_count: int = 5
     refine_decoding: DecodingParams = REFINE
-    retries: int = 3
-    backoff: float = 0.5
+    retries: int = DEFAULT_RETRIES
+    backoff: float = DEFAULT_BACKOFF
+    workers: int = 1
 
     def __post_init__(self):
-        if self.cycles < 1:
-            raise ValueError("cycles must be >= 1")
-        if self.demo_count < 0:
-            raise ValueError("demo_count must be >= 0")
+        rules = (("cycles", 1), ("demo_count", 0), ("retries", 0), ("backoff", 0), ("workers", 1))
+        for name, low in rules:
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
 
 
 @dataclass(frozen=True)

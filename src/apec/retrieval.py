@@ -59,14 +59,11 @@ class Bm25Params:
     min_token_len: int = 4
 
     def __post_init__(self):
-        if self.k1 < 0:
-            raise ValueError("k1 must be >= 0")
+        for name, low in (("k1", 0), ("epsilon", 0), ("min_token_len", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
         if not 0.0 <= self.b <= 1.0:
             raise ValueError("b must be in [0, 1]")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
-        if self.min_token_len < 1:
-            raise ValueError("min_token_len must be >= 1")
 
 
 @dataclass(frozen=True)

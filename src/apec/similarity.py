@@ -18,12 +18,14 @@ from collections import Counter
 from collections.abc import Mapping, Sequence
 from typing import Protocol, runtime_checkable
 
-import requests
-
 from .errors import (
+    DEFAULT_BACKOFF,
+    DEFAULT_RETRIES,
+    DEFAULT_TIMEOUT,
     DimensionMismatchError,
     ProviderUnavailableError,
-    TransientProviderError,
+    check_endpoint,
+    post_json,
     with_retries,
 )
 
@@ -137,63 +139,42 @@ class HashEmbeddingProvider:
 class HttpEmbeddingProvider:
     """Client for an OpenAI-compatible embeddings endpoint.
 
-    POSTs {"model": ..., "input": [...]} and reads
-    {"data": [{"embedding": [...]}, ...]}. Connection errors, 429 and
-    5xx responses are transient and retried by `with_retries`; any other
-    non-200 status is fatal.
+    POSTs {"model": ..., "input": [...]} through `post_json`, retried by
+    `with_retries`, and reads {"data": [{"embedding": [...]}, ...]}.
     """
 
     def __init__(
-        self,
-        endpoint: str,
-        model: str,
-        api_key: str = "",
-        timeout: float = 120.0,
-        retries: int = 3,
-        backoff: float = 0.5,
+        self, endpoint: str, model: str, api_key: str = "", timeout: float = DEFAULT_TIMEOUT
     ):
-        self.endpoint = endpoint
+        self.endpoint = check_endpoint(endpoint)
         self.model = model
         self.api_key = api_key
         self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
         self.provider_id = f"http:{endpoint}:{model}"
-        self._session = requests.Session()
 
     def embed(self, texts: list[str]) -> list[EmbeddingVector]:
-        what = f"embedding provider {self.provider_id}"
-        return with_retries(lambda: self._attempt(texts), self.retries, self.backoff, what)
+        payload = {"model": self.model, "input": texts}
 
-    def _attempt(self, texts: list[str]) -> list[EmbeddingVector]:
-        headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
-        try:
-            response = self._session.post(
-                self.endpoint,
-                json={"model": self.model, "input": texts},
-                headers=headers,
-                timeout=self.timeout,
+        def attempt():
+            body = post_json(
+                self.endpoint, payload, self.api_key, self.timeout, "embedding endpoint"
             )
-        except requests.RequestException as exc:
-            raise TransientProviderError(f"embedding request failed: {exc}") from exc
-        status = response.status_code
-        if status == 429 or status >= 500:
-            raise TransientProviderError(f"embedding endpoint returned HTTP {status}")
-        if status != 200:
-            raise ProviderUnavailableError(f"embedding endpoint returned HTTP {status}")
-        return self._parse(response, len(texts))
+            return self._parse(body, len(texts))
+
+        what = f"embedding provider {self.provider_id}"
+        return with_retries(attempt, DEFAULT_RETRIES, DEFAULT_BACKOFF, what)
 
     @staticmethod
-    def _parse(response, expected: int) -> list[EmbeddingVector]:
+    def _parse(body, expected: int) -> list[EmbeddingVector]:
         try:
-            data = response.json()["data"]
+            data = body["data"]
             vectors = [None] * len(data)
             for i, item in enumerate(data):
                 slot = item.get("index", i)
                 if type(slot) is not int or not 0 <= slot < len(data):
                     raise ValueError(f"index {slot!r} outside 0..{len(data) - 1}")
                 vectors[slot] = [float(v) for v in item["embedding"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ProviderUnavailableError(f"malformed embeddings response: {exc}") from exc
         if len(vectors) != expected or any(v is None for v in vectors):
             raise ProviderUnavailableError(

@@ -86,8 +86,12 @@ class TestApecConfig:
         assert config.cycles == 5
         assert config.demo_count == 5
         assert config.refine_decoding.temperature == 0.8
+        assert (config.retries, config.backoff, config.workers) == (3, 0.5, 1)
 
-    @pytest.mark.parametrize("kwargs", [{"cycles": 0}, {"demo_count": -1}])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"cycles": 0}, {"demo_count": -1}, {"retries": -1}, {"backoff": -0.1}, {"workers": 0}],
+    )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             ApecConfig(**kwargs)
@@ -218,35 +222,35 @@ class TestRunApec:
         assert provider.remaining == 0
 
     def test_demos_fixed_across_cycles(self, hash_embedder):
-        requests = []
+        seen = []
 
         class RecordingProvider:
             provider_id = "recording"
 
             def complete(self, request):
-                requests.append(request)
+                seen.append(request)
                 return apec_response("Respuesta fija.")
 
         config = ApecConfig(cycles=3, demo_count=2)
         run_apec(DOC, "Sol.", INDEX, RecordingProvider(), hash_embedder, config=config)
-        assert len(requests) == 3
-        assert all(len(r.messages) == 5 for r in requests)
-        first_demo_turns = requests[0].messages[:-1]
-        assert all(r.messages[:-1] == first_demo_turns for r in requests)
+        assert len(seen) == 3
+        assert all(len(r.messages) == 5 for r in seen)
+        first_demo_turns = seen[0].messages[:-1]
+        assert all(r.messages[:-1] == first_demo_turns for r in seen)
 
     def test_demo_count_zero_skips_retrieval(self, hash_embedder):
-        requests = []
+        seen = []
 
         class RecordingProvider:
             provider_id = "recording"
 
             def complete(self, request):
-                requests.append(request)
+                seen.append(request)
                 return apec_response("Respuesta fija.")
 
         config = ApecConfig(cycles=2, demo_count=0)
         run_apec(DOC, "Sol.", INDEX, RecordingProvider(), hash_embedder, config=config)
-        assert all(len(r.messages) == 1 for r in requests)
+        assert all(len(r.messages) == 1 for r in seen)
 
 
 def make_trace(doc_id: str, stream: str, final: str, final_score: float) -> ApecTrace:

@@ -20,7 +20,7 @@ from apec.cli import (
 from apec.errors import ConfigError
 from apec.refine import ApecTrace, trace_from_dict, trace_to_dict
 
-from conftest import apec_response
+from conftest import Reply, apec_response
 
 
 def write_lines(path, rows):
@@ -1012,13 +1012,19 @@ class TestConfig:
         assert config["llm"]["endpoints"] == ["secreto"]
         assert config["seed"] == 7
 
-    def test_missing_env_var_warns_and_empties(self, tmp_path, monkeypatch, capsys):
+    def test_missing_env_var_is_config_error(self, workdir, monkeypatch, capsys):
         monkeypatch.delenv("APEC_UNSET_VAR", raising=False)
+        tmp_path, docs_path, _ = workdir
         path = tmp_path / "config.json"
-        path.write_text('{"key": "${APEC_UNSET_VAR}"}', encoding="utf-8")
-        config = load_config(path)
-        assert config["key"] == ""
+        path.write_text('{"llm": {"api_key": "${APEC_UNSET_VAR}"}}', encoding="utf-8")
+        with pytest.raises(ConfigError, match="unset environment variable APEC_UNSET_VAR"):
+            load_config(path)
+        out_path = tmp_path / "out.jsonl"
+        argv = ["adapt", "--input", str(docs_path), "--mode", "zs", "--provider", "echo",
+                "--config", str(path), "--output", str(out_path)]
+        assert main(argv) == EXIT_CONFIG
         assert "APEC_UNSET_VAR" in capsys.readouterr().err
+        assert not out_path.exists()
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "config.json"
@@ -1055,13 +1061,13 @@ class TestConfig:
         assert flag_out.read_bytes() == cfg_out.read_bytes()
 
 
-def config_argv(command, tmp_path, docs_path, train_path):
+def config_argv(command, tmp_path, docs_path, train_path, provider="http"):
     """A run of `command` that reads its config before anything else fails."""
     out = str(tmp_path / "out.jsonl")
     if command == "index":
         return ["index", "--corpus", str(train_path), "--output", out]
     if command == "adapt":
-        return ["adapt", "--input", str(docs_path), "--mode", "zs", "--provider", "http",
+        return ["adapt", "--input", str(docs_path), "--mode", "zs", "--provider", provider,
                 "--output", out]
     if command == "refine":
         initial = tmp_path / "initial.jsonl"
@@ -1085,6 +1091,8 @@ class TestConfigValues:
             ("refine", {"apec": []}, "config key apec must be an object, got []"),
             ("refine", {"apec": {"cycles": "dos"}}, "config key apec.cycles must be int"),
             ("stats", {"embeddings": "x"}, "config key embeddings must be an object, got 'x'"),
+            ("adapt", {"llm": {"timeout": 0}}, "config key llm.timeout: timeout must be > 0"),
+            ("stats", {"embeddings": {"timeout": -1}}, "config key embeddings.timeout: timeout"),
         ],
     )
     def test_bad_value_is_config_error(
@@ -1120,6 +1128,136 @@ class TestConfigValues:
             assert main(argv) == EXIT_OK
             outputs.append(out_path.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
+
+
+BAD_FLAGS = [
+    ("adapt", ["--retries", "-1"], "retries must be >= 0, got -1"),
+    ("adapt", ["--workers", "0"], "workers must be >= 1, got 0"),
+    ("adapt", ["--workers", "-3"], "workers must be >= 1, got -3"),
+    ("refine", ["--cycles", "0"], "cycles must be >= 1, got 0"),
+    ("refine", ["--demos", "-1"], "demo_count must be >= 0, got -1"),
+    ("refine", ["--retries", "-1"], "retries must be >= 0, got -1"),
+    ("refine", ["--workers", "0"], "workers must be >= 1, got 0"),
+    ("index", ["--b", "2"], "b must be in [0, 1], got 2.0"),
+    ("index", ["--k1", "-1"], "k1 must be >= 0, got -1.0"),
+    ("index", ["--epsilon", "-0.5"], "epsilon must be >= 0, got -0.5"),
+    ("index", ["--min-token-len", "0"], "min_token_len must be >= 1, got 0"),
+]
+BAD_CONFIG = [
+    ("adapt", {"retries": -1}, "config key retries: retries must be >= 0, got -1"),
+    ("adapt", {"workers": 0}, "config key workers: workers must be >= 1, got 0"),
+    ("refine", {"workers": -3}, "config key workers: workers must be >= 1, got -3"),
+    ("refine", {"apec": {"cycles": 0}}, "config key apec.cycles: cycles must be >= 1, got 0"),
+    ("refine", {"apec": {"demo_count": -1}}, "config key apec.demo_count: demo_count must be"),
+    ("refine", {"apec": {"retries": -1}}, "config key apec.retries: retries must be >= 0"),
+    ("refine", {"apec": {"backoff": -0.5}}, "config key apec.backoff: backoff must be >= 0"),
+    ("index", {"bm25": {"b": 2}}, "config key bm25.b: b must be in [0, 1], got 2.0"),
+    ("index", {"bm25": {"min_token_len": 0}}, "config key bm25.min_token_len: min_token_len"),
+]
+
+
+class TestOptionRanges:
+    """A value outside its range is a usage error as a flag and a config
+    error in the config file; either way no document runs."""
+
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        BAD_FLAGS,
+        ids=[" ".join([command, *flags]) for command, flags, _ in BAD_FLAGS],
+    )
+    def test_bad_flag_is_usage_error(self, workdir, capsys, command, flags, message):
+        tmp_path, docs_path, train_path = workdir
+        rc = main(config_argv(command, tmp_path, docs_path, train_path, "echo") + flags)
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"usage error: {message}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "command, config, message",
+        BAD_CONFIG,
+        ids=[f"{command} {json.dumps(config)}" for command, config, _ in BAD_CONFIG],
+    )
+    def test_bad_config_value_is_config_error(self, workdir, capsys, command, config, message):
+        tmp_path, docs_path, train_path = workdir
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        argv = config_argv(command, tmp_path, docs_path, train_path, "echo")
+        rc = main(argv + ["--config", str(config_path)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.jsonl").exists()
+
+    def test_flag_overrides_bad_config_value(self, workdir):
+        tmp_path, docs_path, train_path = workdir
+        config_path = tmp_path / "config.json"
+        config_path.write_text('{"workers": 0, "retries": -1}', encoding="utf-8")
+        argv = config_argv("adapt", tmp_path, docs_path, train_path, "echo")
+        argv += ["--config", str(config_path), "--workers", "2", "--retries", "0"]
+        assert main(argv) == EXIT_OK
+
+
+def turns_answer(payload):
+    """Every turn of a chat request, so a wrong demonstration changes the bytes."""
+    content = " | ".join(message["content"] for message in payload["messages"])
+    return Reply(body={"choices": [{"message": {"content": content}}]}, delay=0.005)
+
+
+class TestHttpProviders:
+    @pytest.mark.parametrize("endpoint", ["llm/v1", "ftp://x/y", "file:///etc/hostname", "http://"])
+    @pytest.mark.parametrize("flag", ["--provider", "--embed"])
+    def test_bad_endpoint_is_config_error(self, workdir, monkeypatch, capsys, flag, endpoint):
+        tmp_path, docs_path, train_path = workdir
+        out_path = tmp_path / "out.jsonl"
+        if flag == "--provider":
+            monkeypatch.setenv("LLM_ENDPOINT", endpoint)
+            argv = ["adapt", "--input", str(docs_path), "--mode", "zs", "--provider", "http"]
+        else:
+            monkeypatch.setenv("EMB_ENDPOINT", endpoint)
+            argv = ["adapt", "--input", str(docs_path), "--corpus", str(train_path),
+                    "--mode", "fs-emb", "--embed", "http", "--provider", "echo"]
+        started = time.monotonic()
+        rc = main(argv + ["--output", str(out_path)])
+        assert rc == EXIT_CONFIG
+        assert time.monotonic() - started < 1.0  # no attempt was retried
+        err = capsys.readouterr().err
+        assert f"error: endpoint {endpoint!r}" in err
+        assert "Traceback" not in err
+        assert not out_path.exists()
+
+    def test_workers_byte_identical(self, tmp_path, monkeypatch, stub_server):
+        stub_server.answer = turns_answer
+        monkeypatch.setenv("LLM_ENDPOINT", stub_server.url + "/v1/chat/completions")
+        monkeypatch.setenv("LLM_API_KEY", "secreto")
+        docs, docs_path, train_path = write_workers_corpus(tmp_path)
+        outputs = []
+        for workers in ("1", "4"):
+            out_path = tmp_path / f"adapt{workers}.jsonl"
+            rc = main(
+                [
+                    "adapt",
+                    "--input", str(docs_path),
+                    "--corpus", str(train_path),
+                    "--mode", "fs-bm25",
+                    "--k", "3",
+                    "--provider", "http",
+                    "--workers", workers,
+                    "--output", str(out_path),
+                ]
+            )
+            assert rc == EXIT_OK
+            outputs.append(out_path.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert len(stub_server.received) == 2 * len(docs)
+        assert {r.headers["Authorization"] for r in stub_server.received} == {"Bearer secreto"}
+        records = [json.loads(line) for line in outputs[0].decode().splitlines()]
+        assert [r["doc_id"] for r in records] == [d["id"] for d in docs]
+        turns = [r["adaptation"].split(" | ") for r in records]
+        assert all(len(t) == 8 for t in turns)  # system prompt, 3 demo pairs, source
+        assert len({tuple(t[1:7]) for t in turns}) > 1
 
 
 class TestHelpers:

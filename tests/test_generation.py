@@ -1,10 +1,8 @@
 import json
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
-import apec.errors
 from apec.errors import (
     EmptyAdaptationError,
     MissingCorrectionError,
@@ -31,7 +29,7 @@ from apec.generation import (
 from apec.retrieval import Demonstration
 from apec.similarity import HttpEmbeddingProvider
 
-from conftest import apec_response
+from conftest import Reply, apec_response
 
 DATA = Path(__file__).parent / "data"
 
@@ -342,45 +340,20 @@ class TestScriptedProvider:
         assert provider.complete(REQUEST) == "respuesta"
 
 
-class FakeResponse:
-    def __init__(self, status_code: int, payload=None, text: str = ""):
-        self.status_code = status_code
-        self._payload = payload
-        self.text = text
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("not json")
-        return self._payload
-
-
-class FakeSession:
-    def __init__(self, responses):
-        self.responses = list(responses)
-        self.headers = {}
-        self.calls = []
-
-    def post(self, url, json=None, timeout=None):
-        self.calls.append({"url": url, "json": json, "timeout": timeout})
-        result = self.responses.pop(0)
-        if isinstance(result, Exception):
-            raise result
-        return result
-
-
-def _chat_payload(content: str) -> dict:
+def _chat_payload(content) -> dict:
     return {"choices": [{"message": {"content": content}}]}
 
 
 class TestHttpChatProvider:
-    def test_greedy_payload_shape(self):
-        session = FakeSession([FakeResponse(200, _chat_payload("salida"))])
-        provider = HttpChatProvider("http://llm/v1/chat", "modelo", session=session)
+    def test_greedy_payload_shape(self, stub_server):
+        stub_server.script.append(Reply(body=_chat_payload("salida")))
+        provider = HttpChatProvider(stub_server.url + "/v1/chat", "modelo")
         request = GenerationRequest(
             system_prompt="reglas", messages=(("user", "hola"),), decoding=GREEDY
         )
         assert provider.complete(request) == "salida"
-        sent = session.calls[0]["json"]
+        assert stub_server.received[0].path == "/v1/chat"
+        sent = stub_server.received[0].json
         assert sent["model"] == "modelo"
         assert sent["temperature"] == 0.0
         assert sent["top_p"] == 1.0
@@ -389,92 +362,91 @@ class TestHttpChatProvider:
         assert sent["messages"][0] == {"role": "system", "content": "reglas"}
         assert sent["messages"][1] == {"role": "user", "content": "hola"}
 
-    def test_sampled_payload_includes_top_k(self):
-        session = FakeSession([FakeResponse(200, _chat_payload("x"))])
-        provider = HttpChatProvider("http://llm/v1/chat", "modelo", session=session)
+    def test_sampled_payload_includes_top_k(self, stub_server):
+        stub_server.script.append(Reply(body=_chat_payload("x")))
+        provider = HttpChatProvider(stub_server.url, "modelo")
         request = GenerationRequest(
             system_prompt="", messages=(("user", "hola"),), decoding=REFINE
         )
         provider.complete(request)
-        sent = session.calls[0]["json"]
+        sent = stub_server.received[0].json
         assert sent["temperature"] == 0.8
         assert sent["top_k"] == 50
         assert sent["top_p"] == 1.0
         assert sent["messages"][0]["role"] == "user"
 
-    def test_api_key_header(self):
-        session = FakeSession([])
-        HttpChatProvider("http://llm", "m", api_key="secreto", session=session)
-        assert session.headers["Authorization"] == "Bearer secreto"
+    def test_api_key_header(self, stub_server):
+        stub_server.script += [Reply(body=_chat_payload("x"))] * 2
+        HttpChatProvider(stub_server.url, "m", api_key="secreto").complete(REQUEST)
+        HttpChatProvider(stub_server.url, "m").complete(REQUEST)
+        with_key, without_key = (sent.headers for sent in stub_server.received)
+        assert with_key["Authorization"] == "Bearer secreto"
+        assert "Authorization" not in without_key
+        assert with_key["Content-Type"] == without_key["Content-Type"] == "application/json"
 
-    def test_server_error_is_transient(self):
-        session = FakeSession([FakeResponse(503, text="busy")])
-        provider = HttpChatProvider("http://llm", "m", session=session)
-        with pytest.raises(TransientProviderError):
+    def test_server_error_is_transient(self, stub_server):
+        stub_server.script.append(Reply(503, b"busy"))
+        provider = HttpChatProvider(stub_server.url, "m")
+        with pytest.raises(TransientProviderError, match="chat endpoint returned HTTP 503"):
             provider.complete(REQUEST)
 
-    def test_client_error_is_fatal(self):
-        session = FakeSession([FakeResponse(400, text="bad request")])
-        provider = HttpChatProvider("http://llm", "m", session=session)
-        with pytest.raises(ProviderUnavailableError):
-            provider.complete(REQUEST)
-
-    def test_malformed_body_is_fatal(self):
-        session = FakeSession([FakeResponse(200, {"choices": []})])
-        provider = HttpChatProvider("http://llm", "m", session=session)
-        with pytest.raises(ProviderUnavailableError):
-            provider.complete(REQUEST)
-
-    def test_null_content_is_empty_completion(self):
-        payload = {"choices": [{"message": {"role": "assistant", "content": None}}]}
-        session = FakeSession([FakeResponse(200, payload)])
-        provider = HttpChatProvider("http://llm", "m", session=session)
-        with pytest.raises(ResponseEmptyError):
+    def test_client_error_is_fatal(self, stub_server):
+        stub_server.script.append(Reply(400, b"bad request"))
+        provider = HttpChatProvider(stub_server.url, "m")
+        with pytest.raises(ProviderUnavailableError, match="chat endpoint returned HTTP 400"):
             generate_text(provider, REQUEST, retries=2, backoff=0.0)
-        assert len(session.calls) == 1
+        assert len(stub_server.received) == 1
 
-    @pytest.mark.parametrize("content", [42, ["a", "b"], {"text": "x"}, True])
-    def test_non_string_content_is_malformed(self, content):
-        session = FakeSession([FakeResponse(200, _chat_payload(content))])
-        provider = HttpChatProvider("http://llm", "m", session=session)
+    def test_malformed_body_is_fatal(self, stub_server):
+        stub_server.script.append(Reply(body={"choices": []}))
+        provider = HttpChatProvider(stub_server.url, "m")
         with pytest.raises(ProviderUnavailableError, match="malformed chat response"):
             provider.complete(REQUEST)
 
-    def test_retry_loop_integration(self):
-        session = FakeSession(
-            [FakeResponse(429), FakeResponse(200, _chat_payload("listo"))]
-        )
-        provider = HttpChatProvider("http://llm", "m", session=session)
+    def test_null_content_is_empty_completion(self, stub_server):
+        payload = {"choices": [{"message": {"role": "assistant", "content": None}}]}
+        stub_server.script.append(Reply(body=payload))
+        provider = HttpChatProvider(stub_server.url, "m")
+        with pytest.raises(ResponseEmptyError):
+            generate_text(provider, REQUEST, retries=2, backoff=0.0)
+        assert len(stub_server.received) == 1
+
+    @pytest.mark.parametrize("content", [42, ["a", "b"], {"text": "x"}, True])
+    def test_non_string_content_is_malformed(self, stub_server, content):
+        stub_server.script.append(Reply(body=_chat_payload(content)))
+        provider = HttpChatProvider(stub_server.url, "m")
+        with pytest.raises(ProviderUnavailableError, match="malformed chat response"):
+            provider.complete(REQUEST)
+
+    def test_retry_loop_integration(self, stub_server):
+        stub_server.script += [Reply(429), Reply(body=_chat_payload("listo"))]
+        provider = HttpChatProvider(stub_server.url, "m")
         assert generate_text(provider, REQUEST, retries=2, backoff=0.0) == "listo"
-        assert len(session.calls) == 2
+        assert len(stub_server.received) == 2
 
 
 class TestSharedRetryPolicy:
     """Both HTTP providers retry through `with_retries`, on one schedule."""
 
-    @pytest.fixture
-    def waits(self, monkeypatch):
-        waits = []
-        monkeypatch.setattr(apec.errors, "time", SimpleNamespace(sleep=waits.append))
-        return waits
-
-    def test_chat_provider(self, waits):
-        session = FakeSession([FakeResponse(503)] * 4)
-        provider = HttpChatProvider("http://llm", "m", session=session)
+    def test_chat_provider(self, stub_server, waits):
+        stub_server.script += [Reply(503)] * 4
+        provider = HttpChatProvider(stub_server.url, "m")
         with pytest.raises(
             ProviderUnavailableError,
-            match="provider http:m failed after 4 attempts: chat endpoint returned 503",
+            match="provider http:m failed after 4 attempts: chat endpoint returned HTTP 503",
         ):
             generate_text(provider, REQUEST, retries=3, backoff=0.5)
         assert waits == [0.5, 1.0, 2.0]
+        assert len(stub_server.received) == 4
 
-    def test_embedding_provider(self, waits):
-        provider = HttpEmbeddingProvider("http://emb", "m", retries=3, backoff=0.5)
-        provider._session = SimpleNamespace(post=lambda url, **kwargs: FakeResponse(503))
+    def test_embedding_provider(self, stub_server, waits):
+        stub_server.script += [Reply(503)] * 4
+        provider = HttpEmbeddingProvider(stub_server.url, "m")
         with pytest.raises(
             ProviderUnavailableError,
-            match="provider http:http://emb:m failed after 4 attempts: "
+            match=f"provider http:{stub_server.url}:m failed after 4 attempts: "
             "embedding endpoint returned HTTP 503",
         ):
             provider.embed(["x"])
         assert waits == [0.5, 1.0, 2.0]
+        assert len(stub_server.received) == 4

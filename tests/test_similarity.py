@@ -3,7 +3,6 @@ import math
 import random
 
 import pytest
-import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +23,8 @@ from apec.similarity import (
     dense_norm,
     table_average,
 )
+
+from conftest import Reply
 
 
 class TestBowVector:
@@ -270,30 +271,6 @@ class TestCachedProvider:
         assert upstream.calls == [["uno"], ["dos"]]
 
 
-class FakeResponse:
-    def __init__(self, status_code=200, payload=None):
-        self.status_code = status_code
-        self._payload = payload or {}
-        self.text = str(payload)
-
-    def json(self):
-        return self._payload
-
-
-class FakeSession:
-    def __init__(self, outcomes):
-        self.outcomes = list(outcomes)
-        self.requests = []
-        self.headers = {}
-
-    def post(self, url, **kwargs):
-        self.requests.append((url, kwargs))
-        outcome = self.outcomes.pop(0)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-
 def _emb_payload(vectors, with_index=False):
     data = []
     for i, vec in enumerate(vectors):
@@ -305,71 +282,74 @@ def _emb_payload(vectors, with_index=False):
 
 
 class TestHttpEmbeddingProvider:
-    def _provider(self, outcomes, **kwargs):
-        provider = HttpEmbeddingProvider(
-            "http://emb.test/v1/embeddings", "modelo", backoff=0.0, **kwargs
-        )
-        provider._session = FakeSession(outcomes)
-        return provider
+    @pytest.fixture
+    def serve(self, stub_server, waits):
+        """A provider for the stub server, which will answer with `replies`."""
 
-    def test_success(self):
-        provider = self._provider([FakeResponse(200, _emb_payload([[1.0, 0.0]]))])
+        def serve(*replies):
+            stub_server.script += replies
+            return HttpEmbeddingProvider(stub_server.url + "/v1/embeddings", "modelo")
+
+        return serve
+
+    def test_success(self, serve, stub_server):
+        provider = serve(Reply(body=_emb_payload([[1.0, 0.0]])))
         assert provider.embed(["hola"]) == [[1.0, 0.0]]
-        url, kwargs = provider._session.requests[0]
-        assert kwargs["json"] == {"model": "modelo", "input": ["hola"]}
+        assert stub_server.received[0].path == "/v1/embeddings"
+        assert stub_server.received[0].json == {"model": "modelo", "input": ["hola"]}
 
-    def test_index_field_reorders(self):
+    def test_index_field_reorders(self, serve):
         payload = {
             "data": [
                 {"index": 1, "embedding": [2.0]},
                 {"index": 0, "embedding": [1.0]},
             ]
         }
-        provider = self._provider([FakeResponse(200, payload)])
+        provider = serve(Reply(body=payload))
         assert provider.embed(["a", "b"]) == [[1.0], [2.0]]
 
-    def test_retry_on_500_then_success(self):
-        provider = self._provider(
-            [
-                FakeResponse(500),
-                FakeResponse(200, _emb_payload([[0.5]])),
-            ]
-        )
+    def test_retry_on_500_then_success(self, serve, stub_server):
+        provider = serve(Reply(500), Reply(body=_emb_payload([[0.5]])))
         assert provider.embed(["x"]) == [[0.5]]
+        assert len(stub_server.received) == 2
 
-    def test_retry_on_connection_error(self):
-        provider = self._provider(
-            [
-                requests.ConnectionError("refused"),
-                FakeResponse(200, _emb_payload([[0.5]])),
-            ]
-        )
+    def test_retry_on_connection_error(self, serve, stub_server):
+        payload = _emb_payload([[0.5]])
+        provider = serve(Reply(body=payload, cut=True), Reply(body=payload))
         assert provider.embed(["x"]) == [[0.5]]
+        assert len(stub_server.received) == 2
 
-    def test_client_error_no_retry(self):
-        provider = self._provider([FakeResponse(404)])
-        with pytest.raises(ProviderUnavailableError):
+    def test_client_error_no_retry(self, serve, stub_server):
+        provider = serve(Reply(404))
+        with pytest.raises(ProviderUnavailableError, match="embedding endpoint returned HTTP 404"):
             provider.embed(["x"])
-        assert len(provider._session.requests) == 1
+        assert len(stub_server.received) == 1
 
-    def test_exhausted_retries(self):
-        provider = self._provider([FakeResponse(503)] * 4, retries=3)
-        with pytest.raises(ProviderUnavailableError):
+    def test_exhausted_retries(self, serve, stub_server):
+        provider = serve(*[Reply(503)] * 4)
+        with pytest.raises(ProviderUnavailableError, match="failed after 4 attempts"):
             provider.embed(["x"])
-        assert len(provider._session.requests) == 4
+        assert len(stub_server.received) == 4
 
     @pytest.mark.parametrize("index", [2, -1, "0", None])
-    def test_bad_index_is_malformed(self, index):
+    def test_bad_index_is_malformed(self, serve, index):
         payload = {
             "data": [
                 {"index": 0, "embedding": [1.0]},
                 {"index": index, "embedding": [2.0]},
             ]
         }
+        provider = serve(Reply(body=payload))
         with pytest.raises(ProviderUnavailableError, match="malformed embeddings"):
-            HttpEmbeddingProvider._parse(FakeResponse(200, payload), 2)
+            provider.embed(["a", "b"])
 
-    def test_count_mismatch(self):
-        provider = self._provider([FakeResponse(200, _emb_payload([[1.0]]))])
-        with pytest.raises(ProviderUnavailableError):
+    @pytest.mark.parametrize("body", [[1.0], {"data": [1.0]}, {"data": {"a": 1}}, None])
+    def test_malformed_body(self, serve, body):
+        provider = serve(Reply(body=body))
+        with pytest.raises(ProviderUnavailableError, match="malformed embeddings"):
+            provider.embed(["a"])
+
+    def test_count_mismatch(self, serve):
+        provider = serve(Reply(body=_emb_payload([[1.0]])))
+        with pytest.raises(ProviderUnavailableError, match="embedding count mismatch"):
             provider.embed(["a", "b"])
