@@ -93,15 +93,17 @@ class UsageError(ApecError):
 _ENV_REF = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
 
+class _Unset(str):
+    """Config text that names an unset environment variable: an error only
+    where `_options` reads it, so a section that a run does not use may
+    name variables that are not set."""
+
+
 def _interpolate(value):
     if isinstance(value, str):
-        def sub(match):
-            name = match.group(1)
-            if name not in os.environ:
-                raise ConfigError(f"config refers to unset environment variable {name}")
-            return os.environ[name]
-
-        return _ENV_REF.sub(sub, value)
+        if any(name not in os.environ for name in _ENV_REF.findall(value)):
+            return _Unset(value)
+        return _ENV_REF.sub(lambda match: os.environ[match.group(1)], value)
     if isinstance(value, dict):
         return {k: _interpolate(v) for k, v in value.items()}
     if isinstance(value, list):
@@ -116,7 +118,7 @@ def _interpolate(value):
 _HTTP_DEFAULTS = {"endpoint": "", "api_key": "", "model": "default", "timeout": DEFAULT_TIMEOUT}
 _CONFIG_DEFAULTS = {
     "seed": 0,
-    "workers": ApecConfig.workers,
+    "workers": 1,
     "retries": ApecConfig.retries,
     "apec": {
         key: getattr(ApecConfig, key) for key in ("cycles", "demo_count", "retries", "backoff")
@@ -149,6 +151,8 @@ def _convert(name: str, value, default):
     if isinstance(default, dict):
         if isinstance(value, dict):
             return _checked(value, default, name + ".")
+    elif isinstance(value, _Unset):
+        return value
     elif isinstance(value, (int, float, str)) and not isinstance(value, bool):
         try:
             converted = type(default)(value)
@@ -181,8 +185,9 @@ def load_config(path) -> dict:
 def _options(config: dict, section: str = "", args=None) -> dict:
     """Every option of a config section (the top level by default): the
     flag of that name if given, else its config value, else its default.
-    A value that breaks its rule in `_RULES` is a UsageError from a flag
-    and a ConfigError from the config."""
+    A value that breaks its rule in `_RULES` (or `workers` below 1) is a
+    UsageError from a flag and a ConfigError from the config, as is a
+    config value that names an unset environment variable."""
     values = config.get(section, {}) if section else config
     rules = _RULES.get(section)
     ruled = {field.name for field in dataclasses.fields(rules)} if rules else set()
@@ -192,14 +197,18 @@ def _options(config: dict, section: str = "", args=None) -> dict:
             continue
         flag = getattr(args, key, None)
         value = options[key] = flag if flag is not None else values.get(key, default)
-        if key not in ruled:
-            continue
+        name = f"{section}.{key}" if section else key
+        if isinstance(value, _Unset):
+            unset = ", ".join(n for n in _ENV_REF.findall(value) if n not in os.environ)
+            raise ConfigError(f"config key {name} names unset environment variable {unset}")
         try:
-            rules(**{key: value})
+            if key in ruled:
+                rules(**{key: value})
+            elif key == "workers" and value < 1:  # the pool size, which no dataclass holds
+                raise ValueError("workers must be >= 1")
         except ValueError as exc:
             if flag is not None:
                 raise UsageError(f"{exc}, got {value}") from exc
-            name = f"{section}.{key}" if section else key
             raise ConfigError(f"config key {name}: {exc}, got {value!r}") from exc
     return options
 
@@ -211,14 +220,11 @@ def _http_provider(cls, config: dict, section: str, env: str):
     """`cls` built from a config section; ${env}_ENDPOINT and ${env}_API_KEY
     stand in for an unset endpoint and key."""
     settings = _options(config, section)
-    timeout = settings["timeout"]
-    if timeout <= 0:
-        raise ConfigError(f"config key {section}.timeout: timeout must be > 0, got {timeout}")
     endpoint = settings["endpoint"] or os.environ.get(f"{env}_ENDPOINT", "")
     if not endpoint:
         raise ConfigError(f"http provider needs {section}.endpoint or {env}_ENDPOINT")
     api_key = settings["api_key"] or os.environ.get(f"{env}_API_KEY", "")
-    return cls(endpoint, settings["model"], api_key=api_key, timeout=timeout)
+    return cls(endpoint, settings["model"], api_key=api_key, timeout=settings["timeout"])
 
 
 def make_chat_provider(spec: str, config: dict):

@@ -134,9 +134,9 @@ def with_retries(attempt, retries: int, backoff: float, what: str):
     raise ProviderUnavailableError(f"{what} failed after {retries + 1} attempts: {last_error}")
 
 
-def check_endpoint(endpoint: str) -> str:
-    """`endpoint` if it is an http:// or https:// URL with a host and a
-    valid port, else ConfigError."""
+def check_transport(endpoint: str, timeout: float) -> str:
+    """`endpoint` if it is a printable ASCII http:// or https:// URL with a
+    host and a valid port, and `timeout` is > 0 seconds; else ConfigError."""
     try:
         parts = urllib.parse.urlsplit(endpoint)
         parts.port  # raises ValueError on a malformed port
@@ -144,6 +144,10 @@ def check_endpoint(endpoint: str) -> str:
         raise ConfigError(f"endpoint {endpoint!r} is not a valid URL: {exc}") from exc
     if parts.scheme not in ("http", "https") or not parts.hostname:
         raise ConfigError(f"endpoint {endpoint!r} must be an http:// or https:// URL with a host")
+    if " " in endpoint or not (endpoint.isascii() and endpoint.isprintable()):
+        raise ConfigError(f"endpoint {endpoint!r} must percent-encode spaces and non-ASCII")
+    if not timeout > 0:
+        raise ConfigError(f"timeout must be > 0, got {timeout}")
     return endpoint
 
 

@@ -27,7 +27,7 @@ from .errors import (
     MissingCorrectionError,
     ProviderUnavailableError,
     ResponseEmptyError,
-    check_endpoint,
+    check_transport,
     post_json,
     with_retries,
 )
@@ -266,7 +266,7 @@ class HttpChatProvider:
         api_key: str | None = None,
         timeout: float = DEFAULT_TIMEOUT,
     ):
-        self.endpoint = check_endpoint(endpoint)
+        self.endpoint = check_transport(endpoint, timeout)
         self.model = model
         self.api_key = api_key
         self.timeout = timeout

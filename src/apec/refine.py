@@ -44,19 +44,14 @@ TRACE_SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class ApecConfig:
-    """Run settings and their range rules; `workers` is the CLI's document
-    pool size, which run_apec does not read."""
-
     cycles: int = 5
     demo_count: int = 5
     refine_decoding: DecodingParams = REFINE
     retries: int = DEFAULT_RETRIES
     backoff: float = DEFAULT_BACKOFF
-    workers: int = 1
 
     def __post_init__(self):
-        rules = (("cycles", 1), ("demo_count", 0), ("retries", 0), ("backoff", 0), ("workers", 1))
-        for name, low in rules:
+        for name, low in (("cycles", 1), ("demo_count", 0), ("retries", 0), ("backoff", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
 

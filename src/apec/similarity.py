@@ -24,7 +24,7 @@ from .errors import (
     DEFAULT_TIMEOUT,
     DimensionMismatchError,
     ProviderUnavailableError,
-    check_endpoint,
+    check_transport,
     post_json,
     with_retries,
 )
@@ -146,7 +146,7 @@ class HttpEmbeddingProvider:
     def __init__(
         self, endpoint: str, model: str, api_key: str = "", timeout: float = DEFAULT_TIMEOUT
     ):
-        self.endpoint = check_endpoint(endpoint)
+        self.endpoint = check_transport(endpoint, timeout)
         self.model = model
         self.api_key = api_key
         self.timeout = timeout

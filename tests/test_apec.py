@@ -86,11 +86,10 @@ class TestApecConfig:
         assert config.cycles == 5
         assert config.demo_count == 5
         assert config.refine_decoding.temperature == 0.8
-        assert (config.retries, config.backoff, config.workers) == (3, 0.5, 1)
+        assert (config.retries, config.backoff) == (3, 0.5)
 
     @pytest.mark.parametrize(
-        "kwargs",
-        [{"cycles": 0}, {"demo_count": -1}, {"retries": -1}, {"backoff": -0.1}, {"workers": 0}],
+        "kwargs", [{"cycles": 0}, {"demo_count": -1}, {"retries": -1}, {"backoff": -0.1}]
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):

@@ -1013,18 +1013,50 @@ class TestConfig:
         assert config["seed"] == 7
 
     def test_missing_env_var_is_config_error(self, workdir, monkeypatch, capsys):
+        # an error where a run reads the key, not where it only loads the file
         monkeypatch.delenv("APEC_UNSET_VAR", raising=False)
-        tmp_path, docs_path, _ = workdir
+        tmp_path, docs_path, train_path = workdir
         path = tmp_path / "config.json"
-        path.write_text('{"llm": {"api_key": "${APEC_UNSET_VAR}"}}', encoding="utf-8")
-        with pytest.raises(ConfigError, match="unset environment variable APEC_UNSET_VAR"):
-            load_config(path)
+        config = {
+            "llm": {"endpoint": "http://127.0.0.1:9/v1", "api_key": "${APEC_UNSET_VAR}"},
+            "embeddings": {"timeout": "${APEC_UNSET_VAR}"},
+        }
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert load_config(path)["llm"]["api_key"] == "${APEC_UNSET_VAR}"
         out_path = tmp_path / "out.jsonl"
-        argv = ["adapt", "--input", str(docs_path), "--mode", "zs", "--provider", "echo",
-                "--config", str(path), "--output", str(out_path)]
-        assert main(argv) == EXIT_CONFIG
-        assert "APEC_UNSET_VAR" in capsys.readouterr().err
+        tail = ["--config", str(path), "--output", str(out_path)]
+        adapt = ["adapt", "--input", str(docs_path), "--mode", "zs", "--provider"]
+        assert main(adapt + ["echo"] + tail) == EXIT_OK
+        assert main(["index", "--corpus", str(train_path)] + tail) == EXIT_OK
+        out_path.unlink()
+        assert main(adapt + ["http"] + tail) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "error: config key llm.api_key names unset environment variable APEC_UNSET_VAR" in err
+        assert "Traceback" not in err
         assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "command, config, key",
+        [
+            ("adapt", {"seed": "${APEC_UNSET_VAR}"}, "seed"),
+            ("stats", {"embeddings": {"endpoint": "${APEC_UNSET_VAR}/v1"}}, "embeddings.endpoint"),
+            ("index", {"bm25": {"k1": "${APEC_UNSET_VAR}"}}, "bm25.k1"),
+            ("refine", {"apec": {"cycles": "${APEC_UNSET_VAR}"}}, "apec.cycles"),
+        ],
+    )
+    def test_unset_env_var_fails_where_read(
+        self, workdir, monkeypatch, capsys, command, config, key
+    ):
+        monkeypatch.delenv("APEC_UNSET_VAR", raising=False)
+        tmp_path, docs_path, train_path = workdir
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        argv = config_argv(command, tmp_path, docs_path, train_path, "echo")
+        assert main(argv + ["--config", str(config_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"error: config key {key} names unset environment variable APEC_UNSET_VAR" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.jsonl").exists()
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "config.json"
@@ -1091,8 +1123,8 @@ class TestConfigValues:
             ("refine", {"apec": []}, "config key apec must be an object, got []"),
             ("refine", {"apec": {"cycles": "dos"}}, "config key apec.cycles must be int"),
             ("stats", {"embeddings": "x"}, "config key embeddings must be an object, got 'x'"),
-            ("adapt", {"llm": {"timeout": 0}}, "config key llm.timeout: timeout must be > 0"),
-            ("stats", {"embeddings": {"timeout": -1}}, "config key embeddings.timeout: timeout"),
+            ("adapt", {"llm": {"timeout": 0, "endpoint": "http://h/v1"}}, "timeout must be > 0"),
+            ("stats", {"embeddings": {"timeout": -1, "endpoint": "http://h/v1"}}, "got -1.0"),
         ],
     )
     def test_bad_value_is_config_error(

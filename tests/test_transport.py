@@ -66,15 +66,25 @@ class TestPostJson:
             post(stub_server.url)
 
 
-class TestEndpointCheck:
+class TestTransportCheck:
     @pytest.mark.parametrize(
         "endpoint",
-        ["llm/v1", "ftp://x/y", "file:///etc/hostname", "http://", "data:,x", "http://h:port/"],
+        [
+            "llm/v1", "ftp://x/y", "file:///etc/hostname", "http://", "data:,x", "http://h:port/",
+            # urllib sends neither a non-ASCII nor a space-holding request line
+            "http://h/ruta/año", "http://h/a b", "http://a b/v1", "http://h/v1\t", "http://h/?q=ñ",
+        ],
     )
     @pytest.mark.parametrize("provider", [HttpChatProvider, HttpEmbeddingProvider])
     def test_rejected(self, provider, endpoint):
         with pytest.raises(ConfigError, match="endpoint"):
             provider(endpoint, "m")
+
+    @pytest.mark.parametrize("timeout", [0, -1.0, float("nan")])
+    @pytest.mark.parametrize("provider", [HttpChatProvider, HttpEmbeddingProvider])
+    def test_timeout_rejected(self, provider, timeout):
+        with pytest.raises(ConfigError, match="timeout must be > 0"):
+            provider("http://llm/v1", "m", timeout=timeout)
 
     @pytest.mark.parametrize(
         "endpoint", ["http://llm/v1/chat", "https://llm.example:8443/v1", "HTTP://[::1]:80/"]
