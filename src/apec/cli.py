@@ -32,6 +32,7 @@ from .corpus import (
     corpus_stats,
     evaluate_run,
     load_corpus,
+    read_jsonl,
     render_evaluation_table,
     render_stats_table,
 )
@@ -264,29 +265,19 @@ def write_jsonl(path, records) -> None:
             handle.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
 
 
-def read_jsonl(path) -> list[dict]:
-    records = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
-    return records
-
-
 def read_adaptations(path) -> dict[str, str]:
     """doc id -> adaptation, accepting plain outputs or trace files."""
     outputs: dict[str, str] = {}
-    for record in read_jsonl(path):
+    for line_no, record in read_jsonl(path):
+        where = f"{path} line {line_no}"
+        if not isinstance(record, dict):
+            raise ConfigError(f"{where}: expected a JSON object")
         doc_id = record.get("doc_id")
         text = record.get("adaptation", record.get("final"))
-        if doc_id is None or text is None:
-            raise ConfigError(f"{path}: record needs doc_id and adaptation/final")
-        if doc_id in outputs:
-            raise ConfigError(f"{path}: duplicate doc_id {doc_id!r}")
+        if doc_id is None or not isinstance(text, str):
+            raise ConfigError(f"{where}: record needs doc_id and a string adaptation/final")
+        if str(doc_id) in outputs:
+            raise ConfigError(f"{where}: duplicate doc_id {doc_id!r}")
         outputs[str(doc_id)] = text
     return outputs
 
@@ -502,12 +493,15 @@ def cmd_ensemble(args) -> int:
     for path in args.inputs:
         label = Path(path).stem
         by_doc: dict[str, object] = {}
-        for record in read_jsonl(path):
-            trace = trace_from_dict(record)
+        for line_no, record in read_jsonl(path):
+            try:
+                trace = trace_from_dict(record)
+            except ValueError as exc:
+                raise ConfigError(f"{path} line {line_no}: {exc}") from exc
             if not trace.stream:
-                trace = trace_from_dict({**record, "stream": label})
+                trace = dataclasses.replace(trace, stream=label)
             if trace.doc_id in by_doc:
-                raise ConfigError(f"{path}: duplicate doc_id {trace.doc_id!r}")
+                raise ConfigError(f"{path} line {line_no}: duplicate doc_id {trace.doc_id!r}")
             by_doc[trace.doc_id] = trace
         streams.append(by_doc)
         labels.append(label)

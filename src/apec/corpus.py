@@ -69,6 +69,32 @@ def _document_from_fields(fields: Mapping, line: int) -> Document:
         raise CorpusParseError(f"line {line}: {exc}", line=line) from exc
 
 
+def read_jsonl(path):
+    """Yield (line number, decoded value) for each non-blank line of a JSON
+    Lines file, one line at a time. The value may be of any JSON type, so
+    callers check its shape; a line that is not JSON raises CorpusParseError
+    naming the file and the line."""
+    with open(path, encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                value = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorpusParseError(
+                    f"{path} line {line_no}: invalid JSON: {exc}", line=line_no
+                ) from exc
+            yield line_no, value
+
+
+def _read_csv(path):
+    """Yield (line number, row dict) for each data row of a CSV file."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.DictReader(handle)
+        for row in reader:
+            yield reader.line_num, row
+
+
 def load_corpus(path, fmt: str | None = None) -> list[Document]:
     """Load documents from a JSONL or CSV file.
 
@@ -80,56 +106,23 @@ def load_corpus(path, fmt: str | None = None) -> list[Document]:
         fmt = "csv" if name.endswith(".csv") else "jsonl"
     if fmt not in ("jsonl", "csv"):
         raise ValueError(f"unknown corpus format {fmt!r}")
-    docs = _load_jsonl(path) if fmt == "jsonl" else _load_csv(path)
+    docs: list[Document] = []
+    seen: dict[str, int] = {}
+    rows = read_jsonl(path) if fmt == "jsonl" else _read_csv(path)
+    for line_no, fields in rows:
+        if not isinstance(fields, dict):
+            raise CorpusParseError(f"line {line_no}: expected a JSON object", line=line_no)
+        doc = _document_from_fields(fields, line_no)
+        if doc.id in seen:
+            raise DuplicateIdError(
+                f"line {line_no}: duplicate id {doc.id!r} (first seen on line {seen[doc.id]})",
+                line=line_no,
+            )
+        seen[doc.id] = line_no
+        docs.append(doc)
     if not docs:
         raise EmptyCorpusError(f"no documents in {path}")
     return docs
-
-
-def _load_jsonl(path) -> list[Document]:
-    docs: list[Document] = []
-    seen: dict[str, int] = {}
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                fields = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusParseError(
-                    f"line {line_no}: invalid JSON: {exc}", line=line_no
-                ) from exc
-            if not isinstance(fields, dict):
-                raise CorpusParseError(
-                    f"line {line_no}: expected a JSON object", line=line_no
-                )
-            doc = _document_from_fields(fields, line_no)
-            _check_duplicate(seen, doc.id, line_no)
-            docs.append(doc)
-    return docs
-
-
-def _load_csv(path) -> list[Document]:
-    docs: list[Document] = []
-    seen: dict[str, int] = {}
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        for row in reader:
-            line_no = reader.line_num
-            row.pop(None, None)
-            doc = _document_from_fields(row, line_no)
-            _check_duplicate(seen, doc.id, line_no)
-            docs.append(doc)
-    return docs
-
-
-def _check_duplicate(seen: dict[str, int], doc_id: str, line_no: int) -> None:
-    if doc_id in seen:
-        raise DuplicateIdError(
-            f"line {line_no}: duplicate id {doc_id!r} (first seen on line {seen[doc_id]})",
-            line=line_no,
-        )
-    seen[doc_id] = line_no
 
 
 def whitespace_token_count(text: str) -> int:

@@ -9,6 +9,7 @@ through.
 import http.client
 import json
 import logging
+import threading
 import time
 import urllib.error
 import urllib.parse
@@ -136,7 +137,8 @@ def with_retries(attempt, retries: int, backoff: float, what: str):
 
 def check_transport(endpoint: str, timeout: float) -> str:
     """`endpoint` if it is a printable ASCII http:// or https:// URL with a
-    host and a valid port, and `timeout` is > 0 seconds; else ConfigError."""
+    host and a valid port, and `timeout` is > 0 seconds and no more than
+    `threading.TIMEOUT_MAX`; else ConfigError."""
     try:
         parts = urllib.parse.urlsplit(endpoint)
         parts.port  # raises ValueError on a malformed port
@@ -146,8 +148,8 @@ def check_transport(endpoint: str, timeout: float) -> str:
         raise ConfigError(f"endpoint {endpoint!r} must be an http:// or https:// URL with a host")
     if " " in endpoint or not (endpoint.isascii() and endpoint.isprintable()):
         raise ConfigError(f"endpoint {endpoint!r} must percent-encode spaces and non-ASCII")
-    if not timeout > 0:
-        raise ConfigError(f"timeout must be > 0, got {timeout}")
+    if not 0 < timeout <= threading.TIMEOUT_MAX:  # socket.settimeout accepts up to this
+        raise ConfigError(f"timeout must be > 0 and <= {threading.TIMEOUT_MAX:.0f}, got {timeout}")
     return endpoint
 
 

@@ -13,12 +13,12 @@ are reproducible without a model server.
 
 from __future__ import annotations
 
-import json
 import re
 import threading
 from dataclasses import dataclass
 from typing import Literal, Optional, Protocol, runtime_checkable
 
+from .corpus import read_jsonl
 from .errors import (
     DEFAULT_BACKOFF,
     DEFAULT_RETRIES,
@@ -328,13 +328,7 @@ class ScriptedChatProvider:
 
     @classmethod
     def from_path(cls, path) -> "ScriptedChatProvider":
-        entries = []
-        with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    entries.append(json.loads(line))
-        return cls(entries, provider_id=f"scripted:{path}")
+        return cls([entry for _, entry in read_jsonl(path)], provider_id=f"scripted:{path}")
 
     @property
     def remaining(self) -> int:

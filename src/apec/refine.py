@@ -245,17 +245,34 @@ def ensemble_select(
 
 def trace_to_dict(trace: ApecTrace) -> dict:
     payload = dataclasses.asdict(trace)
-    payload["records"] = [dataclasses.asdict(r) for r in trace.records]
     payload["schema_version"] = TRACE_SCHEMA_VERSION
     return payload
 
 
-def trace_from_dict(payload: dict) -> ApecTrace:
+# The JSON types that a field of each annotated type may hold (the
+# annotations are strings under `from __future__ import annotations`).
+_JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "bool": (bool,)}
+
+
+def trace_from_dict(payload) -> ApecTrace:
+    """The trace that `trace_to_dict` wrote, read back from JSON; other keys
+    are ignored. ValueError unless `payload` is a dict of this schema version
+    whose fields and cycle records are all present and of their annotated type."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"trace must be a JSON object, got {type(payload).__name__}")
     version = payload.get("schema_version")
     if version != TRACE_SCHEMA_VERSION:
         raise ValueError(f"unsupported trace schema version {version!r}")
-    records = tuple(CycleRecord(**r) for r in payload["records"])
     fields = {f.name for f in dataclasses.fields(ApecTrace)}
     kwargs = {k: v for k, v in payload.items() if k in fields}
-    kwargs["records"] = records
-    return ApecTrace(**kwargs)
+    try:
+        kwargs["records"] = tuple(CycleRecord(**r) for r in payload["records"])
+        trace = ApecTrace(**kwargs)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed trace: {type(exc).__name__}: {exc}") from exc
+    for record in (trace, *trace.records):
+        for field in dataclasses.fields(record):
+            value = getattr(record, field.name)
+            if field.type in _JSON_TYPES and type(value) not in _JSON_TYPES[field.type]:
+                raise ValueError(f"{field.name} must be {field.type}, got {value!r}")
+    return trace

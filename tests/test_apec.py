@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -326,6 +327,15 @@ class TestEnsembleSelect:
             assert choice.final_score == max(t.final_score for t in traces)
 
 
+CYCLE = {"cycle": 1, "candidate": "Uno.", "fh": 85.8, "emb_sim": 0.3, "score": 60.0,
+         "accepted": True}
+TRACE_PAYLOAD = {
+    "schema_version": TRACE_SCHEMA_VERSION, "doc_id": "d9", "source": "fuente",
+    "initial": "inicial", "initial_score": 55.0, "records": [CYCLE], "final": "Uno.",
+    "final_score": 60.0,
+}
+
+
 class TestTraceSerialization:
     def test_round_trip(self):
         trace = ApecTrace(
@@ -365,3 +375,40 @@ class TestTraceSerialization:
     def test_schema_guard(self):
         with pytest.raises(ValueError):
             trace_from_dict({"schema_version": 99, "records": []})
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (5, "trace must be a JSON object, got int"),
+            ({"records": None}, "malformed trace: KeyError: 'records'"),
+            ({"final": None}, "missing 1 required positional argument: 'final'"),
+            ({"records": 5}, "malformed trace: TypeError"),
+            ({"records": [5]}, "argument after ** must be a mapping"),
+            ({"records": [{"cycle": 1}]}, "missing 5 required positional arguments"),
+            ({"records": [{**CYCLE, "extra": 1}]}, "unexpected keyword argument 'extra'"),
+            ({"records": [{**CYCLE, "score": "x"}]}, "score must be float, got 'x'"),
+            ({"records": [{**CYCLE, "accepted": 1}]}, "accepted must be bool, got 1"),
+            ({"final_score": "x"}, "final_score must be float, got 'x'"),
+            ({"final_score": True}, "final_score must be float, got True"),
+            ({"doc_id": ["a"]}, "doc_id must be str, got ['a']"),
+        ],
+    )
+    def test_malformed_payload(self, payload, message):
+        if isinstance(payload, dict):
+            payload = {**TRACE_PAYLOAD, **payload}
+            payload = {key: value for key, value in payload.items() if value is not None}
+        with pytest.raises(ValueError) as exc_info:
+            trace_from_dict(payload)
+        assert message in str(exc_info.value)
+
+    def test_integer_score_and_unknown_key_accepted(self):
+        trace = trace_from_dict({**TRACE_PAYLOAD, "final_score": 7, "note": "x"})
+        assert trace.final_score == 7
+
+
+def test_readme_library_imports():
+    """The `from apec import (...)` block in README's Library section runs."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert block.startswith("from apec import (")
+    exec(block, {})

@@ -994,6 +994,64 @@ class TestEnsemble:
         assert rc == EXIT_CONFIG
 
 
+def malformed_trace(**changes):
+    """A trace line for doc b, with `changes` applied; a None value drops the key."""
+    record = {**make_trace_record("b", "", "D-b", 5.0), **changes}
+    return json.dumps({key: value for key, value in record.items() if value is not None})
+
+
+class TestMalformedLine:
+    """A bad line in any JSONL input is a data error naming the file and line."""
+
+    @pytest.mark.parametrize(
+        "command, bad_line",
+        [
+            ("refine", "5"),
+            ("evaluate", "5"),
+            ("refine", '{"doc_id": "b", "adaptation": 5}'),
+            ("evaluate", '{"doc_id": "b", "adaptation": 5}'),
+            ("ensemble", "5"),
+            ("ensemble", malformed_trace(records=None)),
+            ("ensemble", malformed_trace(records=[{"cycle": 1}])),
+            ("ensemble", malformed_trace(final_score="x")),
+            ("adapt", '{"match": "Fuente", '),
+        ],
+        ids=[
+            "refine-not-object", "evaluate-not-object", "refine-text-not-string",
+            "evaluate-text-not-string", "ensemble-not-object", "ensemble-no-records",
+            "ensemble-bad-cycle-record", "ensemble-score-not-number", "adapt-fixture-not-json",
+        ],
+    )
+    def test_data_error_names_file_and_line(self, workdir, capsys, command, bad_line):
+        tmp_path, docs_path, train_path = workdir
+        bad = tmp_path / "bad.jsonl"
+        out_path = tmp_path / "out.jsonl"
+        if command == "adapt":
+            good = {"match": "Fuente", "response": "Texto."}
+            argv = ["adapt", "--input", str(docs_path), "--mode", "zs",
+                    "--provider", f"scripted:{bad}"]
+        elif command == "ensemble":
+            good = make_trace_record("a", "", "D-a", 5.0)
+            first = tmp_path / "uno.jsonl"
+            write_lines(first, [make_trace_record("a", "", "U-a", 1.0)])
+            argv = ["ensemble", "--inputs", str(first), str(bad)]
+        else:
+            good = {"doc_id": "a", "adaptation": "Inicial a."}
+            argv = [command, "--input", str(bad), "--embed", "hash"]
+            if command == "refine":
+                argv += ["--docs", str(docs_path), "--corpus", str(train_path),
+                         "--provider", "echo"]
+            else:
+                argv += ["--corpus", str(docs_path)]
+        bad.write_text(json.dumps(good) + "\n" + bad_line + "\n", encoding="utf-8")
+        rc = main(argv + ["--output", str(out_path)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert "Traceback" not in err
+        assert f"{bad} line 2" in err
+        assert not out_path.exists()
+
+
 class TestConfig:
     def test_env_interpolation(self, tmp_path, monkeypatch):
         monkeypatch.setenv("APEC_TEST_KEY", "secreto")
@@ -1125,6 +1183,8 @@ class TestConfigValues:
             ("stats", {"embeddings": "x"}, "config key embeddings must be an object, got 'x'"),
             ("adapt", {"llm": {"timeout": 0, "endpoint": "http://h/v1"}}, "timeout must be > 0"),
             ("stats", {"embeddings": {"timeout": -1, "endpoint": "http://h/v1"}}, "got -1.0"),
+            ("adapt", {"llm": {"timeout": "inf", "endpoint": "http://h/v1"}}, "got inf"),
+            ("stats", {"embeddings": {"timeout": 1e10, "endpoint": "http://h/v1"}}, "timeout must"),
         ],
     )
     def test_bad_value_is_config_error(
@@ -1303,6 +1363,12 @@ class TestHelpers:
             ],
         )
         with pytest.raises(ConfigError):
+            read_adaptations(path)
+
+    def test_read_adaptations_numeric_duplicate(self, tmp_path):
+        path = tmp_path / "outputs.jsonl"
+        write_lines(path, [{"doc_id": 1, "adaptation": "x"}, {"doc_id": 1, "adaptation": "y"}])
+        with pytest.raises(ConfigError, match="line 2: duplicate doc_id 1"):
             read_adaptations(path)
 
     def test_read_adaptations_needs_text(self, tmp_path):

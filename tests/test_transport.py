@@ -80,7 +80,7 @@ class TestTransportCheck:
         with pytest.raises(ConfigError, match="endpoint"):
             provider(endpoint, "m")
 
-    @pytest.mark.parametrize("timeout", [0, -1.0, float("nan")])
+    @pytest.mark.parametrize("timeout", [0, -1.0, float("nan"), float("inf"), 1e10])
     @pytest.mark.parametrize("provider", [HttpChatProvider, HttpEmbeddingProvider])
     def test_timeout_rejected(self, provider, timeout):
         with pytest.raises(ConfigError, match="timeout must be > 0"):
