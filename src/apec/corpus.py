@@ -51,10 +51,10 @@ class Document:
             raise ValueError(f"unknown task {self.task!r}; expected one of {TASKS}")
 
 
-def _document_from_fields(fields: Mapping, line: int) -> Document:
+def _document_from_fields(fields: Mapping, path, line: int) -> Document:
     for key in ("id", "source", "task"):
         if fields.get(key) in (None, ""):
-            raise CorpusParseError(f"line {line}: missing field {key!r}", line=line)
+            raise CorpusParseError(f"{path} line {line}: missing field {key!r}", line=line)
     reference = fields.get("reference")
     if reference == "":
         reference = None
@@ -66,7 +66,7 @@ def _document_from_fields(fields: Mapping, line: int) -> Document:
             task=fields["task"],
         )
     except ValueError as exc:
-        raise CorpusParseError(f"line {line}: {exc}", line=line) from exc
+        raise CorpusParseError(f"{path} line {line}: {exc}", line=line) from exc
 
 
 def read_jsonl(path):
@@ -99,7 +99,7 @@ def load_corpus(path, fmt: str | None = None) -> list[Document]:
     """Load documents from a JSONL or CSV file.
 
     `fmt` defaults to the file suffix. Duplicate ids and malformed
-    lines raise with the offending line number.
+    lines raise naming the file and the offending line number.
     """
     if fmt is None:
         name = str(path).lower()
@@ -111,11 +111,14 @@ def load_corpus(path, fmt: str | None = None) -> list[Document]:
     rows = read_jsonl(path) if fmt == "jsonl" else _read_csv(path)
     for line_no, fields in rows:
         if not isinstance(fields, dict):
-            raise CorpusParseError(f"line {line_no}: expected a JSON object", line=line_no)
-        doc = _document_from_fields(fields, line_no)
+            raise CorpusParseError(
+                f"{path} line {line_no}: expected a JSON object", line=line_no
+            )
+        doc = _document_from_fields(fields, path, line_no)
         if doc.id in seen:
             raise DuplicateIdError(
-                f"line {line_no}: duplicate id {doc.id!r} (first seen on line {seen[doc.id]})",
+                f"{path} line {line_no}: duplicate id {doc.id!r} "
+                f"(first seen on line {seen[doc.id]})",
                 line=line_no,
             )
         seen[doc.id] = line_no

@@ -304,6 +304,14 @@ class HttpChatProvider:
         raise ProviderUnavailableError(f"malformed chat response: {type(content).__name__} content")
 
 
+def _check_fixture_entry(entry, what: str) -> None:
+    fields = entry if isinstance(entry, dict) else {}
+    if not all(isinstance(fields.get(key), str) for key in ("match", "response")):
+        raise ValueError(
+            f"{what} must be an object with string match and response keys, got {entry!r}"
+        )
+
+
 class ScriptedChatProvider:
     """Replays canned responses from a JSONL fixture.
 
@@ -315,12 +323,7 @@ class ScriptedChatProvider:
 
     def __init__(self, entries: list[dict], provider_id: str = "scripted"):
         for pos, entry in enumerate(entries):
-            fields = entry if isinstance(entry, dict) else {}
-            if not all(isinstance(fields.get(key), str) for key in ("match", "response")):
-                raise ValueError(
-                    f"fixture entry {pos} must be an object with string match and "
-                    f"response keys, got {entry!r}"
-                )
+            _check_fixture_entry(entry, f"fixture entry {pos}")
         self._entries = [dict(entry) for entry in entries]
         self._used = [False] * len(entries)
         self._lock = threading.Lock()
@@ -328,7 +331,11 @@ class ScriptedChatProvider:
 
     @classmethod
     def from_path(cls, path) -> "ScriptedChatProvider":
-        return cls([entry for _, entry in read_jsonl(path)], provider_id=f"scripted:{path}")
+        entries = []
+        for line_no, entry in read_jsonl(path):
+            _check_fixture_entry(entry, f"{path} line {line_no}: fixture entry")
+            entries.append(entry)
+        return cls(entries, provider_id=f"scripted:{path}")
 
     @property
     def remaining(self) -> int:

@@ -6,36 +6,41 @@ than `min_token_len`. Alternatives: embedding-similarity ranking and
 seeded random sampling. A length-ratio filter can exclude training
 pairs whose adaptation is much shorter/longer than its source.
 
-Query-independent work is cached on the index: per-document length
-norms and adaptation/source length ratios on first use, and each term's
-impact vector (positions and `idf·tf·(k1+1)/(tf+norm)` weights) the
-first time a query contains the term. Weights use the direct formula's
-exact expression and are summed once per query-token occurrence, in
-query order, so scores are bit-identical to applying the formula to
-every posting on every query.
+Query-independent work is cached on the index: length norms on first
+use, a term's impact vector (positions and `idf·tf·(k1+1)/(tf+norm)`
+weights) when a query first holds it, and a pair's length ratio when the
+ratio filter's rank-order walk first reaches it. Weights use the direct
+formula's exact expression and are summed once per query-token
+occurrence, in query order, so scores are bit-identical to applying the
+formula to every posting on every query.
 
-The index file stores each term's postings as one string of ascending
-comma-separated `pos,tf` fields (`"0,1,17,2"`). `load_index` leaves the
-strings as they are: it takes each term's document frequency from its
-field count, and a term is decoded into `{pos: tf}` only when a query
-first holds it, so a load never builds the postings of unqueried terms.
+The index file stores each term's document frequency and two columns,
+`positions` and `tfs`: every term's postings concatenated in sorted term
+order as base64 little-endian uint32. `load_index` decodes each column
+once; a term's slice becomes `{pos: tf}` only when a query first holds
+it, so a load never builds the postings of unqueried terms.
 
-`build_embedding_index` embeds the training sources once, in one provider
-request, and keeps each vector's norm; a query is then embedded once and
+`build_embedding_index` embeds the training sources once, in one `embed`
+call, and keeps each vector's norm; a query is then embedded once and
 scored with one dot product per pair, bit-identical to `cosine()`.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import heapq
 import json
 import math
 import operator
 import random
+import sys
+from array import array
+from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
+from itertools import accumulate, chain
 
 from .errors import (
     DimensionMismatchError,
@@ -48,7 +53,7 @@ from .errors import (
 from .similarity import EmbeddingProvider, EmbeddingVector, dense_dot, dense_norm
 
 INDEX_SCHEMA_VERSION = 1
-INDEX_KIND = "bm25-index-packed"
+INDEX_KIND = "bm25-index-columns"
 
 
 @dataclass(frozen=True)
@@ -81,16 +86,15 @@ class Bm25Index:
     adaptations: tuple[str, ...]
     doc_token_counts: tuple[int, ...]
     avgdl: float
-    postings: Mapping[str, dict[int, int]] = field(repr=False)  # term -> pos -> tf
+    postings: Mapping[str, dict[int, int]] = field(repr=False)  # term -> pos -> tf, pos ascending
     idf: dict[str, float] = field(repr=False)
     params: Bm25Params = Bm25Params()
-    # term -> (positions, weights), filled by _impacts as queries need them.
-    # Pool threads share it and the cached properties below without a lock:
-    # every writer stores an equal value for its key, so a racing write is
-    # harmless and a reader sees either no entry or a whole one.
-    _impact_cache: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    # term -> (positions, weights) and pos -> length ratio, filled as queries
+    # need them. Pool threads share them and the cached property below
+    # without a lock: every writer stores an equal value for its key, so a
+    # racing write is harmless and a reader sees either no entry or a whole one.
+    _impact_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _ratio_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.doc_ids)
@@ -103,10 +107,13 @@ class Bm25Index:
             k1 * (1.0 - b + b * dl / self.avgdl) for dl in self.doc_token_counts
         )
 
-    @cached_property
-    def _length_ratios(self) -> tuple[float, ...]:
-        """Adaptation/source length ratio of every pair."""
-        return tuple(map(_length_ratio, self.sources, self.adaptations))
+    def _ratio(self, pos: int) -> float:
+        """Adaptation/source length ratio of a pair with a non-blank source."""
+        ratio = self._ratio_cache.get(pos)
+        if ratio is None:
+            ratio = len(self.adaptations[pos].split()) / len(self.sources[pos].split())
+            self._ratio_cache[pos] = ratio
+        return ratio
 
     def _impacts(self, term: str) -> tuple[tuple[int, ...], tuple[float, ...]]:
         """Positions holding an indexed term and its BM25 weight in each."""
@@ -132,17 +139,14 @@ def bm25_tokens(text: str, min_token_len: int) -> list[str]:
     return [t for t in text.lower().split() if len(t) >= min_token_len]
 
 
-def _compute_idf(doc_freqs, n_docs: int, epsilon: float) -> dict[str, float]:
-    """idf of every term from its `(term, doc_freq)` pair."""
-    idf: dict[str, float] = {}
-    for term, n_t in doc_freqs:
-        idf[term] = math.log((n_docs - n_t + 0.5) / (n_t + 0.5))
-    positive = [v for v in idf.values() if v > 0]
+def _compute_idf(terms: list[str], dfs: list[int], n_docs: int, epsilon: float) -> dict[str, float]:
+    """idf of each of the sorted `terms` from its df, one log per distinct df. Sorted
+    terms sum the floor's mean in one order, so an index and its saved copy agree."""
+    by_df = {n_t: math.log((n_docs - n_t + 0.5) / (n_t + 0.5)) for n_t in set(dfs)}
+    positive = [v for v in map(by_df.get, dfs) if v > 0]
     floor = epsilon * (sum(positive) / len(positive)) if positive else 0.0
-    for term, value in idf.items():
-        if value < 0:
-            idf[term] = floor
-    return idf
+    by_df = {n_t: floor if value < 0 else value for n_t, value in by_df.items()}
+    return dict(zip(terms, map(by_df.get, dfs)))
 
 
 def build_index(
@@ -174,9 +178,8 @@ def build_index(
             docs = postings.setdefault(token, {})
             docs[pos] = docs.get(pos, 0) + 1
     avgdl = sum(token_counts) / len(token_counts)
-    idf = _compute_idf(
-        ((term, len(docs)) for term, docs in postings.items()), len(pairs), params.epsilon
-    )
+    terms = sorted(postings)
+    idf = _compute_idf(terms, [len(postings[term]) for term in terms], len(pairs), params.epsilon)
     return Bm25Index(
         doc_ids=tuple(ids),
         sources=sources,
@@ -202,13 +205,6 @@ def bm25_scores(index: Bm25Index, query: str) -> list[float]:
     return scores
 
 
-def _length_ratio(source: str, adaptation: str) -> float:
-    source_len = len(source.split())
-    if source_len == 0:
-        raise EmptySourceError("source has no tokens; length ratio undefined")
-    return len(adaptation.split()) / source_len
-
-
 def _ranked(positions, scores, index_ids, sources, adaptations, k: int):
     # descending score, ties by ascending doc id; nsmallest is stable
     top = heapq.nsmallest(k, positions, key=lambda p: (-scores[p], index_ids[p]))
@@ -232,20 +228,28 @@ def bm25_top_k(
     """Rank the indexed pairs against a query and return the top k.
 
     With a ratio filter, pairs whose adaptation/source length ratio
-    falls outside [lo, hi] are excluded before ranking. May return
+    falls outside [lo, hi] are skipped: the pairs are walked in rank
+    order until k pass, so only their ratios are computed. May return
     fewer than k demonstrations.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    scores = bm25_scores(index, query)
     positions = range(len(index))
     if ratio_filter is not None:
         lo, hi = ratio_filter
         if lo > hi:
             raise ValueError(f"invalid ratio range [{lo}, {hi}]")
-        positions = [
-            p for p, ratio in enumerate(index._length_ratios) if lo <= ratio <= hi
-        ]
-    scores = bm25_scores(index, query)
+        if not all(map(str.strip, index.sources)):  # a blank source has no ratio
+            raise EmptySourceError("source has no tokens; length ratio undefined")
+        # (-score, doc id, pos) is _ranked's order; pop until k pairs pass
+        heap = list(zip(map(operator.neg, scores), index.doc_ids, positions))
+        heapq.heapify(heap)
+        positions = []
+        while heap and len(positions) < k:
+            p = heapq.heappop(heap)[2]
+            if lo <= index._ratio(p) <= hi:
+                positions.append(p)
     return _ranked(
         positions, scores, index.doc_ids, index.sources, index.adaptations, k
     )
@@ -266,7 +270,7 @@ class EmbeddingIndex:
 def build_embedding_index(
     pairs: list[tuple[str, str]], provider: EmbeddingProvider
 ) -> EmbeddingIndex:
-    """Embed every pair source in one request and cache the vector norms."""
+    """Embed every pair source in one `embed` call and cache the vector norms."""
     if not pairs:
         raise EmptyCorpusError("cannot index an empty corpus")
     sources = tuple(source for source, _ in pairs)
@@ -329,13 +333,22 @@ def random_k(pairs: list[tuple[str, str]], k: int, seed: int) -> list[Demonstrat
     ]
 
 
+def _u32_column(values) -> str:
+    column = array("I", values)
+    if sys.byteorder == "big":
+        column.byteswap()
+    return base64.b64encode(column.tobytes()).decode("ascii")
+
+
 def save_index(index: Bm25Index, path) -> None:
     """Persist postings and doc references as versioned JSON.
 
-    Each term's postings are one string of `pos,tf` fields in ascending
-    position. Pair texts are not stored; loading joins doc ids back to a
-    corpus.
+    `doc_freqs` maps terms to document frequencies; the `positions` and `tfs`
+    columns are every term's postings in sorted term order, as base64
+    little-endian uint32. Pair texts are not stored; loads join ids to a corpus.
     """
+    terms = sorted(index.postings)
+    postings = [index.postings[term] for term in terms]
     payload = {
         "schema_version": INDEX_SCHEMA_VERSION,
         "kind": INDEX_KIND,
@@ -343,10 +356,9 @@ def save_index(index: Bm25Index, path) -> None:
         "doc_ids": list(index.doc_ids),
         "doc_token_counts": list(index.doc_token_counts),
         "avgdl": index.avgdl,
-        "postings": {
-            term: ",".join([f"{pos},{tf}" for pos, tf in sorted(docs.items())])
-            for term, docs in index.postings.items()
-        },
+        "doc_freqs": dict(zip(terms, map(len, postings))),
+        "positions": _u32_column(chain.from_iterable(postings)),
+        "tfs": _u32_column(chain.from_iterable(docs.values() for docs in postings)),
     }
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, ensure_ascii=False, sort_keys=True)
@@ -357,57 +369,66 @@ def _index_error(path, problem: str) -> ValueError:
     return ValueError(f"index file {path}: {problem}; rebuild it with `apec index`")
 
 
-class _PackedPostings(Mapping):
-    """Read-only term -> {pos: tf} over the packed strings of an index file.
+def _u32_array(path, name: str, text) -> array:
+    try:
+        column = array("I", base64.b64decode(text, validate=True))
+    except (TypeError, ValueError):  # not a base64 string, or not whole uint32s
+        raise _index_error(path, f"{name} is not base64 of little-endian uint32s") from None
+    if sys.byteorder == "big":
+        column.byteswap()
+    return column
 
-    A term is decoded and checked on each access; `Bm25Index._impacts`
+
+class _ColumnPostings(Mapping):
+    """Read-only term -> {pos: tf} over the decoded columns of an index file.
+
+    A term's slice is decoded and checked on each access; `Bm25Index._impacts`
     caches the result, so a query decodes each of its terms once.
     """
 
-    def __init__(self, packed: dict[str, str], n_docs: int, path):
-        self._packed = packed
+    def __init__(self, terms: list[str], dfs: list[int], positions, tfs, n_docs: int, path):
+        self._terms = terms  # sorted
+        self._starts = list(accumulate(dfs, initial=0))
+        self._positions = positions
+        self._tfs = tfs
         self._n_docs = n_docs
         self._path = path
 
     def __getitem__(self, term: str) -> dict[int, int]:
-        packed = self._packed[term]
-        try:
-            fields = map(int, packed.split(","))
-            docs = dict(zip(fields, fields))
-            positions = list(docs)
-            valid = (
-                len(positions) * 2 == packed.count(",") + 1  # even, no repeats
-                and 0 <= positions[0]
-                and positions[-1] < self._n_docs
-                and all(map(operator.lt, positions, positions[1:]))
-                and min(docs.values()) >= 1
-            )
-        except ValueError:  # a field that is not an integer
-            valid = False
-        if not valid:
+        i = bisect_left(self._terms, term)
+        if self._terms[i : i + 1] != [term]:
+            raise KeyError(term)
+        start, end = self._starts[i], self._starts[i + 1]
+        positions = self._positions[start:end]
+        tfs = self._tfs[start:end]
+        if not (
+            positions[-1] < self._n_docs
+            and all(map(operator.lt, positions, positions[1:]))
+            and min(tfs) >= 1
+        ):
             raise _index_error(
                 self._path,
                 f"postings of {term!r} must be ascending positions in "
                 f"[0, {self._n_docs}), each with a count >= 1",
             )
-        return docs
+        return dict(zip(positions, tfs))
 
     def __iter__(self):
-        return iter(self._packed)
+        return iter(self._terms)
 
     def __len__(self) -> int:
-        return len(self._packed)
+        return len(self._terms)
 
 
 def load_index(path, pairs_by_id) -> Bm25Index:
     """Load a persisted index, joining texts from `pairs_by_id`.
 
     `pairs_by_id` maps doc id -> (source, adaptation) and must cover
-    every id stored in the file. Postings stay packed: each term's
-    document frequency comes from its field count, and its positions and
-    counts are decoded and checked the first time a query holds it. Any
-    malformed content raises `ValueError`, as does a file from before the
-    packed format, which `apec index` must rebuild.
+    every id stored in the file. Each column is decoded once, and each
+    term's document frequency comes from `doc_freqs`; a term's positions
+    and counts are sliced out of the columns and checked the first time a
+    query holds it. Any malformed content raises `ValueError`, as does a
+    file in an older layout, which `apec index` must rebuild.
     """
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
@@ -419,11 +440,11 @@ def load_index(path, pairs_by_id) -> Bm25Index:
         )
     if payload.get("kind") != INDEX_KIND:
         raise _index_error(path, f"kind is {payload.get('kind')!r}, not {INDEX_KIND!r}")
-    keys = ("params", "doc_ids", "doc_token_counts", "avgdl", "postings")
+    keys = ("params", "doc_ids", "doc_token_counts", "avgdl", "doc_freqs", "positions", "tfs")
     missing_keys = [key for key in keys if key not in payload]
     if missing_keys:
         raise _index_error(path, f"missing {', '.join(missing_keys)}")
-    raw_params, doc_ids, counts, avgdl, packed = (payload[key] for key in keys)
+    raw_params, doc_ids, counts, avgdl, doc_freqs = (payload[key] for key in keys[:5])
     if not isinstance(raw_params, dict) or raw_params.keys() != asdict(Bm25Params()).keys():
         raise _index_error(path, "params must hold exactly k1, b, epsilon, min_token_len")
     try:
@@ -438,27 +459,26 @@ def load_index(path, pairs_by_id) -> Bm25Index:
         raise _index_error(path, f"{len(counts)} doc_token_counts for {len(doc_ids)} doc_ids")
     if type(avgdl) not in (int, float):
         raise _index_error(path, "avgdl is not a number")
-    if not (isinstance(packed, dict) and all(type(v) is str for v in packed.values())):
-        raise _index_error(path, "postings are not strings of pos,tf fields")
-    commas = [v.count(",") for v in packed.values()]  # 2 * doc_freq - 1 each
-    if not all(n % 2 for n in commas):
-        term = next(term for term, n in zip(packed, commas) if not n % 2)
-        raise _index_error(path, f"postings of {term!r} have an odd number of fields")
+    if not (
+        isinstance(doc_freqs, dict) and all(type(n) is int and n >= 1 for n in doc_freqs.values())
+    ):
+        raise _index_error(path, "doc_freqs is not a map of terms to counts >= 1")
+    positions, tfs = (_u32_array(path, key, payload[key]) for key in ("positions", "tfs"))
+    terms = sorted(doc_freqs)
+    dfs = list(map(doc_freqs.get, terms))
+    if not len(positions) == len(tfs) == sum(dfs):
+        raise _index_error(path, "positions and tfs must hold one entry per doc_freqs count")
     missing = [doc_id for doc_id in doc_ids if doc_id not in pairs_by_id]
     if missing:
         raise UnknownDocIdError(f"index references unknown doc ids: {missing[:5]}")
-    idf = _compute_idf(
-        ((term, n // 2 + 1) for term, n in zip(packed, commas)),
-        len(doc_ids),
-        params.epsilon,
-    )
+    idf = _compute_idf(terms, dfs, len(doc_ids), params.epsilon)
     return Bm25Index(
         doc_ids=tuple(doc_ids),
         sources=tuple(pairs_by_id[doc_id][0] for doc_id in doc_ids),
         adaptations=tuple(pairs_by_id[doc_id][1] for doc_id in doc_ids),
         doc_token_counts=tuple(counts),
         avgdl=float(avgdl),
-        postings=_PackedPostings(packed, len(doc_ids), path),
+        postings=_ColumnPostings(terms, dfs, positions, tfs, len(doc_ids), path),
         idf=idf,
         params=params,
     )

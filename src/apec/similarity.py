@@ -8,6 +8,7 @@ deterministic hash-based stub are provided.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import operator
@@ -31,6 +32,7 @@ from .errors import (
 
 BowVector = dict[str, int]
 EmbeddingVector = list[float]
+EMBED_BATCH_SIZE = 32  # texts per embeddings request: Hugging Face TEI's default limit
 
 _BOW_TOKEN = re.compile(r"[^\W_]{2,}", re.UNICODE)
 
@@ -139,7 +141,8 @@ class HashEmbeddingProvider:
 class HttpEmbeddingProvider:
     """Client for an OpenAI-compatible embeddings endpoint.
 
-    POSTs {"model": ..., "input": [...]} through `post_json`, retried by
+    POSTs {"model": ..., "input": [...]} through `post_json`, at most
+    `EMBED_BATCH_SIZE` texts per request, each request retried by
     `with_retries`, and reads {"data": [{"embedding": [...]}, ...]}.
     """
 
@@ -153,16 +156,18 @@ class HttpEmbeddingProvider:
         self.provider_id = f"http:{endpoint}:{model}"
 
     def embed(self, texts: list[str]) -> list[EmbeddingVector]:
-        payload = {"model": self.model, "input": texts}
-
-        def attempt():
-            body = post_json(
-                self.endpoint, payload, self.api_key, self.timeout, "embedding endpoint"
-            )
-            return self._parse(body, len(texts))
-
         what = f"embedding provider {self.provider_id}"
-        return with_retries(attempt, DEFAULT_RETRIES, DEFAULT_BACKOFF, what)
+        vectors: list[EmbeddingVector] = []
+        for start in range(0, len(texts), EMBED_BATCH_SIZE):
+            chunk = texts[start : start + EMBED_BATCH_SIZE]
+            attempt = functools.partial(self._post, chunk)
+            vectors += with_retries(attempt, DEFAULT_RETRIES, DEFAULT_BACKOFF, what)
+        return vectors
+
+    def _post(self, texts: list[str]) -> list[EmbeddingVector]:
+        payload = {"model": self.model, "input": texts}
+        body = post_json(self.endpoint, payload, self.api_key, self.timeout, "embedding endpoint")
+        return self._parse(body, len(texts))
 
     @staticmethod
     def _parse(body, expected: int) -> list[EmbeddingVector]:

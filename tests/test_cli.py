@@ -1,4 +1,6 @@
+import base64
 import json
+import struct
 import time
 
 import pytest
@@ -134,19 +136,61 @@ class TestStats:
         assert "Traceback" not in err
 
 
-def set_postings(value):
+def u32_column(values) -> str:
+    return base64.b64encode(struct.pack(f"<{len(values)}I", *values)).decode("ascii")
+
+
+def term_postings(payload) -> dict:
+    """term -> [(pos, tf), ...] read back from the columns of an index file."""
+    positions, tfs = (
+        struct.unpack(f"<{len(raw) // 4}I", raw)
+        for raw in (base64.b64decode(payload[key]) for key in ("positions", "tfs"))
+    )
+    postings, start = {}, 0
+    for term in sorted(payload["doc_freqs"]):
+        end = start + payload["doc_freqs"][term]
+        postings[term] = list(zip(positions[start:end], tfs[start:end]))
+        start = end
+    return postings
+
+
+def set_postings(pairs):
+    """Give every term the same postings, `pairs` of (pos, tf)."""
+
     def corrupt(payload):
-        payload["postings"] = {term: value for term in payload["postings"]}
+        terms = payload["doc_freqs"]
+        payload["doc_freqs"] = {term: len(pairs) for term in terms}
+        payload["positions"] = u32_column([pos for pos, _ in pairs] * len(terms))
+        payload["tfs"] = u32_column([tf for _, tf in pairs] * len(terms))
 
     return corrupt
 
 
-def old_format(payload):
-    """The layout before packed postings: [pos, tf] pairs per term."""
-    payload["kind"] = "bm25-index"
-    for term, packed in payload["postings"].items():
-        fields = [int(field) for field in packed.split(",")]
-        payload["postings"][term] = [list(pair) for pair in zip(fields[::2], fields[1::2])]
+def first_df(change):
+    """Replace the first term's document frequency n with change(n)."""
+
+    def corrupt(payload):
+        term = min(payload["doc_freqs"])
+        payload["doc_freqs"][term] = change(payload["doc_freqs"][term])
+
+    return corrupt
+
+
+def older_format(kind, encode):
+    """An earlier layout: `kind`, and `postings` of term -> encode([(pos, tf), ...])."""
+
+    def corrupt(payload):
+        payload["postings"] = {term: encode(docs) for term, docs in term_postings(payload).items()}
+        for key in ("doc_freqs", "positions", "tfs"):
+            del payload[key]
+        payload["kind"] = kind
+
+    return corrupt
+
+
+def drop_last_tf(payload):
+    """A position without a count."""
+    payload["tfs"] = base64.b64encode(base64.b64decode(payload["tfs"])[:-4]).decode("ascii")
 
 
 class TestIndex:
@@ -185,23 +229,36 @@ class TestIndex:
         [
             pytest.param(lambda p: p.pop("kind"), id="no-kind"),
             pytest.param(lambda p: p.update(kind="bm25-index-v9"), id="wrong-kind"),
-            pytest.param(old_format, id="old-format"),
+            pytest.param(
+                older_format("bm25-index", lambda docs: [list(d) for d in docs]), id="old-format"
+            ),
+            pytest.param(
+                older_format(
+                    "bm25-index-packed", lambda docs: ",".join(f"{p},{tf}" for p, tf in docs)
+                ),
+                id="packed-format",
+            ),
             pytest.param(lambda p: p.pop("params"), id="no-params"),
-            pytest.param(lambda p: p.pop("postings"), id="no-postings"),
+            pytest.param(lambda p: (p.pop("positions"), p.pop("tfs")), id="no-postings"),
+            pytest.param(lambda p: p.pop("doc_freqs"), id="no-doc-freqs"),
             pytest.param(lambda p: p["params"].pop("k1"), id="params-missing-k1"),
             pytest.param(lambda p: p.update(avgdl="4.0"), id="avgdl-string"),
             pytest.param(lambda p: p["doc_ids"].insert(0, ["t0"]), id="list-doc-id"),
             pytest.param(lambda p: p["doc_token_counts"].pop(), id="short-token-counts"),
-            pytest.param(set_postings([[0, 1]]), id="posting-list"),
-            pytest.param(set_postings("0,1,2"), id="odd-field-count"),
-            pytest.param(set_postings(""), id="empty-posting"),
-            pytest.param(set_postings("0,x"), id="non-integer-field"),
-            pytest.param(set_postings("0,1.5"), id="fractional-tf"),
-            pytest.param(set_postings("40,1"), id="position-past-last-doc"),
-            pytest.param(set_postings("-1,1"), id="negative-position"),
-            pytest.param(set_postings("5,1,2,1"), id="descending-positions"),
-            pytest.param(set_postings("3,1,3,1"), id="repeated-position"),
-            pytest.param(set_postings("0,0"), id="zero-tf"),
+            pytest.param(lambda p: p.update(positions=[0, 1]), id="posting-list"),
+            pytest.param(lambda p: p.update(positions="AAAA!AAA"), id="bad-base64"),
+            pytest.param(lambda p: p.update(tfs="AQAAAAEA"), id="partial-uint32"),
+            pytest.param(drop_last_tf, id="odd-field-count"),
+            pytest.param(first_df(lambda n: n + 1), id="columns-short-of-doc-freqs"),
+            pytest.param(first_df(lambda n: 0), id="empty-posting"),
+            pytest.param(first_df(str), id="non-integer-field"),
+            pytest.param(first_df(lambda n: n + 0.5), id="fractional-df"),
+            pytest.param(set_postings([(40, 1)]), id="position-past-last-doc"),
+            # -1 written as a 32-bit two's complement reads as 2**32 - 1
+            pytest.param(set_postings([(2**32 - 1, 1)]), id="negative-position"),
+            pytest.param(set_postings([(5, 1), (2, 1)]), id="descending-positions"),
+            pytest.param(set_postings([(3, 1), (3, 1)]), id="repeated-position"),
+            pytest.param(set_postings([(0, 0)]), id="zero-tf"),
         ],
     )
     def test_malformed_index_is_data_error(self, tmp_path, capsys, corrupt):
@@ -384,7 +441,7 @@ class TestAdapt:
     def test_non_object_fixture_line_is_data_error(self, workdir, capsys):
         tmp_path, docs_path, _ = workdir
         script = tmp_path / "script.jsonl"
-        script.write_text('{"match": "Fuente", "response": "x"}\n5\n', encoding="utf-8")
+        script.write_text('{"match": "Fuente", "response": "x"}\n\n5\n', encoding="utf-8")
         rc = main(
             [
                 "adapt",
@@ -396,7 +453,34 @@ class TestAdapt:
         )
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "fixture entry 1 must be an object" in err and "got 5" in err
+        assert f"{script} line 3: fixture entry must be an object" in err and "got 5" in err
+
+    @pytest.mark.parametrize(
+        "line, problem",
+        [
+            ({"id": "t9", "task": "PL"}, "missing field 'source'"),
+            (["t9"], "expected a JSON object"),
+            ({"id": "t0", "source": "Otra vez.", "task": "PL"}, "duplicate id 't0'"),
+        ],
+    )
+    def test_bad_corpus_line_names_file(self, workdir, capsys, line, problem):
+        tmp_path, docs_path, train_path = workdir
+        with open(train_path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(line) + "\n")
+        rc = main(
+            [
+                "adapt",
+                "--input", str(docs_path),
+                "--corpus", str(train_path),
+                "--mode", "fs-bm25",
+                "--provider", "echo",
+                "--output", str(tmp_path / "x.jsonl"),
+            ]
+        )
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{train_path} line 5: {problem}" in err
+        assert "Traceback" not in err
 
     def test_partial_failure(self, workdir, capsys):
         tmp_path, docs_path, _ = workdir

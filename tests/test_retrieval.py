@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 import random
@@ -360,14 +361,16 @@ class TestCachedScoring:
     def test_shared_index_across_threads(self, tmp_path, persisted):
         rng = random.Random(20240820)
         pairs = [
-            (" ".join(rng.choices(VOCAB, k=rng.randint(1, 30))), "a")
-            for _ in range(300)
+            (" ".join(rng.choices(VOCAB, k=rng.randint(1, 30))), " ".join(VOCAB[: i % 9]))
+            for i in range(300)
         ]
         queries = [" ".join(rng.choices(VOCAB, k=rng.randint(1, 20))) for _ in range(40)]
+        window = (0.2, 0.8)
         reference = build_index(pairs)
         expected = [direct_scores(reference, q) for q in queries]
+        expected_top = [bm25_top_k(reference, q, k=5, ratio_filter=window) for q in queries]
         shared = build_index(pairs)
-        if persisted:  # pool threads then race to decode the same packed postings
+        if persisted:  # pool threads then race to decode the same column slices
             save_index(shared, tmp_path / "index.json")
             shared = load_index(tmp_path / "index.json", dict(enumerate(pairs)))
         interval = sys.getswitchinterval()
@@ -375,10 +378,15 @@ class TestCachedScoring:
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
                 futures = [pool.submit(bm25_scores, shared, q) for q in queries * 4]
+                top_futures = [
+                    pool.submit(bm25_top_k, shared, q, 5, window) for q in queries * 4
+                ]
                 results = [future.result(timeout=60) for future in futures]
+                top_results = [future.result(timeout=60) for future in top_futures]
         finally:
             sys.setswitchinterval(interval)
         assert results == expected * 4
+        assert top_results == expected_top * 4
 
 
 class TestLengthRatio:
@@ -603,15 +611,37 @@ class TestPersistence:
         for query in ["casa verde", "tren ciudad"]:
             assert bm25_scores(loaded, query) == bm25_scores(index, query)
 
-    def test_packed_postings_decoded_on_query(self, tmp_path):
+    def test_golden_file(self, tmp_path):
+        pairs = [
+            ("casa casa verde", "casa verde"),
+            ("perro verde", "perro"),
+            ("casa perro perro perro", "casa"),
+        ]
+        path = tmp_path / "index.json"
+        save_index(build_index(pairs, ids=["a", "b", "c"]), path)
+        # positions 0 2 | 1 2 | 0 1 and tfs 2 1 | 1 3 | 1 1 for casa, perro,
+        # verde, each a little-endian uint32
+        assert path.read_text(encoding="utf-8") == (
+            '{"avgdl": 3.0, "doc_freqs": {"casa": 2, "perro": 2, "verde": 2}, '
+            '"doc_ids": ["a", "b", "c"], "doc_token_counts": [3, 2, 4], '
+            '"kind": "bm25-index-columns", '
+            '"params": {"b": 0.75, "epsilon": 0.25, "k1": 1.5, "min_token_len": 4}, '
+            '"positions": "AAAAAAIAAAABAAAAAgAAAAAAAAABAAAA", "schema_version": 1, '
+            '"tfs": "AgAAAAEAAAABAAAAAwAAAAEAAAABAAAA"}\n'
+        )
+
+    def test_column_postings_decoded_on_query(self, tmp_path):
         ids = ["d1", "d2", "d3", "d4"]
         path = tmp_path / "index.json"
         save_index(build_index(PAIRS, ids=ids), path)
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert payload["schema_version"] == 1
-        assert payload["kind"] == "bm25-index-packed"
-        assert payload["postings"]["casa"] == "0,1,2,1"
-        payload["postings"]["perro"] = "9,1"  # past the last document
+        assert payload["kind"] == "bm25-index-columns"
+        terms = sorted(payload["doc_freqs"])
+        perro = sum(payload["doc_freqs"][term] for term in terms[: terms.index("perro")])
+        positions = bytearray(base64.b64decode(payload["positions"]))
+        positions[4 * perro] = 9  # past the last document
+        payload["positions"] = base64.b64encode(positions).decode("ascii")
         path.write_text(json.dumps(payload), encoding="utf-8")
         loaded = load_index(path, dict(zip(ids, PAIRS)))
         assert loaded.idf["perro"] == build_index(PAIRS).idf["perro"]
@@ -619,15 +649,33 @@ class TestPersistence:
         with pytest.raises(ValueError, match="rebuild it with `apec index`"):
             bm25_scores(loaded, "perro")
 
-    def test_odd_field_count_fails_at_load(self, tmp_path):
+    def test_column_length_mismatch_fails_at_load(self, tmp_path):
         ids = ["d1", "d2", "d3", "d4"]
         path = tmp_path / "index.json"
         save_index(build_index(PAIRS, ids=ids), path)
         payload = json.loads(path.read_text(encoding="utf-8"))
-        payload["postings"]["perro"] = "1,1,2"
+        payload["doc_freqs"]["perro"] += 1
         path.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(ValueError, match="'perro' have an odd number of fields"):
+        with pytest.raises(ValueError, match="one entry per doc_freqs count"):
             load_index(path, dict(zip(ids, PAIRS)))
+
+    def test_built_and_loaded_idf_agree_exactly(self, tmp_path):
+        # the idf floor is a mean over terms; a built index and its saved
+        # copy must sum it in the same order
+        rng = random.Random(20241018)
+        words = [f"{stem}{end}" for stem in ("casa", "perro", "libro", "lento") for end in "aeiou"]
+        for trial in range(30):
+            pairs = [
+                (" ".join(rng.choices(words, k=rng.randint(1, 12))), "a")
+                for _ in range(rng.randint(3, 12))
+            ]
+            built = build_index(pairs)
+            path = tmp_path / f"index{trial}.json"
+            save_index(built, path)
+            loaded = load_index(path, dict(enumerate(pairs)))
+            assert loaded.idf == built.idf, trial
+            for query in (pairs[0][0], " ".join(words)):
+                assert bm25_scores(loaded, query) == bm25_scores(built, query), trial
 
     def test_missing_doc_id(self, tmp_path):
         ids = ["d1", "d2", "d3", "d4"]

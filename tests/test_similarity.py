@@ -13,6 +13,7 @@ from apec.errors import (
 )
 from apec.retrieval import build_embedding_index, embedding_top_k
 from apec.similarity import (
+    EMBED_BATCH_SIZE,
     CachedEmbeddingProvider,
     HashEmbeddingProvider,
     HttpEmbeddingProvider,
@@ -353,3 +354,43 @@ class TestHttpEmbeddingProvider:
         provider = serve(Reply(body=_emb_payload([[1.0]])))
         with pytest.raises(ProviderUnavailableError, match="embedding count mismatch"):
             provider.embed(["a", "b"])
+
+    @pytest.fixture
+    def chunked(self, stub_server, waits):
+        """A provider whose stub embeds text "n" as [n]; `fail(call, payload)`
+        may replace the reply to the call-th request (0-based)."""
+
+        def chunked(fail=lambda call, payload: None):
+            def answer(payload):
+                call = len(stub_server.received) - 1
+                vectors = [[float(text)] for text in payload["input"]]
+                return fail(call, payload) or Reply(body=_emb_payload(vectors))
+
+            stub_server.answer = answer
+            return HttpEmbeddingProvider(stub_server.url, "modelo")
+
+        return chunked
+
+    def test_requests_hold_at_most_one_batch(self, chunked, stub_server):
+        texts = [str(n) for n in range(70)]
+        assert chunked().embed(texts) == [[float(n)] for n in range(70)]
+        sent = [request.json["input"] for request in stub_server.received]
+        assert [len(chunk) for chunk in sent] == [EMBED_BATCH_SIZE, EMBED_BATCH_SIZE, 6]
+        assert sum(sent, []) == texts
+
+    def test_busy_chunk_is_retried(self, chunked, stub_server, waits):
+        provider = chunked(lambda call, payload: Reply(503) if call == 1 else None)
+        assert provider.embed([str(n) for n in range(70)]) == [[float(n)] for n in range(70)]
+        sent = [request.json["input"][0] for request in stub_server.received]
+        assert sent == ["0", "32", "32", "64"]
+        assert len(waits) == 1
+
+    @pytest.mark.parametrize("bad_call", [0, 1, 2])
+    def test_count_mismatch_in_any_chunk(self, chunked, bad_call):
+        def short(call, payload):
+            if call == bad_call:
+                return Reply(body=_emb_payload([[0.0]] * (len(payload["input"]) - 1)))
+            return None
+
+        with pytest.raises(ProviderUnavailableError, match="embedding count mismatch"):
+            chunked(short).embed([str(n) for n in range(70)])
