@@ -176,7 +176,7 @@ def load_config(path) -> dict:
             raw = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
@@ -347,7 +347,7 @@ def _partial_exit(total: int, failures: list[tuple[str, str]]) -> int:
 def cmd_stats(args) -> int:
     config = load_config(args.config)
     embed = make_embed_provider(args.embed, config) if args.embed else None
-    docs = load_corpus(args.input, args.format)
+    docs = load_corpus(args.input)
     report = corpus_stats(docs, side=args.side, embed_provider=embed)
     if args.text:
         _emit(render_stats_table(report, title=f"{args.input} [{args.side}]"), args.output)
@@ -361,7 +361,7 @@ def cmd_stats(args) -> int:
 def cmd_index(args) -> int:
     config = load_config(args.config)
     params = Bm25Params(**_options(config, "bm25", args))
-    docs = load_corpus(args.corpus, args.format)
+    docs = load_corpus(args.corpus)
     ids, pairs = _training_pairs(docs)
     index = build_index(pairs, params=params, ids=ids)
     save_index(index, args.output)
@@ -390,7 +390,7 @@ def cmd_adapt(args) -> int:
     if args.mode == "fs-emb" and not args.embed:
         raise UsageError("fs-emb needs --embed")
 
-    docs = load_corpus(args.input, args.format)
+    docs = load_corpus(args.input)
     provider = make_chat_provider(args.provider, config)
     decoding = DECODING_PROFILES[args.decoding]
     options = _options(config, args=args)
@@ -434,7 +434,7 @@ def cmd_adapt(args) -> int:
 
 def cmd_refine(args) -> int:
     config = load_config(args.config)
-    docs = load_corpus(args.docs, args.format)
+    docs = load_corpus(args.docs)
     outputs = read_adaptations(args.input)
     docs_by_id = {doc.id: doc for doc in docs}
     unknown = [doc_id for doc_id in outputs if doc_id not in docs_by_id]
@@ -463,7 +463,7 @@ def cmd_refine(args) -> int:
 def cmd_evaluate(args) -> int:
     config = load_config(args.config)
     embed = make_embed_provider(args.embed, config)
-    docs = load_corpus(args.corpus, args.format)
+    docs = load_corpus(args.corpus)
     outputs = read_adaptations(args.input)
     report = evaluate_run(outputs, docs, embed)
     if args.text:
@@ -556,7 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("stats", help="corpus statistics report")
     _add_common(p)
     p.add_argument("--input", required=True)
-    p.add_argument("--format", choices=["jsonl", "csv"], default=None)
     p.add_argument("--side", choices=["source", "reference"], default="source")
     p.add_argument("--embed", help="hash[:DIM] | http (enables similarity rows)")
     p.add_argument("--text", action="store_true", help="plain-text table output")
@@ -566,7 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("index", help="build a BM25 demonstration index")
     _add_common(p)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--format", choices=["jsonl", "csv"], default=None)
     p.add_argument("--output", required=True)
     p.add_argument("--k1", type=float)
     p.add_argument("--b", type=float)
@@ -577,7 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("adapt", help="produce initial adaptations")
     _add_common(p)
     p.add_argument("--input", required=True, help="documents to adapt")
-    p.add_argument("--format", choices=["jsonl", "csv"], default=None)
     p.add_argument("--corpus", help="training docs for demonstrations")
     p.add_argument("--index", help="prebuilt BM25 index (fs-bm25)")
     p.add_argument(
@@ -600,7 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--input", required=True, help="initial adaptations JSONL")
     p.add_argument("--docs", required=True, help="documents being refined")
-    p.add_argument("--format", choices=["jsonl", "csv"], default=None)
     p.add_argument("--corpus", required=True, help="training docs for demonstrations")
     p.add_argument("--index", help="prebuilt BM25 index")
     p.add_argument("--provider", required=True, help="echo | scripted:PATH | http")
@@ -617,14 +613,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--input", required=True, help="outputs or traces JSONL")
     p.add_argument("--corpus", required=True, help="docs with references")
-    p.add_argument("--format", choices=["jsonl", "csv"], default=None)
     p.add_argument("--embed", required=True, help="hash[:DIM] | http")
     p.add_argument("--text", action="store_true")
     p.add_argument("--output")
     p.set_defaults(func=cmd_evaluate)
 
     p = subs.add_parser("ensemble", help="best-scoring stream per document")
-    _add_common(p)
     p.add_argument("--inputs", nargs="+", required=True, help="two or more trace files")
     p.add_argument("--priority", help="comma-separated stream tie-break order")
     p.add_argument("--output", required=True)

@@ -1,7 +1,8 @@
-"""Corpus ingestion, budget filtering, splitting, stats, evaluation.
+"""The JSON Lines reader, corpus loading, stats and evaluation.
 
 Documents carry an id, a source text, an optional reference adaptation
-and a task tag (PL or ER). Corpora load from JSONL or CSV. Statistics
+and a task tag (PL or ER). Corpora load from JSONL, or from CSV when the
+file name ends in `.csv`. Statistics
 report both aggregation conventions for the readability index: micro
 (over pooled corpus counts) and macro (mean of per-document values),
 because the two differ and published tables mix them.
@@ -13,7 +14,7 @@ import csv
 import json
 from dataclasses import dataclass
 from statistics import fmean
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .errors import (
     CorpusParseError,
@@ -22,17 +23,11 @@ from .errors import (
     EmptyTextError,
     MissingReferencesError,
     NoWordsError,
-    SplitSpecError,
     UnknownDocIdError,
 )
-from .prompts import TASKS, initial_system_prompt
+from .prompts import TASKS
 from .similarity import EmbeddingProvider, bow_vector, cosine, table_average
 from .textstats import fh_from_counts, fh_index, text_stats
-
-import random
-
-DEFAULT_TOKEN_BUDGET = 3000
-DEFAULT_DEV_SIZE = 240
 
 
 @dataclass(frozen=True)
@@ -72,43 +67,39 @@ def _document_from_fields(fields: Mapping, path, line: int) -> Document:
 def read_jsonl(path):
     """Yield (line number, decoded value) for each non-blank line of a JSON
     Lines file, one line at a time. The value may be of any JSON type, so
-    callers check its shape; a line that is not JSON raises CorpusParseError
-    naming the file and the line."""
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
+    callers check its shape; a line that is not UTF-8 or not JSON raises
+    CorpusParseError naming the file and the line."""
+    with open(path, "rb") as handle:
+        for line_no, raw in enumerate(handle, start=1):
             try:
-                value = json.loads(line)
-            except json.JSONDecodeError as exc:
+                line = raw.decode("utf-8")
+                if line.strip():
+                    yield line_no, json.loads(line)
+            except ValueError as exc:  # not UTF-8, or not JSON
                 raise CorpusParseError(
                     f"{path} line {line_no}: invalid JSON: {exc}", line=line_no
                 ) from exc
-            yield line_no, value
 
 
 def _read_csv(path):
-    """Yield (line number, row dict) for each data row of a CSV file."""
+    """Yield (line number, row dict) for each data row of a CSV file; a
+    file that is not UTF-8 raises CorpusParseError naming it."""
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
-        for row in reader:
-            yield reader.line_num, row
+        try:
+            for row in reader:
+                yield reader.line_num, row
+        except UnicodeDecodeError as exc:
+            raise CorpusParseError(f"{path}: not UTF-8: {exc}") from exc
 
 
-def load_corpus(path, fmt: str | None = None) -> list[Document]:
-    """Load documents from a JSONL or CSV file.
-
-    `fmt` defaults to the file suffix. Duplicate ids and malformed
-    lines raise naming the file and the offending line number.
-    """
-    if fmt is None:
-        name = str(path).lower()
-        fmt = "csv" if name.endswith(".csv") else "jsonl"
-    if fmt not in ("jsonl", "csv"):
-        raise ValueError(f"unknown corpus format {fmt!r}")
+def load_corpus(path) -> list[Document]:
+    """Load documents from CSV if the file name ends in `.csv` (in any
+    case), else from JSONL. Duplicate ids and malformed lines raise
+    naming the file and the offending line number."""
     docs: list[Document] = []
     seen: dict[str, int] = {}
-    rows = read_jsonl(path) if fmt == "jsonl" else _read_csv(path)
+    rows = _read_csv(path) if str(path).lower().endswith(".csv") else read_jsonl(path)
     for line_no, fields in rows:
         if not isinstance(fields, dict):
             raise CorpusParseError(
@@ -126,59 +117,6 @@ def load_corpus(path, fmt: str | None = None) -> list[Document]:
     if not docs:
         raise EmptyCorpusError(f"no documents in {path}")
     return docs
-
-
-def whitespace_token_count(text: str) -> int:
-    return len(text.split())
-
-
-def filter_by_token_budget(
-    docs: list[Document],
-    budget: int = DEFAULT_TOKEN_BUDGET,
-    counter: Callable[[str], int] = whitespace_token_count,
-) -> tuple[list[Document], list[Document]]:
-    """Partition docs into (kept, dropped) by prompt-size budget.
-
-    The counted text is the initial instruction prompt for the doc's
-    task plus source plus reference; a doc exactly at the budget is
-    kept. The counter is pluggable because the reference setup counted
-    with a model-specific tokenizer; the default is whitespace tokens.
-    """
-    if budget <= 0:
-        raise ValueError("budget must be positive")
-    kept: list[Document] = []
-    dropped: list[Document] = []
-    for doc in docs:
-        text = initial_system_prompt(doc.task) + "\n" + doc.source
-        if doc.reference:
-            text += "\n" + doc.reference
-        (kept if counter(text) <= budget else dropped).append(doc)
-    return kept, dropped
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    dev_size: int = DEFAULT_DEV_SIZE
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.dev_size < 1:
-            raise SplitSpecError("dev_size must be >= 1")
-
-
-def split_corpus(
-    docs: list[Document], spec: SplitSpec
-) -> tuple[list[Document], list[Document]]:
-    """Deterministic seeded (train, dev) partition, corpus order kept."""
-    if spec.dev_size >= len(docs):
-        raise SplitSpecError(
-            f"dev_size {spec.dev_size} must be smaller than corpus size {len(docs)}"
-        )
-    rng = random.Random(spec.seed)
-    dev_positions = set(rng.sample(range(len(docs)), spec.dev_size))
-    dev = [doc for pos, doc in enumerate(docs) if pos in dev_positions]
-    train = [doc for pos, doc in enumerate(docs) if pos not in dev_positions]
-    return train, dev
 
 
 @dataclass(frozen=True)

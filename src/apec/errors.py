@@ -94,10 +94,6 @@ class DuplicateIdError(CorpusParseError):
     """A document id occurred twice in one corpus file."""
 
 
-class SplitSpecError(ApecError):
-    """Train/dev split parameters are inconsistent with the corpus."""
-
-
 class MissingReferencesError(ApecError):
     """Reference adaptations required but absent."""
 

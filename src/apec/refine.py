@@ -30,7 +30,6 @@ from .errors import (
 from .generation import (
     REFINE,
     ChatProvider,
-    DecodingParams,
     generate_text,
     parse_apec_response,
     render_apec_prompt,
@@ -46,7 +45,6 @@ TRACE_SCHEMA_VERSION = 1
 class ApecConfig:
     cycles: int = 5
     demo_count: int = 5
-    refine_decoding: DecodingParams = REFINE
     retries: int = DEFAULT_RETRIES
     backoff: float = DEFAULT_BACKOFF
 
@@ -133,9 +131,7 @@ def run_apec(
     incomplete = False
 
     for cycle in range(1, config.cycles + 1):
-        request = render_apec_prompt(
-            doc.task, doc.source, current, demos, decoding=config.refine_decoding
-        )
+        request = render_apec_prompt(doc.task, doc.source, current, demos, decoding=REFINE)
         try:
             raw = generate_text(
                 llm_provider, request, retries=config.retries, backoff=config.backoff

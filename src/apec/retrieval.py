@@ -54,6 +54,7 @@ from .similarity import EmbeddingProvider, EmbeddingVector, dense_dot, dense_nor
 
 INDEX_SCHEMA_VERSION = 1
 INDEX_KIND = "bm25-index-columns"
+INDEX_LAYOUT = (INDEX_SCHEMA_VERSION, INDEX_KIND)
 
 
 @dataclass(frozen=True)
@@ -431,15 +432,15 @@ def load_index(path, pairs_by_id) -> Bm25Index:
     file in an older layout, which `apec index` must rebuild.
     """
     with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
+        try:
+            payload = json.load(handle)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise _index_error(path, f"not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise _index_error(path, "not a JSON object")
-    if payload.get("schema_version") != INDEX_SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported index schema version {payload.get('schema_version')!r}"
-        )
-    if payload.get("kind") != INDEX_KIND:
-        raise _index_error(path, f"kind is {payload.get('kind')!r}, not {INDEX_KIND!r}")
+    layout = (payload.get("schema_version"), payload.get("kind"))
+    if layout != INDEX_LAYOUT:
+        raise _index_error(path, f"(schema_version, kind) is {layout}, not {INDEX_LAYOUT}")
     keys = ("params", "doc_ids", "doc_token_counts", "avgdl", "doc_freqs", "positions", "tfs")
     missing_keys = [key for key in keys if key not in payload]
     if missing_keys:

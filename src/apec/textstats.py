@@ -24,6 +24,8 @@ _ABBREVIATIONS = {
     "sr.", "sra.", "srta.", "dr.", "dra.", "núm.", "art.", "etc.",
     "pág.", "tel.", "ud.", "uds.", "avda.",
 }
+_ABBREVIATION_WINDOW = max(map(len, _ABBREVIATIONS))
+_TRAILING_LETTERS = re.compile(r"[^\W\d_]+$")
 
 _PARAGRAPH_SPLIT = re.compile(r"\n\s*\n")
 # Word tokens: runs of Unicode letters, or runs of digits (kept separate).
@@ -108,7 +110,10 @@ def _scan_block(block: str) -> list[str]:
 
 
 def _ends_with_abbreviation(block: str, period_idx: int) -> bool:
-    match = re.search(r"[^\W\d_]+$", block[:period_idx], re.UNICODE)
+    # a run of letters longer than any abbreviation never matches, so only
+    # that many characters are searched: the whole prefix is quadratic
+    start = max(0, period_idx - _ABBREVIATION_WINDOW)
+    match = _TRAILING_LETTERS.search(block, start, period_idx)
     if not match:
         return False
     return (match.group(0) + ".").lower() in _ABBREVIATIONS

@@ -1,9 +1,12 @@
 import json
 import random
+import re
+import types
 from pathlib import Path
 
 import pytest
 
+import apec
 from apec.corpus import Document
 from apec.errors import (
     EmptyAdaptationError,
@@ -11,7 +14,7 @@ from apec.errors import (
     NoCandidatesError,
     NoWordsError,
 )
-from apec.generation import GenerationRequest, ScriptedChatProvider
+from apec.generation import REFINE, GenerationRequest, ScriptedChatProvider
 from apec.refine import (
     TRACE_SCHEMA_VERSION,
     ApecConfig,
@@ -86,7 +89,6 @@ class TestApecConfig:
         config = ApecConfig()
         assert config.cycles == 5
         assert config.demo_count == 5
-        assert config.refine_decoding.temperature == 0.8
         assert (config.retries, config.backoff) == (3, 0.5)
 
     @pytest.mark.parametrize(
@@ -252,6 +254,21 @@ class TestRunApec:
         run_apec(DOC, "Sol.", INDEX, RecordingProvider(), hash_embedder, config=config)
         assert all(len(r.messages) == 1 for r in seen)
 
+    def test_every_request_uses_refine_decoding(self, hash_embedder):
+        seen = []
+
+        class RecordingProvider:
+            provider_id = "recording"
+
+            def complete(self, request):
+                seen.append(request)
+                return apec_response("Respuesta fija.")
+
+        config = ApecConfig(cycles=3)
+        run_apec(DOC, "Sol.", INDEX, RecordingProvider(), hash_embedder, config=config)
+        assert len(seen) == 3
+        assert all(request.decoding == REFINE for request in seen)
+
 
 def make_trace(doc_id: str, stream: str, final: str, final_score: float) -> ApecTrace:
     return ApecTrace(
@@ -406,9 +423,25 @@ class TestTraceSerialization:
         assert trace.final_score == 7
 
 
+def readme_library_block() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+
+
 def test_readme_library_imports():
     """The `from apec import (...)` block in README's Library section runs."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    block = readme_library_block()
     assert block.startswith("from apec import (")
     exec(block, {})
+
+
+def test_package_exports_are_the_readme_names():
+    """`apec` exports exactly the names of README's Library block, besides
+    its submodules and `__version__`, so the two cannot drift apart."""
+    imported = re.sub(r"#.*", "", readme_library_block().split("(", 1)[1].split(")", 1)[0])
+    exported = {
+        name
+        for name, value in vars(apec).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert exported == set(re.findall(r"\w+", imported))

@@ -229,6 +229,7 @@ class TestIndex:
         [
             pytest.param(lambda p: p.pop("kind"), id="no-kind"),
             pytest.param(lambda p: p.update(kind="bm25-index-v9"), id="wrong-kind"),
+            pytest.param(lambda p: p.update(schema_version=2), id="wrong-schema-version"),
             pytest.param(
                 older_format("bm25-index", lambda docs: [list(d) for d in docs]), id="old-format"
             ),
@@ -1136,6 +1137,40 @@ class TestMalformedLine:
         assert not out_path.exists()
 
 
+class TestUnreadableInput:
+    """An input that is not UTF-8, or an index that is not JSON, is a data
+    error naming the file."""
+
+    @pytest.mark.parametrize(
+        "bad_input",
+        ["corpus-jsonl", "corpus-csv", "adaptations", "traces", "fixture", "config", "index"],
+    )
+    def test_data_error_names_file(self, workdir, capsys, bad_input):
+        tmp_path, docs_path, train_path = workdir
+        bad = tmp_path / ("bad.csv" if bad_input == "corpus-csv" else "bad.jsonl")
+        content = {"corpus-csv": b"id,source,task\na,\xff,PL\n", "index": b"not json\n"}
+        bad.write_bytes(content.get(bad_input, b'{"id": "\xff"}\n'))
+        argv = {
+            "corpus-jsonl": ["stats", "--input", str(bad)],
+            "corpus-csv": ["stats", "--input", str(bad)],
+            "adaptations": ["evaluate", "--input", str(bad), "--corpus", str(docs_path),
+                            "--embed", "hash"],
+            "traces": ["ensemble", "--inputs", str(bad), str(bad)],
+            "fixture": ["adapt", "--input", str(docs_path), "--mode", "zs",
+                        "--provider", f"scripted:{bad}"],
+            "config": ["stats", "--config", str(bad), "--input", str(docs_path)],
+            "index": ["adapt", "--input", str(docs_path), "--corpus", str(train_path),
+                      "--index", str(bad), "--mode", "fs-bm25", "--provider", "echo"],
+        }[bad_input]
+        out_path = tmp_path / "out.jsonl"
+        rc = main(argv + ["--output", str(out_path)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert "Traceback" not in err
+        assert str(bad) in err
+        assert not out_path.exists()
+
+
 class TestConfig:
     def test_env_interpolation(self, tmp_path, monkeypatch):
         monkeypatch.setenv("APEC_TEST_KEY", "secreto")
@@ -1468,6 +1503,26 @@ class TestHelpers:
 
     def test_unknown_subcommand(self):
         assert main(["inventado"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stats", "--input", "d.jsonl", "--format", "csv"],
+            ["index", "--corpus", "d.jsonl", "--output", "i.json", "--format", "csv"],
+            ["adapt", "--input", "d.jsonl", "--mode", "zs", "--provider", "echo",
+             "--output", "o.jsonl", "--format", "csv"],
+            ["refine", "--input", "o.jsonl", "--docs", "d.jsonl", "--corpus", "d.jsonl",
+             "--provider", "echo", "--embed", "hash", "--output", "t.jsonl", "--format", "csv"],
+            ["evaluate", "--input", "o.jsonl", "--corpus", "d.jsonl", "--embed", "hash",
+             "--format", "csv"],
+            ["ensemble", "--inputs", "a.jsonl", "b.jsonl", "--output", "e.jsonl",
+             "--config", "c.json"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_removed_options_are_usage_errors(self, argv, capsys):
+        assert main(argv) == EXIT_USAGE
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
     def test_no_arguments(self):
         assert main([]) == EXIT_USAGE

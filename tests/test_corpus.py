@@ -4,29 +4,22 @@ from statistics import fmean
 
 import pytest
 
-from apec.cli import write_jsonl
 from apec.corpus import (
     CorpusStatsReport,
     Document,
-    SplitSpec,
     corpus_stats,
     evaluate_run,
-    filter_by_token_budget,
     load_corpus,
     render_evaluation_table,
     render_stats_table,
-    split_corpus,
-    whitespace_token_count,
 )
 from apec.errors import (
     CorpusParseError,
     DuplicateIdError,
     EmptyCorpusError,
     MissingReferencesError,
-    SplitSpecError,
     UnknownDocIdError,
 )
-from apec.prompts import initial_system_prompt
 from apec.similarity import table_average
 from apec.textstats import fh_index
 
@@ -124,9 +117,13 @@ class TestLoadJsonl:
         with pytest.raises(EmptyCorpusError):
             load_corpus(path)
 
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError):
-            load_corpus(tmp_path / "x.jsonl", fmt="xml")
+    def test_non_utf8_line_reports_line(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(b'{"id": "a", "source": "Uno.", "task": "PL"}\n{"id": "\xff"}\n')
+        with pytest.raises(CorpusParseError) as exc_info:
+            load_corpus(path)
+        assert exc_info.value.line == 2
+        assert f"{path} line 2" in str(exc_info.value)
 
 
 class TestLoadCsv:
@@ -148,6 +145,14 @@ class TestLoadCsv:
         path.write_text("id,source,task\na,Uno.,PL\n", encoding="utf-8")
         assert load_corpus(path)[0].source == "Uno."
 
+    def test_suffix_decides_format_in_any_case(self, tmp_path):
+        upper = tmp_path / "CORPUS.CSV"
+        upper.write_text("id,source,task\na,Uno.,PL\n", encoding="utf-8")
+        assert load_corpus(upper)[0].source == "Uno."
+        other = tmp_path / "corpus.txt"
+        write_jsonl(other, [{"id": "a", "source": "Dos.", "task": "PL"}])
+        assert load_corpus(other)[0].source == "Dos."
+
     def test_missing_value_reports_line(self, tmp_path):
         path = tmp_path / "corpus.csv"
         path.write_text("id,source,task\na,,PL\n", encoding="utf-8")
@@ -164,7 +169,7 @@ class TestLoadCsv:
             load_corpus(path)
 
 
-class TestSaveCorpus:
+class TestJsonlRoundTrip:
     def test_round_trip(self, tmp_path):
         docs = [
             Document(id="a", source="Uno.", reference="Corto.", task="PL"),
@@ -173,97 +178,6 @@ class TestSaveCorpus:
         path = tmp_path / "out.jsonl"
         write_jsonl(path, [dataclasses.asdict(doc) for doc in docs])
         assert load_corpus(path) == docs
-
-
-class TestTokenBudget:
-    def test_exact_budget_kept(self):
-        doc = Document(id="a", source="uno dos tres", reference="uno dos")
-        counted = (
-            initial_system_prompt("PL") + "\n" + doc.source + "\n" + doc.reference
-        )
-        exact = whitespace_token_count(counted)
-        kept, dropped = filter_by_token_budget([doc], budget=exact)
-        assert kept == [doc] and dropped == []
-        kept, dropped = filter_by_token_budget([doc], budget=exact - 1)
-        assert kept == [] and dropped == [doc]
-
-    def test_reference_excluded_when_absent(self):
-        doc = Document(id="a", source="uno dos tres")
-        counted = initial_system_prompt("PL") + "\n" + doc.source
-        exact = whitespace_token_count(counted)
-        kept, _ = filter_by_token_budget([doc], budget=exact)
-        assert kept == [doc]
-
-    def test_partition_preserves_order(self):
-        docs = [
-            Document(id=f"d{i}", source="palabra " * (i + 1), reference="x")
-            for i in range(6)
-        ]
-        kept, dropped = filter_by_token_budget(
-            docs, budget=100, counter=whitespace_token_count
-        )
-        assert kept + dropped and [d.id for d in kept] == sorted(
-            (d.id for d in kept), key=lambda s: int(s[1:])
-        )
-        assert {d.id for d in kept} | {d.id for d in dropped} == {d.id for d in docs}
-
-    def test_recount_oracle(self):
-        docs = [
-            Document(id=f"d{i}", source="palabra " * (5 * i + 1)) for i in range(8)
-        ]
-        budget = 90
-        kept, dropped = filter_by_token_budget(docs, budget=budget)
-        for doc in kept:
-            text = initial_system_prompt(doc.task) + "\n" + doc.source
-            assert whitespace_token_count(text) <= budget
-        for doc in dropped:
-            text = initial_system_prompt(doc.task) + "\n" + doc.source
-            assert whitespace_token_count(text) > budget
-
-    def test_custom_counter(self):
-        doc = Document(id="a", source="abc")
-        kept, dropped = filter_by_token_budget([doc], budget=5, counter=len)
-        assert dropped == [doc]
-
-    def test_invalid_budget(self):
-        with pytest.raises(ValueError):
-            filter_by_token_budget([], budget=0)
-
-
-class TestSplit:
-    DOCS = [Document(id=f"d{i}", source=f"Texto {i}.") for i in range(30)]
-
-    def test_partition(self):
-        train, dev = split_corpus(self.DOCS, SplitSpec(dev_size=10, seed=3))
-        assert len(dev) == 10
-        assert len(train) == 20
-        assert {d.id for d in train} | {d.id for d in dev} == {
-            d.id for d in self.DOCS
-        }
-        assert not {d.id for d in train} & {d.id for d in dev}
-
-    def test_corpus_order_preserved(self):
-        train, dev = split_corpus(self.DOCS, SplitSpec(dev_size=10, seed=3))
-        positions = {doc.id: pos for pos, doc in enumerate(self.DOCS)}
-        assert [positions[d.id] for d in train] == sorted(
-            positions[d.id] for d in train
-        )
-        assert [positions[d.id] for d in dev] == sorted(positions[d.id] for d in dev)
-
-    def test_deterministic(self):
-        first = split_corpus(self.DOCS, SplitSpec(dev_size=10, seed=3))
-        second = split_corpus(self.DOCS, SplitSpec(dev_size=10, seed=3))
-        assert first == second
-        different = split_corpus(self.DOCS, SplitSpec(dev_size=10, seed=4))
-        assert different != first
-
-    def test_dev_size_too_large(self):
-        with pytest.raises(SplitSpecError):
-            split_corpus(self.DOCS[:5], SplitSpec(dev_size=5))
-
-    def test_dev_size_too_small(self):
-        with pytest.raises(SplitSpecError):
-            SplitSpec(dev_size=0)
 
 
 class TestCorpusStats:

@@ -688,5 +688,6 @@ class TestPersistence:
     def test_schema_version_guard(self, tmp_path):
         path = tmp_path / "index.json"
         path.write_text('{"schema_version": 99}', encoding="utf-8")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="rebuild it with `apec index`") as exc_info:
             load_index(path, {})
+        assert f"index file {path}: " in str(exc_info.value)

@@ -1,3 +1,7 @@
+import random
+import re
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +11,8 @@ from apec.textstats import (
     FH_INTERCEPT,
     FH_SENTENCE_WEIGHT,
     FH_SYLLABLE_WEIGHT,
+    _ABBREVIATIONS,
+    _ends_with_abbreviation,
     count_syllables,
     fh_from_counts,
     fh_index,
@@ -142,6 +148,45 @@ class TestSegmentation:
         sentences = segment_sentences(text)
         flat = "".join("".join(s.split()) for s in sentences)
         assert flat == "".join(text.split())
+
+
+def whole_prefix_ends_with_abbreviation(block: str, period_idx: int) -> bool:
+    """The original abbreviation check, which searches the whole prefix
+    before the period: the reference for the windowed search."""
+    match = re.search(r"[^\W\d_]+$", block[:period_idx], re.UNICODE)
+    if not match:
+        return False
+    return (match.group(0) + ".").lower() in _ABBREVIATIONS
+
+
+class TestAbbreviationWindow:
+    def test_agrees_with_whole_prefix_search(self):
+        rng = random.Random(20261018)
+        stems = [abbreviation[:-1] for abbreviation in sorted(_ABBREVIATIONS)]
+        letters = "asrtdumvxñİß"
+        outcomes = []
+        for _ in range(300):
+            text = "".join(
+                "".join(rng.choices(letters, k=rng.choice([0, 0, 1, 2, 5, 9])))
+                + rng.choice([str.lower, str.upper, str.title])(rng.choice(stems))
+                + "."
+                + rng.choice(["", " ", "\n", "7", "..", "» "])
+                for _ in range(rng.randint(1, 12))
+            )
+            for i, ch in enumerate(text):
+                if ch == ".":
+                    expected = whole_prefix_ends_with_abbreviation(text, i)
+                    assert _ends_with_abbreviation(text, i) == expected, (text, i)
+                    outcomes.append(expected)
+        assert True in outcomes and False in outcomes
+
+    def test_long_paragraph_segments_in_linear_time(self):
+        paragraph = " ".join(f"El Sr. Pérez firmó el documento {i}." for i in range(20_000))
+        start = time.perf_counter()
+        sentences = segment_sentences(paragraph)
+        elapsed = time.perf_counter() - start
+        assert len(sentences) == 20_000
+        assert elapsed < 1.0, f"{elapsed:.2f} s"
 
 
 class TestSyllables:
