@@ -93,37 +93,16 @@ class UsageError(ApecError):
 
 _ENV_REF = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
-
-class _Unset(str):
-    """Config text that names an unset environment variable: an error only
-    where `_options` reads it, so a section that a run does not use may
-    name variables that are not set."""
-
-
-def _interpolate(value):
-    if isinstance(value, str):
-        if any(name not in os.environ for name in _ENV_REF.findall(value)):
-            return _Unset(value)
-        return _ENV_REF.sub(lambda match: os.environ[match.group(1)], value)
-    if isinstance(value, dict):
-        return {k: _interpolate(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_interpolate(v) for v in value]
-    return value
-
-
-# Every config key with its default. A value is converted to its default's
-# type and a dict is a section; `apec` and `bm25` take their defaults from
-# ApecConfig and Bm25Params, which also hold the range rules (_RULES). A
-# flag overrides the key that its dest names.
+# Every config key with its default; a dict is a section. `apec` and
+# `bm25` take their defaults from ApecConfig and Bm25Params, which also
+# hold the range rules (_RULES). A flag overrides the key that its dest
+# names.
 _HTTP_DEFAULTS = {"endpoint": "", "api_key": "", "model": "default", "timeout": DEFAULT_TIMEOUT}
 _CONFIG_DEFAULTS = {
     "seed": 0,
     "workers": 1,
     "retries": ApecConfig.retries,
-    "apec": {
-        key: getattr(ApecConfig, key) for key in ("cycles", "demo_count", "retries", "backoff")
-    },
+    "apec": {key: getattr(ApecConfig, key) for key in ("cycles", "demo_count")},
     "bm25": vars(Bm25Params()),
     "llm": _HTTP_DEFAULTS,
     "embeddings": _HTTP_DEFAULTS,
@@ -131,44 +110,8 @@ _CONFIG_DEFAULTS = {
 _RULES = {"": ApecConfig, "apec": ApecConfig, "bm25": Bm25Params}
 
 
-def _checked(raw: dict, defaults: dict, prefix: str = "") -> dict:
-    """`raw` with each known key converted to its default's type.
-
-    A null value drops the key, so its default applies; unknown keys
-    pass through unchanged.
-    """
-    config = {}
-    for key, value in raw.items():
-        if key not in defaults:
-            config[key] = value
-        elif value is not None:
-            config[key] = _convert(prefix + key, value, defaults[key])
-    return config
-
-
-def _convert(name: str, value, default):
-    """`value` as the type of `default`, or ConfigError naming the key.
-    Numbers may be given as strings, but may not lose digits."""
-    if isinstance(default, dict):
-        if isinstance(value, dict):
-            return _checked(value, default, name + ".")
-    elif isinstance(value, _Unset):
-        return value
-    elif isinstance(value, (int, float, str)) and not isinstance(value, bool):
-        try:
-            converted = type(default)(value)
-        except (ValueError, OverflowError):
-            pass
-        else:
-            if isinstance(value, str) or converted == value:
-                return converted
-    kind = "an object" if isinstance(default, dict) else type(default).__name__
-    raise ConfigError(f"config key {name} must be {kind}, got {value!r}")
-
-
 def load_config(path) -> dict:
-    """Read a JSON config file, interpolating ${ENV_VAR} in strings and
-    converting every known key (see `_CONFIG_DEFAULTS`)."""
+    """The JSON object in a config file; `_options` reads its keys."""
     if path is None:
         return {}
     try:
@@ -180,28 +123,57 @@ def load_config(path) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
-    return _checked(_interpolate(raw), _CONFIG_DEFAULTS)
+    return raw
+
+
+def _convert(name: str, value, default):
+    """`value` with ${VAR} substituted, as the type of `default`, or
+    ConfigError naming the key. Numbers may be given as strings, but may
+    not lose digits."""
+    if isinstance(value, str):
+        unset = [var for var in _ENV_REF.findall(value) if var not in os.environ]
+        if unset:
+            raise ConfigError(
+                f"config key {name} names unset environment variable {', '.join(unset)}"
+            )
+        value = _ENV_REF.sub(lambda match: os.environ[match.group(1)], value)
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            converted = type(default)(value)
+        except (ValueError, OverflowError):
+            pass
+        else:
+            if isinstance(value, str) or converted == value:
+                return converted
+    raise ConfigError(f"config key {name} must be {type(default).__name__}, got {value!r}")
 
 
 def _options(config: dict, section: str = "", args=None) -> dict:
     """Every option of a config section (the top level by default): the
-    flag of that name if given, else its config value, else its default.
-    A value that breaks its rule in `_RULES` (or `workers` below 1) is a
-    UsageError from a flag and a ConfigError from the config, as is a
-    config value that names an unset environment variable."""
-    values = config.get(section, {}) if section else config
+    flag of that name if given, else its config value converted by
+    `_convert`, else its default; a null value or section means the
+    default. A value that breaks its rule in `_RULES` (or `workers` below
+    1) is a UsageError from a flag and a ConfigError from the config."""
+    values = config.get(section) if section else config
+    if values is None:
+        values = {}
+    elif not isinstance(values, dict):
+        raise ConfigError(f"config key {section} must be an object, got {values!r}")
     rules = _RULES.get(section)
     ruled = {field.name for field in dataclasses.fields(rules)} if rules else set()
     options = {}
     for key, default in (_CONFIG_DEFAULTS[section] if section else _CONFIG_DEFAULTS).items():
         if isinstance(default, dict):
             continue
-        flag = getattr(args, key, None)
-        value = options[key] = flag if flag is not None else values.get(key, default)
         name = f"{section}.{key}" if section else key
-        if isinstance(value, _Unset):
-            unset = ", ".join(n for n in _ENV_REF.findall(value) if n not in os.environ)
-            raise ConfigError(f"config key {name} names unset environment variable {unset}")
+        flag = getattr(args, key, None)
+        if flag is not None:
+            value = flag
+        elif values.get(key) is not None:
+            value = _convert(name, values[key], default)
+        else:
+            value = default
+        options[key] = value
         try:
             if key in ruled:
                 rules(**{key: value})
@@ -242,18 +214,18 @@ def make_chat_provider(spec: str, config: dict):
 
 
 def make_embed_provider(spec: str, config: dict):
-    if spec == "hash":
-        return CachedEmbeddingProvider(HashEmbeddingProvider())
-    if spec.startswith("hash:"):
+    if spec == "http":
+        provider = _http_provider(HttpEmbeddingProvider, config, "embeddings", "EMB")
+    elif spec == "hash":
+        provider = HashEmbeddingProvider()
+    elif spec.startswith("hash:"):
         dim = spec[len("hash:"):]
         if not dim.isdecimal() or int(dim) < 1:
             raise UsageError(f"embedding spec {spec!r}: hash:DIM needs an integer DIM >= 1")
-        return CachedEmbeddingProvider(HashEmbeddingProvider(int(dim)))
-    if spec == "http":
-        return CachedEmbeddingProvider(
-            _http_provider(HttpEmbeddingProvider, config, "embeddings", "EMB")
-        )
-    raise UsageError(f"unknown embedding provider spec {spec!r} (hash[:DIM] | http)")
+        provider = HashEmbeddingProvider(int(dim))
+    else:
+        raise UsageError(f"unknown embedding provider spec {spec!r} (hash[:DIM] | http)")
+    return CachedEmbeddingProvider(provider)
 
 
 # -------------------------------------------------------------- file I/O
@@ -344,8 +316,7 @@ def _partial_exit(total: int, failures: list[tuple[str, str]]) -> int:
 # ----------------------------------------------------------- subcommands
 
 
-def cmd_stats(args) -> int:
-    config = load_config(args.config)
+def cmd_stats(args, config: dict) -> int:
     embed = make_embed_provider(args.embed, config) if args.embed else None
     docs = load_corpus(args.input)
     report = corpus_stats(docs, side=args.side, embed_provider=embed)
@@ -358,8 +329,7 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
-def cmd_index(args) -> int:
-    config = load_config(args.config)
+def cmd_index(args, config: dict) -> int:
     params = Bm25Params(**_options(config, "bm25", args))
     docs = load_corpus(args.corpus)
     ids, pairs = _training_pairs(docs)
@@ -379,8 +349,7 @@ def _parse_ratio(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def cmd_adapt(args) -> int:
-    config = load_config(args.config)
+def cmd_adapt(args, config: dict) -> int:
     if args.k < 1:
         raise UsageError(f"--k must be >= 1, got {args.k}")
     if args.ratio and args.mode != "fs-bm25":
@@ -389,21 +358,20 @@ def cmd_adapt(args) -> int:
         raise UsageError(f"mode {args.mode} needs --corpus for demonstrations")
     if args.mode == "fs-emb" and not args.embed:
         raise UsageError("fs-emb needs --embed")
-
-    docs = load_corpus(args.input)
-    provider = make_chat_provider(args.provider, config)
-    decoding = DECODING_PROFILES[args.decoding]
     options = _options(config, args=args)
     ratio = _parse_ratio(args.ratio) if args.ratio else None
+    decoding = DECODING_PROFILES[args.decoding]
+    provider = make_chat_provider(args.provider, config)
+    embed = make_embed_provider(args.embed, config) if args.mode == "fs-emb" else None
 
-    index = pairs = embed = None
+    docs = load_corpus(args.input)
+    index = pairs = None
     if args.mode != "zs":
         ids, pairs = _training_pairs(load_corpus(args.corpus))
         if args.mode == "fs-bm25":
             index = _bm25_index(args.index, ids, pairs)
         if args.mode == "fs-emb":
             # built before the pool starts, so worker threads share it unlocked
-            embed = make_embed_provider(args.embed, config)
             index = build_embedding_index(pairs, embed)
 
     def demos_for(doc: Document):
@@ -432,8 +400,12 @@ def cmd_adapt(args) -> int:
     return _partial_exit(len(docs), failures)
 
 
-def cmd_refine(args) -> int:
-    config = load_config(args.config)
+def cmd_refine(args, config: dict) -> int:
+    options = _options(config, args=args)
+    run_config = ApecConfig(**_options(config, "apec", args), retries=options["retries"])
+    provider = make_chat_provider(args.provider, config)
+    embed = make_embed_provider(args.embed, config)
+
     docs = load_corpus(args.docs)
     outputs = read_adaptations(args.input)
     docs_by_id = {doc.id: doc for doc in docs}
@@ -443,10 +415,6 @@ def cmd_refine(args) -> int:
 
     ids, pairs = _training_pairs(load_corpus(args.corpus))
     index = _bm25_index(args.index, ids, pairs)
-    provider = make_chat_provider(args.provider, config)
-    embed = make_embed_provider(args.embed, config)
-    run_config = ApecConfig(**_options(config, "apec", args))
-    workers = _options(config, args=args)["workers"]
     target_docs = [doc for doc in docs if doc.id in outputs]
 
     def work(doc: Document):
@@ -455,13 +423,12 @@ def cmd_refine(args) -> int:
         )
         return trace, "trace incomplete: provider gave out mid-run" if trace.incomplete else None
 
-    traces, failures = _run_docs(work, target_docs, workers)
+    traces, failures = _run_docs(work, target_docs, options["workers"])
     write_jsonl(args.output, map(trace_to_dict, traces))
     return _partial_exit(len(target_docs), failures)
 
 
-def cmd_evaluate(args) -> int:
-    config = load_config(args.config)
+def cmd_evaluate(args, config: dict) -> int:
     embed = make_embed_provider(args.embed, config)
     docs = load_corpus(args.corpus)
     outputs = read_adaptations(args.input)
@@ -469,21 +436,14 @@ def cmd_evaluate(args) -> int:
     if args.text:
         _emit(render_evaluation_table(report), args.output)
     else:
-        payload = {
-            "schema_version": ARTIFACT_SCHEMA_VERSION,
-            "doc_count": report.doc_count,
-            "fh": report.fh,
-            "fh_gain": report.fh_gain,
-            "bow_sim": report.bow_sim,
-            "emb_sim": report.emb_sim,
-            "table_avg": report.table_avg,
-            "rows": [vars(row) for row in report.rows],
-        }
+        payload = dataclasses.asdict(report)
+        del payload["skipped"]  # reported on stderr
+        payload["schema_version"] = ARTIFACT_SCHEMA_VERSION
         _emit(json.dumps(payload, ensure_ascii=False, sort_keys=True), args.output)
     return _partial_exit(report.doc_count + len(report.skipped), report.skipped)
 
 
-def cmd_ensemble(args) -> int:
+def cmd_ensemble(args, config: dict) -> int:
     if len(args.inputs) < 2:
         raise UsageError("ensemble needs at least two trace files")
     priority = args.priority.split(",") if args.priority else None
@@ -534,7 +494,7 @@ def cmd_ensemble(args) -> int:
     return EXIT_OK
 
 
-def cmd_tablecheck(args) -> int:
+def cmd_tablecheck(args, config: dict) -> int:
     results = run_table_checks(tolerance=args.tolerance)
     print(render_check_report(results))
     return EXIT_OK if all_asserted_ok(results) else EXIT_CHECK_FAILED
@@ -638,7 +598,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return args.func(args, load_config(getattr(args, "config", None)))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

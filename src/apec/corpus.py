@@ -83,7 +83,9 @@ def read_jsonl(path):
 
 def _read_csv(path):
     """Yield (line number, row dict) for each data row of a CSV file; a
-    file that is not UTF-8 raises CorpusParseError naming it."""
+    file that is not UTF-8 raises CorpusParseError naming it, and a row
+    that the csv module rejects (such as a field over its size limit)
+    one naming the file and the line."""
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
         try:
@@ -91,6 +93,9 @@ def _read_csv(path):
                 yield reader.line_num, row
         except UnicodeDecodeError as exc:
             raise CorpusParseError(f"{path}: not UTF-8: {exc}") from exc
+        except csv.Error as exc:
+            line = reader.reader.line_num  # DictReader's own count lags a row that failed
+            raise CorpusParseError(f"{path} line {line}: {exc}", line=line) from exc
 
 
 def load_corpus(path) -> list[Document]:

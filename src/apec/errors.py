@@ -74,10 +74,6 @@ class MissingCorrectionError(ApecError):
     """A revision response has no usable correction section."""
 
 
-class EmptyCandidateError(ApecError):
-    """Candidate adaptation is empty, so it cannot be scored."""
-
-
 class NoCandidatesError(ApecError):
     """Ensemble selection got no candidate streams."""
 

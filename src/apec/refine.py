@@ -19,7 +19,6 @@ from .errors import (
     DEFAULT_BACKOFF,
     DEFAULT_RETRIES,
     EmptyAdaptationError,
-    EmptyCandidateError,
     EmptyTextError,
     MissingCorrectionError,
     NoCandidatesError,
@@ -82,8 +81,6 @@ def score_candidate(
     source: str, candidate: str, embed_provider: EmbeddingProvider
 ) -> tuple[float, float, float]:
     """(readability, embedding similarity to source, combined score)."""
-    if not candidate.strip():
-        raise EmptyCandidateError("cannot score an empty candidate")
     fh = fh_index(candidate).fh
     source_vec, candidate_vec = embed_provider.embed([source, candidate])
     emb_sim = cosine(source_vec, candidate_vec)
@@ -152,7 +149,7 @@ def run_apec(
         candidate = parsed.correction
         try:
             fh, emb_sim, score = score_candidate(doc.source, candidate, embed_provider)
-        except (EmptyCandidateError, NoWordsError, EmptyTextError):
+        except (NoWordsError, EmptyTextError):
             records.append(_failed_cycle(cycle, candidate))
             continue
         except ProviderUnavailableError:

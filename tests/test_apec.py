@@ -10,7 +10,7 @@ import apec
 from apec.corpus import Document
 from apec.errors import (
     EmptyAdaptationError,
-    EmptyCandidateError,
+    EmptyTextError,
     NoCandidatesError,
     NoWordsError,
 )
@@ -76,7 +76,7 @@ class TestScoreCandidate:
         assert score == pytest.approx((85.82 + 87.11) / 2)
 
     def test_empty_candidate(self, hash_embedder):
-        with pytest.raises(EmptyCandidateError):
+        with pytest.raises(EmptyTextError):
             score_candidate("fuente", "   ", hash_embedder)
 
     def test_wordless_candidate(self, hash_embedder):

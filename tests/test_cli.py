@@ -1,7 +1,9 @@
 import base64
 import json
+import re
 import struct
 import time
+from pathlib import Path
 
 import pytest
 
@@ -134,6 +136,25 @@ class TestStats:
         err = capsys.readouterr().err
         assert "doc signos" in err
         assert "Traceback" not in err
+
+    def test_csv_field_over_limit_is_data_error(self, tmp_path, capsys):
+        rows = [
+            {"id": "a", "source": "Texto corto.", "task": "PL"},
+            {"id": "b", "source": "palabra " * 20_000, "task": "PL"},  # 160,000 characters
+        ]
+        csv_path = tmp_path / "big.csv"
+        csv_path.write_text(
+            "id,source,task\n" + "".join(f"{r['id']},{r['source']},{r['task']}\n" for r in rows),
+            encoding="utf-8",
+        )
+        assert main(["stats", "--input", str(csv_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"error: {csv_path} line 3: field larger than field limit" in err
+        assert "Traceback" not in err
+        jsonl_path = tmp_path / "big.jsonl"
+        write_lines(jsonl_path, rows)
+        assert main(["stats", "--input", str(jsonl_path)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["doc_count"] == 2
 
 
 def u32_column(values) -> str:
@@ -1172,22 +1193,32 @@ class TestUnreadableInput:
 
 
 class TestConfig:
-    def test_env_interpolation(self, tmp_path, monkeypatch):
+    def test_env_interpolation(self, workdir, monkeypatch):
+        # substituted and converted where the run reads the key
+        monkeypatch.setenv("APEC_TEST_SEED", "7")
+        tmp_path, docs_path, train_path = workdir
+        config_path = tmp_path / "config.json"
+        config_path.write_text('{"seed": "${APEC_TEST_SEED}"}', encoding="utf-8")
+        assert load_config(config_path) == {"seed": "${APEC_TEST_SEED}"}
+        base = ["adapt", "--input", str(docs_path), "--corpus", str(train_path),
+                "--mode", "fs-rdm", "--k", "2", "--provider", "echo"]
+        flag_out, cfg_out = tmp_path / "flag.jsonl", tmp_path / "cfg.jsonl"
+        assert main(base + ["--seed", "7", "--output", str(flag_out)]) == EXIT_OK
+        assert main(base + ["--config", str(config_path), "--output", str(cfg_out)]) == EXIT_OK
+        assert flag_out.read_bytes() == cfg_out.read_bytes()
+
+    def test_env_interpolation_in_strings(self, workdir, monkeypatch, stub_server):
+        monkeypatch.setenv("APEC_TEST_URL", stub_server.url)
         monkeypatch.setenv("APEC_TEST_KEY", "secreto")
-        path = tmp_path / "config.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "llm": {"api_key": "${APEC_TEST_KEY}", "endpoints": ["${APEC_TEST_KEY}"]},
-                    "seed": 7,
-                }
-            ),
-            encoding="utf-8",
-        )
-        config = load_config(path)
-        assert config["llm"]["api_key"] == "secreto"
-        assert config["llm"]["endpoints"] == ["secreto"]
-        assert config["seed"] == 7
+        stub_server.answer = turns_answer
+        tmp_path, docs_path, train_path = workdir
+        config_path = tmp_path / "config.json"
+        config = {"llm": {"endpoint": "${APEC_TEST_URL}/v1", "api_key": "${APEC_TEST_KEY}"}}
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        argv = config_argv("adapt", tmp_path, docs_path, train_path)
+        assert main(argv + ["--config", str(config_path)]) == EXIT_OK
+        assert {r.path for r in stub_server.received} == {"/v1"}
+        assert {r.headers["Authorization"] for r in stub_server.received} == {"Bearer secreto"}
 
     def test_missing_env_var_is_config_error(self, workdir, monkeypatch, capsys):
         # an error where a run reads the key, not where it only loads the file
@@ -1235,6 +1266,18 @@ class TestConfig:
         assert "Traceback" not in err
         assert not (tmp_path / "out.jsonl").exists()
 
+    def test_top_level_retries_reach_refine(self, workdir, stub_server, waits):
+        stub_server.answer = lambda payload: Reply(503, {"error": "busy"})
+        tmp_path, docs_path, train_path = workdir
+        config_path = tmp_path / "config.json"
+        config = {"retries": 0, "llm": {"endpoint": stub_server.url + "/v1"}}
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        argv = config_argv("refine", tmp_path, docs_path, train_path)
+        argv[argv.index("echo")] = "http"
+        assert main(argv + ["--config", str(config_path)]) == EXIT_PROVIDER
+        assert len(stub_server.received) == 1
+        assert waits == []
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text("{broken", encoding="utf-8")
@@ -1249,6 +1292,17 @@ class TestConfig:
 
     def test_none_path_is_empty(self):
         assert load_config(None) == {}
+
+    def test_readme_lists_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| key | type | read by |\n", 1)[1].split("\n\n", 1)[0]
+        listed = re.findall(r"`([\w.]+)`", "".join(row.split("|")[1] for row in table.splitlines()))
+        keys = [
+            f"{name}.{key}" if isinstance(default, dict) else name
+            for name, default in apec.cli._CONFIG_DEFAULTS.items()
+            for key in (default if isinstance(default, dict) else [None])
+        ]
+        assert sorted(listed) == sorted(keys)
 
     def test_config_supplies_seed(self, workdir):
         tmp_path, docs_path, train_path = workdir
@@ -1340,6 +1394,13 @@ class TestConfigValues:
             outputs.append(out_path.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
 
+    def test_unread_bad_value_is_ignored(self, workdir):
+        tmp_path, docs_path, train_path = workdir
+        config_path = tmp_path / "config.json"
+        config_path.write_text('{"bm25": {"k1": "abc"}}', encoding="utf-8")
+        argv = config_argv("adapt", tmp_path, docs_path, train_path, "echo")
+        assert main(argv + ["--config", str(config_path)]) == EXIT_OK
+
 
 BAD_FLAGS = [
     ("adapt", ["--retries", "-1"], "retries must be >= 0, got -1"),
@@ -1360,8 +1421,7 @@ BAD_CONFIG = [
     ("refine", {"workers": -3}, "config key workers: workers must be >= 1, got -3"),
     ("refine", {"apec": {"cycles": 0}}, "config key apec.cycles: cycles must be >= 1, got 0"),
     ("refine", {"apec": {"demo_count": -1}}, "config key apec.demo_count: demo_count must be"),
-    ("refine", {"apec": {"retries": -1}}, "config key apec.retries: retries must be >= 0"),
-    ("refine", {"apec": {"backoff": -0.5}}, "config key apec.backoff: backoff must be >= 0"),
+    ("refine", {"retries": -1}, "config key retries: retries must be >= 0, got -1"),
     ("index", {"bm25": {"b": 2}}, "config key bm25.b: b must be in [0, 1], got 2.0"),
     ("index", {"bm25": {"min_token_len": 0}}, "config key bm25.min_token_len: min_token_len"),
 ]
