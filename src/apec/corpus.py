@@ -50,6 +50,14 @@ def _document_from_fields(fields: Mapping, path, line: int) -> Document:
     for key in ("id", "source", "task"):
         if fields.get(key) in (None, ""):
             raise CorpusParseError(f"{path} line {line}: missing field {key!r}", line=line)
+    for key in ("source", "reference", "task"):
+        value = fields.get(key)
+        if value is not None and not isinstance(value, str):
+            raise CorpusParseError(
+                f"{path} line {line}: field {key!r} must be a string, "
+                f"got {type(value).__name__}",
+                line=line,
+            )
     reference = fields.get("reference")
     if reference == "":
         reference = None

@@ -3,10 +3,13 @@
 Sentence splitting and syllabification are deterministic rule-based
 approximations (no NLP models). The readability index is the Spanish
 Flesch adaptation over syllables per 100 words and words per sentence.
+Syllable counts are memoized per word token in a bounded, thread-safe
+cache, so each distinct word is syllabified once per process.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -18,6 +21,10 @@ FH_SENTENCE_WEIGHT = 1.02  # per words-per-sentence
 
 _TERMINALS = ".!?…"
 _CLOSERS = "»”’\")]"
+# A terminal run, then any closers, then whitespace or the end of the block.
+_SENTENCE_END = re.compile(
+    rf"([{re.escape(_TERMINALS)}]+)[{re.escape(_CLOSERS)}]*(?=\s|\Z)"
+)
 
 # Abbreviations whose trailing period never ends a sentence (lowercased).
 _ABBREVIATIONS = {
@@ -38,6 +45,8 @@ _STRONG_VOWELS = frozenset("aeoáéó")
 _WEAK_VOWELS = frozenset("iuü")
 _ACCENTED_WEAK = frozenset("íú")
 _VOWELS = _STRONG_VOWELS | _WEAK_VOWELS | _ACCENTED_WEAK
+# Distinct word tokens whose syllable counts stay memoized (~5 MB when full).
+_SYLLABLE_CACHE_SIZE = 2**15
 
 
 @dataclass(frozen=True)
@@ -85,24 +94,12 @@ def segment_sentences(text: str) -> list[str]:
 def _scan_block(block: str) -> list[str]:
     out = []
     start = 0
-    n = len(block)
-    for i, ch in enumerate(block):
-        if ch not in _TERMINALS:
+    for match in _SENTENCE_END.finditer(block):
+        # only a lone period can end an abbreviation
+        if match.group(1) == "." and _ends_with_abbreviation(block, match.start()):
             continue
-        if i + 1 < n and block[i + 1] in _TERMINALS:
-            continue  # not the last terminal of its run
-        j = i + 1
-        while j < n and block[j] in _CLOSERS:
-            j += 1
-        if j < n and not block[j].isspace():
-            continue
-        single_period = ch == "." and (i == 0 or block[i - 1] not in _TERMINALS)
-        if single_period and _ends_with_abbreviation(block, i):
-            continue
-        piece = block[start:j].strip()
-        if piece:
-            out.append(piece)
-        start = j
+        out.append(block[start:match.end()].strip())
+        start = match.end()
     tail = block[start:].strip()
     if tail:
         out.append(tail)
@@ -123,7 +120,7 @@ def _merge_wordless(fragments: list[str]) -> list[str]:
     sentences: list[str] = []
     carry = ""
     for fragment in fragments:
-        if not tokenize_words(fragment):
+        if not _WORD_TOKEN.search(fragment):
             if sentences:
                 sentences[-1] = sentences[-1] + " " + fragment
             else:
@@ -138,6 +135,7 @@ def _merge_wordless(fragments: list[str]) -> list[str]:
     return sentences
 
 
+@functools.lru_cache(maxsize=_SYLLABLE_CACHE_SIZE)
 def count_syllables(word: str) -> int:
     """Count syllables of one word token, never returning less than 1.
 
@@ -198,7 +196,7 @@ def text_stats(text: str) -> TextStats:
             continue
         sentence_count += 1
         word_count += len(words)
-        syllable_count += sum(count_syllables(word) for word in words)
+        syllable_count += sum(map(count_syllables, words))
     return TextStats(sentence_count, word_count, syllable_count)
 
 

@@ -1158,6 +1158,39 @@ class TestMalformedLine:
         assert not out_path.exists()
 
 
+class TestCorpusFieldTypes:
+    """A corpus text field of the wrong JSON type is a data error naming the
+    file and line, in every command that reads a corpus."""
+
+    @pytest.mark.parametrize("value", [5, ["Texto."], {"texto": "Texto."}, True],
+                             ids=["number", "list", "object", "bool"])
+    @pytest.mark.parametrize("field", ["source", "reference", "task"])
+    @pytest.mark.parametrize("command", ["stats", "index", "adapt", "refine", "evaluate"])
+    def test_data_error_names_file_and_line(self, workdir, capsys, command, field, value):
+        tmp_path, docs_path, train_path = workdir
+        bad = tmp_path / "bad.jsonl"
+        good = {"id": "a", "source": "Texto a.", "reference": "A.", "task": "PL"}
+        write_lines(bad, [good, {**good, "id": "b", field: value}])
+        initial = tmp_path / "initial.jsonl"
+        write_lines(initial, [{"doc_id": "a", "adaptation": "Inicial a."}])
+        out_path = tmp_path / "out.jsonl"
+        argv = {
+            "stats": ["stats", "--input", str(bad)],
+            "index": ["index", "--corpus", str(bad)],
+            "adapt": ["adapt", "--input", str(bad), "--mode", "zs", "--provider", "echo"],
+            "refine": ["refine", "--input", str(initial), "--docs", str(bad),
+                       "--corpus", str(train_path), "--provider", "echo", "--embed", "hash"],
+            "evaluate": ["evaluate", "--input", str(initial), "--corpus", str(bad),
+                         "--embed", "hash"],
+        }[command]
+        rc = main(argv + ["--output", str(out_path)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert "Traceback" not in err
+        assert f"{bad} line 2: field {field!r} must be a string" in err
+        assert not out_path.exists()
+
+
 class TestUnreadableInput:
     """An input that is not UTF-8, or an index that is not JSON, is a data
     error naming the file."""

@@ -12,7 +12,10 @@ from apec.textstats import (
     FH_SENTENCE_WEIGHT,
     FH_SYLLABLE_WEIGHT,
     _ABBREVIATIONS,
+    _CLOSERS,
+    _TERMINALS,
     _ends_with_abbreviation,
+    _scan_block,
     count_syllables,
     fh_from_counts,
     fh_index,
@@ -189,6 +192,61 @@ class TestAbbreviationWindow:
         assert elapsed < 1.0, f"{elapsed:.2f} s"
 
 
+def reference_scan_block(block: str) -> list[str]:
+    """The original per-character sentence scanner: the reference for the
+    regex scanner in `_scan_block`."""
+    out = []
+    start = 0
+    n = len(block)
+    for i, ch in enumerate(block):
+        if ch not in _TERMINALS:
+            continue
+        if i + 1 < n and block[i + 1] in _TERMINALS:
+            continue  # not the last terminal of its run
+        j = i + 1
+        while j < n and block[j] in _CLOSERS:
+            j += 1
+        if j < n and not block[j].isspace():
+            continue
+        single_period = ch == "." and (i == 0 or block[i - 1] not in _TERMINALS)
+        if single_period and _ends_with_abbreviation(block, i):
+            continue
+        piece = block[start:j].strip()
+        if piece:
+            out.append(piece)
+        start = j
+    tail = block[start:].strip()
+    if tail:
+        out.append(tail)
+    return out
+
+
+# each kind of piece is drawn equally often, however many it has
+SCANNER_PIECES = st.one_of(
+    st.sampled_from(_TERMINALS),
+    st.sampled_from(_CLOSERS),
+    st.sampled_from(sorted(_ABBREVIATIONS) + [a[:-1] for a in sorted(_ABBREVIATIONS)]),
+    st.sampled_from(["SR", "Etc", "casa", "x", "ñu", "Él", "aéreo", "7", "2024"]),
+    st.sampled_from([" ", "  ", "\t", "\n", "\n\n", "\n \n"]),
+)
+
+
+class TestRegexScanner:
+    @given(st.lists(SCANNER_PIECES, min_size=1, max_size=40).map("".join))
+    @settings(max_examples=500)
+    def test_same_splits_as_reference(self, text):
+        block = text.strip()
+        assert _scan_block(block) == reference_scan_block(block)
+
+    @pytest.mark.parametrize(
+        "block",
+        ["Dijo «hola.» Luego se fue.", "¿Sí?) Vale", "No sé... quizás.", "El Sr. Pérez. Bien.",
+         "Fin.\t¡Ya!", "etc.. Otro", "Hola.\n\nAdiós", "3. Paso"],
+    )
+    def test_examples_match_reference(self, block):
+        assert _scan_block(block) == reference_scan_block(block)
+
+
 class TestSyllables:
     @pytest.mark.parametrize("word,expected", sorted(SYLLABLE_ORACLE.items()))
     def test_oracle_words(self, word, expected):
@@ -201,6 +259,27 @@ class TestSyllables:
     def test_empty_token_raises(self):
         with pytest.raises(EmptyTokenError):
             count_syllables("")
+
+    def test_empty_token_raises_with_warm_cache(self):
+        for word in SYLLABLE_ORACLE:
+            count_syllables(word)
+        for _ in range(2):  # a raised call is never cached
+            with pytest.raises(EmptyTokenError):
+                count_syllables("")
+
+    def test_cache_is_bounded(self):
+        assert 0 < count_syllables.cache_info().maxsize < 10**6
+
+    @pytest.mark.parametrize("word", sorted(SYLLABLE_ORACLE))
+    def test_memo_matches_uncached_on_oracle(self, word):
+        assert count_syllables(word) == count_syllables.__wrapped__(word)
+        assert count_syllables(word) == count_syllables.__wrapped__(word)  # cached
+
+    @given(st.text(alphabet="bcdfgqlmnprstyaeiouáéíóúüñ7", min_size=1, max_size=12))
+    @settings(max_examples=300)
+    def test_memo_matches_uncached(self, word):
+        for token in (word, word.upper(), word.title()):
+            assert count_syllables(token) == count_syllables.__wrapped__(token)
 
     def test_consonant_only_token_counts_one(self):
         assert count_syllables("pst") == 1
