@@ -36,12 +36,7 @@ from .corpus import (
     render_evaluation_table,
     render_stats_table,
 )
-from .errors import (
-    DEFAULT_TIMEOUT,
-    ApecError,
-    ConfigError,
-    ProviderUnavailableError,
-)
+from .errors import DEFAULT_TIMEOUT, ApecError, ProviderUnavailableError
 from .generation import (
     DECODING_PROFILES,
     EchoChatProvider,
@@ -118,22 +113,22 @@ def load_config(path) -> dict:
         with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ApecError(f"cannot read config {path}: {exc}") from exc
     except ValueError as exc:  # not JSON, or not UTF-8
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        raise ApecError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
+        raise ApecError(f"config {path} must hold a JSON object")
     return raw
 
 
 def _convert(name: str, value, default):
     """`value` with ${VAR} substituted, as the type of `default`, or
-    ConfigError naming the key. Numbers may be given as strings, but may
+    ApecError naming the key. Numbers may be given as strings, but may
     not lose digits."""
     if isinstance(value, str):
         unset = [var for var in _ENV_REF.findall(value) if var not in os.environ]
         if unset:
-            raise ConfigError(
+            raise ApecError(
                 f"config key {name} names unset environment variable {', '.join(unset)}"
             )
         value = _ENV_REF.sub(lambda match: os.environ[match.group(1)], value)
@@ -145,7 +140,7 @@ def _convert(name: str, value, default):
         else:
             if isinstance(value, str) or converted == value:
                 return converted
-    raise ConfigError(f"config key {name} must be {type(default).__name__}, got {value!r}")
+    raise ApecError(f"config key {name} must be {type(default).__name__}, got {value!r}")
 
 
 def _options(config: dict, section: str = "", args=None) -> dict:
@@ -153,12 +148,12 @@ def _options(config: dict, section: str = "", args=None) -> dict:
     flag of that name if given, else its config value converted by
     `_convert`, else its default; a null value or section means the
     default. A value that breaks its rule in `_RULES` (or `workers` below
-    1) is a UsageError from a flag and a ConfigError from the config."""
+    1) is a UsageError from a flag and an ApecError from the config."""
     values = config.get(section) if section else config
     if values is None:
         values = {}
     elif not isinstance(values, dict):
-        raise ConfigError(f"config key {section} must be an object, got {values!r}")
+        raise ApecError(f"config key {section} must be an object, got {values!r}")
     rules = _RULES.get(section)
     ruled = {field.name for field in dataclasses.fields(rules)} if rules else set()
     options = {}
@@ -182,7 +177,7 @@ def _options(config: dict, section: str = "", args=None) -> dict:
         except ValueError as exc:
             if flag is not None:
                 raise UsageError(f"{exc}, got {value}") from exc
-            raise ConfigError(f"config key {name}: {exc}, got {value!r}") from exc
+            raise ApecError(f"config key {name}: {exc}, got {value!r}") from exc
     return options
 
 
@@ -195,7 +190,7 @@ def _http_provider(cls, config: dict, section: str, env: str):
     settings = _options(config, section)
     endpoint = settings["endpoint"] or os.environ.get(f"{env}_ENDPOINT", "")
     if not endpoint:
-        raise ConfigError(f"http provider needs {section}.endpoint or {env}_ENDPOINT")
+        raise ApecError(f"http provider needs {section}.endpoint or {env}_ENDPOINT")
     api_key = settings["api_key"] or os.environ.get(f"{env}_API_KEY", "")
     return cls(endpoint, settings["model"], api_key=api_key, timeout=settings["timeout"])
 
@@ -243,13 +238,15 @@ def read_adaptations(path) -> dict[str, str]:
     for line_no, record in read_jsonl(path):
         where = f"{path} line {line_no}"
         if not isinstance(record, dict):
-            raise ConfigError(f"{where}: expected a JSON object")
+            raise ApecError(f"{where}: expected a JSON object")
         doc_id = record.get("doc_id")
         text = record.get("adaptation", record.get("final"))
-        if doc_id is None or not isinstance(text, str):
-            raise ConfigError(f"{where}: record needs doc_id and a string adaptation/final")
+        if type(doc_id) not in (str, int) or not isinstance(text, str):
+            raise ApecError(
+                f"{where}: record needs a string or integer doc_id and a string adaptation/final"
+            )
         if str(doc_id) in outputs:
-            raise ConfigError(f"{where}: duplicate doc_id {doc_id!r}")
+            raise ApecError(f"{where}: duplicate doc_id {doc_id!r}")
         outputs[str(doc_id)] = text
     return outputs
 
@@ -268,7 +265,7 @@ def _training_pairs(docs: list[Document]) -> tuple[list, list]:
     if skipped:
         print(f"warning: {skipped} training docs without reference skipped", file=sys.stderr)
     if not usable:
-        raise ConfigError("no training docs with references; cannot build demonstrations")
+        raise ApecError("no training docs with references; cannot build demonstrations")
     return [doc.id for doc in usable], [(doc.source, doc.reference) for doc in usable]
 
 
@@ -344,7 +341,7 @@ def _parse_ratio(text: str) -> tuple[float, float]:
         lo, hi = (float(part) for part in text.split(","))
     except ValueError as exc:
         raise UsageError(f"--ratio expects LO,HI, got {text!r}") from exc
-    if lo > hi:
+    if not lo <= hi:  # also false when either bound is NaN
         raise UsageError(f"--ratio bounds out of order: {text}")
     return lo, hi
 
@@ -411,7 +408,7 @@ def cmd_refine(args, config: dict) -> int:
     docs_by_id = {doc.id: doc for doc in docs}
     unknown = [doc_id for doc_id in outputs if doc_id not in docs_by_id]
     if unknown:
-        raise ConfigError(f"adaptations reference unknown doc ids: {unknown[:5]}")
+        raise ApecError(f"adaptations reference unknown doc ids: {unknown[:5]}")
 
     ids, pairs = _training_pairs(load_corpus(args.corpus))
     index = _bm25_index(args.index, ids, pairs)
@@ -457,11 +454,11 @@ def cmd_ensemble(args, config: dict) -> int:
             try:
                 trace = trace_from_dict(record)
             except ValueError as exc:
-                raise ConfigError(f"{path} line {line_no}: {exc}") from exc
+                raise ApecError(f"{path} line {line_no}: {exc}") from exc
             if not trace.stream:
                 trace = dataclasses.replace(trace, stream=label)
             if trace.doc_id in by_doc:
-                raise ConfigError(f"{path} line {line_no}: duplicate doc_id {trace.doc_id!r}")
+                raise ApecError(f"{path} line {line_no}: duplicate doc_id {trace.doc_id!r}")
             by_doc[trace.doc_id] = trace
         streams.append(by_doc)
         labels.append(label)

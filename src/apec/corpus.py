@@ -16,15 +16,7 @@ from dataclasses import dataclass
 from statistics import fmean
 from typing import Mapping, Optional
 
-from .errors import (
-    CorpusParseError,
-    DuplicateIdError,
-    EmptyCorpusError,
-    EmptyTextError,
-    MissingReferencesError,
-    NoWordsError,
-    UnknownDocIdError,
-)
+from .errors import ApecError, EmptyTextError, NoWordsError
 from .prompts import TASKS
 from .similarity import EmbeddingProvider, bow_vector, cosine, table_average
 from .textstats import fh_from_counts, fh_index, text_stats
@@ -49,14 +41,18 @@ class Document:
 def _document_from_fields(fields: Mapping, path, line: int) -> Document:
     for key in ("id", "source", "task"):
         if fields.get(key) in (None, ""):
-            raise CorpusParseError(f"{path} line {line}: missing field {key!r}", line=line)
+            raise ApecError(f"{path} line {line}: missing field {key!r}")
+    if type(fields["id"]) not in (str, int):  # floats too: 1 and 1.0 would be two ids
+        raise ApecError(
+            f"{path} line {line}: field 'id' must be a string or an integer, "
+            f"got {type(fields['id']).__name__}"
+        )
     for key in ("source", "reference", "task"):
         value = fields.get(key)
         if value is not None and not isinstance(value, str):
-            raise CorpusParseError(
+            raise ApecError(
                 f"{path} line {line}: field {key!r} must be a string, "
-                f"got {type(value).__name__}",
-                line=line,
+                f"got {type(value).__name__}"
             )
     reference = fields.get("reference")
     if reference == "":
@@ -69,14 +65,14 @@ def _document_from_fields(fields: Mapping, path, line: int) -> Document:
             task=fields["task"],
         )
     except ValueError as exc:
-        raise CorpusParseError(f"{path} line {line}: {exc}", line=line) from exc
+        raise ApecError(f"{path} line {line}: {exc}") from exc
 
 
 def read_jsonl(path):
     """Yield (line number, decoded value) for each non-blank line of a JSON
     Lines file, one line at a time. The value may be of any JSON type, so
     callers check its shape; a line that is not UTF-8 or not JSON raises
-    CorpusParseError naming the file and the line."""
+    ApecError naming the file and the line."""
     with open(path, "rb") as handle:
         for line_no, raw in enumerate(handle, start=1):
             try:
@@ -84,14 +80,12 @@ def read_jsonl(path):
                 if line.strip():
                     yield line_no, json.loads(line)
             except ValueError as exc:  # not UTF-8, or not JSON
-                raise CorpusParseError(
-                    f"{path} line {line_no}: invalid JSON: {exc}", line=line_no
-                ) from exc
+                raise ApecError(f"{path} line {line_no}: invalid JSON: {exc}") from exc
 
 
 def _read_csv(path):
     """Yield (line number, row dict) for each data row of a CSV file; a
-    file that is not UTF-8 raises CorpusParseError naming it, and a row
+    file that is not UTF-8 raises ApecError naming it, and a row
     that the csv module rejects (such as a field over its size limit)
     one naming the file and the line."""
     with open(path, encoding="utf-8", newline="") as handle:
@@ -100,10 +94,10 @@ def _read_csv(path):
             for row in reader:
                 yield reader.line_num, row
         except UnicodeDecodeError as exc:
-            raise CorpusParseError(f"{path}: not UTF-8: {exc}") from exc
+            raise ApecError(f"{path}: not UTF-8: {exc}") from exc
         except csv.Error as exc:
             line = reader.reader.line_num  # DictReader's own count lags a row that failed
-            raise CorpusParseError(f"{path} line {line}: {exc}", line=line) from exc
+            raise ApecError(f"{path} line {line}: {exc}") from exc
 
 
 def load_corpus(path) -> list[Document]:
@@ -115,20 +109,17 @@ def load_corpus(path) -> list[Document]:
     rows = _read_csv(path) if str(path).lower().endswith(".csv") else read_jsonl(path)
     for line_no, fields in rows:
         if not isinstance(fields, dict):
-            raise CorpusParseError(
-                f"{path} line {line_no}: expected a JSON object", line=line_no
-            )
+            raise ApecError(f"{path} line {line_no}: expected a JSON object")
         doc = _document_from_fields(fields, path, line_no)
         if doc.id in seen:
-            raise DuplicateIdError(
+            raise ApecError(
                 f"{path} line {line_no}: duplicate id {doc.id!r} "
-                f"(first seen on line {seen[doc.id]})",
-                line=line_no,
+                f"(first seen on line {seen[doc.id]})"
             )
         seen[doc.id] = line_no
         docs.append(doc)
     if not docs:
-        raise EmptyCorpusError(f"no documents in {path}")
+        raise ApecError(f"no documents in {path}")
     return docs
 
 
@@ -161,11 +152,11 @@ def corpus_stats(
     without word tokens raises NoWordsError naming its document.
     """
     if not docs:
-        raise EmptyCorpusError("cannot compute stats of an empty corpus")
+        raise ApecError("cannot compute stats of an empty corpus")
     if side not in ("source", "reference"):
         raise ValueError(f"side must be source or reference, got {side!r}")
     if side == "reference" and any(doc.reference is None for doc in docs):
-        raise MissingReferencesError("side=reference requires every reference")
+        raise ApecError("side=reference requires every reference")
 
     total_sentences = total_words = total_syllables = 0
     per_doc_fh: list[float] = []
@@ -185,7 +176,7 @@ def corpus_stats(
     bow_sim = emb_sim = avg_sim = None
     if embed_provider is not None:
         if any(doc.reference is None for doc in docs):
-            raise MissingReferencesError("similarity rows require every reference")
+            raise ApecError("similarity rows require every reference")
         bow_sims = [
             cosine(bow_vector(doc.source), bow_vector(doc.reference)) for doc in docs
         ]
@@ -270,19 +261,17 @@ def evaluate_run(
     can be scored, NoWordsError names them all.
     """
     if not outputs:
-        raise EmptyCorpusError("no outputs to evaluate")
+        raise ApecError("no outputs to evaluate")
     docs_by_id = {doc.id: doc for doc in docs}
     unknown = [doc_id for doc_id in outputs if doc_id not in docs_by_id]
     if unknown:
-        raise UnknownDocIdError(f"outputs reference unknown doc ids: {unknown[:5]}")
+        raise ApecError(f"outputs reference unknown doc ids: {unknown[:5]}")
     ordered_ids = [doc.id for doc in docs if doc.id in outputs]
     missing_refs = [
         doc_id for doc_id in ordered_ids if docs_by_id[doc_id].reference is None
     ]
     if missing_refs:
-        raise MissingReferencesError(
-            f"docs without references cannot be evaluated: {missing_refs[:5]}"
-        )
+        raise ApecError(f"docs without references cannot be evaluated: {missing_refs[:5]}")
 
     scored: list[tuple[Document, str, float, float]] = []
     skipped: list[tuple[str, str]] = []

@@ -1,9 +1,10 @@
 """Exception types shared across the pipeline, and the provider transport.
 
-Every failure mode that callers are expected to branch on gets its own
-class; the CLI maps them onto exit codes. `with_retries` is the retry
-policy and `post_json` the one HTTP request that both HTTP providers go
-through.
+A subclass of ApecError exists only where some code catches it by name;
+every other failure is a plain ApecError whose message says what is
+wrong, naming the file and line when an input file is at fault. The CLI
+maps them onto exit codes. `with_retries` is the retry policy and
+`post_json` the one HTTP request that both HTTP providers go through.
 """
 
 import http.client
@@ -26,16 +27,8 @@ class EmptyTextError(ApecError):
     """Input text is empty or whitespace-only."""
 
 
-class EmptyTokenError(ApecError):
-    """A word token was empty."""
-
-
 class NoWordsError(ApecError):
     """Text contains no word tokens (punctuation-only input)."""
-
-
-class DimensionMismatchError(ApecError):
-    """Dense vectors of unequal length."""
 
 
 class ProviderUnavailableError(ApecError):
@@ -50,56 +43,8 @@ class ResponseEmptyError(ApecError):
     """The provider returned an empty completion."""
 
 
-class EmptyCorpusError(ApecError):
-    """No documents given where at least one is required."""
-
-
-class KTooLargeError(ApecError):
-    """Requested more samples than the corpus holds."""
-
-
-class EmptySourceError(ApecError):
-    """Source text has no tokens, so a length ratio is undefined."""
-
-
-class UnknownTaskError(ApecError):
-    """Task tag is neither PL nor ER."""
-
-
-class EmptyAdaptationError(ApecError):
-    """An adaptation string was empty where content is required."""
-
-
 class MissingCorrectionError(ApecError):
     """A revision response has no usable correction section."""
-
-
-class NoCandidatesError(ApecError):
-    """Ensemble selection got no candidate streams."""
-
-
-class CorpusParseError(ApecError):
-    """A corpus file line/row could not be parsed."""
-
-    def __init__(self, message, line=None):
-        super().__init__(message)
-        self.line = line
-
-
-class DuplicateIdError(CorpusParseError):
-    """A document id occurred twice in one corpus file."""
-
-
-class MissingReferencesError(ApecError):
-    """Reference adaptations required but absent."""
-
-
-class UnknownDocIdError(ApecError):
-    """An output references a document id not present in the corpus."""
-
-
-class ConfigError(ApecError):
-    """Run configuration is invalid or unreadable."""
 
 
 DEFAULT_RETRIES = 3
@@ -130,18 +75,18 @@ def with_retries(attempt, retries: int, backoff: float, what: str):
 def check_transport(endpoint: str, timeout: float) -> str:
     """`endpoint` if it is a printable ASCII http:// or https:// URL with a
     host and a valid port, and `timeout` is > 0 seconds and no more than
-    `threading.TIMEOUT_MAX`; else ConfigError."""
+    `threading.TIMEOUT_MAX`; else ApecError."""
     try:
         parts = urllib.parse.urlsplit(endpoint)
         parts.port  # raises ValueError on a malformed port
     except ValueError as exc:
-        raise ConfigError(f"endpoint {endpoint!r} is not a valid URL: {exc}") from exc
+        raise ApecError(f"endpoint {endpoint!r} is not a valid URL: {exc}") from exc
     if parts.scheme not in ("http", "https") or not parts.hostname:
-        raise ConfigError(f"endpoint {endpoint!r} must be an http:// or https:// URL with a host")
+        raise ApecError(f"endpoint {endpoint!r} must be an http:// or https:// URL with a host")
     if " " in endpoint or not (endpoint.isascii() and endpoint.isprintable()):
-        raise ConfigError(f"endpoint {endpoint!r} must percent-encode spaces and non-ASCII")
+        raise ApecError(f"endpoint {endpoint!r} must percent-encode spaces and non-ASCII")
     if not 0 < timeout <= threading.TIMEOUT_MAX:  # socket.settimeout accepts up to this
-        raise ConfigError(f"timeout must be > 0 and <= {threading.TIMEOUT_MAX:.0f}, got {timeout}")
+        raise ApecError(f"timeout must be > 0 and <= {threading.TIMEOUT_MAX:.0f}, got {timeout}")
     return endpoint
 
 

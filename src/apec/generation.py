@@ -16,14 +16,14 @@ from __future__ import annotations
 import re
 import threading
 from dataclasses import dataclass
-from typing import Literal, Optional, Protocol, runtime_checkable
+from typing import Literal, Optional, Protocol
 
 from .corpus import read_jsonl
 from .errors import (
     DEFAULT_BACKOFF,
     DEFAULT_RETRIES,
     DEFAULT_TIMEOUT,
-    EmptyAdaptationError,
+    ApecError,
     MissingCorrectionError,
     ProviderUnavailableError,
     ResponseEmptyError,
@@ -147,7 +147,7 @@ def render_apec_prompt(
     """Revision request: the filled review template as the final user
     turn, exemplar turns ahead of it, no system prompt."""
     if not current_adaptation.strip():
-        raise EmptyAdaptationError("cannot request a revision of an empty adaptation")
+        raise ApecError("cannot request a revision of an empty adaptation")
     filled = fill_review_template(task, source, current_adaptation)
     messages = _demo_turns(demos or [])
     messages.append(("user", filled))
@@ -223,7 +223,6 @@ def parse_apec_response(raw: str, task: str) -> ParsedApecResponse:
     )
 
 
-@runtime_checkable
 class ChatProvider(Protocol):
     """Single-attempt completion; retry policy lives in generate_text."""
 

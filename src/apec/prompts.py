@@ -19,7 +19,7 @@ files under tests/data/.
 
 from __future__ import annotations
 
-from .errors import UnknownTaskError
+from .errors import ApecError
 
 TASK_PLAIN_LANGUAGE = "PL"
 TASK_EASY_READ = "ER"
@@ -160,28 +160,25 @@ A continuación te doy el texto de entrada y la adaptación a lenguaje claro a e
 # Adaptación
 {instance}"""
 
-_INITIAL = {
-    TASK_PLAIN_LANGUAGE: PLAIN_LANGUAGE_SYSTEM_PROMPT,
-    TASK_EASY_READ: EASY_READ_SYSTEM_PROMPT,
+_TEMPLATES = {  # task -> (initial system prompt, review template)
+    TASK_PLAIN_LANGUAGE: (PLAIN_LANGUAGE_SYSTEM_PROMPT, PLAIN_LANGUAGE_REVIEW_TEMPLATE),
+    TASK_EASY_READ: (EASY_READ_SYSTEM_PROMPT, EASY_READ_REVIEW_TEMPLATE),
 }
-_REVIEW = {
-    TASK_PLAIN_LANGUAGE: PLAIN_LANGUAGE_REVIEW_TEMPLATE,
-    TASK_EASY_READ: EASY_READ_REVIEW_TEMPLATE,
-}
+
+
+def _templates(task: str) -> tuple[str, str]:
+    try:
+        return _TEMPLATES[task]
+    except KeyError:
+        raise ApecError(f"unknown task {task!r}; expected one of {TASKS}") from None
 
 
 def initial_system_prompt(task: str) -> str:
-    try:
-        return _INITIAL[task]
-    except KeyError:
-        raise UnknownTaskError(f"unknown task {task!r}; expected one of {TASKS}") from None
+    return _templates(task)[0]
 
 
 def review_template(task: str) -> str:
-    try:
-        return _REVIEW[task]
-    except KeyError:
-        raise UnknownTaskError(f"unknown task {task!r}; expected one of {TASKS}") from None
+    return _templates(task)[1]
 
 
 def fill_review_template(task: str, source: str, adaptation: str) -> str:

@@ -18,10 +18,9 @@ from .corpus import Document
 from .errors import (
     DEFAULT_BACKOFF,
     DEFAULT_RETRIES,
-    EmptyAdaptationError,
+    ApecError,
     EmptyTextError,
     MissingCorrectionError,
-    NoCandidatesError,
     NoWordsError,
     ProviderUnavailableError,
     ResponseEmptyError,
@@ -111,7 +110,7 @@ def run_apec(
     """
     config = config or ApecConfig()
     if not initial.strip():
-        raise EmptyAdaptationError("initial adaptation is empty")
+        raise ApecError("initial adaptation is empty")
     initial_fh, initial_emb, initial_score = score_candidate(
         doc.source, initial, embed_provider
     )
@@ -214,7 +213,7 @@ def ensemble_select(
     listed rank after listed ones, in input order.
     """
     if not traces:
-        raise NoCandidatesError("no candidate streams for ensemble selection")
+        raise ApecError("no candidate streams for ensemble selection")
     priority = priority or []
 
     def tie_rank(position: int) -> int:

@@ -42,14 +42,7 @@ from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain
 
-from .errors import (
-    DimensionMismatchError,
-    EmptyCorpusError,
-    EmptySourceError,
-    EmptyTextError,
-    KTooLargeError,
-    UnknownDocIdError,
-)
+from .errors import ApecError, EmptyTextError
 from .similarity import EmbeddingProvider, EmbeddingVector, dense_dot, dense_norm
 
 INDEX_SCHEMA_VERSION = 1
@@ -161,7 +154,7 @@ def build_index(
     persisted indexes and break ranking ties.
     """
     if not pairs:
-        raise EmptyCorpusError("cannot index an empty corpus")
+        raise ApecError("cannot index an empty corpus")
     if ids is None:
         ids = list(range(len(pairs)))
     elif len(ids) != len(pairs):
@@ -239,10 +232,10 @@ def bm25_top_k(
     positions = range(len(index))
     if ratio_filter is not None:
         lo, hi = ratio_filter
-        if lo > hi:
+        if not lo <= hi:  # also false when either bound is NaN
             raise ValueError(f"invalid ratio range [{lo}, {hi}]")
         if not all(map(str.strip, index.sources)):  # a blank source has no ratio
-            raise EmptySourceError("source has no tokens; length ratio undefined")
+            raise ApecError("source has no tokens; length ratio undefined")
         # (-score, doc id, pos) is _ranked's order; pop until k pairs pass
         heap = list(zip(map(operator.neg, scores), index.doc_ids, positions))
         heapq.heapify(heap)
@@ -273,12 +266,12 @@ def build_embedding_index(
 ) -> EmbeddingIndex:
     """Embed every pair source in one `embed` call and cache the vector norms."""
     if not pairs:
-        raise EmptyCorpusError("cannot index an empty corpus")
+        raise ApecError("cannot index an empty corpus")
     sources = tuple(source for source, _ in pairs)
     vectors = tuple(provider.embed(list(sources)))
     dims = {len(vec) for vec in vectors}
     if len(dims) > 1:
-        raise DimensionMismatchError(f"training vectors differ in length: {sorted(dims)}")
+        raise ApecError(f"training vectors differ in length: {sorted(dims)}")
     return EmbeddingIndex(
         sources=sources,
         adaptations=tuple(adaptation for _, adaptation in pairs),
@@ -300,7 +293,7 @@ def embedding_top_k(
         raise EmptyTextError("cannot embed empty text")
     query_vec = provider.embed([query])[0]
     if len(query_vec) != len(index.vectors[0]):
-        raise DimensionMismatchError(f"query {len(query_vec)} vs index {len(index.vectors[0])} dims")
+        raise ApecError(f"query {len(query_vec)} vs index {len(index.vectors[0])} dims")
     q_norm = dense_norm(query_vec)
     scores = [
         dense_dot(query_vec, vec) / (q_norm * norm) if q_norm and norm else 0.0
@@ -320,7 +313,7 @@ def derive_doc_seed(seed: int, doc_id) -> int:
 def random_k(pairs: list[tuple[str, str]], k: int, seed: int) -> list[Demonstration]:
     """Sample k pairs uniformly without replacement, reproducibly."""
     if k > len(pairs):
-        raise KTooLargeError(f"k={k} exceeds corpus size {len(pairs)}")
+        raise ApecError(f"k={k} exceeds corpus size {len(pairs)}")
     rng = random.Random(seed)
     chosen = rng.sample(range(len(pairs)), k)
     return [
@@ -471,7 +464,7 @@ def load_index(path, pairs_by_id) -> Bm25Index:
         raise _index_error(path, "positions and tfs must hold one entry per doc_freqs count")
     missing = [doc_id for doc_id in doc_ids if doc_id not in pairs_by_id]
     if missing:
-        raise UnknownDocIdError(f"index references unknown doc ids: {missing[:5]}")
+        raise ApecError(f"index references unknown doc ids: {missing[:5]}")
     idf = _compute_idf(terms, dfs, len(doc_ids), params.epsilon)
     return Bm25Index(
         doc_ids=tuple(doc_ids),

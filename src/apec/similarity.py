@@ -17,13 +17,13 @@ import struct
 import threading
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 from .errors import (
     DEFAULT_BACKOFF,
     DEFAULT_RETRIES,
     DEFAULT_TIMEOUT,
-    DimensionMismatchError,
+    ApecError,
     ProviderUnavailableError,
     check_transport,
     post_json,
@@ -63,9 +63,7 @@ def cosine(a, b) -> float:
         norm_b = math.sqrt(sum(v * v for v in b.values()))
     elif isinstance(a, Sequence) and isinstance(b, Sequence):
         if len(a) != len(b):
-            raise DimensionMismatchError(
-                f"dense vectors differ in length: {len(a)} vs {len(b)}"
-            )
+            raise ApecError(f"dense vectors differ in length: {len(a)} vs {len(b)}")
         dot = dense_dot(a, b)
         norm_a = dense_norm(a)
         norm_b = dense_norm(b)
@@ -86,7 +84,6 @@ def table_average(fh: float, bow_sim: float, emb_sim: float) -> float:
     return (fh + 100.0 * bow_sim + 100.0 * emb_sim) / 3.0
 
 
-@runtime_checkable
 class EmbeddingProvider(Protocol):
     """Anything that maps a batch of texts to fixed-dimension vectors."""
 

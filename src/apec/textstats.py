@@ -13,7 +13,7 @@ import functools
 import re
 from dataclasses import dataclass
 
-from .errors import EmptyTextError, EmptyTokenError, NoWordsError
+from .errors import ApecError, EmptyTextError, NoWordsError
 
 FH_INTERCEPT = 206.84
 FH_SYLLABLE_WEIGHT = 0.60  # per syllables-per-100-words
@@ -146,7 +146,7 @@ def count_syllables(word: str) -> int:
     Digits count one syllable each.
     """
     if not word:
-        raise EmptyTokenError("cannot count syllables of an empty token")
+        raise ApecError("cannot count syllables of an empty token")
     w = word.lower()
     if w.endswith("y"):
         w = w[:-1] + "i"

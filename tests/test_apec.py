@@ -8,12 +8,7 @@ import pytest
 
 import apec
 from apec.corpus import Document
-from apec.errors import (
-    EmptyAdaptationError,
-    EmptyTextError,
-    NoCandidatesError,
-    NoWordsError,
-)
+from apec.errors import ApecError, EmptyTextError, NoWordsError
 from apec.generation import REFINE, GenerationRequest, ScriptedChatProvider
 from apec.refine import (
     TRACE_SCHEMA_VERSION,
@@ -213,7 +208,7 @@ class TestRunApec:
         assert trace.doc_id == "d1"
 
     def test_empty_initial(self, hash_embedder):
-        with pytest.raises(EmptyAdaptationError):
+        with pytest.raises(ApecError, match="initial adaptation is empty"):
             run_apec(DOC, "  ", INDEX, scripted("Uno."), hash_embedder)
 
     def test_cycle_budget_respected(self, hash_embedder):
@@ -329,7 +324,7 @@ class TestEnsembleSelect:
         assert ensemble_select(traces).stream == "solo"
 
     def test_empty(self):
-        with pytest.raises(NoCandidatesError):
+        with pytest.raises(ApecError, match="no candidate streams for ensemble selection"):
             ensemble_select([])
 
     def test_randomized_argmax_property(self):

@@ -21,7 +21,7 @@ from apec.cli import (
     read_adaptations,
     write_jsonl,
 )
-from apec.errors import ConfigError
+from apec.errors import ApecError
 from apec.refine import ApecTrace, trace_from_dict, trace_to_dict
 
 from conftest import Reply, apec_response
@@ -412,6 +412,25 @@ class TestAdapt:
             ]
         )
         assert rc == EXIT_USAGE
+
+    @pytest.mark.parametrize("ratio", ["1.2,0.8", "nan,0.9", "0.3,nan"])
+    def test_ratio_out_of_order_or_nan_is_usage_error(self, workdir, capsys, ratio):
+        tmp_path, docs_path, train_path = workdir
+        out_path = tmp_path / "x.jsonl"
+        rc = main(
+            [
+                "adapt",
+                "--input", str(docs_path),
+                "--corpus", str(train_path),
+                "--mode", "fs-bm25",
+                "--ratio", ratio,
+                "--provider", "echo",
+                "--output", str(out_path),
+            ]
+        )
+        assert rc == EXIT_USAGE
+        assert f"usage error: --ratio bounds out of order: {ratio}" in capsys.readouterr().err
+        assert not out_path.exists()
 
     def test_fs_needs_corpus(self, workdir):
         tmp_path, docs_path, _ = workdir
@@ -1191,6 +1210,49 @@ class TestCorpusFieldTypes:
         assert not out_path.exists()
 
 
+class TestIdTypes:
+    """A corpus id or adaptation doc_id that is neither a JSON string nor an
+    integer is a data error naming the file and line, not an id spelled by
+    str(): `1.0` and `1` would otherwise name different documents."""
+
+    @pytest.mark.parametrize("value", [["a"], {"x": 1}, True, 1.5],
+                             ids=["list", "object", "bool", "float"])
+    @pytest.mark.parametrize(
+        "command",
+        ["stats", "adapt", "refine-docs", "evaluate-corpus", "refine-input", "evaluate-input"],
+    )
+    def test_data_error_names_file_and_line(self, workdir, capsys, command, value):
+        tmp_path, docs_path, train_path = workdir
+        bad = tmp_path / "bad.jsonl"
+        initial = tmp_path / "initial.jsonl"
+        if command.endswith("-input"):
+            write_lines(bad, [{"doc_id": "a", "adaptation": "Inicial a."},
+                              {"doc_id": value, "adaptation": "Inicial b."}])
+            corpus, adaptations = docs_path, bad
+            message = "record needs a string or integer doc_id"
+        else:
+            good = {"id": "a", "source": "Texto a.", "reference": "A.", "task": "PL"}
+            write_lines(bad, [good, {**good, "id": value}])
+            write_lines(initial, [{"doc_id": "a", "adaptation": "Inicial a."}])
+            corpus, adaptations = bad, initial
+            message = "field 'id' must be a string or an integer"
+        argv = {
+            "stats": ["stats", "--input", str(corpus)],
+            "adapt": ["adapt", "--input", str(corpus), "--mode", "zs", "--provider", "echo"],
+            "refine": ["refine", "--input", str(adaptations), "--docs", str(corpus),
+                       "--corpus", str(train_path), "--provider", "echo", "--embed", "hash"],
+            "evaluate": ["evaluate", "--input", str(adaptations), "--corpus", str(corpus),
+                         "--embed", "hash"],
+        }[command.split("-")[0]]
+        out_path = tmp_path / "out.jsonl"
+        rc = main(argv + ["--output", str(out_path)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert "Traceback" not in err
+        assert f"{bad} line 2: {message}" in err
+        assert not out_path.exists()
+
+
 class TestUnreadableInput:
     """An input that is not UTF-8, or an index that is not JSON, is a data
     error naming the file."""
@@ -1314,13 +1376,13 @@ class TestConfig:
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text("{broken", encoding="utf-8")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ApecError, match="is not valid JSON"):
             load_config(path)
 
     def test_non_object(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text("[1, 2]", encoding="utf-8")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ApecError, match="must hold a JSON object"):
             load_config(path)
 
     def test_none_path_is_empty(self):
@@ -1574,19 +1636,19 @@ class TestHelpers:
                 {"doc_id": "a", "adaptation": "y"},
             ],
         )
-        with pytest.raises(ConfigError):
+        with pytest.raises(ApecError, match="line 2: duplicate doc_id 'a'"):
             read_adaptations(path)
 
     def test_read_adaptations_numeric_duplicate(self, tmp_path):
         path = tmp_path / "outputs.jsonl"
         write_lines(path, [{"doc_id": 1, "adaptation": "x"}, {"doc_id": 1, "adaptation": "y"}])
-        with pytest.raises(ConfigError, match="line 2: duplicate doc_id 1"):
+        with pytest.raises(ApecError, match="line 2: duplicate doc_id 1"):
             read_adaptations(path)
 
     def test_read_adaptations_needs_text(self, tmp_path):
         path = tmp_path / "outputs.jsonl"
         write_lines(path, [{"doc_id": "a"}])
-        with pytest.raises(ConfigError):
+        with pytest.raises(ApecError, match="line 1: record needs .* a string adaptation/final"):
             read_adaptations(path)
 
     def test_write_jsonl_sorts_keys(self, tmp_path):

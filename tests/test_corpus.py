@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from statistics import fmean
 
 import pytest
@@ -13,13 +14,7 @@ from apec.corpus import (
     render_evaluation_table,
     render_stats_table,
 )
-from apec.errors import (
-    CorpusParseError,
-    DuplicateIdError,
-    EmptyCorpusError,
-    MissingReferencesError,
-    UnknownDocIdError,
-)
+from apec.errors import ApecError
 from apec.similarity import table_average
 from apec.textstats import fh_index
 
@@ -74,29 +69,44 @@ class TestLoadJsonl:
         )
         assert len(load_corpus(path)) == 2
 
+    def test_integer_id_loads_as_its_decimal_string(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(path, [{"id": 7, "source": "Uno.", "task": "PL"}])
+        assert load_corpus(path)[0].id == "7"
+
+    @pytest.mark.parametrize(
+        "bad_id, type_name",
+        [(["a"], "list"), ({"x": 1}, "dict"), (True, "bool"), (1.5, "float"), (1.0, "float")],
+    )
+    def test_id_of_another_json_type_reports_line(self, tmp_path, bad_id, type_name):
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(
+            path,
+            [{"id": "a", "source": "Uno.", "task": "PL"}, {"id": bad_id, "source": "Dos.", "task": "PL"}],
+        )
+        message = f"line 2: field 'id' must be a string or an integer, got {type_name}$"
+        with pytest.raises(ApecError, match=message):
+            load_corpus(path)
+
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text(
             '{"id": "a", "source": "Uno.", "task": "PL"}\n{broken\n', encoding="utf-8"
         )
-        with pytest.raises(CorpusParseError) as exc_info:
+        with pytest.raises(ApecError, match=f"^{re.escape(str(path))} line 2: invalid JSON"):
             load_corpus(path)
-        assert exc_info.value.line == 2
-        assert "line 2" in str(exc_info.value)
 
     def test_non_object_line(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text('["lista"]\n', encoding="utf-8")
-        with pytest.raises(CorpusParseError):
+        with pytest.raises(ApecError, match="line 1: expected a JSON object"):
             load_corpus(path)
 
     def test_missing_field_reports_line(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         write_jsonl(path, [{"id": "a", "task": "PL"}])
-        with pytest.raises(CorpusParseError) as exc_info:
+        with pytest.raises(ApecError, match="line 1: missing field 'source'"):
             load_corpus(path)
-        assert "source" in str(exc_info.value)
-        assert exc_info.value.line == 1
 
     def test_duplicate_id(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -107,23 +117,20 @@ class TestLoadJsonl:
                 {"id": "a", "source": "Dos.", "task": "PL"},
             ],
         )
-        with pytest.raises(DuplicateIdError) as exc_info:
+        with pytest.raises(ApecError, match=r"line 2: duplicate id 'a' \(first seen on line 1\)"):
             load_corpus(path)
-        assert "first seen on line 1" in str(exc_info.value)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text("", encoding="utf-8")
-        with pytest.raises(EmptyCorpusError):
+        with pytest.raises(ApecError, match="no documents in"):
             load_corpus(path)
 
     def test_non_utf8_line_reports_line(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_bytes(b'{"id": "a", "source": "Uno.", "task": "PL"}\n{"id": "\xff"}\n')
-        with pytest.raises(CorpusParseError) as exc_info:
+        with pytest.raises(ApecError, match=f"^{re.escape(str(path))} line 2: invalid JSON"):
             load_corpus(path)
-        assert exc_info.value.line == 2
-        assert f"{path} line 2" in str(exc_info.value)
 
 
 class TestLoadCsv:
@@ -156,16 +163,15 @@ class TestLoadCsv:
     def test_missing_value_reports_line(self, tmp_path):
         path = tmp_path / "corpus.csv"
         path.write_text("id,source,task\na,,PL\n", encoding="utf-8")
-        with pytest.raises(CorpusParseError) as exc_info:
+        with pytest.raises(ApecError, match="line 2: missing field 'source'"):
             load_corpus(path)
-        assert exc_info.value.line == 2
 
     def test_duplicate_id(self, tmp_path):
         path = tmp_path / "corpus.csv"
         path.write_text(
             "id,source,task\na,Uno.,PL\na,Dos.,PL\n", encoding="utf-8"
         )
-        with pytest.raises(DuplicateIdError):
+        with pytest.raises(ApecError, match="line 3: duplicate id 'a'"):
             load_corpus(path)
 
 
@@ -257,12 +263,12 @@ class TestCorpusStats:
 
     def test_reference_side_requires_references(self):
         docs = [Document(id="a", source="Texto.")]
-        with pytest.raises(MissingReferencesError):
+        with pytest.raises(ApecError, match="side=reference requires every reference"):
             corpus_stats(docs, side="reference")
 
     def test_similarity_requires_references(self, hash_embedder):
         docs = [Document(id="a", source="Texto.")]
-        with pytest.raises(MissingReferencesError):
+        with pytest.raises(ApecError, match="similarity rows require every reference"):
             corpus_stats(docs, embed_provider=hash_embedder)
 
     def test_side_validation(self):
@@ -270,7 +276,7 @@ class TestCorpusStats:
             corpus_stats([Document(id="a", source="Texto.")], side="output")
 
     def test_empty_corpus(self):
-        with pytest.raises(EmptyCorpusError):
+        with pytest.raises(ApecError, match="cannot compute stats of an empty corpus"):
             corpus_stats([])
 
     def test_render_table_smoke(self):
@@ -336,16 +342,16 @@ class TestEvaluateRun:
         assert [row.doc_id for row in report.rows] == ["a", "c"]
 
     def test_unknown_doc_id(self, hash_embedder):
-        with pytest.raises(UnknownDocIdError):
+        with pytest.raises(ApecError, match=r"outputs reference unknown doc ids: \['zz'\]"):
             evaluate_run({"zz": "Texto."}, DOCS, hash_embedder)
 
     def test_missing_reference(self, hash_embedder):
         docs = [Document(id="a", source="Texto original.")]
-        with pytest.raises(MissingReferencesError):
+        with pytest.raises(ApecError, match="docs without references cannot be evaluated"):
             evaluate_run({"a": "Texto."}, docs, hash_embedder)
 
     def test_empty_outputs(self, hash_embedder):
-        with pytest.raises(EmptyCorpusError):
+        with pytest.raises(ApecError, match="no outputs to evaluate"):
             evaluate_run({}, DOCS, hash_embedder)
 
     def test_render_table_smoke(self, hash_embedder):

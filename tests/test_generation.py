@@ -4,12 +4,11 @@ from pathlib import Path
 import pytest
 
 from apec.errors import (
-    EmptyAdaptationError,
+    ApecError,
     MissingCorrectionError,
     ProviderUnavailableError,
     ResponseEmptyError,
     TransientProviderError,
-    UnknownTaskError,
 )
 from apec.generation import (
     DECODING_PROFILES,
@@ -114,7 +113,7 @@ class TestRenderInitial:
         )
 
     def test_unknown_task(self):
-        with pytest.raises(UnknownTaskError):
+        with pytest.raises(ApecError, match="unknown task 'XX'; expected one of"):
             render_initial_prompt("XX", "Texto.")
 
     def test_zero_shot_shape(self):
@@ -157,7 +156,7 @@ class TestRenderApec:
         assert "# Adaptación\nADAPTADO-XYZ" in body
 
     def test_empty_adaptation(self):
-        with pytest.raises(EmptyAdaptationError):
+        with pytest.raises(ApecError, match="cannot request a revision of an empty adaptation"):
             render_apec_prompt("PL", "fuente", "   \n")
 
     def test_no_demos_single_message(self):

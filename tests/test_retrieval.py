@@ -7,13 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from apec.errors import (
-    DimensionMismatchError,
-    EmptyCorpusError,
-    EmptySourceError,
-    KTooLargeError,
-    UnknownDocIdError,
-)
+from apec.errors import ApecError
 from apec.retrieval import (
     Bm25Params,
     bm25_scores,
@@ -155,7 +149,7 @@ class TestParams:
 
 class TestBuildIndex:
     def test_empty_corpus(self):
-        with pytest.raises(EmptyCorpusError):
+        with pytest.raises(ApecError, match="cannot index an empty corpus"):
             build_index([])
 
     def test_ids_length_mismatch(self):
@@ -321,13 +315,14 @@ class TestCachedScoring:
 
     def test_bad_ratio_range_through_top_k(self):
         index = build_index(PAIRS)
-        with pytest.raises(ValueError):
-            bm25_top_k(index, "casa", k=2, ratio_filter=(1.5, 0.5))
+        for bounds in [(1.5, 0.5), (math.nan, 1.0)]:  # NaN fails every comparison
+            with pytest.raises(ValueError, match="invalid ratio range"):
+                bm25_top_k(index, "casa", k=2, ratio_filter=bounds)
 
     def test_blank_source_through_top_k(self):
         index = build_index([("casa verde", "casa"), ("   ", "algo")])
         for _ in range(2):  # a failed ratio pass leaves nothing cached
-            with pytest.raises(EmptySourceError):
+            with pytest.raises(ApecError, match="source has no tokens; length ratio undefined"):
                 bm25_top_k(index, "casa", k=2, ratio_filter=(0.0, 9.0))
         assert len(bm25_top_k(index, "casa", k=2)) == 2
 
@@ -399,7 +394,7 @@ class TestLengthRatio:
 
     def test_empty_source(self):
         index = build_index([("   ", "algo"), ("uno dos", "uno")])
-        with pytest.raises(EmptySourceError):
+        with pytest.raises(ApecError, match="source has no tokens; length ratio undefined"):
             bm25_top_k(index, "algo", ratio_filter=(0.5, 1.5))
 
     def test_bad_range(self):
@@ -429,7 +424,7 @@ class TestEmbeddingTopK:
         assert [d.source for d in demos] == ["x", "y"]
 
     def test_empty_pairs(self):
-        with pytest.raises(EmptyCorpusError):
+        with pytest.raises(ApecError, match="cannot index an empty corpus"):
             emb_top_k([], "q", k=1, provider=HashEmbeddingProvider())
 
     def test_k_validation(self):
@@ -554,7 +549,7 @@ class TestEmbeddingIndex:
 
     def test_mixed_training_dimensions(self):
         provider = PlantedEmbeddingProvider({"x": [1.0, 0.0], "y": [1.0, 0.0, 0.0]})
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ApecError, match=r"training vectors differ in length: \[2, 3\]"):
             build_embedding_index([("x", "a"), ("y", "b")], provider)
 
     def test_query_dimension_mismatch(self):
@@ -562,7 +557,7 @@ class TestEmbeddingIndex:
             {"q": [1.0, 0.0, 0.0], "x": [1.0, 0.0], "y": [0.0, 1.0]}
         )
         index = build_embedding_index([("x", "a"), ("y", "b")], provider)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ApecError, match="query 3 vs index 2 dims"):
             embedding_top_k(index, "q", 1, provider)
 
 
@@ -586,7 +581,7 @@ class TestRandomK:
         assert len({d.source for d in demos}) == 4
 
     def test_k_too_large(self):
-        with pytest.raises(KTooLargeError):
+        with pytest.raises(ApecError, match="k=2 exceeds corpus size 1"):
             random_k([("a", "b")], 2, seed=0)
 
     def test_doc_seed_derivation(self):
@@ -682,7 +677,7 @@ class TestPersistence:
         index = build_index(PAIRS, ids=ids)
         path = tmp_path / "index.json"
         save_index(index, path)
-        with pytest.raises(UnknownDocIdError):
+        with pytest.raises(ApecError, match=r"index references unknown doc ids: \['d2', 'd3', 'd4'\]"):
             load_index(path, {"d1": PAIRS[0]})
 
     def test_schema_version_guard(self, tmp_path):

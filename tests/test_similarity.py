@@ -6,11 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apec.errors import (
-    DimensionMismatchError,
-    EmptyTextError,
-    ProviderUnavailableError,
-)
+from apec.errors import ApecError, EmptyTextError, ProviderUnavailableError
 from apec.retrieval import build_embedding_index, embedding_top_k
 from apec.similarity import (
     EMBED_BATCH_SIZE,
@@ -69,7 +65,7 @@ class TestCosine:
         assert cosine([1.0, 0.0], [-1.0, 0.0]) == pytest.approx(-1.0)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ApecError, match="dense vectors differ in length: 2 vs 1"):
             cosine([1.0, 2.0], [1.0])
 
     def test_mixed_types_rejected(self):

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from apec.errors import (
-    ConfigError,
+    ApecError,
     ProviderUnavailableError,
     TransientProviderError,
     post_json,
@@ -77,13 +77,13 @@ class TestTransportCheck:
     )
     @pytest.mark.parametrize("provider", [HttpChatProvider, HttpEmbeddingProvider])
     def test_rejected(self, provider, endpoint):
-        with pytest.raises(ConfigError, match="endpoint"):
+        with pytest.raises(ApecError, match="^endpoint "):
             provider(endpoint, "m")
 
     @pytest.mark.parametrize("timeout", [0, -1.0, float("nan"), float("inf"), 1e10])
     @pytest.mark.parametrize("provider", [HttpChatProvider, HttpEmbeddingProvider])
     def test_timeout_rejected(self, provider, timeout):
-        with pytest.raises(ConfigError, match="timeout must be > 0"):
+        with pytest.raises(ApecError, match="^timeout must be > 0"):
             provider("http://llm/v1", "m", timeout=timeout)
 
     @pytest.mark.parametrize(
