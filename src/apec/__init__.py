@@ -6,6 +6,8 @@ readability/similarity scoring, iterative refinement with a strict
 improvement gate, and cross-stream ensembling.
 """
 
+__version__ = "0.1.0"  # set before the imports: apec.errors reads it for the User-Agent
+
 from .corpus import (
     corpus_stats,
     evaluate_run,
@@ -37,5 +39,3 @@ from .textstats import (
     fh_index,
     text_stats,
 )
-
-__version__ = "0.1.0"

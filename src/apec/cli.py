@@ -19,6 +19,7 @@ so reruns with the same seed and scripted providers are byte-equal.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -223,6 +224,17 @@ def make_embed_provider(spec: str, config: dict):
     return CachedEmbeddingProvider(provider)
 
 
+@contextlib.contextmanager
+def _closing(*providers):
+    """Close the connections of each HTTP provider when the block ends."""
+    try:
+        yield
+    finally:
+        for provider in providers:
+            if hasattr(provider, "close"):
+                provider.close()
+
+
 # -------------------------------------------------------------- file I/O
 
 
@@ -315,8 +327,9 @@ def _partial_exit(total: int, failures: list[tuple[str, str]]) -> int:
 
 def cmd_stats(args, config: dict) -> int:
     embed = make_embed_provider(args.embed, config) if args.embed else None
-    docs = load_corpus(args.input)
-    report = corpus_stats(docs, side=args.side, embed_provider=embed)
+    with _closing(embed):
+        docs = load_corpus(args.input)
+        report = corpus_stats(docs, side=args.side, embed_provider=embed)
     if args.text:
         _emit(render_stats_table(report, title=f"{args.input} [{args.side}]"), args.output)
     else:
@@ -360,41 +373,42 @@ def cmd_adapt(args, config: dict) -> int:
     decoding = DECODING_PROFILES[args.decoding]
     provider = make_chat_provider(args.provider, config)
     embed = make_embed_provider(args.embed, config) if args.mode == "fs-emb" else None
+    with _closing(provider, embed):
+        docs = load_corpus(args.input)
+        index = pairs = None
+        if args.mode != "zs":
+            ids, pairs = _training_pairs(load_corpus(args.corpus))
+            if args.mode == "fs-bm25":
+                index = _bm25_index(args.index, ids, pairs)
+            if args.mode == "fs-emb":
+                # built before the pool starts, so worker threads share it unlocked
+                index = build_embedding_index(pairs, embed)
 
-    docs = load_corpus(args.input)
-    index = pairs = None
-    if args.mode != "zs":
-        ids, pairs = _training_pairs(load_corpus(args.corpus))
-        if args.mode == "fs-bm25":
-            index = _bm25_index(args.index, ids, pairs)
-        if args.mode == "fs-emb":
-            # built before the pool starts, so worker threads share it unlocked
-            index = build_embedding_index(pairs, embed)
+        def demos_for(doc: Document):
+            if args.mode == "zs":
+                return []
+            if args.mode == "fs-rdm":
+                seed = derive_doc_seed(options["seed"], doc.id)
+                return random_k(pairs, min(args.k, len(pairs)), seed)
+            if args.mode == "fs-bm25":
+                return bm25_top_k(index, doc.source, k=args.k, ratio_filter=ratio)
+            return embedding_top_k(index, doc.source, k=args.k, provider=embed)
 
-    def demos_for(doc: Document):
-        if args.mode == "zs":
-            return []
-        if args.mode == "fs-rdm":
-            seed = derive_doc_seed(options["seed"], doc.id)
-            return random_k(pairs, min(args.k, len(pairs)), seed)
-        if args.mode == "fs-bm25":
-            return bm25_top_k(index, doc.source, k=args.k, ratio_filter=ratio)
-        return embedding_top_k(index, doc.source, k=args.k, provider=embed)
+        def work(doc: Document):
+            demos = demos_for(doc)
+            request = render_initial_prompt(doc.task, doc.source, demos, decoding=decoding)
+            record = {
+                "schema_version": ARTIFACT_SCHEMA_VERSION,
+                "doc_id": doc.id,
+                "task": doc.task,
+                "mode": args.mode,
+                "adaptation": generate_text(provider, request, retries=options["retries"]),
+            }
+            return record, None
 
-    def work(doc: Document):
-        request = render_initial_prompt(doc.task, doc.source, demos_for(doc), decoding=decoding)
-        record = {
-            "schema_version": ARTIFACT_SCHEMA_VERSION,
-            "doc_id": doc.id,
-            "task": doc.task,
-            "mode": args.mode,
-            "adaptation": generate_text(provider, request, retries=options["retries"]),
-        }
-        return record, None
-
-    records, failures = _run_docs(work, docs, options["workers"])
-    write_jsonl(args.output, records)
-    return _partial_exit(len(docs), failures)
+        records, failures = _run_docs(work, docs, options["workers"])
+        write_jsonl(args.output, records)
+        return _partial_exit(len(docs), failures)
 
 
 def cmd_refine(args, config: dict) -> int:
@@ -402,34 +416,36 @@ def cmd_refine(args, config: dict) -> int:
     run_config = ApecConfig(**_options(config, "apec", args), retries=options["retries"])
     provider = make_chat_provider(args.provider, config)
     embed = make_embed_provider(args.embed, config)
+    with _closing(provider, embed):
+        docs = load_corpus(args.docs)
+        outputs = read_adaptations(args.input)
+        docs_by_id = {doc.id: doc for doc in docs}
+        unknown = [doc_id for doc_id in outputs if doc_id not in docs_by_id]
+        if unknown:
+            raise ApecError(f"adaptations reference unknown doc ids: {unknown[:5]}")
 
-    docs = load_corpus(args.docs)
-    outputs = read_adaptations(args.input)
-    docs_by_id = {doc.id: doc for doc in docs}
-    unknown = [doc_id for doc_id in outputs if doc_id not in docs_by_id]
-    if unknown:
-        raise ApecError(f"adaptations reference unknown doc ids: {unknown[:5]}")
+        ids, pairs = _training_pairs(load_corpus(args.corpus))
+        index = _bm25_index(args.index, ids, pairs)
+        target_docs = [doc for doc in docs if doc.id in outputs]
 
-    ids, pairs = _training_pairs(load_corpus(args.corpus))
-    index = _bm25_index(args.index, ids, pairs)
-    target_docs = [doc for doc in docs if doc.id in outputs]
+        def work(doc: Document):
+            trace = run_apec(
+                doc, outputs[doc.id], index, provider, embed, config=run_config, stream=args.stream
+            )
+            error = "trace incomplete: provider gave out mid-run" if trace.incomplete else None
+            return trace, error
 
-    def work(doc: Document):
-        trace = run_apec(
-            doc, outputs[doc.id], index, provider, embed, config=run_config, stream=args.stream
-        )
-        return trace, "trace incomplete: provider gave out mid-run" if trace.incomplete else None
-
-    traces, failures = _run_docs(work, target_docs, options["workers"])
-    write_jsonl(args.output, map(trace_to_dict, traces))
-    return _partial_exit(len(target_docs), failures)
+        traces, failures = _run_docs(work, target_docs, options["workers"])
+        write_jsonl(args.output, map(trace_to_dict, traces))
+        return _partial_exit(len(target_docs), failures)
 
 
 def cmd_evaluate(args, config: dict) -> int:
     embed = make_embed_provider(args.embed, config)
-    docs = load_corpus(args.corpus)
-    outputs = read_adaptations(args.input)
-    report = evaluate_run(outputs, docs, embed)
+    with _closing(embed):
+        docs = load_corpus(args.corpus)
+        outputs = read_adaptations(args.input)
+        report = evaluate_run(outputs, docs, embed)
     if args.text:
         _emit(render_evaluation_table(report), args.output)
     else:

@@ -24,11 +24,10 @@ from .errors import (
     DEFAULT_RETRIES,
     DEFAULT_TIMEOUT,
     ApecError,
+    HttpTransport,
     MissingCorrectionError,
     ProviderUnavailableError,
     ResponseEmptyError,
-    check_transport,
-    post_json,
     with_retries,
 )
 from .prompts import (
@@ -253,9 +252,10 @@ class HttpChatProvider:
     """OpenAI-compatible chat completions client.
 
     POST {endpoint} with {"model", "messages", "temperature", "top_p",
-    "top_k" (sampled mode only), "max_tokens"} through `post_json`; the
-    completion is read from choices[0].message.content, and a null there
-    is an empty completion.
+    "top_k" (sampled mode only), "max_tokens"} through its own
+    `HttpTransport`, whose idle connections `close` closes; the completion
+    is read from choices[0].message.content, and a null there is an empty
+    completion.
     """
 
     def __init__(
@@ -265,11 +265,13 @@ class HttpChatProvider:
         api_key: str | None = None,
         timeout: float = DEFAULT_TIMEOUT,
     ):
-        self.endpoint = check_transport(endpoint, timeout)
+        self._transport = HttpTransport(endpoint, api_key, timeout)
+        self.endpoint = endpoint
         self.model = model
-        self.api_key = api_key
-        self.timeout = timeout
         self.provider_id = f"http:{model}"
+
+    def close(self) -> None:
+        self._transport.close()
 
     def _payload(self, request: GenerationRequest) -> dict:
         messages = []
@@ -291,9 +293,7 @@ class HttpChatProvider:
         return payload
 
     def complete(self, request: GenerationRequest) -> str:
-        body = post_json(
-            self.endpoint, self._payload(request), self.api_key, self.timeout, "chat endpoint"
-        )
+        body = self._transport.post_json(self._payload(request), "chat endpoint")
         try:
             content = body["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:

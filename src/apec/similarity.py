@@ -24,9 +24,8 @@ from .errors import (
     DEFAULT_RETRIES,
     DEFAULT_TIMEOUT,
     ApecError,
+    HttpTransport,
     ProviderUnavailableError,
-    check_transport,
-    post_json,
     with_retries,
 )
 
@@ -138,19 +137,22 @@ class HashEmbeddingProvider:
 class HttpEmbeddingProvider:
     """Client for an OpenAI-compatible embeddings endpoint.
 
-    POSTs {"model": ..., "input": [...]} through `post_json`, at most
-    `EMBED_BATCH_SIZE` texts per request, each request retried by
-    `with_retries`, and reads {"data": [{"embedding": [...]}, ...]}.
+    POSTs {"model": ..., "input": [...]} through its own `HttpTransport`,
+    whose idle connections `close` closes, at most `EMBED_BATCH_SIZE`
+    texts per request, each request retried by `with_retries`, and reads
+    {"data": [{"embedding": [...]}, ...]}.
     """
 
     def __init__(
         self, endpoint: str, model: str, api_key: str = "", timeout: float = DEFAULT_TIMEOUT
     ):
-        self.endpoint = check_transport(endpoint, timeout)
+        self._transport = HttpTransport(endpoint, api_key, timeout)
+        self.endpoint = endpoint
         self.model = model
-        self.api_key = api_key
-        self.timeout = timeout
         self.provider_id = f"http:{endpoint}:{model}"
+
+    def close(self) -> None:
+        self._transport.close()
 
     def embed(self, texts: list[str]) -> list[EmbeddingVector]:
         what = f"embedding provider {self.provider_id}"
@@ -163,7 +165,7 @@ class HttpEmbeddingProvider:
 
     def _post(self, texts: list[str]) -> list[EmbeddingVector]:
         payload = {"model": self.model, "input": texts}
-        body = post_json(self.endpoint, payload, self.api_key, self.timeout, "embedding endpoint")
+        body = self._transport.post_json(payload, "embedding endpoint")
         return self._parse(body, len(texts))
 
     @staticmethod
@@ -209,3 +211,7 @@ class CachedEmbeddingProvider:
                     self._cache[text] = vector
         with self._lock:
             return [self._cache[t] for t in texts]
+
+    def close(self) -> None:
+        if hasattr(self._provider, "close"):
+            self._provider.close()

@@ -1,8 +1,9 @@
 import json
 import math
+import socket
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from types import SimpleNamespace
 
@@ -58,12 +59,13 @@ def hash_embedder():
 class Reply:
     """One scripted HTTP answer. `body` is sent as JSON unless it is bytes;
     `delay` is waited before answering; `cut` closes the connection
-    halfway through the body it announced."""
+    halfway through the body it announced; `headers` are sent as well."""
 
     status: int = 200
     body: object = None
     delay: float = 0.0
     cut: bool = False
+    headers: dict = field(default_factory=dict)
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -80,42 +82,84 @@ class _StubHandler(BaseHTTPRequestHandler):
             self.send_response(reply.status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(2 * len(data) if reply.cut else len(data)))
+            for name, value in reply.headers.items():
+                self.send_header(name, value)
             self.end_headers()
             self.wfile.write(data)
         except OSError:  # the client has already given up
             pass
+        self.close_connection |= reply.cut
+
+    def do_CONNECT(self):
+        """Record a proxy tunnel request and refuse it."""
+        with self.server.lock:
+            self.server.received.append(SimpleNamespace(path=self.path, headers=self.headers))
+        self.send_error(403)
 
     def log_message(self, format, *args):
         pass
 
 
+class _KeepAliveHandler(_StubHandler):
+    protocol_version = "HTTP/1.1"  # keeps each connection open for the next request
+
+
 class StubServer(ThreadingHTTPServer):
     """Localhost HTTP server that answers each POST with the next Reply in
-    `script`, or with `answer(request JSON)` once the script is spent, and
-    records each request's path, headers and JSON in `received`."""
+    `script`, or with `answer(request JSON)` once the script is spent,
+    records each request's path, headers and JSON in `received`, and each
+    connection it accepts in `connections`."""
 
     daemon_threads = False  # server_close waits for every handler
 
-    def __init__(self):
-        super().__init__(("127.0.0.1", 0), _StubHandler)
+    def __init__(self, handler=_StubHandler):
+        super().__init__(("127.0.0.1", 0), handler)
         self.lock = threading.Lock()
         self.script: list[Reply] = []
         self.answer = lambda payload: Reply(404, {"error": "no scripted reply"})
         self.received: list[SimpleNamespace] = []
+        self.connections: list[socket.socket] = []
         self.url = f"http://127.0.0.1:{self.server_port}"
 
+    def process_request(self, request, client_address):
+        with self.lock:
+            self.connections.append(request)
+        super().process_request(request, client_address)
 
-@pytest.fixture
-def stub_server(monkeypatch):
+    def drop_connections(self):
+        """Shut down every open connection, as a server that ends idle
+        keep-alive connections does."""
+        with self.lock:
+            for conn in self.connections:
+                try:
+                    conn.shutdown(socket.SHUT_RDWR)
+                except OSError:  # already closed
+                    pass
+
+
+def _serve(monkeypatch, handler):
     monkeypatch.setenv("no_proxy", "127.0.0.1")  # never route the stub through a proxy
-    server = StubServer()
+    server = StubServer(handler)
     thread = threading.Thread(target=server.serve_forever, args=(0.01,))
     thread.start()
     yield server
     server.shutdown()
     thread.join(timeout=5)
     assert not thread.is_alive()
+    server.drop_connections()  # else a kept-alive handler waits for its client
     server.server_close()
+
+
+@pytest.fixture
+def stub_server(monkeypatch):
+    """StubServer that answers over HTTP/1.0, one connection per request."""
+    yield from _serve(monkeypatch, _StubHandler)
+
+
+@pytest.fixture
+def keepalive_server(monkeypatch):
+    """StubServer that answers over HTTP/1.1 and keeps connections open."""
+    yield from _serve(monkeypatch, _KeepAliveHandler)
 
 
 @pytest.fixture
