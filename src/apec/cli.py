@@ -49,8 +49,8 @@ from .generation import (
 from .refine import (
     ApecConfig,
     ensemble_select,
+    read_traces,
     run_apec,
-    trace_from_dict,
     trace_to_dict,
 )
 from .retrieval import (
@@ -238,10 +238,14 @@ def _closing(*providers):
 # -------------------------------------------------------------- file I/O
 
 
+def _json(value) -> str:
+    """An artifact's JSON text; a NaN or an infinity, which is not JSON, is a ValueError."""
+    return json.dumps(value, ensure_ascii=False, sort_keys=True, allow_nan=False)
+
+
 def write_jsonl(path, records) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+    lines = [_json(record) + "\n" for record in records]  # all first: a bad one writes no file
+    Path(path).write_text("".join(lines), encoding="utf-8")
 
 
 def read_adaptations(path) -> dict[str, str]:
@@ -335,7 +339,7 @@ def cmd_stats(args, config: dict) -> int:
     else:
         payload = dict(vars(report))
         payload["schema_version"] = ARTIFACT_SCHEMA_VERSION
-        _emit(json.dumps(payload, ensure_ascii=False, sort_keys=True), args.output)
+        _emit(_json(payload), args.output)
     return EXIT_OK
 
 
@@ -452,7 +456,7 @@ def cmd_evaluate(args, config: dict) -> int:
         payload = dataclasses.asdict(report)
         del payload["skipped"]  # reported on stderr
         payload["schema_version"] = ARTIFACT_SCHEMA_VERSION
-        _emit(json.dumps(payload, ensure_ascii=False, sort_keys=True), args.output)
+        _emit(_json(payload), args.output)
     return _partial_exit(report.doc_count + len(report.skipped), report.skipped)
 
 
@@ -461,23 +465,8 @@ def cmd_ensemble(args, config: dict) -> int:
         raise UsageError("ensemble needs at least two trace files")
     priority = args.priority.split(",") if args.priority else None
 
-    streams: list[dict[str, object]] = []
-    labels: list[str] = []
-    for path in args.inputs:
-        label = Path(path).stem
-        by_doc: dict[str, object] = {}
-        for line_no, record in read_jsonl(path):
-            try:
-                trace = trace_from_dict(record)
-            except ValueError as exc:
-                raise ApecError(f"{path} line {line_no}: {exc}") from exc
-            if not trace.stream:
-                trace = dataclasses.replace(trace, stream=label)
-            if trace.doc_id in by_doc:
-                raise ApecError(f"{path} line {line_no}: duplicate doc_id {trace.doc_id!r}")
-            by_doc[trace.doc_id] = trace
-        streams.append(by_doc)
-        labels.append(label)
+    streams = [read_traces(path) for path in args.inputs]
+    labels = [Path(path).stem for path in args.inputs]
 
     common = set(streams[0])
     for by_doc in streams[1:]:

@@ -48,29 +48,15 @@ DEFAULT_MAX_NEW_TOKENS = 2048
 
 @dataclass(frozen=True)
 class DecodingParams:
-    mode: Literal["greedy", "sampled"] = "greedy"
-    temperature: float = 0.0
+    temperature: float = 0.0  # 0 is greedy decoding: HttpChatProvider then sends no top_k
     top_k: int = 1
     top_p: float = 1.0
     max_new_tokens: int = DEFAULT_MAX_NEW_TOKENS
 
-    def __post_init__(self):
-        if self.mode not in ("greedy", "sampled"):
-            raise ValueError(f"unknown decoding mode {self.mode!r}")
-        if self.max_new_tokens < 1:
-            raise ValueError("max_new_tokens must be >= 1")
-        if self.mode == "sampled":
-            if self.temperature <= 0:
-                raise ValueError("sampled decoding requires temperature > 0")
-            if not 0.0 < self.top_p <= 1.0:
-                raise ValueError("sampled decoding requires 0 < top_p <= 1")
-            if self.top_k < 1:
-                raise ValueError("sampled decoding requires top_k >= 1")
 
-
-GREEDY = DecodingParams(mode="greedy")
-INITIAL_SAMPLED = DecodingParams(mode="sampled", temperature=0.3, top_k=40, top_p=0.95)
-REFINE = DecodingParams(mode="sampled", temperature=0.8, top_k=50, top_p=1.0)
+GREEDY = DecodingParams()
+INITIAL_SAMPLED = DecodingParams(temperature=0.3, top_k=40, top_p=0.95)
+REFINE = DecodingParams(temperature=0.8, top_k=50, top_p=1.0)
 
 DECODING_PROFILES = {
     "greedy": GREEDY,
@@ -84,19 +70,6 @@ class GenerationRequest:
     system_prompt: str
     messages: tuple[tuple[str, str], ...]
     decoding: DecodingParams = GREEDY
-
-    def __post_init__(self):
-        if not self.messages:
-            raise ValueError("request needs at least one message")
-        previous = None
-        for role, _ in self.messages:
-            if role not in ("user", "assistant"):
-                raise ValueError(f"unknown message role {role!r}")
-            if role == previous:
-                raise ValueError("message roles must alternate")
-            previous = role
-        if self.messages[-1][0] != "user":
-            raise ValueError("final message must have role user")
 
     def last_user_content(self) -> str:
         return self.messages[-1][1]
@@ -141,18 +114,15 @@ def render_apec_prompt(
     source: str,
     current_adaptation: str,
     demos: list[Demonstration] | None = None,
-    decoding: DecodingParams = REFINE,
 ) -> GenerationRequest:
     """Revision request: the filled review template as the final user
-    turn, exemplar turns ahead of it, no system prompt."""
+    turn, exemplar turns ahead of it, no system prompt, REFINE decoding."""
     if not current_adaptation.strip():
         raise ApecError("cannot request a revision of an empty adaptation")
     filled = fill_review_template(task, source, current_adaptation)
     messages = _demo_turns(demos or [])
     messages.append(("user", filled))
-    return GenerationRequest(
-        system_prompt="", messages=tuple(messages), decoding=decoding
-    )
+    return GenerationRequest(system_prompt="", messages=tuple(messages), decoding=REFINE)
 
 
 @dataclass(frozen=True)
@@ -252,7 +222,7 @@ class HttpChatProvider:
     """OpenAI-compatible chat completions client.
 
     POST {endpoint} with {"model", "messages", "temperature", "top_p",
-    "top_k" (sampled mode only), "max_tokens"} through its own
+    "top_k" (when sampling, temperature > 0), "max_tokens"} through its own
     `HttpTransport`, whose idle connections `close` closes; the completion
     is read from choices[0].message.content, and a null there is an empty
     completion.
@@ -284,11 +254,11 @@ class HttpChatProvider:
         payload = {
             "model": self.model,
             "messages": messages,
-            "temperature": decoding.temperature if decoding.mode == "sampled" else 0.0,
-            "top_p": decoding.top_p if decoding.mode == "sampled" else 1.0,
+            "temperature": decoding.temperature,
+            "top_p": decoding.top_p,
             "max_tokens": decoding.max_new_tokens,
         }
-        if decoding.mode == "sampled":
+        if decoding.temperature > 0:
             payload["top_k"] = decoding.top_k
         return payload
 

@@ -11,10 +11,12 @@ trace flagged incomplete; everything produced so far is kept.
 from __future__ import annotations
 
 import dataclasses
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
-from .corpus import Document
+from .corpus import Document, read_jsonl
 from .errors import (
     DEFAULT_BACKOFF,
     DEFAULT_RETRIES,
@@ -26,7 +28,6 @@ from .errors import (
     ResponseEmptyError,
 )
 from .generation import (
-    REFINE,
     ChatProvider,
     generate_text,
     parse_apec_response,
@@ -127,7 +128,7 @@ def run_apec(
     incomplete = False
 
     for cycle in range(1, config.cycles + 1):
-        request = render_apec_prompt(doc.task, doc.source, current, demos, decoding=REFINE)
+        request = render_apec_prompt(doc.task, doc.source, current, demos)
         try:
             raw = generate_text(
                 llm_provider, request, retries=config.retries, backoff=config.backoff
@@ -249,7 +250,8 @@ _JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "bool": (boo
 def trace_from_dict(payload) -> ApecTrace:
     """The trace that `trace_to_dict` wrote, read back from JSON; other keys
     are ignored. ValueError unless `payload` is a dict of this schema version
-    whose fields and cycle records are all present and of their annotated type."""
+    whose fields and cycle records are all present and of their annotated
+    type, with every float finite."""
     if not isinstance(payload, dict):
         raise ValueError(f"trace must be a JSON object, got {type(payload).__name__}")
     version = payload.get("schema_version")
@@ -267,4 +269,23 @@ def trace_from_dict(payload) -> ApecTrace:
             value = getattr(record, field.name)
             if field.type in _JSON_TYPES and type(value) not in _JSON_TYPES[field.type]:
                 raise ValueError(f"{field.name} must be {field.type}, got {value!r}")
+            if field.type == "float" and not abs(value) <= sys.float_info.max:
+                raise ValueError(f"{field.name} must be finite, got {value!r}")
     return trace
+
+
+def read_traces(path) -> dict[str, ApecTrace]:
+    """doc id -> trace for each line of a trace file, in file order; a trace
+    without a stream takes the file's stem as its stream. A malformed trace or
+    a repeated doc id raises ApecError naming the file and the line."""
+    label = Path(path).stem
+    traces: dict[str, ApecTrace] = {}
+    for line_no, record in read_jsonl(path):
+        try:
+            trace = trace_from_dict(record)
+        except ValueError as exc:
+            raise ApecError(f"{path} line {line_no}: {exc}") from exc
+        if trace.doc_id in traces:
+            raise ApecError(f"{path} line {line_no}: duplicate doc_id {trace.doc_id!r}")
+        traces[trace.doc_id] = trace if trace.stream else dataclasses.replace(trace, stream=label)
+    return traces

@@ -7,9 +7,8 @@ seeded random sampling. A length-ratio filter can exclude training
 pairs whose adaptation is much shorter/longer than its source.
 
 Query-independent work is cached on the index: length norms on first
-use, a term's impact vector (positions and `idf·tf·(k1+1)/(tf+norm)`
-weights) when a query first holds it, and a pair's length ratio when the
-ratio filter's rank-order walk first reaches it. Weights use the direct
+use, and a term's impact vector (positions and `idf·tf·(k1+1)/(tf+norm)`
+weights) when a query first holds it. Weights use the direct
 formula's exact expression and are summed once per query-token
 occurrence, in query order, so scores are bit-identical to applying the
 formula to every posting on every query.
@@ -61,6 +60,8 @@ class Bm25Params:
         for name, low in (("k1", 0), ("epsilon", 0), ("min_token_len", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
+            if not getattr(self, name) < math.inf:  # NaN or inf
+                raise ValueError(f"{name} must be finite")
         if not 0.0 <= self.b <= 1.0:
             raise ValueError("b must be in [0, 1]")
 
@@ -83,12 +84,11 @@ class Bm25Index:
     postings: Mapping[str, dict[int, int]] = field(repr=False)  # term -> pos -> tf, pos ascending
     idf: dict[str, float] = field(repr=False)
     params: Bm25Params = Bm25Params()
-    # term -> (positions, weights) and pos -> length ratio, filled as queries
-    # need them. Pool threads share them and the cached property below
-    # without a lock: every writer stores an equal value for its key, so a
-    # racing write is harmless and a reader sees either no entry or a whole one.
+    # term -> (positions, weights), filled as queries need them. Pool threads
+    # share it and the cached property below without a lock: every writer
+    # stores an equal value for its key, so a racing write is harmless and a
+    # reader sees either no entry or a whole one.
     _impact_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _ratio_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.doc_ids)
@@ -100,14 +100,6 @@ class Bm25Index:
         return tuple(
             k1 * (1.0 - b + b * dl / self.avgdl) for dl in self.doc_token_counts
         )
-
-    def _ratio(self, pos: int) -> float:
-        """Adaptation/source length ratio of a pair with a non-blank source."""
-        ratio = self._ratio_cache.get(pos)
-        if ratio is None:
-            ratio = len(self.adaptations[pos].split()) / len(self.sources[pos].split())
-            self._ratio_cache[pos] = ratio
-        return ratio
 
     def _impacts(self, term: str) -> tuple[tuple[int, ...], tuple[float, ...]]:
         """Positions holding an indexed term and its BM25 weight in each."""
@@ -242,7 +234,7 @@ def bm25_top_k(
         positions = []
         while heap and len(positions) < k:
             p = heapq.heappop(heap)[2]
-            if lo <= index._ratio(p) <= hi:
+            if lo <= len(index.adaptations[p].split()) / len(index.sources[p].split()) <= hi:
                 positions.append(p)
     return _ranked(
         positions, scores, index.doc_ids, index.sources, index.adaptations, k
@@ -355,7 +347,7 @@ def save_index(index: Bm25Index, path) -> None:
         "tfs": _u32_column(chain.from_iterable(docs.values() for docs in postings)),
     }
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, ensure_ascii=False, sort_keys=True)
+        json.dump(payload, handle, ensure_ascii=False, sort_keys=True, allow_nan=False)
         handle.write("\n")
 
 
@@ -451,8 +443,8 @@ def load_index(path, pairs_by_id) -> Bm25Index:
         raise _index_error(path, "doc_token_counts is not a list of token counts")
     if len(counts) != len(doc_ids):
         raise _index_error(path, f"{len(counts)} doc_token_counts for {len(doc_ids)} doc_ids")
-    if type(avgdl) not in (int, float):
-        raise _index_error(path, "avgdl is not a number")
+    if type(avgdl) not in (int, float) or not 0 <= avgdl <= sys.float_info.max:
+        raise _index_error(path, "avgdl is not a finite number >= 0")
     if not (
         isinstance(doc_freqs, dict) and all(type(n) is int and n >= 1 for n in doc_freqs.values())
     ):

@@ -14,6 +14,7 @@ import math
 import operator
 import re
 import struct
+import sys
 import threading
 from collections import Counter
 from collections.abc import Mapping, Sequence
@@ -140,7 +141,8 @@ class HttpEmbeddingProvider:
     POSTs {"model": ..., "input": [...]} through its own `HttpTransport`,
     whose idle connections `close` closes, at most `EMBED_BATCH_SIZE`
     texts per request, each request retried by `with_retries`, and reads
-    {"data": [{"embedding": [...]}, ...]}.
+    {"data": [{"embedding": [...]}, ...]}, whose values must be finite
+    JSON numbers.
     """
 
     def __init__(
@@ -177,7 +179,11 @@ class HttpEmbeddingProvider:
                 slot = item.get("index", i)
                 if type(slot) is not int or not 0 <= slot < len(data):
                     raise ValueError(f"index {slot!r} outside 0..{len(data) - 1}")
-                vectors[slot] = [float(v) for v in item["embedding"]]
+                values = item["embedding"]
+                finite = (type(v) in (int, float) and abs(v) <= sys.float_info.max for v in values)
+                if not all(finite):
+                    raise ValueError(f"embedding {slot} holds a value that is not a finite number")
+                vectors[slot] = [float(v) for v in values]
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ProviderUnavailableError(f"malformed embeddings response: {exc}") from exc
         if len(vectors) != expected or any(v is None for v in vectors):

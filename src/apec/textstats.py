@@ -13,7 +13,7 @@ import functools
 import re
 from dataclasses import dataclass
 
-from .errors import ApecError, EmptyTextError, NoWordsError
+from .errors import EmptyTextError, NoWordsError
 
 FH_INTERCEPT = 206.84
 FH_SYLLABLE_WEIGHT = 0.60  # per syllables-per-100-words
@@ -79,10 +79,9 @@ def segment_sentences(text: str) -> list[str]:
     quotes/brackets may intervene) and at blank lines. A period ending a
     known abbreviation does not split. Fragments without any word token
     are merged into the neighbouring sentence so that no returned
-    sentence is bare punctuation, except when the whole text is.
+    sentence is bare punctuation, except when the whole text is. Blank
+    text has no sentences.
     """
-    if not text.strip():
-        raise EmptyTextError("cannot segment empty text")
     fragments: list[str] = []
     for block in _PARAGRAPH_SPLIT.split(text):
         block = block.strip()
@@ -145,8 +144,6 @@ def count_syllables(word: str) -> int:
     'u' in que/qui/gue/gui is silent; a word-final 'y' acts as a vowel.
     Digits count one syllable each.
     """
-    if not word:
-        raise ApecError("cannot count syllables of an empty token")
     w = word.lower()
     if w.endswith("y"):
         w = w[:-1] + "i"

@@ -70,10 +70,11 @@ class Reply:
 
 class _StubHandler(BaseHTTPRequestHandler):
     def do_POST(self):
-        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        payload = json.loads(body)
         server = self.server
         with server.lock:
-            request = SimpleNamespace(path=self.path, headers=self.headers, json=payload)
+            request = SimpleNamespace(path=self.path, headers=self.headers, body=body, json=payload)
             server.received.append(request)
             reply = server.script.pop(0) if server.script else server.answer(payload)
         time.sleep(reply.delay)
@@ -107,7 +108,7 @@ class _KeepAliveHandler(_StubHandler):
 class StubServer(ThreadingHTTPServer):
     """Localhost HTTP server that answers each POST with the next Reply in
     `script`, or with `answer(request JSON)` once the script is spent,
-    records each request's path, headers and JSON in `received`, and each
+    records each request's path, headers, body and JSON in `received`, and each
     connection it accepts in `connections`."""
 
     daemon_threads = False  # server_close waits for every handler

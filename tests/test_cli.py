@@ -1,5 +1,6 @@
 import base64
 import json
+import math
 import re
 import struct
 import time
@@ -265,6 +266,12 @@ class TestIndex:
             pytest.param(lambda p: p.pop("doc_freqs"), id="no-doc-freqs"),
             pytest.param(lambda p: p["params"].pop("k1"), id="params-missing-k1"),
             pytest.param(lambda p: p.update(avgdl="4.0"), id="avgdl-string"),
+            pytest.param(lambda p: p["params"].update(k1=float("nan")), id="params-k1-nan"),
+            pytest.param(lambda p: p["params"].update(epsilon=float("inf")), id="params-epsilon-inf"),
+            pytest.param(lambda p: p.update(avgdl=float("nan")), id="avgdl-nan"),
+            pytest.param(lambda p: p.update(avgdl=float("inf")), id="avgdl-inf"),
+            pytest.param(lambda p: p.update(avgdl=10**400), id="avgdl-past-float-range"),
+            pytest.param(lambda p: p.update(avgdl=-1.0), id="avgdl-negative"),
             pytest.param(lambda p: p["doc_ids"].insert(0, ["t0"]), id="list-doc-id"),
             pytest.param(lambda p: p["doc_token_counts"].pop(), id="short-token-counts"),
             pytest.param(lambda p: p.update(positions=[0, 1]), id="posting-list"),
@@ -1125,6 +1132,10 @@ def malformed_trace(**changes):
     return json.dumps({key: value for key, value in record.items() if value is not None})
 
 
+_CYCLE = {"cycle": 1, "candidate": "C-b", "fh": 70.0, "emb_sim": 0.5, "score": 60.0,
+          "accepted": True, "parse_failed": False}
+
+
 class TestMalformedLine:
     """A bad line in any JSONL input is a data error naming the file and line."""
 
@@ -1139,12 +1150,15 @@ class TestMalformedLine:
             ("ensemble", malformed_trace(records=None)),
             ("ensemble", malformed_trace(records=[{"cycle": 1}])),
             ("ensemble", malformed_trace(final_score="x")),
+            ("ensemble", malformed_trace(final_score=float("nan"))),
+            ("ensemble", malformed_trace(records=[{**_CYCLE, "emb_sim": float("inf")}])),
             ("adapt", '{"match": "Fuente", '),
         ],
         ids=[
             "refine-not-object", "evaluate-not-object", "refine-text-not-string",
             "evaluate-text-not-string", "ensemble-not-object", "ensemble-no-records",
-            "ensemble-bad-cycle-record", "ensemble-score-not-number", "adapt-fixture-not-json",
+            "ensemble-bad-cycle-record", "ensemble-score-not-number", "ensemble-score-nan",
+            "ensemble-cycle-score-inf", "adapt-fixture-not-json",
         ],
     )
     def test_data_error_names_file_and_line(self, workdir, capsys, command, bad_line):
@@ -1509,6 +1523,9 @@ BAD_FLAGS = [
     ("index", ["--k1", "-1"], "k1 must be >= 0, got -1.0"),
     ("index", ["--epsilon", "-0.5"], "epsilon must be >= 0, got -0.5"),
     ("index", ["--min-token-len", "0"], "min_token_len must be >= 1, got 0"),
+    ("index", ["--k1", "nan"], "k1 must be finite, got nan"),
+    ("index", ["--k1", "inf"], "k1 must be finite, got inf"),
+    ("index", ["--epsilon", "inf"], "epsilon must be finite, got inf"),
 ]
 BAD_CONFIG = [
     ("adapt", {"retries": -1}, "config key retries: retries must be >= 0, got -1"),
@@ -1519,6 +1536,9 @@ BAD_CONFIG = [
     ("refine", {"retries": -1}, "config key retries: retries must be >= 0, got -1"),
     ("index", {"bm25": {"b": 2}}, "config key bm25.b: b must be in [0, 1], got 2.0"),
     ("index", {"bm25": {"min_token_len": 0}}, "config key bm25.min_token_len: min_token_len"),
+    ("index", {"bm25": {"k1": "1e999"}}, "config key bm25.k1: k1 must be finite, got inf"),
+    ("index", {"bm25": {"k1": float("inf")}}, "config key bm25.k1: k1 must be finite, got inf"),
+    ("index", {"bm25": {"epsilon": "nan"}}, "config key bm25.epsilon: epsilon must be finite"),
 ]
 
 
@@ -1594,6 +1614,28 @@ class TestHttpProviders:
         assert "Traceback" not in err
         assert not out_path.exists()
 
+    def test_overflowing_embedding_fails_refine_without_writing(
+        self, workdir, monkeypatch, capsys, stub_server
+    ):
+        """Finite vector values pass the reply check, but these overflow the
+        cosine to NaN; the writer's backstop fails the run rather than write it."""
+        stub_server.answer = lambda payload: Reply(
+            body={"data": [{"embedding": [1e200, 1e200]} for _ in payload["input"]]}
+        )
+        monkeypatch.setenv("EMB_ENDPOINT", stub_server.url + "/v1/embeddings")
+        tmp_path, docs_path, train_path = workdir
+        initial = tmp_path / "initial.jsonl"
+        write_lines(initial, [{"doc_id": "a", "adaptation": "Inicial a."}])
+        out_path = tmp_path / "traces.jsonl"
+        rc = main(["refine", "--input", str(initial), "--docs", str(docs_path),
+                   "--corpus", str(train_path), "--provider", "echo", "--embed", "http",
+                   "--cycles", "1", "--output", str(out_path)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "not JSON compliant" in err
+        assert "Traceback" not in err
+        assert not out_path.exists()
+
     def test_workers_byte_identical(self, tmp_path, monkeypatch, stub_server):
         stub_server.answer = turns_answer
         monkeypatch.setenv("LLM_ENDPOINT", stub_server.url + "/v1/chat/completions")
@@ -1655,6 +1697,13 @@ class TestHelpers:
         path = tmp_path / "x.jsonl"
         write_jsonl(path, [{"b": 1, "a": 2}])
         assert path.read_text(encoding="utf-8") == '{"a": 2, "b": 1}\n'
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_write_jsonl_refuses_non_finite_and_writes_nothing(self, tmp_path, value):
+        path = tmp_path / "x.jsonl"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_jsonl(path, [{"a": 1.0}, {"a": value}])
+        assert not path.exists()
 
     def test_unknown_subcommand(self):
         assert main(["inventado"]) == EXIT_USAGE

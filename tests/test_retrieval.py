@@ -140,6 +140,11 @@ class TestParams:
             {"b": 1.01},
             {"epsilon": -1.0},
             {"min_token_len": 0},
+            {"k1": math.nan},
+            {"k1": math.inf},
+            {"epsilon": math.nan},
+            {"epsilon": math.inf},
+            {"b": math.nan},
         ],
     )
     def test_invalid(self, kwargs):

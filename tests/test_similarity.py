@@ -346,6 +346,16 @@ class TestHttpEmbeddingProvider:
         with pytest.raises(ProviderUnavailableError, match="malformed embeddings"):
             provider.embed(["a"])
 
+    @pytest.mark.parametrize(
+        "value",
+        [b'"2"', b"true", b"null", b"NaN", b"Infinity", b"-Infinity", b"1e999",
+         pytest.param(b"9" * 400, id="400-digit-integer")],
+    )
+    def test_value_not_a_finite_number_is_malformed(self, serve, value):
+        provider = serve(Reply(body=b'{"data": [{"embedding": [1.0, ' + value + b"]}]}"))
+        with pytest.raises(ProviderUnavailableError, match="malformed embeddings.*finite number"):
+            provider.embed(["a"])
+
     def test_count_mismatch(self, serve):
         provider = serve(Reply(body=_emb_payload([[1.0]])))
         with pytest.raises(ProviderUnavailableError, match="embedding count mismatch"):
