@@ -468,9 +468,6 @@ def cmd_ensemble(args, config: dict) -> int:
     streams = [read_traces(path) for path in args.inputs]
     labels = [Path(path).stem for path in args.inputs]
 
-    common = set(streams[0])
-    for by_doc in streams[1:]:
-        common &= set(by_doc)
     for label, by_doc in zip(labels, streams):
         missing = sorted(set().union(*streams) - set(by_doc))
         if missing:
@@ -479,7 +476,7 @@ def cmd_ensemble(args, config: dict) -> int:
                 file=sys.stderr,
             )
 
-    ordered = [doc_id for doc_id in streams[0] if doc_id in common]
+    ordered = [doc_id for doc_id in streams[0] if all(doc_id in by_doc for by_doc in streams)]
     records = []
     for doc_id in ordered:
         choice = ensemble_select([by_doc[doc_id] for by_doc in streams], priority)
@@ -488,7 +485,7 @@ def cmd_ensemble(args, config: dict) -> int:
                 "schema_version": ARTIFACT_SCHEMA_VERSION,
                 "doc_id": choice.doc_id,
                 "stream": choice.stream,
-                "adaptation": choice.adaptation,
+                "adaptation": choice.final,
                 "final_score": choice.final_score,
             }
         )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from statistics import fmean
 from typing import Mapping, Optional
 
-from .errors import ApecError, EmptyTextError, NoWordsError
+from .errors import ApecError, NoWordsError
 from .prompts import TASKS
 from .similarity import EmbeddingProvider, bow_vector, cosine, table_average
 from .textstats import fh_from_counts, fh_index, text_stats
@@ -138,6 +138,21 @@ class CorpusStatsReport:
     avg_sim: Optional[float] = None
 
 
+def _similarities(
+    pairs: list[tuple[str, str]], embed_provider: EmbeddingProvider
+) -> list[tuple[float, float]]:
+    """(BoW cosine, embedding cosine) of each (text, reference) pair. One
+    `embed` call takes every text, then every reference."""
+    vectors = embed_provider.embed([text for text, _ in pairs] + [ref for _, ref in pairs])
+    return [
+        (
+            cosine(bow_vector(text), bow_vector(ref)),
+            cosine(vectors[pos], vectors[pos + len(pairs)]),
+        )
+        for pos, (text, ref) in enumerate(pairs)
+    ]
+
+
 def corpus_stats(
     docs: list[Document],
     side: str = "source",
@@ -177,18 +192,9 @@ def corpus_stats(
     if embed_provider is not None:
         if any(doc.reference is None for doc in docs):
             raise ApecError("similarity rows require every reference")
-        bow_sims = [
-            cosine(bow_vector(doc.source), bow_vector(doc.reference)) for doc in docs
-        ]
-        vectors = embed_provider.embed(
-            [doc.source for doc in docs] + [doc.reference for doc in docs]
-        )
-        emb_sims = [
-            cosine(vectors[pos], vectors[pos + len(docs)])
-            for pos in range(len(docs))
-        ]
-        bow_sim = fmean(bow_sims)
-        emb_sim = fmean(emb_sims)
+        sims = _similarities([(doc.source, doc.reference) for doc in docs], embed_provider)
+        bow_sim = fmean(bow for bow, _ in sims)
+        emb_sim = fmean(emb for _, emb in sims)
         avg_sim = (bow_sim + emb_sim) / 2.0
 
     return CorpusStatsReport(
@@ -283,7 +289,7 @@ def evaluate_run(
             fh_val = fh_index(adaptation).fh
             side = "source"
             fh_source = fh_index(doc.source).fh
-        except (EmptyTextError, NoWordsError) as exc:
+        except NoWordsError as exc:
             skipped.append((doc_id, f"{side}: {exc}"))
             continue
         scored.append((doc, adaptation, fh_val, fh_source))
@@ -293,19 +299,18 @@ def evaluate_run(
             + "; ".join(f"doc {doc_id}: {reason}" for doc_id, reason in skipped)
         )
 
-    vectors = embed_provider.embed(
-        [adaptation for _, adaptation, _, _ in scored]
-        + [doc.reference for doc, _, _, _ in scored]
+    sims = _similarities(
+        [(adaptation, doc.reference) for doc, adaptation, _, _ in scored], embed_provider
     )
     rows = [
         DocEvaluation(
             doc_id=doc.id,
             fh=fh_val,
             fh_gain=fh_val - fh_source,
-            bow_sim=cosine(bow_vector(adaptation), bow_vector(doc.reference)),
-            emb_sim=cosine(vectors[pos], vectors[pos + len(scored)]),
+            bow_sim=bow_sim,
+            emb_sim=emb_sim,
         )
-        for pos, (doc, adaptation, fh_val, fh_source) in enumerate(scored)
+        for (doc, _, fh_val, fh_source), (bow_sim, emb_sim) in zip(scored, sims)
     ]
 
     mean_fh = fmean(row.fh for row in rows)

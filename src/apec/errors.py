@@ -1,11 +1,11 @@
 """Exception types shared across the pipeline, and the provider transport.
 
-A subclass of ApecError exists only where some code catches it by name;
-every other failure is a plain ApecError whose message says what is
-wrong, naming the file and line when an input file is at fault. The CLI
-maps them onto exit codes. `with_retries` is the retry policy and
-`HttpTransport` the kept-alive connections that both HTTP providers post
-through.
+A subclass of ApecError exists only where some code raises it and some
+code catches it by name; every other failure is a plain ApecError whose
+message says what is wrong, naming the file and line when an input file
+is at fault. The CLI maps them onto exit codes. `with_retries` is the
+retry policy and `HttpTransport` the kept-alive connections that both
+HTTP providers post through.
 """
 
 import base64
@@ -28,12 +28,8 @@ class ApecError(Exception):
     """Base class for all pipeline errors."""
 
 
-class EmptyTextError(ApecError):
-    """Input text is empty or whitespace-only."""
-
-
 class NoWordsError(ApecError):
-    """Text contains no word tokens (punctuation-only input)."""
+    """Text contains no word tokens (blank or punctuation-only input)."""
 
 
 class ProviderUnavailableError(ApecError):

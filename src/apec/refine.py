@@ -11,17 +11,16 @@ trace flagged incomplete; everything produced so far is kept.
 from __future__ import annotations
 
 import dataclasses
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 from .corpus import Document, read_jsonl
 from .errors import (
     DEFAULT_BACKOFF,
     DEFAULT_RETRIES,
     ApecError,
-    EmptyTextError,
     MissingCorrectionError,
     NoWordsError,
     ProviderUnavailableError,
@@ -49,8 +48,10 @@ class ApecConfig:
 
     def __post_init__(self):
         for name, low in (("cycles", 1), ("demo_count", 0), ("retries", 0), ("backoff", 0)):
-            if getattr(self, name) < low:
+            if not getattr(self, name) >= low:  # also NaN
                 raise ValueError(f"{name} must be >= {low}")
+        if not self.backoff < math.inf:  # time.sleep cannot wait forever
+            raise ValueError("backoff must be finite")
 
 
 @dataclass(frozen=True)
@@ -101,9 +102,10 @@ def run_apec(
     Demonstrations are retrieved once, against the source; the source
     never changes, so re-retrieving per cycle would be wasted work. A
     cycle's candidate is accepted only on strict score improvement
-    (ties keep the incumbent, preventing oscillation). Cycles whose
-    response cannot be parsed or whose correction is unscorable are
-    recorded with parse_failed=True and zeroed metrics.
+    (ties keep the incumbent, preventing oscillation). A cycle whose
+    response is empty or cannot be parsed, or whose correction has no
+    words, is recorded with parse_failed=True, zeroed metrics and what
+    it got furthest to: "", the raw response or the correction.
 
     On ProviderUnavailable the trace is returned with incomplete=True
     and fewer records than the cycle budget; complete traces always
@@ -129,32 +131,19 @@ def run_apec(
 
     for cycle in range(1, config.cycles + 1):
         request = render_apec_prompt(doc.task, doc.source, current, demos)
+        candidate = ""
         try:
-            raw = generate_text(
+            candidate = generate_text(
                 llm_provider, request, retries=config.retries, backoff=config.backoff
             )
+            candidate = parse_apec_response(candidate, doc.task).correction
+            fh, emb_sim, score = score_candidate(doc.source, candidate, embed_provider)
         except ProviderUnavailableError:
             incomplete = True
             break
-        except ResponseEmptyError:
-            records.append(_failed_cycle(cycle, ""))
-            continue
-
-        try:
-            parsed = parse_apec_response(raw, doc.task)
-        except MissingCorrectionError:
-            records.append(_failed_cycle(cycle, raw))
-            continue
-
-        candidate = parsed.correction
-        try:
-            fh, emb_sim, score = score_candidate(doc.source, candidate, embed_provider)
-        except (NoWordsError, EmptyTextError):
+        except (ResponseEmptyError, MissingCorrectionError, NoWordsError):
             records.append(_failed_cycle(cycle, candidate))
             continue
-        except ProviderUnavailableError:
-            incomplete = True
-            break
 
         accepted = score > current_score
         records.append(
@@ -196,19 +185,12 @@ def _failed_cycle(cycle: int, candidate: str) -> CycleRecord:
     )
 
 
-@dataclass(frozen=True)
-class EnsembleChoice:
-    doc_id: str
-    stream: str
-    adaptation: str
-    final_score: float
-
-
 def ensemble_select(
     traces: list[ApecTrace],
-    priority: Optional[list[str]] = None,
-) -> EnsembleChoice:
-    """Pick the highest-scoring stream's final adaptation for one doc.
+    priority: list[str] | None = None,
+) -> ApecTrace:
+    """The trace of the highest-scoring stream for one doc; its `final`
+    is the chosen adaptation.
 
     Score ties go to the stream earliest in `priority`; streams not
     listed rank after listed ones, in input order.
@@ -227,13 +209,7 @@ def ensemble_select(
         range(len(traces)),
         key=lambda p: (-traces[p].final_score, tie_rank(p), p),
     )
-    chosen = traces[best]
-    return EnsembleChoice(
-        doc_id=chosen.doc_id,
-        stream=chosen.stream,
-        adaptation=chosen.final,
-        final_score=chosen.final_score,
-    )
+    return traces[best]
 
 
 def trace_to_dict(trace: ApecTrace) -> dict:

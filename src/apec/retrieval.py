@@ -41,7 +41,7 @@ from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain
 
-from .errors import ApecError, EmptyTextError
+from .errors import ApecError, NoWordsError
 from .similarity import EmbeddingProvider, EmbeddingVector, dense_dot, dense_norm
 
 INDEX_SCHEMA_VERSION = 1
@@ -282,7 +282,7 @@ def embedding_top_k(
     if k < 1:
         raise ValueError("k must be >= 1")
     if not query.strip():
-        raise EmptyTextError("cannot embed empty text")
+        raise NoWordsError("cannot embed empty text")
     query_vec = provider.embed([query])[0]
     if len(query_vec) != len(index.vectors[0]):
         raise ApecError(f"query {len(query_vec)} vs index {len(index.vectors[0])} dims")

@@ -142,7 +142,7 @@ class HttpEmbeddingProvider:
     whose idle connections `close` closes, at most `EMBED_BATCH_SIZE`
     texts per request, each request retried by `with_retries`, and reads
     {"data": [{"embedding": [...]}, ...]}, whose values must be finite
-    JSON numbers.
+    JSON numbers with a finite sum of squares, so that cosines are numbers.
     """
 
     def __init__(
@@ -184,6 +184,8 @@ class HttpEmbeddingProvider:
                 if not all(finite):
                     raise ValueError(f"embedding {slot} holds a value that is not a finite number")
                 vectors[slot] = [float(v) for v in values]
+                if not math.isfinite(dense_dot(vectors[slot], vectors[slot])):
+                    raise ValueError(f"embedding {slot}'s sum of squares is not a finite number")
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ProviderUnavailableError(f"malformed embeddings response: {exc}") from exc
         if len(vectors) != expected or any(v is None for v in vectors):

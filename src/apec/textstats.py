@@ -13,7 +13,7 @@ import functools
 import re
 from dataclasses import dataclass
 
-from .errors import EmptyTextError, NoWordsError
+from .errors import NoWordsError
 
 FH_INTERCEPT = 206.84
 FH_SYLLABLE_WEIGHT = 0.60  # per syllables-per-100-words
@@ -208,12 +208,10 @@ def fh_from_counts(sentences: int, words: int, syllables: int) -> FhBreakdown:
 def fh_index(text: str) -> FhBreakdown:
     """Readability index of a text; higher means easier to read.
 
-    Raises EmptyTextError for blank input and NoWordsError when the text
-    has no word tokens. The value is not clamped; very short texts can
+    Raises NoWordsError when the text has no word tokens, blank text
+    included. The value is not clamped; very short texts can
     legitimately exceed 100.
     """
-    if not text.strip():
-        raise EmptyTextError("cannot score empty text")
     stats = text_stats(text)
     if stats.word_count == 0:
         raise NoWordsError("text has no word tokens")

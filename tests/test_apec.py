@@ -8,14 +8,13 @@ import pytest
 
 import apec
 from apec.corpus import Document
-from apec.errors import ApecError, EmptyTextError, NoWordsError
+from apec.errors import ApecError, NoWordsError
 from apec.generation import REFINE, GenerationRequest, ScriptedChatProvider
 from apec.refine import (
     TRACE_SCHEMA_VERSION,
     ApecConfig,
     ApecTrace,
     CycleRecord,
-    EnsembleChoice,
     ensemble_select,
     run_apec,
     score_candidate,
@@ -71,7 +70,7 @@ class TestScoreCandidate:
         assert score == pytest.approx((85.82 + 87.11) / 2)
 
     def test_empty_candidate(self, hash_embedder):
-        with pytest.raises(EmptyTextError):
+        with pytest.raises(NoWordsError):
             score_candidate("fuente", "   ", hash_embedder)
 
     def test_wordless_candidate(self, hash_embedder):
@@ -87,7 +86,18 @@ class TestApecConfig:
         assert (config.retries, config.backoff) == (3, 0.5)
 
     @pytest.mark.parametrize(
-        "kwargs", [{"cycles": 0}, {"demo_count": -1}, {"retries": -1}, {"backoff": -0.1}]
+        "kwargs",
+        [
+            {"cycles": 0},
+            {"demo_count": -1},
+            {"retries": -1},
+            {"backoff": -0.1},
+            {"backoff": float("nan")},
+            {"backoff": float("inf")},
+            {"cycles": float("nan")},
+            {"demo_count": float("nan")},
+            {"retries": float("nan")},
+        ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -286,9 +296,7 @@ class TestEnsembleSelect:
             make_trace("d", "c", "texto c", 20.0),
         ]
         choice = ensemble_select(traces)
-        assert choice == EnsembleChoice(
-            doc_id="d", stream="b", adaptation="texto b", final_score=30.0
-        )
+        assert choice == traces[1]
 
     def test_tie_uses_priority(self):
         traces = [

@@ -1617,8 +1617,9 @@ class TestHttpProviders:
     def test_overflowing_embedding_fails_refine_without_writing(
         self, workdir, monkeypatch, capsys, stub_server
     ):
-        """Finite vector values pass the reply check, but these overflow the
-        cosine to NaN; the writer's backstop fails the run rather than write it."""
+        """Finite vector values whose squares overflow would make the cosine
+        NaN; the reply is malformed, so the document fails as a provider error
+        and no trace is written."""
         stub_server.answer = lambda payload: Reply(
             body={"data": [{"embedding": [1e200, 1e200]} for _ in payload["input"]]}
         )
@@ -1630,11 +1631,11 @@ class TestHttpProviders:
         rc = main(["refine", "--input", str(initial), "--docs", str(docs_path),
                    "--corpus", str(train_path), "--provider", "echo", "--embed", "http",
                    "--cycles", "1", "--output", str(out_path)])
-        assert rc == EXIT_CONFIG
+        assert rc == EXIT_PROVIDER
         err = capsys.readouterr().err
-        assert "not JSON compliant" in err
+        assert "error: doc a: malformed embeddings response: embedding 0's sum of squares" in err
         assert "Traceback" not in err
-        assert not out_path.exists()
+        assert out_path.read_text(encoding="utf-8") == ""
 
     def test_workers_byte_identical(self, tmp_path, monkeypatch, stub_server):
         stub_server.answer = turns_answer

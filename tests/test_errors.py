@@ -42,3 +42,21 @@ def test_every_error_class_is_caught_by_name():
     classes = _apec_error_classes(trees)
     assert {"ApecError", "UsageError", "TransientProviderError"} <= classes
     assert sorted(classes - _caught_names(trees)) == []
+
+
+def _raised_names(trees) -> set[str]:
+    """Every class named in a `raise`, called (`raise X(...)`) or not."""
+    raised = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    return raised
+
+
+def test_every_error_class_is_raised():
+    trees = _trees()
+    classes = _apec_error_classes(trees)
+    assert sorted(classes - _raised_names(trees)) == []

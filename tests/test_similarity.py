@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apec.errors import ApecError, EmptyTextError, ProviderUnavailableError
+from apec.errors import ApecError, NoWordsError, ProviderUnavailableError
 from apec.retrieval import build_embedding_index, embedding_top_k
 from apec.similarity import (
     EMBED_BATCH_SIZE,
@@ -190,7 +190,7 @@ class TestHashEmbedder:
         """A blank query is refused before it is embedded."""
         provider = HashEmbeddingProvider()
         index = build_embedding_index([("uno dos", "uno")], provider)
-        with pytest.raises(EmptyTextError):
+        with pytest.raises(NoWordsError):
             embedding_top_k(index, "  ", k=1, provider=provider)
 
 
@@ -349,7 +349,8 @@ class TestHttpEmbeddingProvider:
     @pytest.mark.parametrize(
         "value",
         [b'"2"', b"true", b"null", b"NaN", b"Infinity", b"-Infinity", b"1e999",
-         pytest.param(b"9" * 400, id="400-digit-integer")],
+         pytest.param(b"9" * 400, id="400-digit-integer"),
+         pytest.param(b"1e200", id="finite-value-whose-square-overflows")],
     )
     def test_value_not_a_finite_number_is_malformed(self, serve, value):
         provider = serve(Reply(body=b'{"data": [{"embedding": [1.0, ' + value + b"]}]}"))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apec.errors import EmptyTextError, NoWordsError
+from apec.errors import NoWordsError
 from apec.textstats import (
     FH_INTERCEPT,
     FH_SENTENCE_WEIGHT,
@@ -321,7 +321,7 @@ class TestFhIndex:
         )
 
     def test_empty_raises(self):
-        with pytest.raises(EmptyTextError):
+        with pytest.raises(NoWordsError):
             fh_index(" ")
 
     def test_no_words_raises(self):
