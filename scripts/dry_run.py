@@ -1,8 +1,9 @@
 """End-to-end pipeline demo on a synthetic corpus, no model server needed.
 
 Builds a ten-document Spanish corpus plus scripted provider fixtures,
-then drives the CLI through stats, index, adapt (BM25 few-shot), two
-refinement streams, ensembling, and evaluation. Artifacts land in
+then drives the CLI through stats, index, adapt (BM25 few-shot, then
+embedding few-shot with the same scripted replies), two refinement
+streams over the BM25 adaptations, ensembling, and evaluation. Artifacts land in
 --workdir (default: a fresh temp directory) and are printed at the end.
 
 Usage:
@@ -112,6 +113,7 @@ def run(workdir: Path, cycles: int) -> None:
     stats_path = workdir / "stats.json"
     index_path = workdir / "index.json"
     adapt_path = workdir / "adapt.jsonl"
+    adapt_emb_path = workdir / "adapt_emb.jsonl"
     best_path = workdir / "best.jsonl"
     eval_path = workdir / "eval.json"
 
@@ -135,6 +137,18 @@ def run(workdir: Path, cycles: int) -> None:
             "--provider", f"scripted:{fixtures['adapt_script']}",
             "--seed", "7",
             "--output", str(adapt_path),
+        ]
+    )
+    run_step(
+        [
+            "adapt",
+            "--input", str(fixtures["docs"]),
+            "--corpus", str(fixtures["train"]),
+            "--mode", "fs-emb",
+            "--embed", "hash:64",
+            "--k", "2",
+            "--provider", f"scripted:{fixtures['adapt_script']}",
+            "--output", str(adapt_emb_path),
         ]
     )
     trace_paths = {}

@@ -385,8 +385,10 @@ def cmd_adapt(args, config: dict) -> int:
             if args.mode == "fs-bm25":
                 index = _bm25_index(args.index, ids, pairs)
             if args.mode == "fs-emb":
-                # built before the pool starts, so worker threads share it unlocked
-                index = build_embedding_index(pairs, embed)
+                # every document's demos before the pool starts: one embed call for all sources
+                emb_index = build_embedding_index(pairs, embed)
+                ranked = embedding_top_k(emb_index, [doc.source for doc in docs], args.k, embed)
+                emb_demos = {doc.id: demos for doc, demos in zip(docs, ranked)}
 
         def demos_for(doc: Document):
             if args.mode == "zs":
@@ -396,7 +398,7 @@ def cmd_adapt(args, config: dict) -> int:
                 return random_k(pairs, min(args.k, len(pairs)), seed)
             if args.mode == "fs-bm25":
                 return bm25_top_k(index, doc.source, k=args.k, ratio_filter=ratio)
-            return embedding_top_k(index, doc.source, k=args.k, provider=embed)
+            return emb_demos[doc.id]
 
         def work(doc: Document):
             demos = demos_for(doc)

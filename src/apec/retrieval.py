@@ -20,8 +20,13 @@ once; a term's slice becomes `{pos: tf}` only when a query first holds
 it, so a load never builds the postings of unqueried terms.
 
 `build_embedding_index` embeds the training sources once, in one `embed`
-call, and keeps each vector's norm; a query is then embedded once and
-scored with one dot product per pair, bit-identical to `cosine()`.
+call, and keeps the provider's vectors (`array("d")` from the built-in
+embedders, 8 bytes a value). `embedding_top_k` takes a batch of queries:
+one `embed` call for all of them, then, for each 64 of them, one pass
+over the training vectors that unpacks each to a list once, takes its
+norm and scores it against those queries. Reading a list is faster than
+reading an array, which makes a float per read; 64 queries a pass keep
+the score rows small. Scores are bit-identical to `cosine()`.
 """
 
 from __future__ import annotations
@@ -47,6 +52,9 @@ from .similarity import EmbeddingProvider, EmbeddingVector, dense_dot, dense_nor
 INDEX_SCHEMA_VERSION = 1
 INDEX_KIND = "bm25-index-columns"
 INDEX_LAYOUT = (INDEX_SCHEMA_VERSION, INDEX_KIND)
+# queries scored per pass over the embedding index: a pass unpacks every
+# training vector once, and keeps one score per training pair per query
+QUERIES_PER_PASS = 64
 
 
 @dataclass(frozen=True)
@@ -245,9 +253,8 @@ def bm25_top_k(
 class EmbeddingIndex:
     sources: tuple[str, ...]
     adaptations: tuple[str, ...]
-    # the provider's vectors by reference: normalized copies would double their memory
+    # the provider's vectors by reference: copies would double their memory
     vectors: tuple[EmbeddingVector, ...] = field(repr=False)
-    norms: tuple[float, ...] = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.sources)
@@ -256,7 +263,7 @@ class EmbeddingIndex:
 def build_embedding_index(
     pairs: list[tuple[str, str]], provider: EmbeddingProvider
 ) -> EmbeddingIndex:
-    """Embed every pair source in one `embed` call and cache the vector norms."""
+    """Embed every pair source in one `embed` call."""
     if not pairs:
         raise ApecError("cannot index an empty corpus")
     sources = tuple(source for source, _ in pairs)
@@ -268,31 +275,49 @@ def build_embedding_index(
         sources=sources,
         adaptations=tuple(adaptation for _, adaptation in pairs),
         vectors=vectors,
-        norms=tuple(map(dense_norm, vectors)),
     )
 
 
 def embedding_top_k(
     index: EmbeddingIndex,
-    query: str,
+    queries: list[str],
     k: int,
     provider: EmbeddingProvider,
-) -> list[Demonstration]:
-    """Rank indexed pairs by the cosine of query and pair-source vectors."""
+) -> list[list[Demonstration]]:
+    """Each query's top k indexed pairs by the cosine of query and pair-source vectors.
+
+    The queries are embedded in one `embed` call. Each pass over the
+    training vectors reads each vector once, as a list, and scores it
+    against up to `QUERIES_PER_PASS` queries, whose score rows it keeps.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not query.strip():
+    if isinstance(queries, str):
+        raise TypeError("queries must be a list of query texts, not one str")
+    if not all(map(str.strip, queries)):
         raise NoWordsError("cannot embed empty text")
-    query_vec = provider.embed([query])[0]
-    if len(query_vec) != len(index.vectors[0]):
-        raise ApecError(f"query {len(query_vec)} vs index {len(index.vectors[0])} dims")
-    q_norm = dense_norm(query_vec)
-    scores = [
-        dense_dot(query_vec, vec) / (q_norm * norm) if q_norm and norm else 0.0
-        for vec, norm in zip(index.vectors, index.norms)
-    ]
+    query_vecs = provider.embed(list(queries))
+    dim = len(index.vectors[0])
+    for query_vec in query_vecs:
+        if len(query_vec) != dim:
+            raise ApecError(f"query {len(query_vec)} vs index {dim} dims")
     positions = range(len(index))
-    return _ranked(positions, scores, positions, index.sources, index.adaptations, k)
+    ranked = []
+    for start in range(0, len(query_vecs), QUERIES_PER_PASS):
+        block = [list(vec) for vec in query_vecs[start : start + QUERIES_PER_PASS]]
+        block_norms = list(map(dense_norm, block))
+        scores = [[] for _ in block]
+        for vec in index.vectors:
+            values = list(vec)
+            norm = dense_norm(values)
+            for query_vec, q_norm, row in zip(block, block_norms, scores):
+                dot = dense_dot(query_vec, values)
+                row.append(dot / (q_norm * norm) if q_norm and norm else 0.0)
+        ranked += [
+            _ranked(positions, row, positions, index.sources, index.adaptations, k)
+            for row in scores
+        ]
+    return ranked
 
 
 def derive_doc_seed(seed: int, doc_id) -> int:

@@ -24,6 +24,7 @@ from apec.cli import (
 )
 from apec.errors import ApecError
 from apec.refine import ApecTrace, trace_from_dict, trace_to_dict
+from apec.similarity import HashEmbeddingProvider
 
 from conftest import Reply, apec_response
 
@@ -1636,6 +1637,120 @@ class TestHttpProviders:
         assert "error: doc a: malformed embeddings response: embedding 0's sum of squares" in err
         assert "Traceback" not in err
         assert out_path.read_text(encoding="utf-8") == ""
+
+    @pytest.mark.parametrize(
+        "vectors, problem",
+        [
+            ([[], []], "embedding 0 is empty"),
+            ([[1.0, 0.0], [1.0, 0.0, 0.0]], "embedding 1 has 3 values, not 2"),
+        ],
+    )
+    def test_empty_or_ragged_embeddings_fail_refine(
+        self, workdir, monkeypatch, capsys, stub_server, vectors, problem
+    ):
+        """An empty vector would make every cosine 0.0, and vectors of
+        different lengths cannot be compared: both replies are malformed."""
+        stub_server.answer = lambda payload: Reply(
+            body={"data": [{"embedding": vector} for vector in vectors]}
+        )
+        monkeypatch.setenv("EMB_ENDPOINT", stub_server.url + "/v1/embeddings")
+        tmp_path, docs_path, train_path = workdir
+        initial = tmp_path / "initial.jsonl"
+        write_lines(initial, [{"doc_id": "a", "adaptation": "Inicial a."}])
+        out_path = tmp_path / "traces.jsonl"
+        rc = main(["refine", "--input", str(initial), "--docs", str(docs_path),
+                   "--corpus", str(train_path), "--provider", "echo", "--embed", "http",
+                   "--cycles", "1", "--output", str(out_path)])
+        assert rc == EXIT_PROVIDER
+        err = capsys.readouterr().err
+        assert f"error: doc a: malformed embeddings response: {problem}\n" in err
+        assert "Traceback" not in err
+        assert out_path.read_text(encoding="utf-8") == ""
+
+    @staticmethod
+    def write_emb_corpus(tmp_path):
+        """40 documents and 70 training pairs, all sources distinct."""
+        docs = [
+            {"id": f"d{i}", "source": f"Documento {i} sobre el trámite número {i % 7}.",
+             "reference": f"Texto claro {i}.", "task": "PL"}
+            for i in range(40)
+        ]
+        train = [
+            {"id": f"t{i}", "source": f"Entrenamiento {i} con el plazo {i % 5}.",
+             "reference": f"Plazo {i % 5}.", "task": "PL"}
+            for i in range(70)
+        ]
+        write_lines(tmp_path / "docs.jsonl", docs)
+        write_lines(tmp_path / "train.jsonl", train)
+        return docs, train
+
+    def adapt_emb_argv(self, tmp_path, out_path, workers="1"):
+        return ["adapt", "--input", str(tmp_path / "docs.jsonl"),
+                "--corpus", str(tmp_path / "train.jsonl"), "--mode", "fs-emb", "--k", "3",
+                "--embed", "http", "--provider", "http", "--workers", workers,
+                "--output", str(out_path)]
+
+    @staticmethod
+    def hash_embeddings(payload):
+        vectors = HashEmbeddingProvider(16).embed(payload["input"])
+        return Reply(body={"data": [{"embedding": list(vector)} for vector in vectors]})
+
+    def test_fs_emb_embeds_queries_in_batches(self, tmp_path, monkeypatch, stub_server):
+        """Training sources, then every document's source, 32 texts a request,
+        all before the first chat request; the output does not depend on the
+        worker count."""
+        stub_server.answer = lambda payload: (
+            self.hash_embeddings(payload) if "input" in payload else turns_answer(payload)
+        )
+        monkeypatch.setenv("EMB_ENDPOINT", stub_server.url + "/v1/embeddings")
+        monkeypatch.setenv("LLM_ENDPOINT", stub_server.url + "/v1/chat/completions")
+        docs, train = self.write_emb_corpus(tmp_path)
+        outputs = []
+        for workers in ("1", "4"):
+            stub_server.received.clear()
+            out_path = tmp_path / f"adapt{workers}.jsonl"
+            assert main(self.adapt_emb_argv(tmp_path, out_path, workers)) == EXIT_OK
+            outputs.append(out_path.read_bytes())
+            kinds = ["input" in request.json for request in stub_server.received]
+            assert kinds == [True] * 5 + [False] * len(docs)
+            sent = [request.json["input"] for request in stub_server.received[:5]]
+            assert [len(texts) for texts in sent] == [32, 32, 6, 32, 8]
+            assert sum(sent[:3], []) == [pair["source"] for pair in train]
+            assert sum(sent[3:], []) == [doc["source"] for doc in docs]
+        assert outputs[0] == outputs[1]
+        records = [json.loads(line) for line in outputs[0].decode().splitlines()]
+        assert [r["doc_id"] for r in records] == [d["id"] for d in docs]
+        turns = [r["adaptation"].split(" | ") for r in records]
+        assert all(len(t) == 8 for t in turns)  # system prompt, 3 demo pairs, source
+        assert len({tuple(t[1:7]) for t in turns}) > 1
+
+    def test_fs_emb_query_outage_fails_adapt(
+        self, tmp_path, monkeypatch, capsys, stub_server, waits
+    ):
+        """The training set embeds, every query request fails: no chat
+        request is sent and no output is written."""
+        docs, train = self.write_emb_corpus(tmp_path)
+        training = {pair["source"] for pair in train}
+
+        def answer(payload):
+            if "input" not in payload:
+                return turns_answer(payload)
+            if set(payload["input"]) <= training:
+                return self.hash_embeddings(payload)
+            return Reply(503, {"error": "busy"})
+
+        stub_server.answer = answer
+        monkeypatch.setenv("EMB_ENDPOINT", stub_server.url + "/v1/embeddings")
+        monkeypatch.setenv("LLM_ENDPOINT", stub_server.url + "/v1/chat/completions")
+        out_path = tmp_path / "adapt.jsonl"
+        assert main(self.adapt_emb_argv(tmp_path, out_path)) == EXIT_PROVIDER
+        err = capsys.readouterr().err
+        assert "provider error: embedding provider" in err
+        assert "failed after 4 attempts" in err
+        assert "Traceback" not in err
+        assert not out_path.exists()
+        assert all("input" in request.json for request in stub_server.received)
+        assert len(stub_server.received) == 3 + 4  # the training chunks, then one query chunk
 
     def test_workers_byte_identical(self, tmp_path, monkeypatch, stub_server):
         stub_server.answer = turns_answer

@@ -9,6 +9,7 @@ import pytest
 
 from apec.errors import ApecError
 from apec.retrieval import (
+    QUERIES_PER_PASS,
     Bm25Params,
     bm25_scores,
     bm25_tokens,
@@ -409,8 +410,9 @@ class TestLengthRatio:
 
 
 def emb_top_k(pairs, query, k, provider):
-    """Build an embedding index over pairs, then query it once."""
-    return embedding_top_k(build_embedding_index(pairs, provider), query, k, provider)
+    """Build an embedding index over pairs, then rank it for one query."""
+    (demos,) = embedding_top_k(build_embedding_index(pairs, provider), [query], k, provider)
+    return demos
 
 
 class TestEmbeddingTopK:
@@ -450,6 +452,30 @@ class CountingEmbedder:
         return [[float(len(t)), 1.0] for t in texts]
 
 
+class ByReferenceEmbedder:
+    """Returns its planted vector objects themselves; records each call's texts."""
+
+    provider_id = "by-reference"
+
+    def __init__(self, vectors: dict):
+        self.vectors = vectors
+        self.calls = []
+
+    def embed(self, texts):
+        self.calls.append(list(texts))
+        return [self.vectors[text] for text in texts]
+
+
+class ReadCountingVector(list):
+    """A vector that counts how often it is read whole."""
+
+    reads = 0
+
+    def __iter__(self):
+        ReadCountingVector.reads += 1
+        return super().__iter__()
+
+
 def oracle_emb_top_k(pairs, query, k, provider):
     """Rank by (-cosine, position) with `cosine()` on fresh vectors."""
     query_vec = provider.embed([query])[0]
@@ -482,9 +508,10 @@ class TestEmbeddingIndex:
         pairs = [(f"s{i}", f"a{i}") for i in range(n)]
         index = build_embedding_index(pairs, provider)
         for k in (1, 5, n - 1, n, n + 10):
-            got = as_tuples(embedding_top_k(index, "q", k, provider))
-            assert got == oracle_emb_top_k(pairs, "q", k, provider)
-        got = as_tuples(embedding_top_k(index, "s7", n, provider))
+            got = [as_tuples(demos) for demos in embedding_top_k(index, ["q", "s7"], k, provider)]
+            assert got == [oracle_emb_top_k(pairs, q, k, provider) for q in ("q", "s7")]
+        (demos,) = embedding_top_k(index, ["s7"], n, provider)
+        got = as_tuples(demos)
         assert got == oracle_emb_top_k(pairs, "s7", n, provider)
         scores = {source: score for source, _, score, _ in got}
         assert scores["s3"] == scores["s7"] == scores["s11"]
@@ -497,7 +524,7 @@ class TestEmbeddingIndex:
             {"q": [0.0, 0.0], "x": [0.6, 0.8], "y": [0.0, 0.0]}
         )
         index = build_embedding_index([("x", "a"), ("y", "b")], provider)
-        demos = embedding_top_k(index, "q", 2, provider)
+        (demos,) = embedding_top_k(index, ["q"], 2, provider)
         assert [(d.source, d.retrieval_score) for d in demos] == [("x", 0.0), ("y", 0.0)]
 
     def test_training_set_embedded_once(self):
@@ -507,16 +534,60 @@ class TestEmbeddingIndex:
         assert upstream.requested == [source for source, _ in pairs]
         queries = ["una consulta", "otra consulta más", "fuente número 3"]
         for query in queries:
-            embedding_top_k(index, query, 5, upstream)
+            embedding_top_k(index, [query], 5, upstream)
         assert upstream.requested == [source for source, _ in pairs] + queries
+
+    def test_query_batch_is_one_embed_call_and_one_pass(self):
+        rng = random.Random(18)
+        queries = [f"q{i}" for i in range(5)]
+        vectors = {text: [rng.gauss(0.0, 1.0) for _ in range(8)] for text in queries}
+        vectors.update({f"s{i}": ReadCountingVector(rng.gauss(0.0, 1.0) for _ in range(8))
+                        for i in range(30)})
+        provider = ByReferenceEmbedder(vectors)
+        pairs = [(f"s{i}", f"a{i}") for i in range(30)]
+        index = build_embedding_index(pairs, provider)
+        ReadCountingVector.reads = 0
+        batch = embedding_top_k(index, queries, 4, provider)
+        assert provider.calls == [[source for source, _ in pairs], queries]
+        assert ReadCountingVector.reads == 30  # each training vector read once, not per query
+        assert [as_tuples(demos) for demos in batch] == [
+            oracle_emb_top_k(pairs, q, 4, provider) for q in queries
+        ]
+
+    def test_queries_beyond_one_pass(self):
+        rng = random.Random(64)
+        queries = [f"q{i}" for i in range(2 * QUERIES_PER_PASS + 3)]
+        vectors = {text: [rng.gauss(0.0, 1.0) for _ in range(4)] for text in queries}
+        vectors.update({f"s{i}": ReadCountingVector(rng.gauss(0.0, 1.0) for _ in range(4))
+                        for i in range(10)})
+        provider = ByReferenceEmbedder(vectors)
+        pairs = [(f"s{i}", f"a{i}") for i in range(10)]
+        index = build_embedding_index(pairs, provider)
+        ReadCountingVector.reads = 0
+        batch = embedding_top_k(index, queries, 3, provider)
+        assert provider.calls[1:] == [queries]
+        assert ReadCountingVector.reads == 3 * 10  # three passes
+        assert [as_tuples(demos) for demos in batch] == [
+            oracle_emb_top_k(pairs, q, 3, provider) for q in queries
+        ]
+
+    def test_empty_batch(self):
+        upstream = CountingEmbedder()
+        index = build_embedding_index([("uno", "a")], upstream)
+        assert embedding_top_k(index, [], 1, upstream) == []
+
+    def test_one_string_is_not_a_batch(self):
+        index = build_embedding_index([("uno", "a")], HashEmbeddingProvider())
+        with pytest.raises(TypeError, match="a list of query texts"):
+            embedding_top_k(index, "uno", 1, HashEmbeddingProvider())
 
     def test_cached_provider_serves_queries_from_cache(self):
         upstream = CountingEmbedder()
         cached = CachedEmbeddingProvider(upstream)
         pairs = [("uno", "a"), ("dos", "b"), ("tres", "c")]
         index = build_embedding_index(pairs, cached)
-        embedding_top_k(index, "dos", 2, cached)
-        embedding_top_k(index, "cuatro", 2, cached)
+        embedding_top_k(index, ["dos"], 2, cached)
+        embedding_top_k(index, ["cuatro"], 2, cached)
         assert upstream.requested == ["uno", "dos", "tres", "cuatro"]
 
     def test_index_holds_provider_vectors(self):
@@ -537,7 +608,7 @@ class TestEmbeddingIndex:
         queries = [" ".join(rng.choices(VOCAB, k=rng.randint(1, 8))) for _ in range(30)]
         serial = CachedEmbeddingProvider(HashEmbeddingProvider(dim=16))
         reference = build_embedding_index(pairs, serial)
-        expected = [as_tuples(embedding_top_k(reference, q, 7, serial)) for q in queries]
+        expected = [as_tuples(demos) for demos in embedding_top_k(reference, queries, 7, serial)]
         cached = CachedEmbeddingProvider(HashEmbeddingProvider(dim=16))
         shared = build_embedding_index(pairs, cached)
         interval = sys.getswitchinterval()
@@ -545,9 +616,9 @@ class TestEmbeddingIndex:
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
                 futures = [
-                    pool.submit(embedding_top_k, shared, q, 7, cached) for q in queries * 4
+                    pool.submit(embedding_top_k, shared, [q], 7, cached) for q in queries * 4
                 ]
-                results = [as_tuples(future.result(timeout=60)) for future in futures]
+                results = [as_tuples(future.result(timeout=60)[0]) for future in futures]
         finally:
             sys.setswitchinterval(interval)
         assert results == expected * 4
@@ -563,7 +634,7 @@ class TestEmbeddingIndex:
         )
         index = build_embedding_index([("x", "a"), ("y", "b")], provider)
         with pytest.raises(ApecError, match="query 3 vs index 2 dims"):
-            embedding_top_k(index, "q", 1, provider)
+            embedding_top_k(index, ["q"], 1, provider)
 
 
 class TestRandomK:

@@ -1,6 +1,8 @@
 import hashlib
+import json
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -187,11 +189,12 @@ class TestHashEmbedder:
             HashEmbeddingProvider(dim=0)
 
     def test_embed_text_empty(self):
-        """A blank query is refused before it is embedded."""
-        provider = HashEmbeddingProvider()
+        """A blank query in a batch is refused before any query is embedded."""
+        provider = CountingProvider()
         index = build_embedding_index([("uno dos", "uno")], provider)
         with pytest.raises(NoWordsError):
-            embedding_top_k(index, "  ", k=1, provider=provider)
+            embedding_top_k(index, ["uno", "  "], k=1, provider=provider)
+        assert provider.calls == [["uno dos"]]
 
 
 def reference_hash_vector(text, dim):
@@ -227,9 +230,42 @@ class TestHashEmbedderReference:
     @pytest.mark.parametrize("dim", [1, 7, 8, 9, 32, 33, 768])
     def test_bit_identical_to_reference_loop(self, dim):
         provider = HashEmbeddingProvider(dim)
-        assert provider.embed(REFERENCE_TEXTS) == [
+        vectors = provider.embed(REFERENCE_TEXTS)
+        assert all(vec.typecode == "d" for vec in vectors)
+        assert list(map(list, vectors)) == [
             reference_hash_vector(text, dim) for text in REFERENCE_TEXTS
         ]
+
+
+def retained_bytes_per_value(make_vectors, values: int) -> float:
+    """Bytes still allocated after `make_vectors()` returns, per vector value."""
+    tracemalloc.start()
+    try:
+        vectors = make_vectors()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, vectors)) == values
+    return retained / values
+
+
+class TestVectorMemory:
+    """200 texts at dim 512: arrays of doubles hold 8 bytes a value (lists of
+    floats about 32)."""
+
+    TEXTS = [f"texto número {i}" for i in range(200)]
+
+    def test_hash_embedder(self):
+        provider = HashEmbeddingProvider(dim=512)
+        provider.embed(["warm up"])  # struct's format cache is not a vector
+        assert retained_bytes_per_value(lambda: provider.embed(self.TEXTS), 200 * 512) < 10
+
+    def test_http_reply(self):
+        rng = random.Random(512)
+        vectors = [[rng.uniform(-1, 1) for _ in range(512)] for _ in self.TEXTS]
+        text = json.dumps(_emb_payload(vectors))
+        parse = HttpEmbeddingProvider._parse  # the decoded reply is freed, its vectors kept
+        assert retained_bytes_per_value(lambda: parse(json.loads(text), 200), 200 * 512) < 10
 
 
 class CountingProvider:
@@ -291,7 +327,7 @@ class TestHttpEmbeddingProvider:
 
     def test_success(self, serve, stub_server):
         provider = serve(Reply(body=_emb_payload([[1.0, 0.0]])))
-        assert provider.embed(["hola"]) == [[1.0, 0.0]]
+        assert list(map(list, provider.embed(["hola"]))) == [[1.0, 0.0]]
         assert stub_server.received[0].path == "/v1/embeddings"
         assert stub_server.received[0].json == {"model": "modelo", "input": ["hola"]}
 
@@ -303,17 +339,17 @@ class TestHttpEmbeddingProvider:
             ]
         }
         provider = serve(Reply(body=payload))
-        assert provider.embed(["a", "b"]) == [[1.0], [2.0]]
+        assert list(map(list, provider.embed(["a", "b"]))) == [[1.0], [2.0]]
 
     def test_retry_on_500_then_success(self, serve, stub_server):
         provider = serve(Reply(500), Reply(body=_emb_payload([[0.5]])))
-        assert provider.embed(["x"]) == [[0.5]]
+        assert list(map(list, provider.embed(["x"]))) == [[0.5]]
         assert len(stub_server.received) == 2
 
     def test_retry_on_connection_error(self, serve, stub_server):
         payload = _emb_payload([[0.5]])
         provider = serve(Reply(body=payload, cut=True), Reply(body=payload))
-        assert provider.embed(["x"]) == [[0.5]]
+        assert list(map(list, provider.embed(["x"]))) == [[0.5]]
         assert len(stub_server.received) == 2
 
     def test_client_error_no_retry(self, serve, stub_server):
@@ -362,6 +398,46 @@ class TestHttpEmbeddingProvider:
         with pytest.raises(ProviderUnavailableError, match="embedding count mismatch"):
             provider.embed(["a", "b"])
 
+    @pytest.mark.parametrize(
+        "vectors, dim, problem",
+        [
+            ([[], []], None, "embedding 0 is empty"),
+            ([[1.0], []], None, "embedding 1 is empty"),
+            ([[1.0], [2.0, 3.0]], None, "embedding 1 has 2 values, not 1"),
+            ([[1.0, 2.0], [3.0]], None, "embedding 1 has 1 values, not 2"),
+            ([[1.0], [2.0]], 2, "embedding 0 has 1 values, not 2"),
+        ],
+    )
+    def test_empty_or_ragged_vectors_are_malformed(self, vectors, dim, problem):
+        with pytest.raises(ProviderUnavailableError) as raised:
+            HttpEmbeddingProvider._parse(_emb_payload(vectors), len(vectors), dim)
+        assert str(raised.value) == f"malformed embeddings response: {problem}"
+
+    def test_parse_keeps_the_doubles_in_arrays(self):
+        body = {"data": [{"embedding": [1, 0.1, -2.5e-300]}, {"embedding": [3, 2**60, 0]}]}
+        vectors = HttpEmbeddingProvider._parse(body, 2)
+        assert [vec.typecode for vec in vectors] == ["d", "d"]
+        assert list(map(list, vectors)) == [[1.0, 0.1, -2.5e-300], [3.0, float(2**60), 0.0]]
+
+    @pytest.mark.parametrize(
+        "slots, problem", [([0, 0], "index 0 appears twice"), ([1, 1], "index 1 appears twice")]
+    )
+    def test_repeated_index_is_named(self, slots, problem):
+        body = {"data": [{"index": slot, "embedding": [1.0]} for slot in slots]}
+        with pytest.raises(ProviderUnavailableError) as raised:
+            HttpEmbeddingProvider._parse(body, 2)
+        assert str(raised.value) == f"malformed embeddings response: {problem}"
+
+    def test_chunks_of_one_call_share_a_dimension(self, chunked, stub_server):
+        def longer(call, payload):
+            if call == 2:
+                return Reply(body=_emb_payload([[0.0, 1.0]] * len(payload["input"])))
+            return None
+
+        with pytest.raises(ProviderUnavailableError, match="embedding 0 has 2 values, not 1"):
+            chunked(longer).embed([str(n) for n in range(70)])
+        assert len(stub_server.received) == 3  # a malformed reply is not retried
+
     @pytest.fixture
     def chunked(self, stub_server, waits):
         """A provider whose stub embeds text "n" as [n]; `fail(call, payload)`
@@ -380,14 +456,15 @@ class TestHttpEmbeddingProvider:
 
     def test_requests_hold_at_most_one_batch(self, chunked, stub_server):
         texts = [str(n) for n in range(70)]
-        assert chunked().embed(texts) == [[float(n)] for n in range(70)]
+        assert list(map(list, chunked().embed(texts))) == [[float(n)] for n in range(70)]
         sent = [request.json["input"] for request in stub_server.received]
         assert [len(chunk) for chunk in sent] == [EMBED_BATCH_SIZE, EMBED_BATCH_SIZE, 6]
         assert sum(sent, []) == texts
 
     def test_busy_chunk_is_retried(self, chunked, stub_server, waits):
         provider = chunked(lambda call, payload: Reply(503) if call == 1 else None)
-        assert provider.embed([str(n) for n in range(70)]) == [[float(n)] for n in range(70)]
+        vectors = provider.embed([str(n) for n in range(70)])
+        assert list(map(list, vectors)) == [[float(n)] for n in range(70)]
         sent = [request.json["input"][0] for request in stub_server.received]
         assert sent == ["0", "32", "32", "64"]
         assert len(waits) == 1

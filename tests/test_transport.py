@@ -176,7 +176,7 @@ class TestKeepAlive:
         texts = [f"texto {i}" for i in range(100)]
         with closing(HttpEmbeddingProvider(keepalive_server.url, "m")) as provider:
             vectors = provider.embed(texts)
-        assert vectors == [[1.0, float(len(t))] for t in texts]
+        assert list(map(list, vectors)) == [[1.0, float(len(t))] for t in texts]
         assert [len(r.json["input"]) for r in keepalive_server.received] == [32, 32, 32, 4]
         assert len(keepalive_server.connections) == 1
 
