@@ -1,10 +1,13 @@
 """End-to-end pipeline demo on a synthetic corpus, no model server needed.
 
 Builds a ten-document Spanish corpus plus scripted provider fixtures,
-then drives the CLI through stats, index, adapt (BM25 few-shot, then
-embedding few-shot with the same scripted replies), two refinement
-streams over the BM25 adaptations, ensembling, and evaluation. Artifacts land in
+then drives the CLI through stats, index, adapt (BM25 few-shot from the
+index file, BM25 few-shot from an index built in memory, then embedding
+few-shot, all with the same scripted replies), two refinement streams
+over the BM25 adaptations, ensembling, and evaluation. Artifacts land in
 --workdir (default: a fresh temp directory) and are printed at the end.
+The script exits non-zero if a step fails, or if the two BM25 adaptation
+files differ in any byte.
 
 Usage:
     python3 scripts/dry_run.py [--workdir DIR] [--cycles N]
@@ -113,6 +116,7 @@ def run(workdir: Path, cycles: int) -> None:
     stats_path = workdir / "stats.json"
     index_path = workdir / "index.json"
     adapt_path = workdir / "adapt.jsonl"
+    adapt_built_path = workdir / "adapt_built.jsonl"
     adapt_emb_path = workdir / "adapt_emb.jsonl"
     best_path = workdir / "best.jsonl"
     eval_path = workdir / "eval.json"
@@ -126,19 +130,20 @@ def run(workdir: Path, cycles: int) -> None:
         ]
     )
     run_step(["index", "--corpus", str(fixtures["train"]), "--output", str(index_path)])
-    run_step(
-        [
-            "adapt",
-            "--input", str(fixtures["docs"]),
-            "--corpus", str(fixtures["train"]),
-            "--index", str(index_path),
-            "--mode", "fs-bm25",
-            "--k", "2",
-            "--provider", f"scripted:{fixtures['adapt_script']}",
-            "--seed", "7",
-            "--output", str(adapt_path),
-        ]
-    )
+    fs_bm25 = [
+        "adapt",
+        "--input", str(fixtures["docs"]),
+        "--corpus", str(fixtures["train"]),
+        "--mode", "fs-bm25",
+        "--k", "2",
+        "--provider", f"scripted:{fixtures['adapt_script']}",
+        "--seed", "7",
+    ]
+    run_step([*fs_bm25, "--index", str(index_path), "--output", str(adapt_path)])
+    run_step([*fs_bm25, "--output", str(adapt_built_path)])  # no --index: built in memory
+    if adapt_built_path.read_bytes() != adapt_path.read_bytes():
+        print(f"{adapt_built_path} differs from {adapt_path}", file=sys.stderr)
+        sys.exit(1)
     run_step(
         [
             "adapt",

@@ -13,11 +13,11 @@ formula's exact expression and are summed once per query-token
 occurrence, in query order, so scores are bit-identical to applying the
 formula to every posting on every query.
 
-The index file stores each term's document frequency and two columns,
-`positions` and `tfs`: every term's postings concatenated in sorted term
-order as base64 little-endian uint32. `load_index` decodes each column
-once; a term's slice becomes `{pos: tf}` only when a query first holds
-it, so a load never builds the postings of unqueried terms.
+Built and loaded indexes share one layout: two uint32 columns, `positions`
+and `tfs`, of every term's postings in sorted term order, which the index
+file stores as base64 little-endian uint32 and `load_index` decodes once.
+A term's slice is read only when a query first holds it; cached impacts
+hold the index's shared position ints.
 
 `build_embedding_index` embeds the training sources once, in one `embed`
 call, and keeps the provider's vectors (`array("d")` from the built-in
@@ -41,10 +41,11 @@ import random
 import sys
 from array import array
 from bisect import bisect_left
+from collections import Counter, defaultdict
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
-from itertools import accumulate, chain
+from functools import cached_property, partial
+from itertools import accumulate
 
 from .errors import ApecError, NoWordsError
 from .similarity import EmbeddingProvider, EmbeddingVector, dense_dot, dense_norm
@@ -89,17 +90,21 @@ class Bm25Index:
     adaptations: tuple[str, ...]
     doc_token_counts: tuple[int, ...]
     avgdl: float
-    postings: Mapping[str, dict[int, int]] = field(repr=False)  # term -> pos -> tf, pos ascending
+    postings: _ColumnPostings = field(repr=False)  # a Mapping: term -> pos -> tf, pos ascending
     idf: dict[str, float] = field(repr=False)
     params: Bm25Params = Bm25Params()
     # term -> (positions, weights), filled as queries need them. Pool threads
-    # share it and the cached property below without a lock: every writer
+    # share it and the cached properties below without a lock: every writer
     # stores an equal value for its key, so a racing write is harmless and a
     # reader sees either no entry or a whole one.
     _impact_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.doc_ids)
+
+    @cached_property
+    def _position_ints(self) -> tuple[int, ...]:  # one int object per position
+        return tuple(range(len(self.doc_ids)))
 
     @cached_property
     def _norms(self) -> tuple[float, ...]:
@@ -116,12 +121,12 @@ class Bm25Index:
             token_idf = self.idf[term]
             k1 = self.params.k1
             norms = self._norms
-            docs = self.postings[term]
+            positions, tfs = self.postings.slices(term)
             impacts = (
-                tuple(docs),
+                tuple(map(self._position_ints.__getitem__, positions)),
                 tuple(
                     token_idf * tf * (k1 + 1.0) / (tf + norms[pos])
-                    for pos, tf in docs.items()
+                    for pos, tf in zip(positions, tfs)
                 ),
             )
             self._impact_cache[term] = impacts
@@ -159,29 +164,35 @@ def build_index(
         ids = list(range(len(pairs)))
     elif len(ids) != len(pairs):
         raise ValueError("ids and pairs must have equal length")
-    sources = tuple(source for source, _ in pairs)
-    adaptations = tuple(adaptation for _, adaptation in pairs)
+    elif len(set(ids)) != len(ids):
+        raise ValueError("ids must be distinct")
     params = params or Bm25Params()
-
-    postings: dict[str, dict[int, int]] = {}
+    by_term = defaultdict(partial(array, "I"))  # term -> its (pos, tf) pairs, interleaved
     token_counts = []
-    for pos, source in enumerate(sources):
+    for pos, (source, _) in enumerate(pairs):
         tokens = bm25_tokens(source, params.min_token_len)
         token_counts.append(len(tokens))
-        for token in tokens:
-            docs = postings.setdefault(token, {})
-            docs[pos] = docs.get(pos, 0) + 1
+        for token, tf in Counter(tokens).items():
+            by_term[token].fromlist([pos, tf])
+    terms = sorted(by_term)
+    dfs = [len(by_term[term]) // 2 for term in terms]
+    joined = array("I")
+    for term in terms:
+        joined += by_term.pop(term)
     avgdl = sum(token_counts) / len(token_counts)
-    terms = sorted(postings)
-    idf = _compute_idf(terms, [len(postings[term]) for term in terms], len(pairs), params.epsilon)
+    return _column_index(pairs, ids, token_counts, avgdl, terms, dfs, joined[0::2], joined[1::2], params)
+
+
+def _column_index(pairs, ids, counts, avgdl, terms, dfs, positions, tfs, params, path=None):
+    """The index of `pairs` (source, adaptation) in id order over its postings columns."""
     return Bm25Index(
         doc_ids=tuple(ids),
-        sources=sources,
-        adaptations=adaptations,
-        doc_token_counts=tuple(token_counts),
+        sources=tuple(source for source, _ in pairs),
+        adaptations=tuple(adaptation for _, adaptation in pairs),
+        doc_token_counts=tuple(counts),
         avgdl=avgdl,
-        postings=postings,
-        idf=idf,
+        postings=_ColumnPostings(terms, dfs, positions, tfs, len(ids), path),
+        idf=_compute_idf(terms, dfs, len(ids), params.epsilon),
         params=params,
     )
 
@@ -355,11 +366,11 @@ def save_index(index: Bm25Index, path) -> None:
     """Persist postings and doc references as versioned JSON.
 
     `doc_freqs` maps terms to document frequencies; the `positions` and `tfs`
-    columns are every term's postings in sorted term order, as base64
-    little-endian uint32. Pair texts are not stored; loads join ids to a corpus.
+    columns are the index's own, every term's postings in sorted term order,
+    written as base64 little-endian uint32. Pair texts are not stored; loads
+    join ids to a corpus.
     """
-    terms = sorted(index.postings)
-    postings = [index.postings[term] for term in terms]
+    postings, starts = index.postings, index.postings.starts
     payload = {
         "schema_version": INDEX_SCHEMA_VERSION,
         "kind": INDEX_KIND,
@@ -367,9 +378,9 @@ def save_index(index: Bm25Index, path) -> None:
         "doc_ids": list(index.doc_ids),
         "doc_token_counts": list(index.doc_token_counts),
         "avgdl": index.avgdl,
-        "doc_freqs": dict(zip(terms, map(len, postings))),
-        "positions": _u32_column(chain.from_iterable(postings)),
-        "tfs": _u32_column(chain.from_iterable(docs.values() for docs in postings)),
+        "doc_freqs": dict(zip(postings.terms, map(operator.sub, starts[1:], starts))),
+        "positions": _u32_column(postings.positions),
+        "tfs": _u32_column(postings.tfs),
     }
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, ensure_ascii=False, sort_keys=True, allow_nan=False)
@@ -391,27 +402,30 @@ def _u32_array(path, name: str, text) -> array:
 
 
 class _ColumnPostings(Mapping):
-    """Read-only term -> {pos: tf} over the decoded columns of an index file.
+    """Read-only term -> {pos: tf} over two `array("I")` columns, `positions`
+    and `tfs`: every term's postings in sorted term order, term i's at
+    `starts[i]:starts[i + 1]`. `build_index` fills them and `load_index`
+    decodes them from a file, `path`, which error messages name.
 
-    A term's slice is decoded and checked on each access; `Bm25Index._impacts`
-    caches the result, so a query decodes each of its terms once.
+    A term's slice is checked on each access, which guards file input;
+    `Bm25Index._impacts` caches the result, so a query slices each term once.
     """
 
     def __init__(self, terms: list[str], dfs: list[int], positions, tfs, n_docs: int, path):
-        self._terms = terms  # sorted
-        self._starts = list(accumulate(dfs, initial=0))
-        self._positions = positions
-        self._tfs = tfs
+        self.terms = terms  # sorted
+        self.starts = array("Q", accumulate(dfs, initial=0))
+        self.positions = positions
+        self.tfs = tfs
         self._n_docs = n_docs
         self._path = path
 
-    def __getitem__(self, term: str) -> dict[int, int]:
-        i = bisect_left(self._terms, term)
-        if self._terms[i : i + 1] != [term]:
+    def slices(self, term: str) -> tuple[array, array]:
+        i = bisect_left(self.terms, term)
+        if self.terms[i : i + 1] != [term]:
             raise KeyError(term)
-        start, end = self._starts[i], self._starts[i + 1]
-        positions = self._positions[start:end]
-        tfs = self._tfs[start:end]
+        start, end = self.starts[i], self.starts[i + 1]
+        positions = self.positions[start:end]
+        tfs = self.tfs[start:end]
         if not (
             positions[-1] < self._n_docs
             and all(map(operator.lt, positions, positions[1:]))
@@ -422,13 +436,16 @@ class _ColumnPostings(Mapping):
                 f"postings of {term!r} must be ascending positions in "
                 f"[0, {self._n_docs}), each with a count >= 1",
             )
-        return dict(zip(positions, tfs))
+        return positions, tfs
+
+    def __getitem__(self, term: str) -> dict[int, int]:
+        return dict(zip(*self.slices(term)))
 
     def __iter__(self):
-        return iter(self._terms)
+        return iter(self.terms)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self.terms)
 
 
 def load_index(path, pairs_by_id) -> Bm25Index:
@@ -464,6 +481,8 @@ def load_index(path, pairs_by_id) -> Bm25Index:
         raise _index_error(path, f"bad params: {exc}") from None
     if not (isinstance(doc_ids, list) and all(isinstance(d, (str, int)) for d in doc_ids)):
         raise _index_error(path, "doc_ids is not a list of strings and integers")
+    if len(set(doc_ids)) != len(doc_ids):
+        raise _index_error(path, "doc_ids repeat an id")
     if not (isinstance(counts, list) and all(type(n) is int and n >= 0 for n in counts)):
         raise _index_error(path, "doc_token_counts is not a list of token counts")
     if len(counts) != len(doc_ids):
@@ -482,14 +501,5 @@ def load_index(path, pairs_by_id) -> Bm25Index:
     missing = [doc_id for doc_id in doc_ids if doc_id not in pairs_by_id]
     if missing:
         raise ApecError(f"index references unknown doc ids: {missing[:5]}")
-    idf = _compute_idf(terms, dfs, len(doc_ids), params.epsilon)
-    return Bm25Index(
-        doc_ids=tuple(doc_ids),
-        sources=tuple(pairs_by_id[doc_id][0] for doc_id in doc_ids),
-        adaptations=tuple(pairs_by_id[doc_id][1] for doc_id in doc_ids),
-        doc_token_counts=tuple(counts),
-        avgdl=float(avgdl),
-        postings=_ColumnPostings(terms, dfs, positions, tfs, len(doc_ids), path),
-        idf=idf,
-        params=params,
-    )
+    pairs = list(map(pairs_by_id.__getitem__, doc_ids))
+    return _column_index(pairs, doc_ids, counts, float(avgdl), terms, dfs, positions, tfs, params, path)

@@ -274,6 +274,7 @@ class TestIndex:
             pytest.param(lambda p: p.update(avgdl=10**400), id="avgdl-past-float-range"),
             pytest.param(lambda p: p.update(avgdl=-1.0), id="avgdl-negative"),
             pytest.param(lambda p: p["doc_ids"].insert(0, ["t0"]), id="list-doc-id"),
+            pytest.param(lambda p: p["doc_ids"].__setitem__(1, p["doc_ids"][0]), id="repeated-doc-id"),
             pytest.param(lambda p: p["doc_token_counts"].pop(), id="short-token-counts"),
             pytest.param(lambda p: p.update(positions=[0, 1]), id="posting-list"),
             pytest.param(lambda p: p.update(positions="AAAA!AAA"), id="bad-base64"),

@@ -1,8 +1,13 @@
 import base64
+import dataclasses
 import json
 import math
 import random
+import string
+import struct
 import sys
+import tracemalloc
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -84,6 +89,36 @@ def direct_scores(index, query):
     return scores
 
 
+def reference_index_file(pairs, params, ids) -> str:
+    """The index file as a dict-of-dicts build writes it: a {pos: tf} map per
+    term, flattened in sorted term order into little-endian uint32 columns.
+    The byte oracle `save_index` must reproduce."""
+    postings, counts = {}, []
+    for pos, (source, _) in enumerate(pairs):
+        tokens = [t for t in source.lower().split() if len(t) >= params.min_token_len]
+        counts.append(len(tokens))
+        for token in tokens:
+            docs = postings.setdefault(token, {})
+            docs[pos] = docs.get(pos, 0) + 1
+    terms = sorted(postings)
+
+    def column(values):
+        return base64.b64encode(struct.pack(f"<{len(values)}I", *values)).decode("ascii")
+
+    payload = {
+        "schema_version": 1,
+        "kind": "bm25-index-columns",
+        "params": dataclasses.asdict(params),
+        "doc_ids": list(ids),
+        "doc_token_counts": counts,
+        "avgdl": sum(counts) / len(counts),
+        "doc_freqs": {term: len(postings[term]) for term in terms},
+        "positions": column([pos for term in terms for pos in postings[term]]),
+        "tfs": column([tf for term in terms for tf in postings[term].values()]),
+    }
+    return json.dumps(payload, ensure_ascii=False, sort_keys=True, allow_nan=False) + "\n"
+
+
 VOCAB = [
     "casa", "perro", "gato", "tren", "sol", "luz", "mar", "pan",
     "grande", "verde", "azul", "rojo", "lento", "rápido", "nube",
@@ -161,6 +196,10 @@ class TestBuildIndex:
     def test_ids_length_mismatch(self):
         with pytest.raises(ValueError):
             build_index(PAIRS, ids=["solo-uno"])
+
+    def test_repeated_ids(self):
+        with pytest.raises(ValueError, match="ids must be distinct"):
+            build_index(PAIRS, ids=["d1", "d2", "d1", "d4"])
 
     def test_short_tokens_not_indexed(self):
         index = build_index([("la el un casa", "x")])
@@ -732,18 +771,25 @@ class TestPersistence:
 
     def test_built_and_loaded_idf_agree_exactly(self, tmp_path):
         # the idf floor is a mean over terms; a built index and its saved
-        # copy must sum it in the same order
+        # copy must sum it in the same order. The last trials index tokens
+        # shorter than min_token_len only: no terms, and avgdl 0.0
         rng = random.Random(20241018)
         words = [f"{stem}{end}" for stem in ("casa", "perro", "libro", "lento") for end in "aeiou"]
-        for trial in range(30):
+        for trial in range(34):
+            params = Bm25Params(min_token_len=4 if trial < 30 else 7)
             pairs = [
                 (" ".join(rng.choices(words, k=rng.randint(1, 12))), "a")
                 for _ in range(rng.randint(3, 12))
             ]
-            built = build_index(pairs)
+            built = build_index(pairs, params=params)
             path = tmp_path / f"index{trial}.json"
             save_index(built, path)
+            assert path.read_text(encoding="utf-8") == reference_index_file(
+                pairs, params, range(len(pairs))
+            ), trial
             loaded = load_index(path, dict(enumerate(pairs)))
+            assert type(built.postings) is type(loaded.postings)
+            assert (len(built.postings) == 0) == (trial >= 30) == (built.avgdl == 0.0), trial
             assert loaded.idf == built.idf, trial
             for query in (pairs[0][0], " ".join(words)):
                 assert bm25_scores(loaded, query) == bm25_scores(built, query), trial
@@ -762,3 +808,53 @@ class TestPersistence:
         with pytest.raises(ValueError, match="rebuild it with `apec index`") as exc_info:
             load_index(path, {})
         assert f"index file {path}: " in str(exc_info.value)
+
+
+class TestPostingsMemory:
+    """1,500 pairs of 60 words drawn from 3,000 random words, and ten 80-word
+    queries. Postings are two uint32 columns, where a dict per term would
+    hold about 44 bytes a posting; cached impacts share one int object per
+    position, where a new int per cached posting would cost about 72."""
+
+    @staticmethod
+    def corpus():
+        rng = random.Random(5)
+        words = [
+            "".join(rng.choices(string.ascii_lowercase, k=rng.randint(4, 9))) for _ in range(3000)
+        ]
+        pairs = [(" ".join(rng.choices(words, k=60)), "a") for _ in range(1500)]
+        queries = [" ".join(rng.choices(words, k=80)) for _ in range(10)]
+        return pairs, queries
+
+    def test_build_retains_columns(self):
+        pairs, _ = self.corpus()
+        tracemalloc.start()
+        try:
+            index = build_index(pairs)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        postings = sum(map(len, index.postings.values()))
+        assert retained / postings < 20
+
+    def test_cached_impacts_share_position_ints(self, tmp_path):
+        pairs, queries = self.corpus()
+        save_index(build_index(pairs), tmp_path / "index.json")
+        index = load_index(tmp_path / "index.json", dict(enumerate(pairs)))
+        tracemalloc.start()
+        try:
+            for query in queries:
+                bm25_scores(index, query)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        terms = {token for query in queries for token in bm25_tokens(query, 4)} & index.idf.keys()
+        cached = [index._impacts(term)[0] for term in terms]
+        assert retained / sum(map(len, cached)) < 60
+        first_seen = {}
+        for positions in cached:
+            for pos in positions:
+                assert first_seen.setdefault(pos, pos) is pos
+        # positions above the interpreter's small-int cache, in two terms' impacts
+        repeats = Counter(pos for positions in cached for pos in positions if pos > 256)
+        assert sum(n > 1 for n in repeats.values()) > 1000
