@@ -25,7 +25,6 @@ from .refine import (
 )
 from .retrieval import (
     bm25_top_k,
-    build_embedding_index,
     build_index,
     embedding_top_k,
     random_k,

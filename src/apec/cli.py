@@ -56,7 +56,6 @@ from .refine import (
 from .retrieval import (
     Bm25Params,
     bm25_top_k,
-    build_embedding_index,
     build_index,
     derive_doc_seed,
     embedding_top_k,
@@ -211,17 +210,15 @@ def make_chat_provider(spec: str, config: dict):
 
 def make_embed_provider(spec: str, config: dict):
     if spec == "http":
-        provider = _http_provider(HttpEmbeddingProvider, config, "embeddings", "EMB")
-    elif spec == "hash":
-        provider = HashEmbeddingProvider()
-    elif spec.startswith("hash:"):
+        return _http_provider(HttpEmbeddingProvider, config, "embeddings", "EMB")
+    if spec == "hash":
+        return HashEmbeddingProvider()
+    if spec.startswith("hash:"):
         dim = spec[len("hash:"):]
         if not dim.isdecimal() or int(dim) < 1:
             raise UsageError(f"embedding spec {spec!r}: hash:DIM needs an integer DIM >= 1")
-        provider = HashEmbeddingProvider(int(dim))
-    else:
-        raise UsageError(f"unknown embedding provider spec {spec!r} (hash[:DIM] | http)")
-    return CachedEmbeddingProvider(provider)
+        return HashEmbeddingProvider(int(dim))
+    raise UsageError(f"unknown embedding provider spec {spec!r} (hash[:DIM] | http)")
 
 
 @contextlib.contextmanager
@@ -385,9 +382,8 @@ def cmd_adapt(args, config: dict) -> int:
             if args.mode == "fs-bm25":
                 index = _bm25_index(args.index, ids, pairs)
             if args.mode == "fs-emb":
-                # every document's demos before the pool starts: one embed call for all sources
-                emb_index = build_embedding_index(pairs, embed)
-                ranked = embedding_top_k(emb_index, [doc.source for doc in docs], args.k, embed)
+                # every document's demos before the pool starts: one pass over the training set
+                ranked = embedding_top_k(pairs, [doc.source for doc in docs], args.k, embed)
                 emb_demos = {doc.id: demos for doc, demos in zip(docs, ranked)}
 
         def demos_for(doc: Document):
@@ -421,7 +417,8 @@ def cmd_refine(args, config: dict) -> int:
     options = _options(config, args=args)
     run_config = ApecConfig(**_options(config, "apec", args), retries=options["retries"])
     provider = make_chat_provider(args.provider, config)
-    embed = make_embed_provider(args.embed, config)
+    # score_candidate embeds the source again on every cycle
+    embed = CachedEmbeddingProvider(make_embed_provider(args.embed, config))
     with _closing(provider, embed):
         docs = load_corpus(args.docs)
         outputs = read_adaptations(args.input)

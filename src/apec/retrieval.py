@@ -19,14 +19,13 @@ file stores as base64 little-endian uint32 and `load_index` decodes once.
 A term's slice is read only when a query first holds it; cached impacts
 hold the index's shared position ints.
 
-`build_embedding_index` embeds the training sources once, in one `embed`
-call, and keeps the provider's vectors (`array("d")` from the built-in
-embedders, 8 bytes a value). `embedding_top_k` takes a batch of queries:
-one `embed` call for all of them, then, for each 64 of them, one pass
-over the training vectors that unpacks each to a list once, takes its
-norm and scores it against those queries. Reading a list is faster than
-reading an array, which makes a float per read; 64 queries a pass keep
-the score rows small. Scores are bit-identical to `cosine()`.
+`embedding_top_k` takes a batch of queries and embeds them in one `embed`
+call. It then streams the training sources through the provider,
+`EMBED_BATCH_SIZE` texts a call (one request of the `http` embedder),
+reads each vector of a slice once as a list, takes its norm and scores it
+against every query, and keeps only each query's best k. No training
+vector outlives its slice, so memory does not grow with the training set.
+Scores are bit-identical to `cosine()`, and ties rank by position.
 """
 
 from __future__ import annotations
@@ -48,14 +47,17 @@ from functools import cached_property, partial
 from itertools import accumulate
 
 from .errors import ApecError, NoWordsError
-from .similarity import EmbeddingProvider, EmbeddingVector, dense_dot, dense_norm
+from .similarity import (
+    EMBED_BATCH_SIZE,
+    EmbeddingProvider,
+    EmbeddingVector,
+    dense_dot,
+    dense_norm,
+)
 
 INDEX_SCHEMA_VERSION = 1
 INDEX_KIND = "bm25-index-columns"
 INDEX_LAYOUT = (INDEX_SCHEMA_VERSION, INDEX_KIND)
-# queries scored per pass over the embedding index: a pass unpacks every
-# training vector once, and keeps one score per training pair per query
-QUERIES_PER_PASS = 64
 
 
 @dataclass(frozen=True)
@@ -260,75 +262,68 @@ def bm25_top_k(
     )
 
 
-@dataclass(frozen=True)
-class EmbeddingIndex:
-    sources: tuple[str, ...]
-    adaptations: tuple[str, ...]
-    # the provider's vectors by reference: copies would double their memory
-    vectors: tuple[EmbeddingVector, ...] = field(repr=False)
-
-    def __len__(self) -> int:
-        return len(self.sources)
+def _embedded(provider: EmbeddingProvider, texts: list[str]) -> list[EmbeddingVector]:
+    vectors = provider.embed(texts)
+    if len(vectors) != len(texts):
+        raise ApecError(
+            f"embedding provider returned {len(vectors)} vectors for {len(texts)} texts"
+        )
+    return vectors
 
 
-def build_embedding_index(
-    pairs: list[tuple[str, str]], provider: EmbeddingProvider
-) -> EmbeddingIndex:
-    """Embed every pair source in one `embed` call."""
-    if not pairs:
-        raise ApecError("cannot index an empty corpus")
-    sources = tuple(source for source, _ in pairs)
-    vectors = tuple(provider.embed(list(sources)))
-    dims = {len(vec) for vec in vectors}
-    if len(dims) > 1:
-        raise ApecError(f"training vectors differ in length: {sorted(dims)}")
-    return EmbeddingIndex(
-        sources=sources,
-        adaptations=tuple(adaptation for _, adaptation in pairs),
-        vectors=vectors,
-    )
+def _values(vec: EmbeddingVector, dim: int) -> list[float]:
+    values = list(vec)
+    if len(values) != dim:
+        raise ApecError(f"embedding vectors differ in length: {len(values)} vs the queries' {dim}")
+    return values
 
 
 def embedding_top_k(
-    index: EmbeddingIndex,
+    pairs: list[tuple[str, str]],
     queries: list[str],
     k: int,
     provider: EmbeddingProvider,
 ) -> list[list[Demonstration]]:
-    """Each query's top k indexed pairs by the cosine of query and pair-source vectors.
+    """Each query's top k pairs by the cosine of query and pair-source vectors.
 
-    The queries are embedded in one `embed` call. Each pass over the
-    training vectors reads each vector once, as a list, and scores it
-    against up to `QUERIES_PER_PASS` queries, whose score rows it keeps.
+    The queries are embedded in one `embed` call, then the pair sources
+    in one call per `EMBED_BATCH_SIZE` of them. Each slice's vectors are
+    read once, as lists, scored against every query and dropped: only
+    each query's best k outlive the slice.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if isinstance(queries, str):
         raise TypeError("queries must be a list of query texts, not one str")
+    if not pairs:
+        raise ApecError("cannot index an empty corpus")
     if not all(map(str.strip, queries)):
         raise NoWordsError("cannot embed empty text")
-    query_vecs = provider.embed(list(queries))
-    dim = len(index.vectors[0])
-    for query_vec in query_vecs:
-        if len(query_vec) != dim:
-            raise ApecError(f"query {len(query_vec)} vs index {dim} dims")
-    positions = range(len(index))
-    ranked = []
-    for start in range(0, len(query_vecs), QUERIES_PER_PASS):
-        block = [list(vec) for vec in query_vecs[start : start + QUERIES_PER_PASS]]
-        block_norms = list(map(dense_norm, block))
-        scores = [[] for _ in block]
-        for vec in index.vectors:
-            values = list(vec)
-            norm = dense_norm(values)
-            for query_vec, q_norm, row in zip(block, block_norms, scores):
-                dot = dense_dot(query_vec, values)
-                row.append(dot / (q_norm * norm) if q_norm and norm else 0.0)
-        ranked += [
-            _ranked(positions, row, positions, index.sources, index.adaptations, k)
-            for row in scores
+    if not queries:
+        return []
+    query_vecs = _embedded(provider, list(queries))
+    dim = len(query_vecs[0])
+    query_norms = [dense_norm(_values(vec, dim)) for vec in query_vecs]
+    best = [[] for _ in query_vecs]  # per query: its k smallest (-score, position, score)
+    for start in range(0, len(pairs), EMBED_BATCH_SIZE):
+        sources = [source for source, _ in pairs[start : start + EMBED_BATCH_SIZE]]
+        rows = [_values(vec, dim) for vec in _embedded(provider, sources)]
+        norms = list(map(dense_norm, rows))
+        for q, (vec, q_norm) in enumerate(zip(query_vecs, query_norms)):
+            query_vec = list(vec)  # reads faster than an array, which makes a float per read
+            keys = best[q]
+            for position, (values, norm) in enumerate(zip(rows, norms), start):
+                score = dense_dot(query_vec, values) / (q_norm * norm) if q_norm and norm else 0.0
+                keys.append((-score, position, score))
+            best[q] = heapq.nsmallest(k, keys)  # equal scores: the lower position first
+        del rows  # else this slice's lists live on while the next slice's are built
+    return [
+        [
+            Demonstration(*pairs[p], retrieval_score=score, rank=rank)
+            for rank, (_, p, score) in enumerate(top, start=1)
         ]
-    return ranked
+        for top in best
+    ]
 
 
 def derive_doc_seed(seed: int, doc_id) -> int:

@@ -218,7 +218,9 @@ class CachedEmbeddingProvider:
     """Caches another provider's vectors by exact text.
 
     Safe under concurrent use; repeat texts are served from the cache
-    instead of hitting the upstream provider again.
+    instead of hitting the upstream provider again. `apec refine` wraps
+    its embedder in one, because every cycle embeds the source again;
+    the other commands embed each text once and use the bare embedder.
     """
 
     def __init__(self, provider: EmbeddingProvider):

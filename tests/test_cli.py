@@ -1669,12 +1669,12 @@ class TestHttpProviders:
         assert out_path.read_text(encoding="utf-8") == ""
 
     @staticmethod
-    def write_emb_corpus(tmp_path):
-        """40 documents and 70 training pairs, all sources distinct."""
+    def write_emb_corpus(tmp_path, n_docs=40):
+        """`n_docs` documents and 70 training pairs, all sources distinct."""
         docs = [
             {"id": f"d{i}", "source": f"Documento {i} sobre el trámite número {i % 7}.",
              "reference": f"Texto claro {i}.", "task": "PL"}
-            for i in range(40)
+            for i in range(n_docs)
         ]
         train = [
             {"id": f"t{i}", "source": f"Entrenamiento {i} con el plazo {i % 5}.",
@@ -1697,9 +1697,9 @@ class TestHttpProviders:
         return Reply(body={"data": [{"embedding": list(vector)} for vector in vectors]})
 
     def test_fs_emb_embeds_queries_in_batches(self, tmp_path, monkeypatch, stub_server):
-        """Training sources, then every document's source, 32 texts a request,
-        all before the first chat request; the output does not depend on the
-        worker count."""
+        """Every document's source, then the training sources, 32 texts a
+        request, all before the first chat request; the output does not
+        depend on the worker count."""
         stub_server.answer = lambda payload: (
             self.hash_embeddings(payload) if "input" in payload else turns_answer(payload)
         )
@@ -1715,9 +1715,9 @@ class TestHttpProviders:
             kinds = ["input" in request.json for request in stub_server.received]
             assert kinds == [True] * 5 + [False] * len(docs)
             sent = [request.json["input"] for request in stub_server.received[:5]]
-            assert [len(texts) for texts in sent] == [32, 32, 6, 32, 8]
-            assert sum(sent[:3], []) == [pair["source"] for pair in train]
-            assert sum(sent[3:], []) == [doc["source"] for doc in docs]
+            assert [len(texts) for texts in sent] == [32, 8, 32, 32, 6]
+            assert sum(sent[:2], []) == [doc["source"] for doc in docs]
+            assert sum(sent[2:], []) == [pair["source"] for pair in train]
         assert outputs[0] == outputs[1]
         records = [json.loads(line) for line in outputs[0].decode().splitlines()]
         assert [r["doc_id"] for r in records] == [d["id"] for d in docs]
@@ -1725,11 +1725,28 @@ class TestHttpProviders:
         assert all(len(t) == 8 for t in turns)  # system prompt, 3 demo pairs, source
         assert len({tuple(t[1:7]) for t in turns}) > 1
 
+    def test_fs_emb_streams_training_sources(self, tmp_path, monkeypatch, stub_server):
+        """Three documents: their sources in one request, then each training
+        source exactly once, in requests of 32, 32 and 6."""
+        stub_server.answer = lambda payload: (
+            self.hash_embeddings(payload) if "input" in payload else turns_answer(payload)
+        )
+        monkeypatch.setenv("EMB_ENDPOINT", stub_server.url + "/v1/embeddings")
+        monkeypatch.setenv("LLM_ENDPOINT", stub_server.url + "/v1/chat/completions")
+        docs, train = self.write_emb_corpus(tmp_path, n_docs=3)
+        out_path = tmp_path / "adapt.jsonl"
+        assert main(self.adapt_emb_argv(tmp_path, out_path)) == EXIT_OK
+        sent = [request.json["input"] for request in stub_server.received[:4]]
+        assert sent[0] == [doc["source"] for doc in docs]
+        assert [len(texts) for texts in sent[1:]] == [32, 32, 6]
+        assert sum(sent[1:], []) == [pair["source"] for pair in train]
+        assert ["input" in request.json for request in stub_server.received[4:]] == [False] * 3
+
     def test_fs_emb_query_outage_fails_adapt(
         self, tmp_path, monkeypatch, capsys, stub_server, waits
     ):
-        """The training set embeds, every query request fails: no chat
-        request is sent and no output is written."""
+        """Every query request fails: no training text or chat request is
+        sent and no output is written."""
         docs, train = self.write_emb_corpus(tmp_path)
         training = {pair["source"] for pair in train}
 
@@ -1750,8 +1767,39 @@ class TestHttpProviders:
         assert "failed after 4 attempts" in err
         assert "Traceback" not in err
         assert not out_path.exists()
+        assert [request.json["input"] for request in stub_server.received] == (
+            [[doc["source"] for doc in docs[:32]]] * 4  # the first query chunk, retried
+        )
+
+    def test_fs_emb_training_outage_fails_adapt(
+        self, tmp_path, monkeypatch, capsys, stub_server, waits
+    ):
+        """The third request of training sources fails on every retry after
+        two have been scored: exit 4, no chat request and no output."""
+        docs, train = self.write_emb_corpus(tmp_path, n_docs=3)
+        third = [pair["source"] for pair in train[64:]]
+
+        def answer(payload):
+            if "input" not in payload:
+                return turns_answer(payload)
+            if payload["input"] == third:
+                return Reply(503, {"error": "busy"})
+            return self.hash_embeddings(payload)
+
+        stub_server.answer = answer
+        monkeypatch.setenv("EMB_ENDPOINT", stub_server.url + "/v1/embeddings")
+        monkeypatch.setenv("LLM_ENDPOINT", stub_server.url + "/v1/chat/completions")
+        out_path = tmp_path / "adapt.jsonl"
+        assert main(self.adapt_emb_argv(tmp_path, out_path)) == EXIT_PROVIDER
+        err = capsys.readouterr().err
+        assert "provider error: embedding provider" in err
+        assert "failed after 4 attempts" in err
+        assert "Traceback" not in err
+        assert not out_path.exists()
         assert all("input" in request.json for request in stub_server.received)
-        assert len(stub_server.received) == 3 + 4  # the training chunks, then one query chunk
+        assert [len(request.json["input"]) for request in stub_server.received] == (
+            [3, 32, 32] + [6] * 4
+        )
 
     def test_workers_byte_identical(self, tmp_path, monkeypatch, stub_server):
         stub_server.answer = turns_answer

@@ -14,12 +14,10 @@ import pytest
 
 from apec.errors import ApecError
 from apec.retrieval import (
-    QUERIES_PER_PASS,
     Bm25Params,
     bm25_scores,
     bm25_tokens,
     bm25_top_k,
-    build_embedding_index,
     build_index,
     derive_doc_seed,
     embedding_top_k,
@@ -27,7 +25,12 @@ from apec.retrieval import (
     random_k,
     save_index,
 )
-from apec.similarity import CachedEmbeddingProvider, HashEmbeddingProvider, cosine
+from apec.similarity import (
+    EMBED_BATCH_SIZE,
+    CachedEmbeddingProvider,
+    HashEmbeddingProvider,
+    cosine,
+)
 
 from conftest import PlantedEmbeddingProvider
 
@@ -449,8 +452,8 @@ class TestLengthRatio:
 
 
 def emb_top_k(pairs, query, k, provider):
-    """Build an embedding index over pairs, then rank it for one query."""
-    (demos,) = embedding_top_k(build_embedding_index(pairs, provider), [query], k, provider)
+    """Rank the pairs for one query."""
+    (demos,) = embedding_top_k(pairs, [query], k, provider)
     return demos
 
 
@@ -528,15 +531,31 @@ def as_tuples(demos):
     return [(d.source, d.adaptation, d.retrieval_score, d.rank) for d in demos]
 
 
+class ShortReplyEmbedder:
+    """Planted vectors, but a reply for `short_of` drops its last vector."""
+
+    provider_id = "short-reply"
+
+    def __init__(self, vectors: dict, short_of: list):
+        self.vectors = vectors
+        self.short_of = short_of
+
+    def embed(self, texts):
+        vectors = [self.vectors[text] for text in texts]
+        return vectors[:-1] if texts == self.short_of else vectors
+
+
+def random_vectors(rng, names, dim):
+    return {name: [rng.gauss(0.0, 1.0) * 10.0 ** rng.uniform(-3, 3) for _ in range(dim)]
+            for name in names}
+
+
 class TestEmbeddingIndex:
     @pytest.mark.parametrize("dim", [1, 3, 32, 768])
     def test_matches_cosine_oracle(self, dim):
         rng = random.Random(dim)
         n = 40
-        vectors = {}
-        for i in range(n):
-            vec = [rng.gauss(0.0, 1.0) * 10.0 ** rng.uniform(-3, 3) for _ in range(dim)]
-            vectors[f"s{i}"] = vec
+        vectors = random_vectors(rng, [f"s{i}" for i in range(n)], dim)
         # planted exact ties, a zero vector and the query itself
         vectors["s3"] = list(vectors["s7"])
         vectors["s11"] = [2.0 * v for v in vectors["s7"]]
@@ -545,11 +564,10 @@ class TestEmbeddingIndex:
         vectors["s20"] = list(vectors["q"])
         provider = PlantedEmbeddingProvider(vectors)
         pairs = [(f"s{i}", f"a{i}") for i in range(n)]
-        index = build_embedding_index(pairs, provider)
         for k in (1, 5, n - 1, n, n + 10):
-            got = [as_tuples(demos) for demos in embedding_top_k(index, ["q", "s7"], k, provider)]
+            got = [as_tuples(demos) for demos in embedding_top_k(pairs, ["q", "s7"], k, provider)]
             assert got == [oracle_emb_top_k(pairs, q, k, provider) for q in ("q", "s7")]
-        (demos,) = embedding_top_k(index, ["s7"], n, provider)
+        (demos,) = embedding_top_k(pairs, ["s7"], n, provider)
         got = as_tuples(demos)
         assert got == oracle_emb_top_k(pairs, "s7", n, provider)
         scores = {source: score for source, _, score, _ in got}
@@ -558,23 +576,43 @@ class TestEmbeddingIndex:
         ranked = [source for source, *_ in got]
         assert ranked.index("s3") < ranked.index("s7") < ranked.index("s11")
 
+    def test_ties_across_slices_rank_by_position(self):
+        """Exact ties in the first and the third slice of training sources
+        keep position order, whichever slice the cut at k falls in."""
+        rng = random.Random(69)
+        n = 2 * EMBED_BATCH_SIZE + 5
+        vectors = random_vectors(rng, [f"s{i}" for i in range(n)] + ["q"], 16)
+        tied = [4, 9, 2 * EMBED_BATCH_SIZE + 1, 2 * EMBED_BATCH_SIZE + 3]  # slices 0, 0, 2, 2
+        for i, p in enumerate(tied):
+            vectors[f"s{p}"] = [2.0**i * v for v in vectors["q"]]  # exactly equal cosines
+        vectors[f"s{EMBED_BATCH_SIZE + 2}"] = [0.0] * 16
+        provider = PlantedEmbeddingProvider(vectors)
+        pairs = [(f"s{i}", f"a{i}") for i in range(n)]
+        for k in (1, 2, 3, 4, 5, n - 1, n, n + 10):
+            (demos,) = embedding_top_k(pairs, ["q"], k, provider)
+            assert as_tuples(demos) == oracle_emb_top_k(pairs, "q", k, provider)
+            assert [d.source for d in demos[:4]] == [f"s{p}" for p in tied][:k]
+        assert len({d.retrieval_score for d in demos[:4]}) == 1
+
     def test_zero_query_scores_zero(self):
         provider = PlantedEmbeddingProvider(
             {"q": [0.0, 0.0], "x": [0.6, 0.8], "y": [0.0, 0.0]}
         )
-        index = build_embedding_index([("x", "a"), ("y", "b")], provider)
-        (demos,) = embedding_top_k(index, ["q"], 2, provider)
+        (demos,) = embedding_top_k([("x", "a"), ("y", "b")], ["q"], 2, provider)
         assert [(d.source, d.retrieval_score) for d in demos] == [("x", 0.0), ("y", 0.0)]
 
     def test_training_set_embedded_once(self):
-        upstream = CountingEmbedder()
-        pairs = [(f"fuente número {i}", f"a{i}") for i in range(30)]
-        index = build_embedding_index(pairs, upstream)
-        assert upstream.requested == [source for source, _ in pairs]
+        """The queries in one call, then each training source once, in calls
+        of `EMBED_BATCH_SIZE`."""
+        provider = ByReferenceEmbedder(
+            {f"fuente número {i}": [float(i), 1.0] for i in range(70)}
+            | {"una consulta": [1.0, 0.0], "otra consulta más": [0.0, 1.0]}
+        )
+        pairs = [(f"fuente número {i}", f"a{i}") for i in range(70)]
+        sources = [source for source, _ in pairs]
         queries = ["una consulta", "otra consulta más", "fuente número 3"]
-        for query in queries:
-            embedding_top_k(index, [query], 5, upstream)
-        assert upstream.requested == [source for source, _ in pairs] + queries
+        embedding_top_k(pairs, queries, 5, provider)
+        assert provider.calls == [queries, sources[:32], sources[32:64], sources[64:]]
 
     def test_query_batch_is_one_embed_call_and_one_pass(self):
         rng = random.Random(18)
@@ -584,96 +622,95 @@ class TestEmbeddingIndex:
                         for i in range(30)})
         provider = ByReferenceEmbedder(vectors)
         pairs = [(f"s{i}", f"a{i}") for i in range(30)]
-        index = build_embedding_index(pairs, provider)
         ReadCountingVector.reads = 0
-        batch = embedding_top_k(index, queries, 4, provider)
-        assert provider.calls == [[source for source, _ in pairs], queries]
+        batch = embedding_top_k(pairs, queries, 4, provider)
+        assert provider.calls == [queries, [source for source, _ in pairs]]
         assert ReadCountingVector.reads == 30  # each training vector read once, not per query
         assert [as_tuples(demos) for demos in batch] == [
             oracle_emb_top_k(pairs, q, 4, provider) for q in queries
         ]
 
-    def test_queries_beyond_one_pass(self):
+    def test_many_queries_read_each_vector_once(self):
         rng = random.Random(64)
-        queries = [f"q{i}" for i in range(2 * QUERIES_PER_PASS + 3)]
+        queries = [f"q{i}" for i in range(4 * EMBED_BATCH_SIZE + 3)]
         vectors = {text: [rng.gauss(0.0, 1.0) for _ in range(4)] for text in queries}
         vectors.update({f"s{i}": ReadCountingVector(rng.gauss(0.0, 1.0) for _ in range(4))
-                        for i in range(10)})
+                        for i in range(EMBED_BATCH_SIZE + 10)})
         provider = ByReferenceEmbedder(vectors)
-        pairs = [(f"s{i}", f"a{i}") for i in range(10)]
-        index = build_embedding_index(pairs, provider)
+        pairs = [(f"s{i}", f"a{i}") for i in range(EMBED_BATCH_SIZE + 10)]
         ReadCountingVector.reads = 0
-        batch = embedding_top_k(index, queries, 3, provider)
-        assert provider.calls[1:] == [queries]
-        assert ReadCountingVector.reads == 3 * 10  # three passes
+        batch = embedding_top_k(pairs, queries, 3, provider)
+        assert provider.calls[0] == queries
+        assert ReadCountingVector.reads == len(pairs)
         assert [as_tuples(demos) for demos in batch] == [
             oracle_emb_top_k(pairs, q, 3, provider) for q in queries
         ]
 
     def test_empty_batch(self):
         upstream = CountingEmbedder()
-        index = build_embedding_index([("uno", "a")], upstream)
-        assert embedding_top_k(index, [], 1, upstream) == []
+        assert embedding_top_k([("uno", "a")], [], 1, upstream) == []
+        assert upstream.requested == []
 
     def test_one_string_is_not_a_batch(self):
-        index = build_embedding_index([("uno", "a")], HashEmbeddingProvider())
         with pytest.raises(TypeError, match="a list of query texts"):
-            embedding_top_k(index, "uno", 1, HashEmbeddingProvider())
+            embedding_top_k([("uno", "a")], "uno", 1, HashEmbeddingProvider())
 
     def test_cached_provider_serves_queries_from_cache(self):
         upstream = CountingEmbedder()
         cached = CachedEmbeddingProvider(upstream)
         pairs = [("uno", "a"), ("dos", "b"), ("tres", "c")]
-        index = build_embedding_index(pairs, cached)
-        embedding_top_k(index, ["dos"], 2, cached)
-        embedding_top_k(index, ["cuatro"], 2, cached)
-        assert upstream.requested == ["uno", "dos", "tres", "cuatro"]
+        embedding_top_k(pairs, ["dos"], 2, cached)
+        embedding_top_k(pairs, ["cuatro"], 2, cached)
+        assert upstream.requested == ["dos", "uno", "tres", "cuatro"]
 
-    def test_index_holds_provider_vectors(self):
-        provider = HashEmbeddingProvider(dim=8)
-        cached = CachedEmbeddingProvider(provider)
-        pairs = [("uno", "a"), ("dos", "b")]
-        index = build_embedding_index(pairs, cached)
-        for vec, fetched in zip(index.vectors, cached.embed(["uno", "dos"])):
-            assert vec is fetched
-        assert len(index) == 2
-        assert index.adaptations == ("a", "b")
-
-    def test_shared_index_across_threads(self):
-        rng = random.Random(20261018)
-        pairs = [
-            (" ".join(rng.choices(VOCAB, k=rng.randint(1, 12))), f"a{i}") for i in range(200)
-        ]
-        queries = [" ".join(rng.choices(VOCAB, k=rng.randint(1, 8))) for _ in range(30)]
-        serial = CachedEmbeddingProvider(HashEmbeddingProvider(dim=16))
-        reference = build_embedding_index(pairs, serial)
-        expected = [as_tuples(demos) for demos in embedding_top_k(reference, queries, 7, serial)]
-        cached = CachedEmbeddingProvider(HashEmbeddingProvider(dim=16))
-        shared = build_embedding_index(pairs, cached)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [
-                    pool.submit(embedding_top_k, shared, [q], 7, cached) for q in queries * 4
-                ]
-                results = [as_tuples(future.result(timeout=60)[0]) for future in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        assert results == expected * 4
+    @pytest.mark.parametrize("short_of", [["q1", "q2", "q3"], ["x", "y", "z"]])
+    def test_short_embed_reply(self, short_of):
+        """A reply with fewer vectors than texts, to the queries or to a
+        slice of training sources, names both counts."""
+        vectors = {text: [1.0, float(i)] for i, text in enumerate(["q1", "q2", "q3", "x", "y", "z"])}
+        provider = ShortReplyEmbedder(vectors, short_of)
+        pairs = [("x", "a"), ("y", "b"), ("z", "c")]
+        with pytest.raises(ApecError, match="embedding provider returned 2 vectors for 3 texts"):
+            embedding_top_k(pairs, ["q1", "q2", "q3"], 1, provider)
 
     def test_mixed_training_dimensions(self):
-        provider = PlantedEmbeddingProvider({"x": [1.0, 0.0], "y": [1.0, 0.0, 0.0]})
-        with pytest.raises(ApecError, match=r"training vectors differ in length: \[2, 3\]"):
-            build_embedding_index([("x", "a"), ("y", "b")], provider)
+        provider = PlantedEmbeddingProvider(
+            {"q": [1.0, 0.0], "x": [1.0, 0.0], "y": [1.0, 0.0, 0.0]}
+        )
+        with pytest.raises(ApecError, match=r"embedding vectors differ in length: 3 vs the queries' 2"):
+            embedding_top_k([("x", "a"), ("y", "b")], ["q"], 1, provider)
 
     def test_query_dimension_mismatch(self):
         provider = PlantedEmbeddingProvider(
             {"q": [1.0, 0.0, 0.0], "x": [1.0, 0.0], "y": [0.0, 1.0]}
         )
-        index = build_embedding_index([("x", "a"), ("y", "b")], provider)
-        with pytest.raises(ApecError, match="query 3 vs index 2 dims"):
-            embedding_top_k(index, ["q"], 1, provider)
+        pairs = [("x", "a"), ("y", "b")]
+        for queries in (["q"], ["q", "x"]):
+            with pytest.raises(ApecError, match="differ in length: 2 vs the queries' 3"):
+                embedding_top_k(pairs, queries, 1, provider)
+
+
+class TestEmbeddingMemory:
+    """1,500 training pairs, 8 queries, 768-d hash vectors. All 1,500
+    vectors held at once would take 9.2 MB (1,500 × 768 × 8 bytes); a
+    slice of `EMBED_BATCH_SIZE`, read as lists of floats, about 1 MB."""
+
+    def test_slices_bound_the_heap(self):
+        rng = random.Random(5)
+        words = [
+            "".join(rng.choices(string.ascii_lowercase, k=rng.randint(4, 9))) for _ in range(3000)
+        ]
+        pairs = [(" ".join(rng.choices(words, k=60)), "a") for _ in range(1500)]
+        queries = [" ".join(rng.choices(words, k=80)) for _ in range(8)]
+        provider = HashEmbeddingProvider(768)
+        tracemalloc.start()
+        try:
+            ranked = embedding_top_k(pairs, queries, 5, provider)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [len(demos) for demos in ranked] == [5] * 8
+        assert peak < 2_000_000
 
 
 class TestRandomK:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apec.errors import ApecError, NoWordsError, ProviderUnavailableError
-from apec.retrieval import build_embedding_index, embedding_top_k
+from apec.retrieval import embedding_top_k
 from apec.similarity import (
     EMBED_BATCH_SIZE,
     CachedEmbeddingProvider,
@@ -191,10 +191,9 @@ class TestHashEmbedder:
     def test_embed_text_empty(self):
         """A blank query in a batch is refused before any query is embedded."""
         provider = CountingProvider()
-        index = build_embedding_index([("uno dos", "uno")], provider)
         with pytest.raises(NoWordsError):
-            embedding_top_k(index, ["uno", "  "], k=1, provider=provider)
-        assert provider.calls == [["uno dos"]]
+            embedding_top_k([("uno dos", "uno")], ["uno", "  "], k=1, provider=provider)
+        assert provider.calls == []
 
 
 def reference_hash_vector(text, dim):
