@@ -4,10 +4,12 @@ Builds a ten-document Spanish corpus plus scripted provider fixtures,
 then drives the CLI through stats, index, adapt (BM25 few-shot from the
 index file, BM25 few-shot from an index built in memory, then embedding
 few-shot, all with the same scripted replies), two refinement streams
-over the BM25 adaptations, ensembling, and evaluation. Artifacts land in
---workdir (default: a fresh temp directory) and are printed at the end.
-The script exits non-zero if a step fails, or if the two BM25 adaptation
-files differ in any byte.
+over the BM25 adaptations (the first again with three workers),
+ensembling, and evaluation. Artifacts land in --workdir (default: a
+fresh temp directory) and are printed at the end. The script exits
+non-zero if a step fails, if the two BM25 adaptation files differ in any
+byte, or if the three-worker traces differ in any byte from the
+one-worker traces of the same stream.
 
 Usage:
     python3 scripts/dry_run.py [--workdir DIR] [--cycles N]
@@ -156,9 +158,7 @@ def run(workdir: Path, cycles: int) -> None:
             "--output", str(adapt_emb_path),
         ]
     )
-    trace_paths = {}
-    for stream in ("greedy", "sampled"):
-        trace_paths[stream] = workdir / f"traces_{stream}.jsonl"
+    def refine(stream: str, output: Path, *extra: str) -> None:
         run_step(
             [
                 "refine",
@@ -171,9 +171,20 @@ def run(workdir: Path, cycles: int) -> None:
                 "--cycles", str(cycles),
                 "--demos", "2",
                 "--stream", stream,
-                "--output", str(trace_paths[stream]),
+                "--output", str(output),
+                *extra,
             ]
         )
+
+    trace_paths = {}
+    for stream in ("greedy", "sampled"):
+        trace_paths[stream] = workdir / f"traces_{stream}.jsonl"
+        refine(stream, trace_paths[stream])
+    traces_w3_path = workdir / "traces_greedy_w3.jsonl"
+    refine("greedy", traces_w3_path, "--workers", "3")
+    if traces_w3_path.read_bytes() != trace_paths["greedy"].read_bytes():
+        print(f"{traces_w3_path} differs from {trace_paths['greedy']}", file=sys.stderr)
+        sys.exit(1)
     run_step(
         [
             "ensemble",

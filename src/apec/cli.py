@@ -63,11 +63,7 @@ from .retrieval import (
     random_k,
     save_index,
 )
-from .similarity import (
-    CachedEmbeddingProvider,
-    HashEmbeddingProvider,
-    HttpEmbeddingProvider,
-)
+from .similarity import HashEmbeddingProvider, HttpEmbeddingProvider
 from .tables import all_asserted_ok, render_check_report, run_table_checks
 
 ARTIFACT_SCHEMA_VERSION = 1
@@ -246,7 +242,8 @@ def write_jsonl(path, records) -> None:
 
 
 def read_adaptations(path) -> dict[str, str]:
-    """doc id -> adaptation, accepting plain outputs or trace files."""
+    """doc id -> adaptation, accepting plain outputs or trace files; a
+    file with no record is an ApecError."""
     outputs: dict[str, str] = {}
     for line_no, record in read_jsonl(path):
         where = f"{path} line {line_no}"
@@ -261,6 +258,8 @@ def read_adaptations(path) -> dict[str, str]:
         if str(doc_id) in outputs:
             raise ApecError(f"{where}: duplicate doc_id {doc_id!r}")
         outputs[str(doc_id)] = text
+    if not outputs:
+        raise ApecError(f"no adaptations in {path}")
     return outputs
 
 
@@ -417,8 +416,7 @@ def cmd_refine(args, config: dict) -> int:
     options = _options(config, args=args)
     run_config = ApecConfig(**_options(config, "apec", args), retries=options["retries"])
     provider = make_chat_provider(args.provider, config)
-    # score_candidate embeds the source again on every cycle
-    embed = CachedEmbeddingProvider(make_embed_provider(args.embed, config))
+    embed = make_embed_provider(args.embed, config)
     with _closing(provider, embed):
         docs = load_corpus(args.docs)
         outputs = read_adaptations(args.input)
@@ -476,6 +474,8 @@ def cmd_ensemble(args, config: dict) -> int:
             )
 
     ordered = [doc_id for doc_id in streams[0] if all(doc_id in by_doc for by_doc in streams)]
+    if not ordered:
+        raise ApecError(f"no document is in every stream: {', '.join(args.inputs)}")
     records = []
     for doc_id in ordered:
         choice = ensemble_select([by_doc[doc_id] for by_doc in streams], priority)

@@ -18,7 +18,7 @@ from typing import Mapping, Optional
 
 from .errors import ApecError, NoWordsError
 from .prompts import TASKS
-from .similarity import EmbeddingProvider, bow_vector, cosine, table_average
+from .similarity import EmbeddingProvider, bow_vector, cosine, embed_checked, table_average
 from .textstats import fh_from_counts, fh_index, text_stats
 
 
@@ -143,7 +143,7 @@ def _similarities(
 ) -> list[tuple[float, float]]:
     """(BoW cosine, embedding cosine) of each (text, reference) pair. One
     `embed` call takes every text, then every reference."""
-    vectors = embed_provider.embed([text for text, _ in pairs] + [ref for _, ref in pairs])
+    vectors = embed_checked(embed_provider, [text for text, _ in pairs] + [ref for _, ref in pairs])
     return [
         (
             cosine(bow_vector(text), bow_vector(ref)),

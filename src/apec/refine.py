@@ -33,7 +33,7 @@ from .generation import (
     render_apec_prompt,
 )
 from .retrieval import Bm25Index, bm25_top_k
-from .similarity import EmbeddingProvider, combined_score, cosine
+from .similarity import CachedEmbeddingProvider, EmbeddingProvider, combined_score, cosine
 from .textstats import fh_index
 
 TRACE_SCHEMA_VERSION = 1
@@ -99,13 +99,15 @@ def run_apec(
 ) -> ApecTrace:
     """Run the full revision-cycle budget for one document.
 
-    Demonstrations are retrieved once, against the source; the source
-    never changes, so re-retrieving per cycle would be wasted work. A
-    cycle's candidate is accepted only on strict score improvement
+    Demonstrations are retrieved once, against the source; the source never
+    changes, so re-retrieving per cycle would be wasted work. For the same
+    reason `embed_provider` is wrapped in a cache that lives for this
+    document only: it is sent the source once and each distinct candidate
+    once. A cycle's candidate is accepted only on strict score improvement
     (ties keep the incumbent, preventing oscillation). A cycle whose
-    response is empty or cannot be parsed, or whose correction has no
-    words, is recorded with parse_failed=True, zeroed metrics and what
-    it got furthest to: "", the raw response or the correction.
+    response is empty or cannot be parsed, or whose correction has no words,
+    is recorded with parse_failed=True, zeroed metrics and what it got
+    furthest to: "", the raw response or the correction.
 
     On ProviderUnavailable the trace is returned with incomplete=True
     and fewer records than the cycle budget; complete traces always
@@ -114,6 +116,7 @@ def run_apec(
     config = config or ApecConfig()
     if not initial.strip():
         raise ApecError("initial adaptation is empty")
+    embed_provider = CachedEmbeddingProvider(embed_provider)
     initial_fh, initial_emb, initial_score = score_candidate(
         doc.source, initial, embed_provider
     )

@@ -53,6 +53,7 @@ from .similarity import (
     EmbeddingVector,
     dense_dot,
     dense_norm,
+    embed_checked,
 )
 
 INDEX_SCHEMA_VERSION = 1
@@ -262,15 +263,6 @@ def bm25_top_k(
     )
 
 
-def _embedded(provider: EmbeddingProvider, texts: list[str]) -> list[EmbeddingVector]:
-    vectors = provider.embed(texts)
-    if len(vectors) != len(texts):
-        raise ApecError(
-            f"embedding provider returned {len(vectors)} vectors for {len(texts)} texts"
-        )
-    return vectors
-
-
 def _values(vec: EmbeddingVector, dim: int) -> list[float]:
     values = list(vec)
     if len(values) != dim:
@@ -301,13 +293,13 @@ def embedding_top_k(
         raise NoWordsError("cannot embed empty text")
     if not queries:
         return []
-    query_vecs = _embedded(provider, list(queries))
+    query_vecs = embed_checked(provider, list(queries))
     dim = len(query_vecs[0])
     query_norms = [dense_norm(_values(vec, dim)) for vec in query_vecs]
     best = [[] for _ in query_vecs]  # per query: its k smallest (-score, position, score)
     for start in range(0, len(pairs), EMBED_BATCH_SIZE):
         sources = [source for source, _ in pairs[start : start + EMBED_BATCH_SIZE]]
-        rows = [_values(vec, dim) for vec in _embedded(provider, sources)]
+        rows = [_values(vec, dim) for vec in embed_checked(provider, sources)]
         norms = list(map(dense_norm, rows))
         for q, (vec, q_norm) in enumerate(zip(query_vecs, query_norms)):
             query_vec = list(vec)  # reads faster than an array, which makes a float per read

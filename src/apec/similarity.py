@@ -16,7 +16,6 @@ import operator
 import re
 import struct
 import sys
-import threading
 from array import array
 from collections import Counter
 from collections.abc import Mapping, Sequence
@@ -214,33 +213,32 @@ class HttpEmbeddingProvider:
         return vectors
 
 
+def embed_checked(provider: EmbeddingProvider, texts: list[str]) -> list[EmbeddingVector]:
+    """`provider.embed(texts)`, or ApecError unless it holds one vector per text."""
+    vectors = provider.embed(texts)
+    if len(vectors) != len(texts):
+        raise ApecError(
+            f"embedding provider returned {len(vectors)} vectors for {len(texts)} texts"
+        )
+    return vectors
+
+
 class CachedEmbeddingProvider:
     """Caches another provider's vectors by exact text.
 
-    Safe under concurrent use; repeat texts are served from the cache
-    instead of hitting the upstream provider again. `apec refine` wraps
-    its embedder in one, because every cycle embeds the source again;
-    the other commands embed each text once and use the bare embedder.
+    `run_apec` wraps its embedder in a new one for each document, because
+    every cycle embeds the source again: the source, and each distinct
+    candidate, reach the upstream provider once. A document's cycles run
+    in order on one thread, so the cache takes no lock.
     """
 
     def __init__(self, provider: EmbeddingProvider):
         self._provider = provider
         self.provider_id = provider.provider_id
         self._cache: dict[str, EmbeddingVector] = {}
-        self._lock = threading.Lock()
 
     def embed(self, texts: list[str]) -> list[EmbeddingVector]:
-        with self._lock:
-            # dedupe while preserving order
-            missing = list(dict.fromkeys(t for t in texts if t not in self._cache))
+        missing = list(dict.fromkeys(t for t in texts if t not in self._cache))
         if missing:
-            fetched = self._provider.embed(missing)
-            with self._lock:
-                for text, vector in zip(missing, fetched):
-                    self._cache[text] = vector
-        with self._lock:
-            return [self._cache[t] for t in texts]
-
-    def close(self) -> None:
-        if hasattr(self._provider, "close"):
-            self._provider.close()
+            self._cache.update(zip(missing, embed_checked(self._provider, missing)))
+        return [self._cache[t] for t in texts]

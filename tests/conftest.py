@@ -21,6 +21,22 @@ class PlantedEmbeddingProvider:
         return [list(self._vectors[text]) for text in texts]
 
 
+class MiscountingEmbedder:
+    """Hash vectors, but every reply is one vector short (`change` -1) or
+    repeats its last vector once more (`change` +1)."""
+
+    provider_id = "miscounting"
+
+    def __init__(self, change: int):
+        self.change = change
+
+    def embed(self, texts):
+        from apec.similarity import HashEmbeddingProvider
+
+        vectors = HashEmbeddingProvider(8).embed(texts)
+        return vectors[:-1] if self.change < 0 else vectors + vectors[-1:]
+
+
 def planted_pair_provider(source: str, cosines: dict[str, float]):
     """Provider where cosine(source, text) equals the planted value.
 

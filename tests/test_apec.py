@@ -22,9 +22,9 @@ from apec.refine import (
     trace_to_dict,
 )
 from apec.retrieval import build_index
-from apec.similarity import combined_score
+from apec.similarity import HashEmbeddingProvider, combined_score
 
-from conftest import apec_response, planted_pair_provider
+from conftest import MiscountingEmbedder, apec_response, planted_pair_provider
 
 PAIRS = [
     ("El sol brilla mucho hoy.", "Hoy brilla el sol."),
@@ -273,6 +273,41 @@ class TestRunApec:
         run_apec(DOC, "Sol.", INDEX, RecordingProvider(), hash_embedder, config=config)
         assert len(seen) == 3
         assert all(request.decoding == REFINE for request in seen)
+
+
+class RecordingEmbedder(HashEmbeddingProvider):
+    """Hash vectors; each `embed` call's texts are recorded in `calls`."""
+
+    def __init__(self):
+        super().__init__(8)
+        self.calls = []
+
+    def embed(self, texts):
+        self.calls.append(list(texts))
+        return super().embed(texts)
+
+
+class TestEmbeddingPerDocument:
+    def test_source_and_each_distinct_candidate_embedded_once(self):
+        embedder = RecordingEmbedder()
+        provider = scripted("Uno.", "Dos.", "Uno.", "Sol.", "Dos.")
+        trace = run_apec(DOC, "Sol.", INDEX, provider, embedder)
+        assert len(trace.records) == 5
+        assert embedder.calls == [["Texto.", "Sol."], ["Uno."], ["Dos."]]
+
+    def test_cache_ends_with_its_document(self):
+        """A second document sends its own source, and a candidate the
+        first document already sent, again."""
+        embedder = RecordingEmbedder()
+        other = Document(id="d2", source="Otro texto.", task="PL")
+        for doc in (DOC, other):
+            run_apec(doc, "Sol.", INDEX, scripted("Uno."), embedder, config=ApecConfig(cycles=1))
+        assert embedder.calls == [["Texto.", "Sol."], ["Uno."], ["Otro texto.", "Sol."], ["Uno."]]
+
+    @pytest.mark.parametrize("change, count", [(-1, 1), (1, 3)])
+    def test_wrong_vector_count(self, change, count):
+        with pytest.raises(ApecError, match=f"embedding provider returned {count} vectors for 2 texts"):
+            run_apec(DOC, "Sol.", INDEX, scripted("Uno."), MiscountingEmbedder(change))
 
 
 def make_trace(doc_id: str, stream: str, final: str, final_score: float) -> ApecTrace:

@@ -850,6 +850,22 @@ class TestRefine:
         rc, _ = self.run_refine(workdir, script_docs=[])
         assert rc == EXIT_PROVIDER
 
+    @pytest.mark.parametrize("command", ["refine", "evaluate"])
+    def test_empty_adaptations_file(self, workdir, capsys, command):
+        tmp_path, docs_path, train_path = workdir
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("\n", encoding="utf-8")
+        out_path = tmp_path / "out.jsonl"
+        argv = {
+            "refine": ["refine", "--docs", str(docs_path), "--corpus", str(train_path),
+                       "--provider", "echo"],
+            "evaluate": ["evaluate", "--corpus", str(docs_path)],
+        }[command]
+        rc = main([*argv, "--input", str(empty), "--embed", "hash", "--output", str(out_path)])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: no adaptations in {empty}\n"
+        assert not out_path.exists()
+
     def test_unknown_adaptation_ids(self, workdir):
         tmp_path, docs_path, train_path = workdir
         initial = tmp_path / "initial.jsonl"
@@ -1085,6 +1101,23 @@ class TestEnsemble:
         records = [json.loads(line) for line in out_path.read_text().splitlines()]
         assert [r["doc_id"] for r in records] == ["a"]
         assert "missing 1 docs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [([], []), ([make_trace_record("a", "u", "U-a", 10.0)], [make_trace_record("b", "d", "D-b", 20.0)])],
+        ids=["empty", "disjoint"],
+    )
+    def test_no_shared_document(self, tmp_path, capsys, first, second):
+        one = tmp_path / "uno.jsonl"
+        two = tmp_path / "dos.jsonl"
+        write_lines(one, first)
+        write_lines(two, second)
+        out_path = tmp_path / "best.jsonl"
+        rc = main(["ensemble", "--inputs", str(one), str(two), "--output", str(out_path)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"error: no document is in every stream: {one}, {two}\n" in err
+        assert not out_path.exists()
 
     def test_priority_breaks_ties(self, tmp_path):
         one = tmp_path / "uno.jsonl"
@@ -1800,6 +1833,44 @@ class TestHttpProviders:
         assert [len(request.json["input"]) for request in stub_server.received] == (
             [3, 32, 32] + [6] * 4
         )
+
+    def test_refine_embeds_per_document(self, workdir, monkeypatch, stub_server):
+        """Docs a and b both get "Versión común." as a candidate. Each sends
+        it, and its own source, once; no document sends more than its source,
+        its initial adaptation and one text per distinct candidate."""
+        cycles = 3
+        corrections = {
+            "a": ["Versión común.", "Solo de a.", "Versión común."],
+            "b": ["Versión común.", "Versión común.", "Solo de b."],
+            "c": ["Versión de c.", "Otra de c.", "Última de c."],
+        }
+        stub_server.answer = self.hash_embeddings
+        monkeypatch.setenv("EMB_ENDPOINT", stub_server.url + "/v1/embeddings")
+        tmp_path, docs_path, train_path = workdir
+        docs = [json.loads(line) for line in docs_path.read_text().splitlines()]
+        initial = tmp_path / "initial.jsonl"
+        write_lines(initial, [{"doc_id": d["id"], "adaptation": f"Inicial {d['id']}."} for d in docs])
+        script = tmp_path / "script.jsonl"
+        write_lines(script, [{"match": d["source"], "response": apec_response(text)}
+                             for d in docs for text in corrections[d["id"]]])
+        rc = main(["refine", "--input", str(initial), "--docs", str(docs_path),
+                   "--corpus", str(train_path), "--provider", f"scripted:{script}",
+                   "--embed", "http", "--workers", "1", "--cycles", str(cycles),
+                   "--output", str(tmp_path / "traces.jsonl")])
+        assert rc == EXIT_OK
+        sources = [d["source"] for d in docs]
+        per_doc = []  # the texts each document sent, split where a source opens a request
+        for request in stub_server.received:
+            texts = request.json["input"]
+            if texts[0] in sources:
+                per_doc.append([])
+            per_doc[-1] += texts
+        assert [texts[0] for texts in per_doc] == sources
+        sent = sum(per_doc, [])
+        assert [sent.count(source) for source in sources] == [1, 1, 1]
+        assert sent.count("Versión común.") == 2
+        assert all(len(texts) <= cycles + 2 for texts in per_doc)
+        assert all(len(texts) == len(set(texts)) for texts in per_doc)
 
     def test_workers_byte_identical(self, tmp_path, monkeypatch, stub_server):
         stub_server.answer = turns_answer

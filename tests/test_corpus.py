@@ -18,6 +18,8 @@ from apec.errors import ApecError
 from apec.similarity import table_average
 from apec.textstats import fh_index
 
+from conftest import MiscountingEmbedder
+
 
 def write_jsonl(path, rows):
     with open(path, "w", encoding="utf-8") as handle:
@@ -256,6 +258,16 @@ class TestCorpusStats:
         report = corpus_stats(docs, embed_provider=hash_embedder)
         assert report.avg_sim == pytest.approx((report.bow_sim + report.emb_sim) / 2)
 
+    @pytest.mark.parametrize("change, count", [(-1, 3), (1, 5)])
+    def test_wrong_vector_count(self, change, count):
+        """Two sources and two references: a reply of any other length."""
+        docs = [
+            Document(id="a", source="El sol brilla mucho.", reference="Brilla el sol."),
+            Document(id="b", source="Juan come pan.", reference="Juan come."),
+        ]
+        with pytest.raises(ApecError, match=f"embedding provider returned {count} vectors for 4 texts"):
+            corpus_stats(docs, embed_provider=MiscountingEmbedder(change))
+
     def test_reference_side(self):
         docs = [Document(id="a", source="Largo original.", reference="Corto.")]
         report = corpus_stats(docs, side="reference")
@@ -349,6 +361,13 @@ class TestEvaluateRun:
         docs = [Document(id="a", source="Texto original.")]
         with pytest.raises(ApecError, match="docs without references cannot be evaluated"):
             evaluate_run({"a": "Texto."}, docs, hash_embedder)
+
+    @pytest.mark.parametrize("change, count", [(-1, 5), (1, 7)])
+    def test_wrong_vector_count(self, change, count):
+        """Three adaptations and three references: a reply of any other length."""
+        outputs = {doc.id: doc.reference for doc in DOCS}
+        with pytest.raises(ApecError, match=f"embedding provider returned {count} vectors for 6 texts"):
+            evaluate_run(outputs, DOCS, MiscountingEmbedder(change))
 
     def test_empty_outputs(self, hash_embedder):
         with pytest.raises(ApecError, match="no outputs to evaluate"):

@@ -32,7 +32,7 @@ from apec.similarity import (
     cosine,
 )
 
-from conftest import PlantedEmbeddingProvider
+from conftest import MiscountingEmbedder, PlantedEmbeddingProvider
 
 
 def oracle_bm25(pairs, query, params=None):
@@ -672,6 +672,11 @@ class TestEmbeddingIndex:
         pairs = [("x", "a"), ("y", "b"), ("z", "c")]
         with pytest.raises(ApecError, match="embedding provider returned 2 vectors for 3 texts"):
             embedding_top_k(pairs, ["q1", "q2", "q3"], 1, provider)
+
+    def test_long_embed_reply(self):
+        pairs = [("x", "a"), ("y", "b"), ("z", "c")]
+        with pytest.raises(ApecError, match="embedding provider returned 4 vectors for 3 texts"):
+            embedding_top_k(pairs, ["q1", "q2", "q3"], 1, MiscountingEmbedder(1))
 
     def test_mixed_training_dimensions(self):
         provider = PlantedEmbeddingProvider(

@@ -12,6 +12,8 @@ from pathlib import Path
 
 from apec.cli import EXIT_OK, main
 
+from conftest import apec_response
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -36,3 +38,37 @@ def test_traced_names_exist_and_cli_spans_are_recorded(tmp_path, monkeypatch):
     assert rc == EXIT_OK
     assert tracer.missing == []
     assert "cli.cmd_stats" in {span.name for span in tracer.spans}
+
+
+def test_refine_embeds_through_the_traced_cache(tmp_path, monkeypatch):
+    """`similarity.embed_requested` counts the texts of the
+    `CachedEmbeddingProvider.embed` spans: they must be every text that
+    `run_apec` asks for, two per scored candidate."""
+    tracing = load_tracing(monkeypatch)
+    docs = [
+        {"id": doc_id, "source": f"Fuente {doc_id} con frases largas.", "reference": "Corta.",
+         "task": "PL"}
+        for doc_id in ("a", "b")
+    ]
+    for name, rows in (
+        ("docs.jsonl", docs),
+        ("initial.jsonl", [{"doc_id": d["id"], "adaptation": f"Inicial {d['id']}."} for d in docs]),
+        ("script.jsonl", [{"match": d["source"], "response": apec_response(f"Revisión {n}.")}
+                          for d in docs for n in range(2)]),
+    ):
+        (tmp_path / name).write_text(
+            "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows), encoding="utf-8"
+        )
+    tracer = tracing.Tracer()
+    with tracing.traced(tracer):
+        rc = main(["refine", "--input", str(tmp_path / "initial.jsonl"),
+                   "--docs", str(tmp_path / "docs.jsonl"), "--corpus", str(tmp_path / "docs.jsonl"),
+                   "--provider", f"scripted:{tmp_path / 'script.jsonl'}", "--embed", "hash",
+                   "--cycles", "2", "--output", str(tmp_path / "traces.jsonl")])
+    assert rc == EXIT_OK
+    assert tracer.missing == []
+    requested = [span.info for span in tracer.spans
+                 if span.name == "similarity.CachedEmbeddingProvider.embed"]
+    scored = [span for span in tracer.spans if span.name == "refine.score_candidate"]
+    assert len(scored) == 2 * (2 + 1)  # two documents, each its initial and two candidates
+    assert sum(requested) == 2 * len(scored)
