@@ -2,13 +2,15 @@
 
 Builds a ten-document Spanish corpus plus scripted provider fixtures,
 then drives the CLI through stats, index, adapt (BM25 few-shot from the
-index file, BM25 few-shot from an index built in memory, then embedding
-few-shot, all with the same scripted replies), two refinement streams
-over the BM25 adaptations (the first again with three workers),
-ensembling, and evaluation. Artifacts land in --workdir (default: a
+index file, BM25 few-shot from an index built in memory, BM25 few-shot
+from the index file of a CSV copy of the training corpus, then embedding
+few-shot, all with the same scripted replies; the CSV copy and its index
+live in a temporary directory, so that every artifact is JSON), two
+refinement streams over the BM25 adaptations (the first again with three
+workers), ensembling, and evaluation. Artifacts land in --workdir (default: a
 fresh temp directory) and are printed at the end. The script exits
-non-zero if a step fails, if the two BM25 adaptation files differ in any
-byte, or if the three-worker traces differ in any byte from the
+non-zero if a step fails, if the three BM25 adaptation files differ in
+any byte, or if the three-worker traces differ in any byte from the
 one-worker traces of the same stream.
 
 Usage:
@@ -16,6 +18,7 @@ Usage:
 """
 
 import argparse
+import csv
 import json
 import sys
 import tempfile
@@ -119,6 +122,7 @@ def run(workdir: Path, cycles: int) -> None:
     index_path = workdir / "index.json"
     adapt_path = workdir / "adapt.jsonl"
     adapt_built_path = workdir / "adapt_built.jsonl"
+    adapt_csv_path = workdir / "adapt_csv.jsonl"
     adapt_emb_path = workdir / "adapt_emb.jsonl"
     best_path = workdir / "best.jsonl"
     eval_path = workdir / "eval.json"
@@ -135,17 +139,31 @@ def run(workdir: Path, cycles: int) -> None:
     fs_bm25 = [
         "adapt",
         "--input", str(fixtures["docs"]),
-        "--corpus", str(fixtures["train"]),
         "--mode", "fs-bm25",
         "--k", "2",
         "--provider", f"scripted:{fixtures['adapt_script']}",
         "--seed", "7",
     ]
-    run_step([*fs_bm25, "--index", str(index_path), "--output", str(adapt_path)])
-    run_step([*fs_bm25, "--output", str(adapt_built_path)])  # no --index: built in memory
-    if adapt_built_path.read_bytes() != adapt_path.read_bytes():
-        print(f"{adapt_built_path} differs from {adapt_path}", file=sys.stderr)
-        sys.exit(1)
+    train = ["--corpus", str(fixtures["train"])]
+    run_step([*fs_bm25, *train, "--index", str(index_path), "--output", str(adapt_path)])
+    run_step([*fs_bm25, *train, "--output", str(adapt_built_path)])  # no --index: built in memory
+    with tempfile.TemporaryDirectory() as csv_dir:
+        train_csv_path = Path(csv_dir) / "train.csv"
+        index_csv_path = Path(csv_dir) / "index_csv.json"
+        rows = map(json.loads, fixtures["train"].read_text(encoding="utf-8").splitlines())
+        with open(train_csv_path, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.DictWriter(handle, ["id", "source", "reference", "task"])  # \r\n line ends
+            writer.writeheader()
+            writer.writerows(rows)
+        run_step(["index", "--corpus", str(train_csv_path), "--output", str(index_csv_path)])
+        run_step(
+            [*fs_bm25, "--corpus", str(train_csv_path), "--index", str(index_csv_path),
+             "--output", str(adapt_csv_path)]
+        )
+    for other in (adapt_built_path, adapt_csv_path):
+        if other.read_bytes() != adapt_path.read_bytes():
+            print(f"{other} differs from {adapt_path}", file=sys.stderr)
+            sys.exit(1)
     run_step(
         [
             "adapt",

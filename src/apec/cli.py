@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -245,7 +246,7 @@ def read_adaptations(path) -> dict[str, str]:
     """doc id -> adaptation, accepting plain outputs or trace files; a
     file with no record is an ApecError."""
     outputs: dict[str, str] = {}
-    for line_no, record in read_jsonl(path):
+    for line_no, record, _ in read_jsonl(path):
         where = f"{path} line {line_no}"
         if not isinstance(record, dict):
             raise ApecError(f"{where}: expected a JSON object")
@@ -270,22 +271,30 @@ def _emit(text: str, output) -> None:
         print(text)
 
 
-def _training_pairs(docs: list[Document]) -> tuple[list, list]:
-    """(ids, pairs) of docs usable as demonstrations."""
+def _training_docs(path, digest=None) -> list[Document]:
+    """The docs of the corpus at `path` usable as demonstrations: those
+    with a reference. The file's bytes go to `digest` if given."""
+    docs = load_corpus(path, digest)
     usable = [doc for doc in docs if doc.reference]
     skipped = len(docs) - len(usable)
     if skipped:
         print(f"warning: {skipped} training docs without reference skipped", file=sys.stderr)
     if not usable:
         raise ApecError("no training docs with references; cannot build demonstrations")
-    return [doc.id for doc in usable], [(doc.source, doc.reference) for doc in usable]
+    return usable
 
 
-def _bm25_index(index_path, ids: list, pairs: list):
-    """The index file at `index_path` joined to the pairs, or a new index over them."""
+def _pairs(docs: list[Document]) -> list[tuple[str, str]]:
+    return [(doc.source, doc.reference) for doc in docs]
+
+
+def _bm25_index(index_path, corpus_path):
+    """The index file at `index_path` over the corpus it was built from, or
+    a new index over the corpus."""
     if index_path:
-        return load_index(index_path, dict(zip(ids, pairs)))
-    return build_index(pairs, ids=ids)
+        return load_index(index_path, corpus_path)
+    docs = _training_docs(corpus_path)
+    return build_index(_pairs(docs), ids=[doc.id for doc in docs])
 
 
 def _run_docs(work, docs: list[Document], workers: int) -> tuple[list, list]:
@@ -341,10 +350,10 @@ def cmd_stats(args, config: dict) -> int:
 
 def cmd_index(args, config: dict) -> int:
     params = Bm25Params(**_options(config, "bm25", args))
-    docs = load_corpus(args.corpus)
-    ids, pairs = _training_pairs(docs)
-    index = build_index(pairs, params=params, ids=ids)
-    save_index(index, args.output)
+    digest = hashlib.sha256()  # fed by the read that parses the corpus
+    docs = _training_docs(args.corpus, digest)
+    index = build_index(_pairs(docs), params=params, ids=[doc.id for doc in docs])
+    save_index(index, args.output, digest.hexdigest(), [doc.span for doc in docs])
     print(f"indexed {len(index)} docs, {len(index.postings)} terms -> {args.output}")
     return EXIT_OK
 
@@ -376,10 +385,10 @@ def cmd_adapt(args, config: dict) -> int:
     with _closing(provider, embed):
         docs = load_corpus(args.input)
         index = pairs = None
-        if args.mode != "zs":
-            ids, pairs = _training_pairs(load_corpus(args.corpus))
-            if args.mode == "fs-bm25":
-                index = _bm25_index(args.index, ids, pairs)
+        if args.mode == "fs-bm25":
+            index = _bm25_index(args.index, args.corpus)
+        elif args.mode != "zs":
+            pairs = _pairs(_training_docs(args.corpus))
             if args.mode == "fs-emb":
                 # every document's demos before the pool starts: one pass over the training set
                 ranked = embedding_top_k(pairs, [doc.source for doc in docs], args.k, embed)
@@ -425,8 +434,7 @@ def cmd_refine(args, config: dict) -> int:
         if unknown:
             raise ApecError(f"adaptations reference unknown doc ids: {unknown[:5]}")
 
-        ids, pairs = _training_pairs(load_corpus(args.corpus))
-        index = _bm25_index(args.index, ids, pairs)
+        index = _bm25_index(args.index, args.corpus)
         target_docs = [doc for doc in docs if doc.id in outputs]
 
         def work(doc: Document):

@@ -2,7 +2,8 @@
 
 Documents carry an id, a source text, an optional reference adaptation
 and a task tag (PL or ER). Corpora load from JSONL, or from CSV when the
-file name ends in `.csv`. Statistics
+file name ends in `.csv`; both readers yield each record's byte span,
+which `read_record` parses alone. Statistics
 report both aggregation conventions for the readability index: micro
 (over pooled corpus counts) and macro (mean of per-document values),
 because the two differ and published tables mix them.
@@ -10,9 +11,11 @@ because the two differ and published tables mix them.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from statistics import fmean
 from typing import Mapping, Optional
 
@@ -28,6 +31,8 @@ class Document:
     source: str
     reference: Optional[str] = None
     task: str = "PL"
+    # (start, end) of the record in the file it was loaded from
+    span: Optional[tuple[int, int]] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not str(self.id):
@@ -38,7 +43,9 @@ class Document:
             raise ValueError(f"unknown task {self.task!r}; expected one of {TASKS}")
 
 
-def _document_from_fields(fields: Mapping, path, line: int) -> Document:
+def _document_from_fields(fields, path, line: int, span=None) -> Document:
+    if not isinstance(fields, dict):
+        raise ApecError(f"{path} line {line}: expected a JSON object")
     for key in ("id", "source", "task"):
         if fields.get(key) in (None, ""):
             raise ApecError(f"{path} line {line}: missing field {key!r}")
@@ -63,64 +70,98 @@ def _document_from_fields(fields: Mapping, path, line: int) -> Document:
             source=fields["source"],
             reference=reference,
             task=fields["task"],
+            span=span,
         )
     except ValueError as exc:
         raise ApecError(f"{path} line {line}: {exc}") from exc
 
 
-def read_jsonl(path):
-    """Yield (line number, decoded value) for each non-blank line of a JSON
-    Lines file, one line at a time. The value may be of any JSON type, so
-    callers check its shape; a line that is not UTF-8 or not JSON raises
-    ApecError naming the file and the line."""
-    with open(path, "rb") as handle:
+def read_jsonl(path, lines=None):
+    """Yield (line number, decoded value, (start, end) byte span) for each
+    non-blank line of a JSON Lines file, read one line at a time, or of
+    `lines`, its raw lines. The value may be of any JSON type, so callers
+    check its shape; a line that is not UTF-8 or not JSON raises ApecError
+    naming the file and the line."""
+    with open(path, "rb") if lines is None else contextlib.nullcontext(lines) as handle:
+        end = 0
         for line_no, raw in enumerate(handle, start=1):
+            start, end = end, end + len(raw)
             try:
                 line = raw.decode("utf-8")
                 if line.strip():
-                    yield line_no, json.loads(line)
+                    yield line_no, json.loads(line), (start, end)
             except ValueError as exc:  # not UTF-8, or not JSON
                 raise ApecError(f"{path} line {line_no}: invalid JSON: {exc}") from exc
 
 
-def _read_csv(path):
-    """Yield (line number, row dict) for each data row of a CSV file; a
-    file that is not UTF-8 raises ApecError naming it, and a row
-    that the csv module rejects (such as a field over its size limit)
-    one naming the file and the line."""
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        try:
-            for row in reader:
-                yield reader.line_num, row
-        except UnicodeDecodeError as exc:
-            raise ApecError(f"{path}: not UTF-8: {exc}") from exc
-        except csv.Error as exc:
-            line = reader.reader.line_num  # DictReader's own count lags a row that failed
-            raise ApecError(f"{path} line {line}: {exc}") from exc
+def _csv_lines(lines, end: list):
+    """Raw `lines` decoded, also split at a lone \\r, as `newline=""` splits
+    them; `end[0]` follows the byte offset after the last one yielded."""
+    for line in lines:
+        for raw in line.splitlines(keepends=True):
+            end[0] += len(raw)
+            yield raw.decode("utf-8")
 
 
-def load_corpus(path) -> list[Document]:
+def _read_csv(path, lines, fieldnames=None):
+    """Yield (line number, row dict, byte span) for each data row of a CSV
+    file's raw `lines`, under its header row or `fieldnames`; a span takes
+    in blank lines before its row. A file that is not UTF-8 raises
+    ApecError naming it, and a row that the csv module rejects (such as a
+    field over its size limit) one naming the file and the line."""
+    end = [0]
+    reader = csv.DictReader(_csv_lines(lines, end), fieldnames)
+    try:
+        reader.fieldnames  # reads the header row unless it is given
+        start = end[0]
+        for row in reader:
+            yield reader.line_num, row, (start, end[0])
+            start = end[0]
+    except UnicodeDecodeError as exc:
+        raise ApecError(f"{path}: not UTF-8: {exc}") from exc
+    except csv.Error as exc:
+        line = reader.reader.line_num  # DictReader's own count lags a row that failed
+        raise ApecError(f"{path} line {line}: {exc}") from exc
+
+
+def load_corpus(path, digest=None) -> list[Document]:
     """Load documents from CSV if the file name ends in `.csv` (in any
-    case), else from JSONL. Duplicate ids and malformed lines raise
+    case), else from JSONL, feeding the file's bytes to `digest` (a
+    hashlib object) if given. Duplicate ids and malformed lines raise
     naming the file and the offending line number."""
     docs: list[Document] = []
     seen: dict[str, int] = {}
-    rows = _read_csv(path) if str(path).lower().endswith(".csv") else read_jsonl(path)
-    for line_no, fields in rows:
-        if not isinstance(fields, dict):
-            raise ApecError(f"{path} line {line_no}: expected a JSON object")
-        doc = _document_from_fields(fields, path, line_no)
-        if doc.id in seen:
-            raise ApecError(
-                f"{path} line {line_no}: duplicate id {doc.id!r} "
-                f"(first seen on line {seen[doc.id]})"
-            )
-        seen[doc.id] = line_no
-        docs.append(doc)
+    with open(path, "rb") as handle:
+        lines = handle if digest is None else (digest.update(line) or line for line in handle)
+        rows = _read_csv(path, lines) if str(path).lower().endswith(".csv") else read_jsonl(path, lines)
+        for line_no, fields, span in rows:
+            doc = _document_from_fields(fields, path, line_no, span)
+            if doc.id in seen:
+                raise ApecError(
+                    f"{path} line {line_no}: duplicate id {doc.id!r} "
+                    f"(first seen on line {seen[doc.id]})"
+                )
+            seen[doc.id] = line_no
+            docs.append(doc)
     if not docs:
         raise ApecError(f"no documents in {path}")
     return docs
+
+
+def read_record(path, data: bytes, start: int, end: int) -> Document:
+    """The document whose record is `data[start:end]` of the corpus file
+    `path`, checked as `load_corpus` checks it; ApecError naming the span
+    unless those bytes are exactly one record."""
+    where = f"{path} bytes {start}:{end}"
+    if str(path).lower().endswith(".csv"):
+        fieldnames = csv.DictReader(_csv_lines(io.BytesIO(data), [0])).fieldnames
+        records = list(_read_csv(where, io.BytesIO(data[start:end]), fieldnames))
+    else:
+        records = list(read_jsonl(where, io.BytesIO(data[start:end])))
+    if len(records) != 1:
+        raise ApecError(f"{where}: {len(records)} records, not one")
+    line_no, fields, _ = records[0]
+    return _document_from_fields(fields, where, line_no)
 
 
 @dataclass(frozen=True)

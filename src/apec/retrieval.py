@@ -19,6 +19,10 @@ file stores as base64 little-endian uint32 and `load_index` decodes once.
 A term's slice is read only when a query first holds it; cached impacts
 hold the index's shared position ints.
 
+An index file stores no texts: it pins its corpus file by sha256 and
+holds each document's byte span there. `load_index` refuses a changed
+corpus, and parses a record only when a ranking first needs its texts.
+
 `embedding_top_k` takes a batch of queries and embeds them in one `embed`
 call. It then streams the training sources through the provider,
 `EMBED_BATCH_SIZE` texts a call (one request of the `http` embedder),
@@ -44,8 +48,9 @@ from collections import Counter, defaultdict
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, partial
-from itertools import accumulate
+from itertools import accumulate, chain
 
+from .corpus import read_record
 from .errors import ApecError, NoWordsError
 from .similarity import (
     EMBED_BATCH_SIZE,
@@ -57,7 +62,7 @@ from .similarity import (
 )
 
 INDEX_SCHEMA_VERSION = 1
-INDEX_KIND = "bm25-index-columns"
+INDEX_KIND = "bm25-index-spans"
 INDEX_LAYOUT = (INDEX_SCHEMA_VERSION, INDEX_KIND)
 
 
@@ -89,8 +94,7 @@ class Demonstration:
 @dataclass(frozen=True)
 class Bm25Index:
     doc_ids: tuple
-    sources: tuple[str, ...]
-    adaptations: tuple[str, ...]
+    pairs: tuple | _CorpusPairs = field(repr=False)  # position -> (source, adaptation)
     doc_token_counts: tuple[int, ...]
     avgdl: float
     postings: _ColumnPostings = field(repr=False)  # a Mapping: term -> pos -> tf, pos ascending
@@ -183,15 +187,14 @@ def build_index(
     for term in terms:
         joined += by_term.pop(term)
     avgdl = sum(token_counts) / len(token_counts)
-    return _column_index(pairs, ids, token_counts, avgdl, terms, dfs, joined[0::2], joined[1::2], params)
+    return _column_index(tuple(pairs), ids, token_counts, avgdl, terms, dfs, joined[0::2], joined[1::2], params)
 
 
 def _column_index(pairs, ids, counts, avgdl, terms, dfs, positions, tfs, params, path=None):
     """The index of `pairs` (source, adaptation) in id order over its postings columns."""
     return Bm25Index(
         doc_ids=tuple(ids),
-        sources=tuple(source for source, _ in pairs),
-        adaptations=tuple(adaptation for _, adaptation in pairs),
+        pairs=pairs,
         doc_token_counts=tuple(counts),
         avgdl=avgdl,
         postings=_ColumnPostings(terms, dfs, positions, tfs, len(ids), path),
@@ -213,20 +216,6 @@ def bm25_scores(index: Bm25Index, query: str) -> list[float]:
     return scores
 
 
-def _ranked(positions, scores, index_ids, sources, adaptations, k: int):
-    # descending score, ties by ascending doc id; nsmallest is stable
-    top = heapq.nsmallest(k, positions, key=lambda p: (-scores[p], index_ids[p]))
-    return [
-        Demonstration(
-            source=sources[p],
-            adaptation=adaptations[p],
-            retrieval_score=scores[p],
-            rank=rank,
-        )
-        for rank, p in enumerate(top, start=1)
-    ]
-
-
 def bm25_top_k(
     index: Bm25Index,
     query: str,
@@ -237,8 +226,9 @@ def bm25_top_k(
 
     With a ratio filter, pairs whose adaptation/source length ratio
     falls outside [lo, hi] are skipped: the pairs are walked in rank
-    order until k pass, so only their ratios are computed. May return
-    fewer than k demonstrations.
+    order until k pass, so only their ratios are computed (a blank
+    source raises when the walk reaches it). May return fewer than k
+    demonstrations.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -248,19 +238,23 @@ def bm25_top_k(
         lo, hi = ratio_filter
         if not lo <= hi:  # also false when either bound is NaN
             raise ValueError(f"invalid ratio range [{lo}, {hi}]")
-        if not all(map(str.strip, index.sources)):  # a blank source has no ratio
-            raise ApecError("source has no tokens; length ratio undefined")
-        # (-score, doc id, pos) is _ranked's order; pop until k pairs pass
+        # (-score, doc id, pos) is the ranking order below; pop until k pairs pass
         heap = list(zip(map(operator.neg, scores), index.doc_ids, positions))
         heapq.heapify(heap)
         positions = []
         while heap and len(positions) < k:
             p = heapq.heappop(heap)[2]
-            if lo <= len(index.adaptations[p].split()) / len(index.sources[p].split()) <= hi:
+            source, adaptation = index.pairs[p]
+            if not source.strip():  # a blank source has no ratio
+                raise ApecError("source has no tokens; length ratio undefined")
+            if lo <= len(adaptation.split()) / len(source.split()) <= hi:
                 positions.append(p)
-    return _ranked(
-        positions, scores, index.doc_ids, index.sources, index.adaptations, k
-    )
+    # descending score, ties by ascending doc id; nsmallest is stable
+    top = heapq.nsmallest(k, positions, key=lambda p: (-scores[p], index.doc_ids[p]))
+    return [
+        Demonstration(*index.pairs[p], retrieval_score=scores[p], rank=rank)
+        for rank, p in enumerate(top, start=1)
+    ]
 
 
 def _values(vec: EmbeddingVector, dim: int) -> list[float]:
@@ -342,20 +336,22 @@ def random_k(pairs: list[tuple[str, str]], k: int, seed: int) -> list[Demonstrat
     ]
 
 
-def _u32_column(values) -> str:
-    column = array("I", values)
+def _b64_column(typecode: str, values) -> str:
+    column = array(typecode, values)
     if sys.byteorder == "big":
         column.byteswap()
     return base64.b64encode(column.tobytes()).decode("ascii")
 
 
-def save_index(index: Bm25Index, path) -> None:
+def save_index(index: Bm25Index, path, corpus_sha256: str, spans) -> None:
     """Persist postings and doc references as versioned JSON.
 
     `doc_freqs` maps terms to document frequencies; the `positions` and `tfs`
     columns are the index's own, every term's postings in sorted term order,
-    written as base64 little-endian uint32. Pair texts are not stored; loads
-    join ids to a corpus.
+    written as base64 little-endian uint32. Pair texts are not stored: the
+    index names the corpus file it was built from by `corpus_sha256`, the
+    hex sha256 of its bytes, and `spans` gives each document's (start, end)
+    byte span in it, in doc id order, stored as little-endian uint64.
     """
     postings, starts = index.postings, index.postings.starts
     payload = {
@@ -366,8 +362,10 @@ def save_index(index: Bm25Index, path) -> None:
         "doc_token_counts": list(index.doc_token_counts),
         "avgdl": index.avgdl,
         "doc_freqs": dict(zip(postings.terms, map(operator.sub, starts[1:], starts))),
-        "positions": _u32_column(postings.positions),
-        "tfs": _u32_column(postings.tfs),
+        "positions": _b64_column("I", postings.positions),
+        "tfs": _b64_column("I", postings.tfs),
+        "corpus_sha256": corpus_sha256,
+        "spans": _b64_column("Q", chain.from_iterable(spans)),
     }
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, ensure_ascii=False, sort_keys=True, allow_nan=False)
@@ -378,11 +376,13 @@ def _index_error(path, problem: str) -> ValueError:
     return ValueError(f"index file {path}: {problem}; rebuild it with `apec index`")
 
 
-def _u32_array(path, name: str, text) -> array:
+def _column_array(path, name: str, text, typecode: str) -> array:
+    column = array(typecode)
     try:
-        column = array("I", base64.b64decode(text, validate=True))
-    except (TypeError, ValueError):  # not a base64 string, or not whole uint32s
-        raise _index_error(path, f"{name} is not base64 of little-endian uint32s") from None
+        column.frombytes(base64.b64decode(text, validate=True))
+    except (TypeError, ValueError):  # not a base64 string, or not whole items
+        bits = 8 * column.itemsize
+        raise _index_error(path, f"{name} is not base64 of little-endian uint{bits}s") from None
     if sys.byteorder == "big":
         column.byteswap()
     return column
@@ -435,15 +435,39 @@ class _ColumnPostings(Mapping):
         return len(self.terms)
 
 
-def load_index(path, pairs_by_id) -> Bm25Index:
-    """Load a persisted index, joining texts from `pairs_by_id`.
+class _CorpusPairs(dict):
+    """position -> (source, reference), parsed from the document's span of
+    the corpus bytes when first looked up. Pool threads share the pairs
+    without a lock, as `Bm25Index._impact_cache`: a racing write stores an
+    equal pair."""
 
-    `pairs_by_id` maps doc id -> (source, adaptation) and must cover
-    every id stored in the file. Each column is decoded once, and each
-    term's document frequency comes from `doc_freqs`; a term's positions
-    and counts are sliced out of the columns and checked the first time a
-    query holds it. Any malformed content raises `ValueError`, as does a
-    file in an older layout, which `apec index` must rebuild.
+    def __init__(self, doc_ids: list, spans: array, data: bytes, corpus, path):
+        super().__init__()
+        self._reader = doc_ids, spans, data, corpus, path
+
+    def __missing__(self, pos: int) -> tuple[str, str]:
+        doc_ids, spans, data, corpus, path = self._reader
+        start, end = spans[2 * pos : 2 * pos + 2]
+        try:  # ValueError: a CSV header that is not UTF-8
+            doc = read_record(corpus, data, start, end)
+            if doc.id != str(doc_ids[pos]) or doc.reference is None:
+                raise ApecError(f"{corpus} bytes {start}:{end} hold doc {doc.id!r}, "
+                                f"reference {doc.reference!r}")
+        except (ApecError, ValueError) as exc:
+            raise _index_error(path, f"doc {doc_ids[pos]!r}: {exc}") from None
+        pair = self[pos] = doc.source, doc.reference
+        return pair
+
+
+def load_index(path, corpus) -> Bm25Index:
+    """Load a persisted index over `corpus`, the corpus file it was built from.
+
+    Each column is decoded once, and each term's document frequency comes
+    from `doc_freqs`; a term's positions and counts are sliced out of the
+    columns and checked the first time a query holds it. The corpus must
+    have the recorded sha256, and a document's record is parsed the first
+    time a ranking needs its texts. Malformed content, a changed corpus
+    and an older layout raise `ValueError`: `apec index` must rebuild.
     """
     with open(path, encoding="utf-8") as handle:
         try:
@@ -455,11 +479,12 @@ def load_index(path, pairs_by_id) -> Bm25Index:
     layout = (payload.get("schema_version"), payload.get("kind"))
     if layout != INDEX_LAYOUT:
         raise _index_error(path, f"(schema_version, kind) is {layout}, not {INDEX_LAYOUT}")
-    keys = ("params", "doc_ids", "doc_token_counts", "avgdl", "doc_freqs", "positions", "tfs")
+    keys = ("params", "doc_ids", "doc_token_counts", "avgdl", "doc_freqs", "corpus_sha256",
+            "positions", "tfs", "spans")
     missing_keys = [key for key in keys if key not in payload]
     if missing_keys:
         raise _index_error(path, f"missing {', '.join(missing_keys)}")
-    raw_params, doc_ids, counts, avgdl, doc_freqs = (payload[key] for key in keys[:5])
+    raw_params, doc_ids, counts, avgdl, doc_freqs, corpus_sha256 = (payload[key] for key in keys[:6])
     if not isinstance(raw_params, dict) or raw_params.keys() != asdict(Bm25Params()).keys():
         raise _index_error(path, "params must hold exactly k1, b, epsilon, min_token_len")
     try:
@@ -480,13 +505,25 @@ def load_index(path, pairs_by_id) -> Bm25Index:
         isinstance(doc_freqs, dict) and all(type(n) is int and n >= 1 for n in doc_freqs.values())
     ):
         raise _index_error(path, "doc_freqs is not a map of terms to counts >= 1")
-    positions, tfs = (_u32_array(path, key, payload[key]) for key in ("positions", "tfs"))
+    positions, tfs = (_column_array(path, key, payload[key], "I") for key in ("positions", "tfs"))
     terms = sorted(doc_freqs)
     dfs = list(map(doc_freqs.get, terms))
     if not len(positions) == len(tfs) == sum(dfs):
         raise _index_error(path, "positions and tfs must hold one entry per doc_freqs count")
-    missing = [doc_id for doc_id in doc_ids if doc_id not in pairs_by_id]
-    if missing:
-        raise ApecError(f"index references unknown doc ids: {missing[:5]}")
-    pairs = list(map(pairs_by_id.__getitem__, doc_ids))
+    with open(corpus, "rb") as handle:
+        data = handle.read()
+    digest = hashlib.sha256(data).hexdigest()
+    if corpus_sha256 != digest:
+        raise _index_error(path, f"built from a corpus with sha256 {corpus_sha256!r}, not {corpus} "
+                                 f"as it is now (sha256 {digest!r})")
+    spans = _column_array(path, "spans", payload["spans"], "Q")
+    if not (
+        len(spans) == 2 * len(doc_ids)
+        and all(map(operator.lt, spans[0::2], spans[1::2]))
+        and all(map(operator.le, spans[1::2], spans[2::2]))
+        and (not spans or spans[-1] <= len(data))
+    ):
+        raise _index_error(path, f"spans must be a start and an end per doc id, ascending, "
+                                 f"disjoint byte ranges of {corpus}")
+    pairs = _CorpusPairs(doc_ids, spans, data, corpus, path)
     return _column_index(pairs, doc_ids, counts, float(avgdl), terms, dfs, positions, tfs, params, path)

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import math
 import socket
@@ -62,6 +64,26 @@ def apec_response(
         "# Final\n"
         f"{final}"
     )
+
+
+def save_index_over_corpus(index, path):
+    """Write the pairs of a built index as a JSONL corpus file, one
+    document per doc id, and save the index at `path` over that file, with
+    its sha256 and each record's byte span. Returns the corpus path: the
+    index file's path with `.corpus.jsonl` in place of its suffix."""
+    from apec.retrieval import save_index
+
+    corpus = path.with_suffix(".corpus.jsonl")
+    lines = [
+        json.dumps({"id": doc_id, "source": source, "reference": adaptation, "task": "PL"})
+        .encode("utf-8") + b"\n"
+        for doc_id, (source, adaptation) in zip(index.doc_ids, index.pairs)
+    ]
+    data = b"".join(lines)
+    corpus.write_bytes(data)
+    ends = list(itertools.accumulate(map(len, lines)))
+    save_index(index, path, hashlib.sha256(data).hexdigest(), zip([0, *ends], ends))
+    return corpus
 
 
 @pytest.fixture

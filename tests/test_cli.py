@@ -1,4 +1,7 @@
 import base64
+import csv
+import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -189,6 +192,28 @@ def set_postings(pairs):
     return corrupt
 
 
+def set_spans(change):
+    """Replace the spans column, read as a flat [start, end, ...] list, with change(list)."""
+
+    def corrupt(payload):
+        raw = base64.b64decode(payload["spans"])
+        spans = change(list(struct.unpack(f"<{len(raw) // 8}Q", raw)))
+        payload["spans"] = base64.b64encode(struct.pack(f"<{len(spans)}Q", *spans)).decode("ascii")
+
+    return corrupt
+
+
+def halve_spans(spans):
+    """Each record's span cut to the first half of its line."""
+    return [x for start, end in zip(spans[::2], spans[1::2]) for x in (start, (start + end) // 2)]
+
+
+def columns_layout(payload):
+    """The layout before spans: no corpus digest, no spans, kind bm25-index-columns."""
+    del payload["corpus_sha256"], payload["spans"]
+    payload["kind"] = "bm25-index-columns"
+
+
 def first_df(change):
     """Replace the first term's document frequency n with change(n)."""
 
@@ -290,6 +315,31 @@ class TestIndex:
             pytest.param(set_postings([(5, 1), (2, 1)]), id="descending-positions"),
             pytest.param(set_postings([(3, 1), (3, 1)]), id="repeated-position"),
             pytest.param(set_postings([(0, 0)]), id="zero-tf"),
+            pytest.param(columns_layout, id="columns-layout"),
+            pytest.param(lambda p: p.pop("corpus_sha256"), id="no-corpus-sha256"),
+            pytest.param(lambda p: p.update(corpus_sha256="abc123"), id="short-corpus-sha256"),
+            pytest.param(lambda p: p.update(corpus_sha256=None), id="null-corpus-sha256"),
+            pytest.param(
+                lambda p: p.update(corpus_sha256=hashlib.sha256(b"other\n").hexdigest()),
+                id="corpus-sha256-of-another-file",
+            ),
+            pytest.param(lambda p: p.pop("spans"), id="no-spans"),
+            pytest.param(lambda p: p.update(spans="AAAA!AAA"), id="spans-bad-base64"),
+            pytest.param(lambda p: p.update(spans=[0, 10]), id="spans-list"),
+            pytest.param(lambda p: p.update(spans="AQAAAAEAAAABAAAA"), id="spans-partial-uint64"),
+            pytest.param(set_spans(lambda s: s[:-2]), id="spans-one-doc-short"),
+            pytest.param(set_spans(lambda s: [*s, s[-1], s[-1] + 1]), id="spans-one-doc-over"),
+            pytest.param(set_spans(lambda s: [s[1], s[0], *s[2:]]), id="span-end-before-start"),
+            pytest.param(set_spans(lambda s: [s[0], s[0], *s[2:]]), id="empty-span"),
+            pytest.param(set_spans(lambda s: [*s[2:4], *s[:2], *s[4:]]), id="descending-spans"),
+            pytest.param(set_spans(lambda s: [s[0], s[3], *s[2:]]), id="overlapping-spans"),
+            pytest.param(set_spans(lambda s: [*s[:-1], s[-1] + 1]), id="span-past-end-of-file"),
+            # every position's span then holds another document's record
+            pytest.param(
+                lambda p: p.update(doc_ids=p["doc_ids"][1:] + p["doc_ids"][:1]),
+                id="span-of-another-record",
+            ),
+            pytest.param(set_spans(halve_spans), id="spans-of-half-lines"),
         ],
     )
     def test_malformed_index_is_data_error(self, tmp_path, capsys, corrupt):
@@ -645,6 +695,15 @@ class DemoEchoProvider:
         return " | ".join(content for _, content in request.messages)
 
 
+class DemoTurnsEchoProvider(DemoEchoProvider):
+    """Answers with the demonstration turns alone. The answer holds no
+    revision template, so every refine cycle fails to parse and its trace
+    record keeps the echoed demonstrations."""
+
+    def complete(self, request):
+        return super().complete(dataclasses.replace(request, messages=request.messages[:-1]))
+
+
 class TestAdaptWorkers:
     @pytest.mark.parametrize(
         "mode_args", [["--mode", "fs-emb", "--embed", "hash:64"], ["--mode", "fs-bm25"]]
@@ -678,6 +737,121 @@ class TestAdaptWorkers:
         turns = [r["adaptation"].split(" | ") for r in records]
         assert all(len(t) == 7 for t in turns)
         assert len({tuple(t[:6]) for t in turns}) > 1
+
+
+def swap_first_lines(data: bytes) -> bytes:
+    first, second, rest = data.split(b"\n", 2)
+    return b"\n".join([second, first, rest])
+
+
+def write_csv_copy(train_path):
+    """The JSONL corpus as CSV: \\r\\n line ends, and each source's first space
+    a newline, so every record is a quoted field over two lines. BM25
+    splits on any whitespace, so the rankings do not change. A first row
+    without a reference is left out of the index."""
+    csv_path = train_path.with_suffix(".csv")
+    with open(csv_path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.DictWriter(handle, ["id", "source", "reference", "task"])
+        writer.writeheader()
+        writer.writerow({"id": "sin", "source": "Norma\nsin referencia.", "task": "PL"})
+        for line in train_path.read_text(encoding="utf-8").splitlines():
+            row = json.loads(line)
+            writer.writerow({**row, "source": row["source"].replace(" ", "\n", 1)})
+    return csv_path
+
+
+class TestIndexOverCorpus:
+    """An index file pins its corpus by sha256 and reads only the records
+    it ranks: a loaded index gives an in-memory build's demonstrations, and
+    a changed corpus is refused until `apec index` runs again."""
+
+    def commands(self, tmp_path, docs, docs_path, train_path):
+        initial = tmp_path / "initial.jsonl"
+        write_lines(initial, [{"doc_id": d["id"], "adaptation": f"Inicial {d['id']}."} for d in docs])
+        return {
+            "adapt": ["adapt", "--input", str(docs_path), "--corpus", str(train_path),
+                      "--mode", "fs-bm25", "--k", "3", "--provider", "echo"],
+            "refine": ["refine", "--input", str(initial), "--docs", str(docs_path),
+                       "--corpus", str(train_path), "--provider", "echo", "--embed", "hash",
+                       "--cycles", "2", "--demos", "3"],
+        }
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            pytest.param(lambda data: data.replace(b"norma", b"normo", 1), id="one-character"),
+            pytest.param(
+                lambda data: data + b'{"id": "t40", "source": "Otra norma.", '
+                b'"reference": "Norma.", "task": "PL"}\n',
+                id="appended-document",
+            ),
+            pytest.param(swap_first_lines, id="two-lines-swapped"),
+            pytest.param(lambda data: data.replace(b"\n", b"\r\n"), id="crlf-line-ends"),
+        ],
+    )
+    def test_changed_corpus_is_refused_until_reindexed(self, tmp_path, capsys, change):
+        docs, docs_path, train_path = write_workers_corpus(tmp_path)
+        index_path = tmp_path / "index.json"
+        index_argv = ["index", "--corpus", str(train_path), "--output", str(index_path)]
+        assert main(index_argv) == EXIT_OK
+        train_path.write_bytes(change(train_path.read_bytes()))
+        commands = self.commands(tmp_path, docs, docs_path, train_path)
+        for name, argv in commands.items():
+            out_path = tmp_path / f"{name}.jsonl"
+            capsys.readouterr()
+            assert main([*argv, "--index", str(index_path), "--output", str(out_path)]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert f"index file {index_path}: " in err
+            assert f"not {train_path} as it is now" in err
+            assert "rebuild it with `apec index`" in err
+            assert "Traceback" not in err
+            assert not out_path.exists()
+        assert main(index_argv) == EXIT_OK
+        for name, argv in commands.items():
+            out_path = tmp_path / f"{name}.jsonl"
+            assert main([*argv, "--index", str(index_path), "--output", str(out_path)]) == EXIT_OK
+
+    @pytest.mark.parametrize("corpus_format", ["jsonl", "csv"])
+    @pytest.mark.parametrize("ratio", [[], ["--ratio", "0.25,0.45"]], ids=["top-k", "ratio"])
+    def test_adapt_loaded_equals_built(self, tmp_path, monkeypatch, capsys, corpus_format, ratio):
+        monkeypatch.setattr(
+            apec.cli, "make_chat_provider", lambda spec, config: DemoEchoProvider()
+        )
+        docs, docs_path, train_path = write_workers_corpus(tmp_path)
+        if corpus_format == "csv":
+            train_path = write_csv_copy(train_path)
+            assert b"\r\n" in train_path.read_bytes() and "trámite" in train_path.read_text()
+        index_path = tmp_path / "index.json"
+        assert main(["index", "--corpus", str(train_path), "--output", str(index_path)]) == EXIT_OK
+        argv = self.commands(tmp_path, docs, docs_path, train_path)["adapt"] + ratio
+        built, loaded = tmp_path / "built.jsonl", tmp_path / "loaded.jsonl"
+        assert main([*argv, "--output", str(built)]) == EXIT_OK
+        capsys.readouterr()
+        assert main([*argv, "--index", str(index_path), "--output", str(loaded)]) == EXIT_OK
+        assert capsys.readouterr().err == ""  # the skipped-reference warning is `index`'s alone
+        assert loaded.read_bytes() == built.read_bytes()
+        turns = [json.loads(line)["adaptation"].split(" | ") for line in built.read_text().splitlines()]
+        assert len({tuple(t[:-1]) for t in turns}) > 1  # demonstrations vary by document
+        if corpus_format == "csv":  # the demonstrations hold the two-line sources
+            assert all("\n" in t[0] for t in turns)
+
+    def test_refine_loaded_equals_built(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            apec.cli, "make_chat_provider", lambda spec, config: DemoTurnsEchoProvider()
+        )
+        docs, docs_path, train_path = write_workers_corpus(tmp_path)
+        index_path = tmp_path / "index.json"
+        assert main(["index", "--corpus", str(train_path), "--output", str(index_path)]) == EXIT_OK
+        argv = self.commands(tmp_path, docs, docs_path, train_path)["refine"]
+        built, loaded = tmp_path / "built.jsonl", tmp_path / "loaded.jsonl"
+        assert main([*argv, "--output", str(built)]) == EXIT_OK
+        assert main([*argv, "--index", str(index_path), "--output", str(loaded)]) == EXIT_OK
+        assert loaded.read_bytes() == built.read_bytes()
+        train_sources = [json.loads(line)["source"] for line in train_path.read_text().splitlines()]
+        records = [r for line in built.read_text().splitlines() for r in json.loads(line)["records"]]
+        assert len(records) == 2 * len(docs)
+        assert all(r["parse_failed"] for r in records)
+        assert all(any(source in r["candidate"] for source in train_sources) for r in records)
 
 
 class SlowFirstBlankProvider:

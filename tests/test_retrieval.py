@@ -1,5 +1,6 @@
 import base64
 import dataclasses
+import hashlib
 import json
 import math
 import random
@@ -32,7 +33,7 @@ from apec.similarity import (
     cosine,
 )
 
-from conftest import MiscountingEmbedder, PlantedEmbeddingProvider
+from conftest import MiscountingEmbedder, PlantedEmbeddingProvider, save_index_over_corpus
 
 
 def oracle_bm25(pairs, query, params=None):
@@ -92,10 +93,11 @@ def direct_scores(index, query):
     return scores
 
 
-def reference_index_file(pairs, params, ids) -> str:
+def reference_index_file(pairs, params, ids, corpus: bytes) -> str:
     """The index file as a dict-of-dicts build writes it: a {pos: tf} map per
-    term, flattened in sorted term order into little-endian uint32 columns.
-    The byte oracle `save_index` must reproduce."""
+    term, flattened in sorted term order into little-endian uint32 columns,
+    over `corpus`, the bytes of a JSONL file with one line per pair. The
+    byte oracle `save_index` must reproduce."""
     postings, counts = {}, []
     for pos, (source, _) in enumerate(pairs):
         tokens = [t for t in source.lower().split() if len(t) >= params.min_token_len]
@@ -105,12 +107,17 @@ def reference_index_file(pairs, params, ids) -> str:
             docs[pos] = docs.get(pos, 0) + 1
     terms = sorted(postings)
 
-    def column(values):
-        return base64.b64encode(struct.pack(f"<{len(values)}I", *values)).decode("ascii")
+    def column(values, code="I"):
+        return base64.b64encode(struct.pack(f"<{len(values)}{code}", *values)).decode("ascii")
 
+    offsets = [0]
+    for line in corpus.splitlines(keepends=True):
+        offsets += [offsets[-1], offsets[-1] + len(line)]
     payload = {
         "schema_version": 1,
-        "kind": "bm25-index-columns",
+        "kind": "bm25-index-spans",
+        "corpus_sha256": hashlib.sha256(corpus).hexdigest(),
+        "spans": column(offsets[1:], "Q"),
         "params": dataclasses.asdict(params),
         "doc_ids": list(ids),
         "doc_token_counts": counts,
@@ -386,8 +393,7 @@ class TestCachedScoring:
             ids = [f"d{p}" for p in range(len(pairs))]
             warm = build_index(pairs, params=params, ids=ids)
             path = tmp_path / f"index{trial}.json"
-            save_index(warm, path)
-            loaded = load_index(path, dict(zip(ids, pairs)))
+            loaded = load_index(path, save_index_over_corpus(warm, path))
             for query in queries + queries:  # second round hits the warm cache
                 fresh = build_index(pairs, params=params, ids=ids)
                 want = direct_scores(fresh, query)
@@ -404,7 +410,7 @@ class TestCachedScoring:
     def test_shared_index_across_threads(self, tmp_path, persisted):
         rng = random.Random(20240820)
         pairs = [
-            (" ".join(rng.choices(VOCAB, k=rng.randint(1, 30))), " ".join(VOCAB[: i % 9]))
+            (" ".join(rng.choices(VOCAB, k=rng.randint(1, 30))), " ".join(VOCAB[: 1 + i % 9]))
             for i in range(300)
         ]
         queries = [" ".join(rng.choices(VOCAB, k=rng.randint(1, 20))) for _ in range(40)]
@@ -413,9 +419,9 @@ class TestCachedScoring:
         expected = [direct_scores(reference, q) for q in queries]
         expected_top = [bm25_top_k(reference, q, k=5, ratio_filter=window) for q in queries]
         shared = build_index(pairs)
-        if persisted:  # pool threads then race to decode the same column slices
-            save_index(shared, tmp_path / "index.json")
-            shared = load_index(tmp_path / "index.json", dict(enumerate(pairs)))
+        if persisted:  # pool threads then race to decode the same column slices and records
+            path = tmp_path / "index.json"
+            shared = load_index(path, save_index_over_corpus(shared, path))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -752,11 +758,9 @@ class TestPersistence:
         ids = ["d1", "d2", "d3", "d4"]
         index = build_index(PAIRS, ids=ids)
         path = tmp_path / "index.json"
-        save_index(index, path)
-        loaded = load_index(path, dict(zip(ids, PAIRS)))
+        loaded = load_index(path, save_index_over_corpus(index, path))
         assert loaded.doc_ids == index.doc_ids
-        assert loaded.sources == index.sources
-        assert loaded.adaptations == index.adaptations
+        assert [loaded.pairs[p] for p in range(len(PAIRS))] == list(index.pairs) == PAIRS
         assert loaded.avgdl == index.avgdl
         assert loaded.postings == index.postings
         assert loaded.idf == pytest.approx(index.idf)
@@ -770,32 +774,36 @@ class TestPersistence:
             ("casa perro perro perro", "casa"),
         ]
         path = tmp_path / "index.json"
-        save_index(build_index(pairs, ids=["a", "b", "c"]), path)
+        spans = [(0, 12), (12, 30), (30, 2**40 + 1)]
+        save_index(build_index(pairs, ids=["a", "b", "c"]), path, "0123456789abcdef" * 4, spans)
         # positions 0 2 | 1 2 | 0 1 and tfs 2 1 | 1 3 | 1 1 for casa, perro,
-        # verde, each a little-endian uint32
+        # verde, each a little-endian uint32; spans 0 12 | 12 30 | 30 2**40+1,
+        # each a little-endian uint64
         assert path.read_text(encoding="utf-8") == (
-            '{"avgdl": 3.0, "doc_freqs": {"casa": 2, "perro": 2, "verde": 2}, '
+            '{"avgdl": 3.0, "corpus_sha256": "' + "0123456789abcdef" * 4 + '", '
+            '"doc_freqs": {"casa": 2, "perro": 2, "verde": 2}, '
             '"doc_ids": ["a", "b", "c"], "doc_token_counts": [3, 2, 4], '
-            '"kind": "bm25-index-columns", '
+            '"kind": "bm25-index-spans", '
             '"params": {"b": 0.75, "epsilon": 0.25, "k1": 1.5, "min_token_len": 4}, '
             '"positions": "AAAAAAIAAAABAAAAAgAAAAAAAAABAAAA", "schema_version": 1, '
+            '"spans": "AAAAAAAAAAAMAAAAAAAAAAwAAAAAAAAAHgAAAAAAAAAeAAAAAAAAAAEAAAAAAQAA", '
             '"tfs": "AgAAAAEAAAABAAAAAwAAAAEAAAABAAAA"}\n'
         )
 
     def test_column_postings_decoded_on_query(self, tmp_path):
         ids = ["d1", "d2", "d3", "d4"]
         path = tmp_path / "index.json"
-        save_index(build_index(PAIRS, ids=ids), path)
+        corpus = save_index_over_corpus(build_index(PAIRS, ids=ids), path)
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert payload["schema_version"] == 1
-        assert payload["kind"] == "bm25-index-columns"
+        assert payload["kind"] == "bm25-index-spans"
         terms = sorted(payload["doc_freqs"])
         perro = sum(payload["doc_freqs"][term] for term in terms[: terms.index("perro")])
         positions = bytearray(base64.b64decode(payload["positions"]))
         positions[4 * perro] = 9  # past the last document
         payload["positions"] = base64.b64encode(positions).decode("ascii")
         path.write_text(json.dumps(payload), encoding="utf-8")
-        loaded = load_index(path, dict(zip(ids, PAIRS)))
+        loaded = load_index(path, corpus)
         assert loaded.idf["perro"] == build_index(PAIRS).idf["perro"]
         assert bm25_top_k(loaded, "casa verde", k=1)[0].source == PAIRS[2][0]
         with pytest.raises(ValueError, match="rebuild it with `apec index`"):
@@ -804,12 +812,12 @@ class TestPersistence:
     def test_column_length_mismatch_fails_at_load(self, tmp_path):
         ids = ["d1", "d2", "d3", "d4"]
         path = tmp_path / "index.json"
-        save_index(build_index(PAIRS, ids=ids), path)
+        corpus = save_index_over_corpus(build_index(PAIRS, ids=ids), path)
         payload = json.loads(path.read_text(encoding="utf-8"))
         payload["doc_freqs"]["perro"] += 1
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ValueError, match="one entry per doc_freqs count"):
-            load_index(path, dict(zip(ids, PAIRS)))
+            load_index(path, corpus)
 
     def test_built_and_loaded_idf_agree_exactly(self, tmp_path):
         # the idf floor is a mean over terms; a built index and its saved
@@ -825,30 +833,40 @@ class TestPersistence:
             ]
             built = build_index(pairs, params=params)
             path = tmp_path / f"index{trial}.json"
-            save_index(built, path)
+            corpus = save_index_over_corpus(built, path)
             assert path.read_text(encoding="utf-8") == reference_index_file(
-                pairs, params, range(len(pairs))
+                pairs, params, range(len(pairs)), corpus.read_bytes()
             ), trial
-            loaded = load_index(path, dict(enumerate(pairs)))
+            loaded = load_index(path, corpus)
             assert type(built.postings) is type(loaded.postings)
             assert (len(built.postings) == 0) == (trial >= 30) == (built.avgdl == 0.0), trial
             assert loaded.idf == built.idf, trial
             for query in (pairs[0][0], " ".join(words)):
                 assert bm25_scores(loaded, query) == bm25_scores(built, query), trial
 
-    def test_missing_doc_id(self, tmp_path):
+    def test_records_parsed_only_when_ranked(self, tmp_path):
+        # d4's span cut to half its line: only a ranking that reaches d4 reads it
         ids = ["d1", "d2", "d3", "d4"]
-        index = build_index(PAIRS, ids=ids)
         path = tmp_path / "index.json"
-        save_index(index, path)
-        with pytest.raises(ApecError, match=r"index references unknown doc ids: \['d2', 'd3', 'd4'\]"):
-            load_index(path, {"d1": PAIRS[0]})
+        corpus = save_index_over_corpus(build_index(PAIRS, ids=ids), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        spans = list(struct.unpack("<8Q", base64.b64decode(payload["spans"])))
+        spans[7] = (spans[6] + spans[7]) // 2
+        payload["spans"] = base64.b64encode(struct.pack("<8Q", *spans)).decode("ascii")
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        loaded = load_index(path, corpus)
+        assert [d.source for d in bm25_top_k(loaded, "casa verde", k=2)] == [PAIRS[2][0], PAIRS[0][0]]
+        assert bm25_top_k(loaded, "perro", k=1, ratio_filter=(0.0, 1.0))[0].source == PAIRS[1][0]
+        assert sorted(loaded.pairs) == [0, 1, 2]
+        for query, k, window in [("tren ciudad", 1, None), ("casa", 3, (0.9, 1.0))]:
+            with pytest.raises(ValueError, match=r"doc 'd4': .* bytes \d+:\d+ line 1: invalid JSON"):
+                bm25_top_k(loaded, query, k=k, ratio_filter=window)
 
     def test_schema_version_guard(self, tmp_path):
         path = tmp_path / "index.json"
         path.write_text('{"schema_version": 99}', encoding="utf-8")
         with pytest.raises(ValueError, match="rebuild it with `apec index`") as exc_info:
-            load_index(path, {})
+            load_index(path, tmp_path / "corpus.jsonl")
         assert f"index file {path}: " in str(exc_info.value)
 
 
@@ -881,8 +899,8 @@ class TestPostingsMemory:
 
     def test_cached_impacts_share_position_ints(self, tmp_path):
         pairs, queries = self.corpus()
-        save_index(build_index(pairs), tmp_path / "index.json")
-        index = load_index(tmp_path / "index.json", dict(enumerate(pairs)))
+        path = tmp_path / "index.json"
+        index = load_index(path, save_index_over_corpus(build_index(pairs), path))
         tracemalloc.start()
         try:
             for query in queries:
