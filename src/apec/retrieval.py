@@ -26,10 +26,12 @@ corpus, and parses a record only when a ranking first needs its texts.
 `embedding_top_k` takes a batch of queries and embeds them in one `embed`
 call. It then streams the training sources through the provider,
 `EMBED_BATCH_SIZE` texts a call (one request of the `http` embedder),
-reads each vector of a slice once as a list, takes its norm and scores it
-against every query, and keeps only each query's best k. No training
-vector outlives its slice, so memory does not grow with the training set.
-Scores are bit-identical to `cosine()`, and ties rank by position.
+reads each vector of a slice once as a tuple, and keeps only each query's
+best k. No training vector outlives its slice, so memory does not grow
+with the training set. A row is scored exactly only where bounds from
+`math.dist` and `math.hypot`, run in C and within δ = 16·(n + 4)·2**-53 of
+the cosine of n-d unit vectors, let it enter a query's top k. Scores stay
+bit-identical to `cosine()`, and ties rank by position.
 """
 
 from __future__ import annotations
@@ -47,11 +49,11 @@ from bisect import bisect_left
 from collections import Counter, defaultdict
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
-from functools import cached_property, partial
-from itertools import accumulate, chain
+from functools import cache, cached_property, partial
+from itertools import accumulate, chain, repeat
 
 from .corpus import read_record
-from .errors import ApecError, NoWordsError
+from .errors import ApecError, NoWordsError, ProviderUnavailableError
 from .similarity import (
     EMBED_BATCH_SIZE,
     EmbeddingProvider,
@@ -257,11 +259,29 @@ def bm25_top_k(
     ]
 
 
-def _values(vec: EmbeddingVector, dim: int) -> list[float]:
-    values = list(vec)
+_HYPOTS = (2.0**-400, 2.0**400)  # where no square or product over- or underflows
+
+
+def _values(vec: EmbeddingVector, dim: int) -> tuple[float, ...]:
+    values = tuple(vec)
     if len(values) != dim:
-        raise ApecError(f"embedding vectors differ in length: {len(values)} vs the queries' {dim}")
+        raise ProviderUnavailableError(
+            f"embedding vectors differ in length: {len(values)} vs the queries' {dim}"
+        )
     return values
+
+
+def _cosine_bounds(query, q_hypot, rows, hypots, delta):
+    """Lower and upper bounds on `cosine(query, row)` for each row, from the
+    law of cosines over `math.dist`; see `embedding_top_k` for `delta`."""
+    lows, highs = [], []
+    q_square, q_double = q_hypot * q_hypot, 2.0 * q_hypot
+    for d, h in zip(map(math.dist, repeat(query), rows), hypots):
+        squares, product = q_square + h * h, q_double * h
+        approx, error = ((squares - d * d) / product, delta * squares / product) if h else (0.0, 0.0)
+        lows.append(approx - error)
+        highs.append(approx + error)
+    return lows, highs
 
 
 def embedding_top_k(
@@ -274,8 +294,21 @@ def embedding_top_k(
 
     The queries are embedded in one `embed` call, then the pair sources
     in one call per `EMBED_BATCH_SIZE` of them. Each slice's vectors are
-    read once, as lists, scored against every query and dropped: only
+    read once, as tuples, ranked against every query and dropped: only
     each query's best k outlive the slice.
+
+    A row v is scored exactly only if it can still enter q's top k. With
+    n = dim, u = 2**-53, hypots h_q, h_v and d = `math.dist(q, v)`, the law
+    of cosines gives c = (h_q² + h_v² - d²) / (2·h_q·h_v); let m be
+    (h_q² + h_v²) / (2·h_q·h_v) >= 1. Hypot and dist are within (n + 4)·u of
+    exact (a plain scaled sum of squares is; Python's are to 1 ulp), which
+    moves c by at most 9(n + 4)·u·m; rounding c adds at most 12·u·m, and
+    `cosine()` is within 2(n + 4)·u of the true cosine, so it lies within
+    δ = 16·(n + 4)·u·m of c. A row whose c + δ is below the k-th largest of
+    the slice's c - δ and q's kept scores scores below k other rows. This
+    needs hypots in `_HYPOTS`; a zero row scores exactly 0.0. A query outside
+    it scores every row exactly, and so does every query from the first
+    slice holding a nonzero row outside it on, as NaN scores order arbitrarily.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -289,20 +322,32 @@ def embedding_top_k(
         return []
     query_vecs = embed_checked(provider, list(queries))
     dim = len(query_vecs[0])
-    query_norms = [dense_norm(_values(vec, dim)) for vec in query_vecs]
+    query_vecs = [_values(vec, dim) for vec in query_vecs]
+    query_hypots = [math.hypot(*vec) for vec in query_vecs]
+    query_norms = list(map(dense_norm, query_vecs))
+    delta = 16 * (dim + 4) * 2.0**-53
+    bounded = True  # every row so far is zero or has a hypot in _HYPOTS
     best = [[] for _ in query_vecs]  # per query: its k smallest (-score, position, score)
     for start in range(0, len(pairs), EMBED_BATCH_SIZE):
         sources = [source for source, _ in pairs[start : start + EMBED_BATCH_SIZE]]
         rows = [_values(vec, dim) for vec in embed_checked(provider, sources)]
-        norms = list(map(dense_norm, rows))
-        for q, (vec, q_norm) in enumerate(zip(query_vecs, query_norms)):
-            query_vec = list(vec)  # reads faster than an array, which makes a float per read
+        hypots = [math.hypot(*row) for row in rows]
+        bounded = bounded and all(h == 0.0 or _HYPOTS[0] <= h <= _HYPOTS[1] for h in hypots)
+        row_norm = cache(lambda i: dense_norm(rows[i]))
+        for q, (query, q_hypot, q_norm) in enumerate(zip(query_vecs, query_hypots, query_norms)):
             keys = best[q]
-            for position, (values, norm) in enumerate(zip(rows, norms), start):
-                score = dense_dot(query_vec, values) / (q_norm * norm) if q_norm and norm else 0.0
-                keys.append((-score, position, score))
+            candidates = range(len(rows))
+            if bounded and _HYPOTS[0] <= q_hypot <= _HYPOTS[1]:
+                lows, highs = _cosine_bounds(query, q_hypot, rows, hypots, delta)
+                cut = heapq.nlargest(k, chain(lows, [score for _, _, score in keys]))
+                cut = cut[-1] if len(cut) == k else -math.inf
+                candidates = [i for i, high in enumerate(highs) if high >= cut]
+            for i in candidates:
+                norm = row_norm(i)
+                score = dense_dot(query, rows[i]) / (q_norm * norm) if q_norm and norm else 0.0
+                keys.append((-score, start + i, score))
             best[q] = heapq.nsmallest(k, keys)  # equal scores: the lower position first
-        del rows  # else this slice's lists live on while the next slice's are built
+        del rows  # else this slice's tuples live on while the next slice's are built
     return [
         [
             Demonstration(*pairs[p], retrieval_score=score, rank=rank)

@@ -2008,6 +2008,31 @@ class TestHttpProviders:
             [3, 32, 32] + [6] * 4
         )
 
+    def test_fs_emb_vector_length_change_fails_adapt(
+        self, tmp_path, monkeypatch, capsys, stub_server
+    ):
+        """The queries come back 4-d and the training sources 3-d: a ragged
+        reply across the calls of one ranking is a provider error."""
+        docs, train = self.write_emb_corpus(tmp_path, n_docs=3)
+        queries = [doc["source"] for doc in docs]
+
+        def answer(payload):
+            if "input" not in payload:
+                return turns_answer(payload)
+            dim = 4 if payload["input"] == queries else 3
+            return Reply(body={"data": [{"embedding": [1.0] * dim} for _ in payload["input"]]})
+
+        stub_server.answer = answer
+        monkeypatch.setenv("EMB_ENDPOINT", stub_server.url + "/v1/embeddings")
+        monkeypatch.setenv("LLM_ENDPOINT", stub_server.url + "/v1/chat/completions")
+        out_path = tmp_path / "adapt.jsonl"
+        assert main(self.adapt_emb_argv(tmp_path, out_path)) == EXIT_PROVIDER
+        err = capsys.readouterr().err
+        assert "provider error: embedding vectors differ in length: 3 vs the queries' 4" in err
+        assert "Traceback" not in err
+        assert not out_path.exists()
+        assert all("input" in request.json for request in stub_server.received)
+
     def test_refine_embeds_per_document(self, workdir, monkeypatch, stub_server):
         """Docs a and b both get "Versión común." as a candidate. Each sends
         it, and its own source, once; no document sends more than its source,

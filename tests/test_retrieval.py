@@ -12,8 +12,11 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from apec.errors import ApecError
+import apec.retrieval
+from apec.errors import ApecError, ProviderUnavailableError
 from apec.retrieval import (
     Bm25Params,
     bm25_scores,
@@ -31,6 +34,8 @@ from apec.similarity import (
     CachedEmbeddingProvider,
     HashEmbeddingProvider,
     cosine,
+    dense_dot,
+    dense_norm,
 )
 
 from conftest import MiscountingEmbedder, PlantedEmbeddingProvider, save_index_over_corpus
@@ -556,6 +561,48 @@ def random_vectors(rng, names, dim):
             for name in names}
 
 
+def finite_squares(vector):
+    """`vector`, halved until its sum of squares is finite."""
+    while not math.isfinite(dense_dot(vector, vector)):
+        vector = [v / 2.0 for v in vector]
+    return vector
+
+
+@st.composite
+def ranking_cases(draw):
+    """Queries, rows and k for `embedding_top_k`: entries from 1e-160 up
+    to a sum of squares just under overflow, with planted multiples of a
+    query or an earlier row (exact ties and parallel vectors), zero rows
+    and rows whose `dense_norm` underflows to 0 although their hypot does
+    not; optionally every row points away from the first query, so that
+    only zero rows score >= 0."""
+    dim = draw(st.one_of(st.sampled_from([1, 2, 768]), st.integers(1, 768)))
+    n = draw(st.integers(1, 2 * EMBED_BATCH_SIZE + 5))
+    k = draw(st.integers(1, n + 2))
+    center = draw(st.one_of(st.integers(-3, 3), st.integers(-160, 153)))
+    spread = draw(st.sampled_from([0.0, 2.0, 2.0, 320.0]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def vector():
+        exponent = min(max(center + rng.uniform(-spread, spread), -160.0), 153.0)
+        return finite_squares([rng.gauss(0.0, 1.0) * 10.0**exponent for _ in range(dim)])
+
+    queries = [vector() for _ in range(draw(st.integers(1, 3)))]
+    rows = [vector() for _ in range(n)]
+    for p in draw(st.lists(st.integers(0, n - 1), max_size=10)):
+        kind = draw(st.sampled_from(["multiple"] * 4 + ["zero"] * 2 + ["underflow"]))
+        if kind == "multiple":
+            factor = rng.choice([1.0, 2.0, 0.5, 3.0, 0.1, 7e3])
+            rows[p] = finite_squares([factor * v for v in rng.choice(queries + rows[:p])])
+        elif kind == "zero":
+            rows[p] = [0.0] * dim
+        else:
+            rows[p] = [rng.choice([-1e-170, 1e-170]) for _ in range(dim)]
+    if draw(st.booleans()):
+        rows = [[-v for v in row] if dense_dot(queries[0], row) > 0 else row for row in rows]
+    return queries, rows, k
+
+
 class TestEmbeddingIndex:
     @pytest.mark.parametrize("dim", [1, 3, 32, 768])
     def test_matches_cosine_oracle(self, dim):
@@ -581,6 +628,46 @@ class TestEmbeddingIndex:
         assert scores["s5"] == 0.0
         ranked = [source for source, *_ in got]
         assert ranked.index("s3") < ranked.index("s7") < ranked.index("s11")
+
+    @given(ranking_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_bit_identical_to_cosine(self, case):
+        """Every score, by `float.hex`, and every rank equal the oracle's."""
+        queries, rows, k = case
+        assume(not any(math.isnan(cosine(q, row)) for q in queries for row in rows))
+        names = [f"q{i}" for i in range(len(queries))]
+        vectors = dict(zip(names, queries)) | {f"s{i}": row for i, row in enumerate(rows)}
+        provider = PlantedEmbeddingProvider(vectors)
+        pairs = [(f"s{i}", f"a{i}") for i in range(len(rows))]
+
+        def hexed(ranked):
+            return [(source, score.hex(), rank) for source, _, score, rank in ranked]
+
+        got = embedding_top_k(pairs, names, k, provider)
+        assert [hexed(as_tuples(demos)) for demos in got] == [
+            hexed(oracle_emb_top_k(pairs, name, k, provider)) for name in names
+        ]
+
+    def test_zero_rows_are_the_only_non_negative_scores(self):
+        """Every other row points away from the query: the zero rows, in
+        the first and the third slice, rank first with 0.0."""
+        rng = random.Random(24)
+        n = 2 * EMBED_BATCH_SIZE + 5
+        vectors = random_vectors(rng, [f"s{i}" for i in range(n)] + ["q"], 12)
+        for i in range(n):
+            if dense_dot(vectors["q"], vectors[f"s{i}"]) > 0:
+                vectors[f"s{i}"] = [-v for v in vectors[f"s{i}"]]
+        zeros = [7, 2 * EMBED_BATCH_SIZE + 2]
+        for p in zeros:
+            vectors[f"s{p}"] = [0.0] * 12
+        provider = PlantedEmbeddingProvider(vectors)
+        pairs = [(f"s{i}", f"a{i}") for i in range(n)]
+        for k in (1, 2, 3):
+            (demos,) = embedding_top_k(pairs, ["q"], k, provider)
+            assert as_tuples(demos) == oracle_emb_top_k(pairs, "q", k, provider)
+            assert [(d.source, d.retrieval_score) for d in demos[:2]] == [
+                (f"s{p}", 0.0) for p in zeros
+            ][:k]
 
     def test_ties_across_slices_rank_by_position(self):
         """Exact ties in the first and the third slice of training sources
@@ -688,7 +775,9 @@ class TestEmbeddingIndex:
         provider = PlantedEmbeddingProvider(
             {"q": [1.0, 0.0], "x": [1.0, 0.0], "y": [1.0, 0.0, 0.0]}
         )
-        with pytest.raises(ApecError, match=r"embedding vectors differ in length: 3 vs the queries' 2"):
+        with pytest.raises(
+            ProviderUnavailableError, match=r"embedding vectors differ in length: 3 vs the queries' 2"
+        ):
             embedding_top_k([("x", "a"), ("y", "b")], ["q"], 1, provider)
 
     def test_query_dimension_mismatch(self):
@@ -704,15 +793,20 @@ class TestEmbeddingIndex:
 class TestEmbeddingMemory:
     """1,500 training pairs, 8 queries, 768-d hash vectors. All 1,500
     vectors held at once would take 9.2 MB (1,500 × 768 × 8 bytes); a
-    slice of `EMBED_BATCH_SIZE`, read as lists of floats, about 1 MB."""
+    slice of `EMBED_BATCH_SIZE`, read as tuples of floats, about 1 MB."""
 
-    def test_slices_bound_the_heap(self):
+    @staticmethod
+    def corpus():
         rng = random.Random(5)
         words = [
             "".join(rng.choices(string.ascii_lowercase, k=rng.randint(4, 9))) for _ in range(3000)
         ]
         pairs = [(" ".join(rng.choices(words, k=60)), "a") for _ in range(1500)]
         queries = [" ".join(rng.choices(words, k=80)) for _ in range(8)]
+        return pairs, queries
+
+    def test_slices_bound_the_heap(self):
+        pairs, queries = self.corpus()
         provider = HashEmbeddingProvider(768)
         tracemalloc.start()
         try:
@@ -722,6 +816,27 @@ class TestEmbeddingMemory:
             tracemalloc.stop()
         assert [len(demos) for demos in ranked] == [5] * 8
         assert peak < 2_000_000
+
+    def test_exact_scores_only_for_rows_that_can_rank(self, monkeypatch):
+        """Of the 12,000 query-row pairs, at most 5% get an exact dot
+        product or a row norm; the result is the one scoring every row."""
+        pairs, queries = self.corpus()
+        provider = CachedEmbeddingProvider(HashEmbeddingProvider(768))
+        calls = Counter()
+
+        def counted(function):
+            def wrapper(*args):
+                calls[function.__name__] += 1
+                return function(*args)
+            return wrapper
+
+        with monkeypatch.context() as patch:
+            patch.setattr(apec.retrieval, "dense_dot", counted(dense_dot))
+            patch.setattr(apec.retrieval, "dense_norm", counted(dense_norm))
+            ranked = embedding_top_k(pairs, queries, 5, provider)
+        assert calls["dense_dot"] + calls["dense_norm"] - len(queries) <= 0.05 * 1500 * 8
+        monkeypatch.setattr(apec.retrieval, "_HYPOTS", (math.inf, math.inf))  # no row is bounded
+        assert embedding_top_k(pairs, queries, 5, provider) == ranked
 
 
 class TestRandomK:
