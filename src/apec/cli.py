@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import hashlib
 import json
 import os
 import re
@@ -56,6 +55,7 @@ from .refine import (
 )
 from .retrieval import (
     Bm25Params,
+    CorpusPairs,
     bm25_top_k,
     build_index,
     derive_doc_seed,
@@ -246,7 +246,7 @@ def read_adaptations(path) -> dict[str, str]:
     """doc id -> adaptation, accepting plain outputs or trace files; a
     file with no record is an ApecError."""
     outputs: dict[str, str] = {}
-    for line_no, record, _ in read_jsonl(path):
+    for line_no, record, *_ in read_jsonl(path):
         where = f"{path} line {line_no}"
         if not isinstance(record, dict):
             raise ApecError(f"{where}: expected a JSON object")
@@ -271,21 +271,28 @@ def _emit(text: str, output) -> None:
         print(text)
 
 
-def _training_docs(path, digest=None) -> list[Document]:
-    """The docs of the corpus at `path` usable as demonstrations: those
-    with a reference. The file's bytes go to `digest` if given."""
-    docs = load_corpus(path, digest)
-    usable = [doc for doc in docs if doc.reference]
-    skipped = len(docs) - len(usable)
+def _skipped_warning(skipped: int) -> None:
     if skipped:
         print(f"warning: {skipped} training docs without reference skipped", file=sys.stderr)
-    if not usable:
+
+
+def _training_pairs(path) -> list[tuple[str, str]]:
+    """(source, reference) of the docs of the corpus at `path` usable as
+    demonstrations: those with a reference."""
+    docs = load_corpus(path)
+    pairs = [(doc.source, doc.reference) for doc in docs if doc.reference]
+    _skipped_warning(len(docs) - len(pairs))
+    if not pairs:
         raise ApecError("no training docs with references; cannot build demonstrations")
-    return usable
+    return pairs
 
 
-def _pairs(docs: list[Document]) -> list[tuple[str, str]]:
-    return [(doc.source, doc.reference) for doc in docs]
+def _training_index(path, params=None):
+    """A BM25 index over the usable docs of the corpus at `path`, which
+    reads their texts back from the file as rankings need them."""
+    index = build_index(CorpusPairs(path), params)
+    _skipped_warning(index.pairs.skipped)
+    return index
 
 
 def _bm25_index(index_path, corpus_path):
@@ -293,8 +300,7 @@ def _bm25_index(index_path, corpus_path):
     a new index over the corpus."""
     if index_path:
         return load_index(index_path, corpus_path)
-    docs = _training_docs(corpus_path)
-    return build_index(_pairs(docs), ids=[doc.id for doc in docs])
+    return _training_index(corpus_path)
 
 
 def _run_docs(work, docs: list[Document], workers: int) -> tuple[list, list]:
@@ -349,11 +355,8 @@ def cmd_stats(args, config: dict) -> int:
 
 
 def cmd_index(args, config: dict) -> int:
-    params = Bm25Params(**_options(config, "bm25", args))
-    digest = hashlib.sha256()  # fed by the read that parses the corpus
-    docs = _training_docs(args.corpus, digest)
-    index = build_index(_pairs(docs), params=params, ids=[doc.id for doc in docs])
-    save_index(index, args.output, digest.hexdigest(), [doc.span for doc in docs])
+    index = _training_index(args.corpus, Bm25Params(**_options(config, "bm25", args)))
+    save_index(index, args.output)
     print(f"indexed {len(index)} docs, {len(index.postings)} terms -> {args.output}")
     return EXIT_OK
 
@@ -388,7 +391,7 @@ def cmd_adapt(args, config: dict) -> int:
         if args.mode == "fs-bm25":
             index = _bm25_index(args.index, args.corpus)
         elif args.mode != "zs":
-            pairs = _pairs(_training_docs(args.corpus))
+            pairs = _training_pairs(args.corpus)
             if args.mode == "fs-emb":
                 # every document's demos before the pool starts: one pass over the training set
                 ranked = embedding_top_k(pairs, [doc.source for doc in docs], args.k, embed)
@@ -472,6 +475,15 @@ def cmd_ensemble(args, config: dict) -> int:
 
     streams = [read_traces(path) for path in args.inputs]
     labels = [Path(path).stem for path in args.inputs]
+    owners = {}  # stream name -> position of the first input holding it
+    for position, by_doc in enumerate(streams):
+        for name in sorted({trace.stream for trace in by_doc.values()}):
+            first = owners.setdefault(name, position)
+            if first != position:
+                raise UsageError(
+                    f"inputs {args.inputs[first]} and {args.inputs[position]} share the stream "
+                    f"name {name!r}; tag them with `refine --stream` or rename the files"
+                )
 
     for label, by_doc in zip(labels, streams):
         missing = sorted(set().union(*streams) - set(by_doc))

@@ -2,8 +2,9 @@
 
 Documents carry an id, a source text, an optional reference adaptation
 and a task tag (PL or ER). Corpora load from JSONL, or from CSV when the
-file name ends in `.csv`; both readers yield each record's byte span,
-which `read_record` parses alone. Statistics
+file name ends in `.csv`. `read_corpus` reads a file once, a record at
+a time, and yields each record's bytes, whose byte span `read_record`
+parses alone. Statistics
 report both aggregation conventions for the readability index: micro
 (over pooled corpus counts) and macro (mean of per-document values),
 because the two differ and published tables mix them.
@@ -77,11 +78,11 @@ def _document_from_fields(fields, path, line: int, span=None) -> Document:
 
 
 def read_jsonl(path, lines=None):
-    """Yield (line number, decoded value, (start, end) byte span) for each
-    non-blank line of a JSON Lines file, read one line at a time, or of
-    `lines`, its raw lines. The value may be of any JSON type, so callers
-    check its shape; a line that is not UTF-8 or not JSON raises ApecError
-    naming the file and the line."""
+    """Yield (line number, decoded value, (start, end) byte span, raw line)
+    for each non-blank line of a JSON Lines file, read one line at a time,
+    or of `lines`, its raw lines. The value may be of any JSON type, so
+    callers check its shape; a line that is not UTF-8 or not JSON raises
+    ApecError naming the file and the line."""
     with open(path, "rb") if lines is None else contextlib.nullcontext(lines) as handle:
         end = 0
         for line_no, raw in enumerate(handle, start=1):
@@ -89,34 +90,45 @@ def read_jsonl(path, lines=None):
             try:
                 line = raw.decode("utf-8")
                 if line.strip():
-                    yield line_no, json.loads(line), (start, end)
+                    yield line_no, json.loads(line), (start, end), raw
             except ValueError as exc:  # not UTF-8, or not JSON
                 raise ApecError(f"{path} line {line_no}: invalid JSON: {exc}") from exc
 
 
-def _csv_lines(lines, end: list):
+def is_csv(path) -> bool:
+    """Whether a corpus file is read as CSV: its name ends in `.csv`, in any case."""
+    return str(path).lower().endswith(".csv")
+
+
+def _csv_lines(lines, held: list):
     """Raw `lines` decoded, also split at a lone \\r, as `newline=""` splits
-    them; `end[0]` follows the byte offset after the last one yielded."""
+    them; each raw piece is appended to `held` as it is yielded."""
     for line in lines:
         for raw in line.splitlines(keepends=True):
-            end[0] += len(raw)
+            held.append(raw)
             yield raw.decode("utf-8")
 
 
-def _read_csv(path, lines, fieldnames=None):
-    """Yield (line number, row dict, byte span) for each data row of a CSV
-    file's raw `lines`, under its header row or `fieldnames`; a span takes
-    in blank lines before its row. A file that is not UTF-8 raises
-    ApecError naming it, and a row that the csv module rejects (such as a
-    field over its size limit) one naming the file and the line."""
-    end = [0]
-    reader = csv.DictReader(_csv_lines(lines, end), fieldnames)
+def _read_csv(path, lines, fieldnames=None, header=None):
+    """Yield (line number, row dict, byte span, record bytes) for each data
+    row of a CSV file's raw `lines`, under its header row or `fieldnames`;
+    a record takes in blank lines before its row. The header row's bytes
+    are added to `header`, a bytearray, if given. A file that is not UTF-8
+    raises ApecError naming it, and a row that the csv module rejects (such
+    as a field over its size limit) one naming the file and the line."""
+    held = []  # the raw lines read since the last row
+    reader = csv.DictReader(_csv_lines(lines, held), fieldnames)
     try:
         reader.fieldnames  # reads the header row unless it is given
-        start = end[0]
+        start = sum(map(len, held))
+        if header is not None:
+            header += b"".join(held)
+        held.clear()
         for row in reader:
-            yield reader.line_num, row, (start, end[0])
-            start = end[0]
+            record = b"".join(held)
+            held.clear()
+            yield reader.line_num, row, (start, start + len(record)), record
+            start += len(record)
     except UnicodeDecodeError as exc:
         raise ApecError(f"{path}: not UTF-8: {exc}") from exc
     except csv.Error as exc:
@@ -124,17 +136,18 @@ def _read_csv(path, lines, fieldnames=None):
         raise ApecError(f"{path} line {line}: {exc}") from exc
 
 
-def load_corpus(path, digest=None) -> list[Document]:
-    """Load documents from CSV if the file name ends in `.csv` (in any
-    case), else from JSONL, feeding the file's bytes to `digest` (a
-    hashlib object) if given. Duplicate ids and malformed lines raise
+def read_corpus(path, sha256=None, header=None):
+    """Yield (document, record bytes) for each record of the corpus file at
+    `path`, CSV if `is_csv(path)`, else JSONL, reading the file once, one
+    line at a time. Each line goes to `sha256` (a hashlib object) if given,
+    and a CSV file's header row to `header` (a bytearray) if given.
+    Duplicate ids, malformed lines and a file with no record raise ApecError
     naming the file and the offending line number."""
-    docs: list[Document] = []
     seen: dict[str, int] = {}
     with open(path, "rb") as handle:
-        lines = handle if digest is None else (digest.update(line) or line for line in handle)
-        rows = _read_csv(path, lines) if str(path).lower().endswith(".csv") else read_jsonl(path, lines)
-        for line_no, fields, span in rows:
+        lines = handle if sha256 is None else (sha256.update(line) or line for line in handle)
+        rows = _read_csv(path, lines, header=header) if is_csv(path) else read_jsonl(path, lines)
+        for line_no, fields, span, record in rows:
             doc = _document_from_fields(fields, path, line_no, span)
             if doc.id in seen:
                 raise ApecError(
@@ -142,25 +155,30 @@ def load_corpus(path, digest=None) -> list[Document]:
                     f"(first seen on line {seen[doc.id]})"
                 )
             seen[doc.id] = line_no
-            docs.append(doc)
-    if not docs:
+            yield doc, record
+    if not seen:
         raise ApecError(f"no documents in {path}")
-    return docs
 
 
-def read_record(path, data: bytes, start: int, end: int) -> Document:
-    """The document whose record is `data[start:end]` of the corpus file
-    `path`, checked as `load_corpus` checks it; ApecError naming the span
-    unless those bytes are exactly one record."""
-    where = f"{path} bytes {start}:{end}"
-    if str(path).lower().endswith(".csv"):
-        fieldnames = csv.DictReader(_csv_lines(io.BytesIO(data), [0])).fieldnames
-        records = list(_read_csv(where, io.BytesIO(data[start:end]), fieldnames))
+def load_corpus(path) -> list[Document]:
+    """The documents of the corpus file at `path`, as `read_corpus` reads them."""
+    return [doc for doc, _ in read_corpus(path)]
+
+
+def read_record(path, record: bytes, start: int, header: bytes = b"") -> Document:
+    """The document whose record is `record`, the bytes at offset `start` of
+    the corpus file `path`, read under the header row that `header`, the
+    start of a CSV file, opens with, and checked as `read_corpus` checks
+    it; ApecError naming the span unless those bytes are exactly one record."""
+    where = f"{path} bytes {start}:{start + len(record)}"
+    if is_csv(path):
+        fieldnames = csv.DictReader(_csv_lines([header], [])).fieldnames
+        records = list(_read_csv(where, [record], fieldnames))
     else:
-        records = list(read_jsonl(where, io.BytesIO(data[start:end])))
+        records = list(read_jsonl(where, io.BytesIO(record)))
     if len(records) != 1:
         raise ApecError(f"{where}: {len(records)} records, not one")
-    line_no, fields, _ = records[0]
+    line_no, fields, *_ = records[0]
     return _document_from_fields(fields, where, line_no)
 
 

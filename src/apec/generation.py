@@ -301,7 +301,7 @@ class ScriptedChatProvider:
     @classmethod
     def from_path(cls, path) -> "ScriptedChatProvider":
         entries = []
-        for line_no, entry, _ in read_jsonl(path):
+        for line_no, entry, *_ in read_jsonl(path):
             _check_fixture_entry(entry, f"{path} line {line_no}: fixture entry")
             entries.append(entry)
         return cls(entries, provider_id=f"scripted:{path}")

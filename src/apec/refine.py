@@ -259,7 +259,7 @@ def read_traces(path) -> dict[str, ApecTrace]:
     a repeated doc id raises ApecError naming the file and the line."""
     label = Path(path).stem
     traces: dict[str, ApecTrace] = {}
-    for line_no, record, _ in read_jsonl(path):
+    for line_no, record, *_ in read_jsonl(path):
         try:
             trace = trace_from_dict(record)
         except ValueError as exc:

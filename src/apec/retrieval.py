@@ -19,9 +19,13 @@ file stores as base64 little-endian uint32 and `load_index` decodes once.
 A term's slice is read only when a query first holds it; cached impacts
 hold the index's shared position ints.
 
-An index file stores no texts: it pins its corpus file by sha256 and
-holds each document's byte span there. `load_index` refuses a changed
-corpus, and parses a record only when a ranking first needs its texts.
+An index over a corpus file holds no texts. `build_index` reads the file
+once, a record at a time, and keeps each document's id, byte span, token
+count and a 16-byte digest of its record; the index file stores these with
+the sha256 of the whole file. `load_index` refuses a changed corpus. Either
+index reads a record back by its span, checks its digest and parses it
+only when a ranking first needs its texts, so memory grows with the
+number of documents and postings, not with the corpus text.
 
 `embedding_top_k` takes a batch of queries and embeds them in one `embed`
 call. It then streams the training sources through the provider,
@@ -42,6 +46,7 @@ import heapq
 import json
 import math
 import operator
+import os
 import random
 import sys
 from array import array
@@ -52,7 +57,7 @@ from dataclasses import asdict, dataclass, field
 from functools import cache, cached_property, partial
 from itertools import accumulate, chain, repeat
 
-from .corpus import read_record
+from .corpus import is_csv, read_corpus, read_record
 from .errors import ApecError, NoWordsError, ProviderUnavailableError
 from .similarity import (
     EMBED_BATCH_SIZE,
@@ -64,7 +69,7 @@ from .similarity import (
 )
 
 INDEX_SCHEMA_VERSION = 1
-INDEX_KIND = "bm25-index-spans"
+INDEX_KIND = "bm25-index-digests"
 INDEX_LAYOUT = (INDEX_SCHEMA_VERSION, INDEX_KIND)
 
 
@@ -96,7 +101,7 @@ class Demonstration:
 @dataclass(frozen=True)
 class Bm25Index:
     doc_ids: tuple
-    pairs: tuple | _CorpusPairs = field(repr=False)  # position -> (source, adaptation)
+    pairs: tuple | CorpusPairs = field(repr=False)  # position -> (source, adaptation)
     doc_token_counts: tuple[int, ...]
     avgdl: float
     postings: _ColumnPostings = field(repr=False)  # a Mapping: term -> pos -> tf, pos ascending
@@ -158,27 +163,34 @@ def _compute_idf(terms: list[str], dfs: list[int], n_docs: int, epsilon: float) 
 
 
 def build_index(
-    pairs: list[tuple[str, str]],
+    pairs: list[tuple[str, str]] | CorpusPairs,
     params: Bm25Params | None = None,
     ids: list | None = None,
 ) -> Bm25Index:
-    """Build an immutable BM25 index over the given training pairs.
+    """Build an immutable BM25 index over training pairs: a list of
+    (source, adaptation), or a new `CorpusPairs`, whose corpus file this
+    reads once, a record at a time, keeping no text.
 
-    `ids` defaults to positions 0..n-1; they identify documents in
-    persisted indexes and break ranking ties.
+    `ids` defaults to positions 0..n-1; a CorpusPairs brings its doc ids.
+    They identify documents in persisted indexes and break ranking ties.
     """
-    if not pairs:
-        raise ApecError("cannot index an empty corpus")
-    if ids is None:
-        ids = list(range(len(pairs)))
-    elif len(ids) != len(pairs):
-        raise ValueError("ids and pairs must have equal length")
-    elif len(set(ids)) != len(ids):
-        raise ValueError("ids must be distinct")
+    if isinstance(pairs, CorpusPairs):
+        sources = pairs.read()
+    else:
+        if not pairs:
+            raise ApecError("cannot index an empty corpus")
+        if ids is None:
+            ids = range(len(pairs))
+        elif len(ids) != len(pairs):
+            raise ValueError("ids and pairs must have equal length")
+        elif len(set(ids)) != len(ids):
+            raise ValueError("ids must be distinct")
+        pairs = tuple(pairs)
+        sources = (source for source, _ in pairs)
     params = params or Bm25Params()
     by_term = defaultdict(partial(array, "I"))  # term -> its (pos, tf) pairs, interleaved
     token_counts = []
-    for pos, (source, _) in enumerate(pairs):
+    for pos, source in enumerate(sources):
         tokens = bm25_tokens(source, params.min_token_len)
         token_counts.append(len(tokens))
         for token, tf in Counter(tokens).items():
@@ -189,7 +201,9 @@ def build_index(
     for term in terms:
         joined += by_term.pop(term)
     avgdl = sum(token_counts) / len(token_counts)
-    return _column_index(tuple(pairs), ids, token_counts, avgdl, terms, dfs, joined[0::2], joined[1::2], params)
+    if isinstance(pairs, CorpusPairs):
+        ids = pairs.doc_ids  # known once the file is read
+    return _column_index(pairs, ids, token_counts, avgdl, terms, dfs, joined[0::2], joined[1::2], params)
 
 
 def _column_index(pairs, ids, counts, avgdl, terms, dfs, positions, tfs, params, path=None):
@@ -388,17 +402,18 @@ def _b64_column(typecode: str, values) -> str:
     return base64.b64encode(column.tobytes()).decode("ascii")
 
 
-def save_index(index: Bm25Index, path, corpus_sha256: str, spans) -> None:
-    """Persist postings and doc references as versioned JSON.
+def save_index(index: Bm25Index, path) -> None:
+    """Persist the postings of an index over a corpus file as versioned JSON.
 
     `doc_freqs` maps terms to document frequencies; the `positions` and `tfs`
     columns are the index's own, every term's postings in sorted term order,
     written as base64 little-endian uint32. Pair texts are not stored: the
     index names the corpus file it was built from by `corpus_sha256`, the
-    hex sha256 of its bytes, and `spans` gives each document's (start, end)
-    byte span in it, in doc id order, stored as little-endian uint64.
+    hex sha256 of its bytes, `spans` gives each document's (start, end)
+    byte span in it, in doc id order, as little-endian uint64, and
+    `digests` the 16-byte digest of each document's record there.
     """
-    postings, starts = index.postings, index.postings.starts
+    postings, starts, pairs = index.postings, index.postings.starts, index.pairs
     payload = {
         "schema_version": INDEX_SCHEMA_VERSION,
         "kind": INDEX_KIND,
@@ -409,8 +424,9 @@ def save_index(index: Bm25Index, path, corpus_sha256: str, spans) -> None:
         "doc_freqs": dict(zip(postings.terms, map(operator.sub, starts[1:], starts))),
         "positions": _b64_column("I", postings.positions),
         "tfs": _b64_column("I", postings.tfs),
-        "corpus_sha256": corpus_sha256,
-        "spans": _b64_column("Q", chain.from_iterable(spans)),
+        "corpus_sha256": pairs.sha256,
+        "spans": _b64_column("Q", pairs.spans),
+        "digests": base64.b64encode(pairs.digests).decode("ascii"),
     }
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, ensure_ascii=False, sort_keys=True, allow_nan=False)
@@ -480,26 +496,59 @@ class _ColumnPostings(Mapping):
         return len(self.terms)
 
 
-class _CorpusPairs(dict):
-    """position -> (source, reference), parsed from the document's span of
-    the corpus bytes when first looked up. Pool threads share the pairs
+def _record_digest(record: bytes) -> bytes:
+    return hashlib.sha256(record).digest()[:16]
+
+
+class CorpusPairs(dict):
+    """position -> (source, reference) of the documents with a reference in
+    the corpus file `corpus`, read back by byte span and parsed when first
+    looked up; a record must still have the digest it had when indexed.
+    `build_index` fills a new one with `read`, and `load_index` from the
+    index file `path`, which errors name. Pool threads share the pairs
     without a lock, as `Bm25Index._impact_cache`: a racing write stores an
     equal pair."""
 
-    def __init__(self, doc_ids: list, spans: array, data: bytes, corpus, path):
+    def __init__(self, corpus, doc_ids=(), spans=(), digests=b"", sha256="", header=b"", path=None):
         super().__init__()
-        self._reader = doc_ids, spans, data, corpus, path
+        self.corpus, self.doc_ids, self.spans, self.digests = corpus, doc_ids, spans, digests
+        self.sha256, self.header, self.path = sha256, header, path
+        self.skipped = 0  # documents without a reference
+
+    def read(self):
+        """Yield the source of each document with a reference, reading the
+        corpus file once, a record at a time, and keep its id, span and
+        record digest, the file's sha256 and a CSV file's header row."""
+        sha256, header = hashlib.sha256(), bytearray()
+        self.doc_ids, self.spans, self.digests = [], array("Q"), bytearray()
+        for doc, record in read_corpus(self.corpus, sha256, header):
+            if not doc.reference:
+                self.skipped += 1
+                continue
+            self.doc_ids.append(doc.id)
+            self.spans.extend(doc.span)
+            self.digests += _record_digest(record)
+            yield doc.source
+        if not self.doc_ids:
+            raise ApecError("no training docs with references; cannot build demonstrations")
+        self.sha256, self.header = sha256.hexdigest(), bytes(header)
 
     def __missing__(self, pos: int) -> tuple[str, str]:
-        doc_ids, spans, data, corpus, path = self._reader
-        start, end = spans[2 * pos : 2 * pos + 2]
-        try:  # ValueError: a CSV header that is not UTF-8
-            doc = read_record(corpus, data, start, end)
-            if doc.id != str(doc_ids[pos]) or doc.reference is None:
+        doc_id, corpus = self.doc_ids[pos], self.corpus
+        start, end = self.spans[2 * pos : 2 * pos + 2]
+        try:
+            with open(corpus, "rb") as handle:
+                handle.seek(start)
+                record = handle.read(end - start)
+            if _record_digest(record) != self.digests[16 * pos : 16 * pos + 16]:
+                raise ApecError(f"{corpus} bytes {start}:{end} changed since they were indexed")
+            doc = read_record(corpus, record, start, self.header)
+            if doc.id != str(doc_id) or doc.reference is None:
                 raise ApecError(f"{corpus} bytes {start}:{end} hold doc {doc.id!r}, "
                                 f"reference {doc.reference!r}")
-        except (ApecError, ValueError) as exc:
-            raise _index_error(path, f"doc {doc_ids[pos]!r}: {exc}") from None
+        except (ApecError, OSError, ValueError) as exc:  # ValueError: a CSV header not UTF-8
+            problem = f"doc {doc_id!r}: {exc}"
+            raise (_index_error(self.path, problem) if self.path else ValueError(problem)) from None
         pair = self[pos] = doc.source, doc.reference
         return pair
 
@@ -507,12 +556,13 @@ class _CorpusPairs(dict):
 def load_index(path, corpus) -> Bm25Index:
     """Load a persisted index over `corpus`, the corpus file it was built from.
 
-    Each column is decoded once, and each term's document frequency comes
-    from `doc_freqs`; a term's positions and counts are sliced out of the
-    columns and checked the first time a query holds it. The corpus must
-    have the recorded sha256, and a document's record is parsed the first
-    time a ranking needs its texts. Malformed content, a changed corpus
-    and an older layout raise `ValueError`: `apec index` must rebuild.
+    Each column is decoded once and its text dropped, and each term's
+    document frequency comes from `doc_freqs`; a term's positions and
+    counts are sliced out of the columns and checked the first time a
+    query holds it. The corpus, hashed in chunks, must have the recorded
+    sha256, and a document's record is read back and parsed the first time
+    a ranking needs its texts. Malformed content, a changed corpus and an
+    older layout raise `ValueError`: `apec index` must rebuild.
     """
     with open(path, encoding="utf-8") as handle:
         try:
@@ -525,11 +575,11 @@ def load_index(path, corpus) -> Bm25Index:
     if layout != INDEX_LAYOUT:
         raise _index_error(path, f"(schema_version, kind) is {layout}, not {INDEX_LAYOUT}")
     keys = ("params", "doc_ids", "doc_token_counts", "avgdl", "doc_freqs", "corpus_sha256",
-            "positions", "tfs", "spans")
+            "positions", "tfs", "spans", "digests")
     missing_keys = [key for key in keys if key not in payload]
     if missing_keys:
         raise _index_error(path, f"missing {', '.join(missing_keys)}")
-    raw_params, doc_ids, counts, avgdl, doc_freqs, corpus_sha256 = (payload[key] for key in keys[:6])
+    raw_params, doc_ids, counts, avgdl, doc_freqs, corpus_sha256 = (payload.pop(key) for key in keys[:6])
     if not isinstance(raw_params, dict) or raw_params.keys() != asdict(Bm25Params()).keys():
         raise _index_error(path, "params must hold exactly k1, b, epsilon, min_token_len")
     try:
@@ -550,25 +600,33 @@ def load_index(path, corpus) -> Bm25Index:
         isinstance(doc_freqs, dict) and all(type(n) is int and n >= 1 for n in doc_freqs.values())
     ):
         raise _index_error(path, "doc_freqs is not a map of terms to counts >= 1")
-    positions, tfs = (_column_array(path, key, payload[key], "I") for key in ("positions", "tfs"))
     terms = sorted(doc_freqs)
     dfs = list(map(doc_freqs.get, terms))
+    del doc_freqs
+    positions, tfs = (_column_array(path, key, payload.pop(key), "I") for key in ("positions", "tfs"))
     if not len(positions) == len(tfs) == sum(dfs):
         raise _index_error(path, "positions and tfs must hold one entry per doc_freqs count")
+    digests = _column_array(path, "digests", payload.pop("digests"), "B").tobytes()
+    if len(digests) != 16 * len(doc_ids):
+        raise _index_error(path, "digests must hold 16 bytes per doc id")
+    spans = _column_array(path, "spans", payload.pop("spans"), "Q")
+    sha256 = hashlib.sha256()
     with open(corpus, "rb") as handle:
-        data = handle.read()
-    digest = hashlib.sha256(data).hexdigest()
-    if corpus_sha256 != digest:
+        # the bytes before the first indexed record: a CSV file's header row, and skipped rows
+        head = handle.read(min(spans[0], os.fstat(handle.fileno()).st_size)) if spans else b""
+        for chunk in chain([head], iter(partial(handle.read, 1 << 16), b"")):
+            sha256.update(chunk)
+        size = handle.tell()
+    if corpus_sha256 != sha256.hexdigest():
         raise _index_error(path, f"built from a corpus with sha256 {corpus_sha256!r}, not {corpus} "
-                                 f"as it is now (sha256 {digest!r})")
-    spans = _column_array(path, "spans", payload["spans"], "Q")
+                                 f"as it is now (sha256 {sha256.hexdigest()!r})")
     if not (
         len(spans) == 2 * len(doc_ids)
         and all(map(operator.lt, spans[0::2], spans[1::2]))
         and all(map(operator.le, spans[1::2], spans[2::2]))
-        and (not spans or spans[-1] <= len(data))
+        and (not spans or spans[-1] <= size)
     ):
         raise _index_error(path, f"spans must be a start and an end per doc id, ascending, "
                                  f"disjoint byte ranges of {corpus}")
-    pairs = _CorpusPairs(doc_ids, spans, data, corpus, path)
+    pairs = CorpusPairs(corpus, doc_ids, spans, digests, corpus_sha256, head if is_csv(corpus) else b"", path)
     return _column_index(pairs, doc_ids, counts, float(avgdl), terms, dfs, positions, tfs, params, path)

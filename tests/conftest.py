@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -69,9 +70,10 @@ def apec_response(
 def save_index_over_corpus(index, path):
     """Write the pairs of a built index as a JSONL corpus file, one
     document per doc id, and save the index at `path` over that file, with
-    its sha256 and each record's byte span. Returns the corpus path: the
-    index file's path with `.corpus.jsonl` in place of its suffix."""
-    from apec.retrieval import save_index
+    its sha256 and each record's byte span and 16-byte digest. Returns
+    the corpus path: the index file's path with `.corpus.jsonl` in place of
+    its suffix."""
+    from apec.retrieval import CorpusPairs, save_index
 
     corpus = path.with_suffix(".corpus.jsonl")
     lines = [
@@ -82,7 +84,13 @@ def save_index_over_corpus(index, path):
     data = b"".join(lines)
     corpus.write_bytes(data)
     ends = list(itertools.accumulate(map(len, lines)))
-    save_index(index, path, hashlib.sha256(data).hexdigest(), zip([0, *ends], ends))
+    pairs = CorpusPairs(
+        corpus,
+        spans=[offset for span in zip([0, *ends], ends) for offset in span],
+        digests=b"".join(hashlib.sha256(line).digest()[:16] for line in lines),
+        sha256=hashlib.sha256(data).hexdigest(),
+    )
+    save_index(dataclasses.replace(index, pairs=pairs), path)
     return corpus
 
 

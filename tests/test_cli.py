@@ -210,8 +210,23 @@ def halve_spans(spans):
 
 def columns_layout(payload):
     """The layout before spans: no corpus digest, no spans, kind bm25-index-columns."""
-    del payload["corpus_sha256"], payload["spans"]
+    del payload["corpus_sha256"], payload["spans"], payload["digests"]
     payload["kind"] = "bm25-index-columns"
+
+
+def spans_layout(payload):
+    """The layout before record digests: kind bm25-index-spans, no digests."""
+    del payload["digests"]
+    payload["kind"] = "bm25-index-spans"
+
+
+def set_digests(change):
+    """Replace the digests column's bytes with change(bytes)."""
+
+    def corrupt(payload):
+        payload["digests"] = base64.b64encode(change(base64.b64decode(payload["digests"]))).decode()
+
+    return corrupt
 
 
 def first_df(change):
@@ -340,6 +355,13 @@ class TestIndex:
                 id="span-of-another-record",
             ),
             pytest.param(set_spans(halve_spans), id="spans-of-half-lines"),
+            pytest.param(spans_layout, id="spans-layout"),
+            pytest.param(lambda p: p.pop("digests"), id="no-digests"),
+            pytest.param(lambda p: p.update(digests="AAAA!AAA"), id="digests-bad-base64"),
+            pytest.param(lambda p: p.update(digests=[0] * 16), id="digests-list"),
+            pytest.param(set_digests(lambda d: d[:-16]), id="digests-one-doc-short"),
+            pytest.param(set_digests(lambda d: d + d[:16]), id="digests-one-doc-over"),
+            pytest.param(set_digests(lambda d: d[16:] + d[:16]), id="digest-of-another-record"),
         ],
     )
     def test_malformed_index_is_data_error(self, tmp_path, capsys, corrupt):
@@ -810,6 +832,41 @@ class TestIndexOverCorpus:
         for name, argv in commands.items():
             out_path = tmp_path / f"{name}.jsonl"
             assert main([*argv, "--index", str(index_path), "--output", str(out_path)]) == EXIT_OK
+
+    @pytest.mark.parametrize("corpus_format", ["jsonl", "csv"])
+    @pytest.mark.parametrize("source", ["loaded", "built"])
+    def test_record_rewritten_before_it_is_read(self, tmp_path, monkeypatch, capsys, corpus_format, source):
+        # every record's text changes after the index is made, keeping its
+        # length and its id: the first ranking that reads one fails the run
+        docs, docs_path, train_path = write_workers_corpus(tmp_path)
+        if corpus_format == "csv":
+            train_path = write_csv_copy(train_path)
+        index_path = tmp_path / "index.json"
+        assert main(["index", "--corpus", str(train_path), "--output", str(index_path)]) == EXIT_OK
+        make = "load_index" if source == "loaded" else "build_index"
+        real = getattr(apec.cli, make)
+
+        def make_then_rewrite(*args, **kwargs):
+            index = real(*args, **kwargs)
+            data = train_path.read_bytes()
+            train_path.write_bytes(data.replace(b"norma", b"normo"))
+            assert train_path.read_bytes() != data
+            return index
+
+        monkeypatch.setattr(apec.cli, make, make_then_rewrite)
+        argv = self.commands(tmp_path, docs, docs_path, train_path)["adapt"]
+        if source == "loaded":
+            argv += ["--index", str(index_path)]
+        out_path = tmp_path / "adapt.jsonl"
+        capsys.readouterr()
+        assert main([*argv, "--output", str(out_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{train_path} bytes " in err and "changed since they were indexed" in err
+        if source == "loaded":
+            assert f"index file {index_path}: doc " in err
+            assert "rebuild it with `apec index`" in err
+        assert "Traceback" not in err
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("corpus_format", ["jsonl", "csv"])
     @pytest.mark.parametrize("ratio", [[], ["--ratio", "0.25,0.45"]], ids=["top-k", "ratio"])
@@ -1291,6 +1348,29 @@ class TestEnsemble:
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"error: no document is in every stream: {one}, {two}\n" in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [(("uno", ""), ("dos", "")), (("uno", "u"), ("dos", "u")), (("uno", ""), ("uno", ""))],
+        ids=["untagged-same-stem", "same-tag", "same-file"],
+    )
+    def test_shared_stream_name_is_usage_error(self, tmp_path, capsys, first, second):
+        # the winner's stream must name one input; two labelled alike cannot
+        paths = []
+        for (folder, stream), score in zip((first, second), (10.0, 20.0)):
+            path = tmp_path / folder / "traces.jsonl"
+            path.parent.mkdir(exist_ok=True)
+            if not path.exists():
+                write_lines(path, [make_trace_record("a", stream, f"{folder}-a", score)])
+            paths.append(path)
+        out_path = tmp_path / "best.jsonl"
+        rc = main(["ensemble", "--inputs", *map(str, paths), "--output", str(out_path)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        name = first[1] or "traces"
+        assert f"usage error: inputs {paths[0]} and {paths[1]} share the stream name {name!r}" in err
+        assert "Traceback" not in err
         assert not out_path.exists()
 
     def test_priority_breaks_ties(self, tmp_path):

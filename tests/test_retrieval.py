@@ -19,6 +19,7 @@ import apec.retrieval
 from apec.errors import ApecError, ProviderUnavailableError
 from apec.retrieval import (
     Bm25Params,
+    CorpusPairs,
     bm25_scores,
     bm25_tokens,
     bm25_top_k,
@@ -101,8 +102,9 @@ def direct_scores(index, query):
 def reference_index_file(pairs, params, ids, corpus: bytes) -> str:
     """The index file as a dict-of-dicts build writes it: a {pos: tf} map per
     term, flattened in sorted term order into little-endian uint32 columns,
-    over `corpus`, the bytes of a JSONL file with one line per pair. The
-    byte oracle `save_index` must reproduce."""
+    over `corpus`, the bytes of a JSONL file with one line per pair, each
+    line's span and 16-byte digest (its sha256's first 16 bytes). The byte oracle `save_index` must
+    reproduce."""
     postings, counts = {}, []
     for pos, (source, _) in enumerate(pairs):
         tokens = [t for t in source.lower().split() if len(t) >= params.min_token_len]
@@ -115,14 +117,16 @@ def reference_index_file(pairs, params, ids, corpus: bytes) -> str:
     def column(values, code="I"):
         return base64.b64encode(struct.pack(f"<{len(values)}{code}", *values)).decode("ascii")
 
-    offsets = [0]
+    offsets, digests = [0], b""
     for line in corpus.splitlines(keepends=True):
         offsets += [offsets[-1], offsets[-1] + len(line)]
+        digests += hashlib.sha256(line).digest()[:16]
     payload = {
         "schema_version": 1,
-        "kind": "bm25-index-spans",
+        "kind": "bm25-index-digests",
         "corpus_sha256": hashlib.sha256(corpus).hexdigest(),
         "spans": column(offsets[1:], "Q"),
+        "digests": base64.b64encode(digests).decode("ascii"),
         "params": dataclasses.asdict(params),
         "doc_ids": list(ids),
         "doc_token_counts": counts,
@@ -889,16 +893,22 @@ class TestPersistence:
             ("casa perro perro perro", "casa"),
         ]
         path = tmp_path / "index.json"
-        spans = [(0, 12), (12, 30), (30, 2**40 + 1)]
-        save_index(build_index(pairs, ids=["a", "b", "c"]), path, "0123456789abcdef" * 4, spans)
+        corpus = CorpusPairs(
+            tmp_path / "corpus.jsonl",
+            spans=[0, 12, 12, 30, 30, 2**40 + 1],
+            digests=bytes(range(48)),
+            sha256="0123456789abcdef" * 4,
+        )
+        save_index(dataclasses.replace(build_index(pairs, ids=["a", "b", "c"]), pairs=corpus), path)
         # positions 0 2 | 1 2 | 0 1 and tfs 2 1 | 1 3 | 1 1 for casa, perro,
         # verde, each a little-endian uint32; spans 0 12 | 12 30 | 30 2**40+1,
-        # each a little-endian uint64
+        # each a little-endian uint64; digests the bytes 0, 1, ..., 47
         assert path.read_text(encoding="utf-8") == (
             '{"avgdl": 3.0, "corpus_sha256": "' + "0123456789abcdef" * 4 + '", '
+            '"digests": "AAECAwQFBgcICQoLDA0ODxAREhMUFRYXGBkaGxwdHh8gISIjJCUmJygpKissLS4v", '
             '"doc_freqs": {"casa": 2, "perro": 2, "verde": 2}, '
             '"doc_ids": ["a", "b", "c"], "doc_token_counts": [3, 2, 4], '
-            '"kind": "bm25-index-spans", '
+            '"kind": "bm25-index-digests", '
             '"params": {"b": 0.75, "epsilon": 0.25, "k1": 1.5, "min_token_len": 4}, '
             '"positions": "AAAAAAIAAAABAAAAAgAAAAAAAAABAAAA", "schema_version": 1, '
             '"spans": "AAAAAAAAAAAMAAAAAAAAAAwAAAAAAAAAHgAAAAAAAAAeAAAAAAAAAAEAAAAAAQAA", '
@@ -911,7 +921,7 @@ class TestPersistence:
         corpus = save_index_over_corpus(build_index(PAIRS, ids=ids), path)
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert payload["schema_version"] == 1
-        assert payload["kind"] == "bm25-index-spans"
+        assert payload["kind"] == "bm25-index-digests"
         terms = sorted(payload["doc_freqs"])
         perro = sum(payload["doc_freqs"][term] for term in terms[: terms.index("perro")])
         positions = bytearray(base64.b64decode(payload["positions"]))
@@ -960,7 +970,9 @@ class TestPersistence:
                 assert bm25_scores(loaded, query) == bm25_scores(built, query), trial
 
     def test_records_parsed_only_when_ranked(self, tmp_path):
-        # d4's span cut to half its line: only a ranking that reaches d4 reads it
+        # d4's span cut to half its line, with the digest of that half, so the
+        # record passes its digest check and fails to parse: only a ranking
+        # that reaches d4 reads it
         ids = ["d1", "d2", "d3", "d4"]
         path = tmp_path / "index.json"
         corpus = save_index_over_corpus(build_index(PAIRS, ids=ids), path)
@@ -968,6 +980,9 @@ class TestPersistence:
         spans = list(struct.unpack("<8Q", base64.b64decode(payload["spans"])))
         spans[7] = (spans[6] + spans[7]) // 2
         payload["spans"] = base64.b64encode(struct.pack("<8Q", *spans)).decode("ascii")
+        half = corpus.read_bytes()[spans[6] : spans[7]]
+        digests = base64.b64decode(payload["digests"])[:48] + hashlib.sha256(half).digest()[:16]
+        payload["digests"] = base64.b64encode(digests).decode("ascii")
         path.write_text(json.dumps(payload), encoding="utf-8")
         loaded = load_index(path, corpus)
         assert [d.source for d in bm25_top_k(loaded, "casa verde", k=2)] == [PAIRS[2][0], PAIRS[0][0]]
@@ -1033,3 +1048,56 @@ class TestPostingsMemory:
         # positions above the interpreter's small-int cache, in two terms' impacts
         repeats = Counter(pos for positions in cached for pos in positions if pos > 256)
         assert sum(n > 1 for n in repeats.values()) > 1000
+
+
+class TestCorpusMemory:
+    """400 training pairs whose 30-word sources are indexed and whose
+    800-word references are not, so the corpus file (about 2.5 MB) dwarfs
+    the postings. An index over a corpus file holds no text: its build
+    parses one record at a time, and a loaded index reads back only the
+    records that its rankings return."""
+
+    @staticmethod
+    def corpus(tmp_path):
+        rng = random.Random(6)
+        words = [
+            "".join(rng.choices(string.ascii_lowercase, k=rng.randint(4, 9))) for _ in range(500)
+        ]
+        records = [
+            {"id": f"t{i}", "source": " ".join(rng.choices(words, k=30)),
+             "reference": " ".join(rng.choices(words, k=800)), "task": "PL"}
+            for i in range(400)
+        ]
+        path = tmp_path / "train.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        queries = [" ".join(rng.choices(words, k=30)) for _ in range(4)]
+        texts = sum(len(r["source"]) + len(r["reference"]) for r in records)
+        return path, queries, texts
+
+    def test_index_build_peak_below_corpus_text(self, tmp_path):
+        from apec.cli import main
+
+        path, _, texts = self.corpus(tmp_path)
+        tracemalloc.start()
+        try:
+            assert main(["index", "--corpus", str(path), "--output", str(tmp_path / "i.json")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < texts / 2
+
+    def test_loaded_index_retains_only_ranked_records(self, tmp_path):
+        from apec.cli import main
+
+        path, queries, _ = self.corpus(tmp_path)
+        index_path = tmp_path / "i.json"
+        assert main(["index", "--corpus", str(path), "--output", str(index_path)]) == 0
+        tracemalloc.start()
+        try:
+            index = load_index(index_path, path)
+            ranked = [bm25_top_k(index, query, k=2) for query in queries]
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(len(demos) == 2 for demos in ranked)
+        assert retained < path.stat().st_size / 4
