@@ -8,10 +8,18 @@ few-shot, all with the same scripted replies; the CSV copy and its index
 live in a temporary directory, so that every artifact is JSON), two
 refinement streams over the BM25 adaptations (the first again with three
 workers), ensembling, and evaluation. Artifacts land in --workdir (default: a
-fresh temp directory) and are printed at the end. The script exits
-non-zero if a step fails, if the three BM25 adaptation files differ in
-any byte, or if the three-worker traces differ in any byte from the
-one-worker traces of the same stream.
+fresh temp directory) and are printed at the end.
+
+Each dev source shares topic words with two training sources, so BM25
+ranks differ by document. A scripted adapt reply names the document and
+the training document whose demonstration sits next to the source in the
+request (the last, rank k), so a wrong demonstration changes the reply.
+The script exits non-zero if a step fails, if the three BM25 adaptation
+files differ in any byte, if their demonstrations are the same for every
+document, if an embedding few-shot reply does not name the rank-k
+training document of a brute-force cosine ranking, or if the
+three-worker traces differ in any byte from the one-worker traces of the
+same stream.
 
 Usage:
     python3 scripts/dry_run.py [--workdir DIR] [--cycles N]
@@ -25,9 +33,13 @@ import tempfile
 from pathlib import Path
 
 from apec.cli import main as cli_main
+from apec.similarity import HashEmbeddingProvider, cosine
 
 ANALYSIS = "La adaptación tiene frases largas."
 FINAL = "Sin comentarios adicionales."
+TOPICS = ["beca", "impuesto", "vivienda", "empleo", "salud", "transporte"]
+K = 2  # demonstrations per adapt request
+EMBED = 64  # hash embedding dimension of the fs-emb stage
 
 
 def revision_response(correction: str) -> str:
@@ -47,39 +59,52 @@ def write_jsonl(path: Path, rows) -> None:
             handle.write(json.dumps(row, ensure_ascii=False) + "\n")
 
 
+def adapt_reply(doc: dict, demo: dict) -> str:
+    """The scripted adapt reply for `doc` when `demo` is its rank-K demonstration."""
+    return f"Adaptación inicial de {doc['id']} junto a {demo['id']}."
+
+
 def build_fixtures(root: Path, cycles: int) -> dict:
-    dev = [
-        {
-            "id": f"dev{i}",
-            "source": (
-                f"El documento número {i} describe el procedimiento "
-                "administrativo con frases largas y términos difíciles."
-            ),
-            "reference": f"El documento {i} describe el procedimiento.",
-            "task": "PL",
-        }
-        for i in range(10)
-    ]
+    dev = []
+    for i in range(10):
+        first, second = TOPICS[i % 6], TOPICS[(2 * i + 1) % 6]
+        dev.append(
+            {
+                "id": f"dev{i}",
+                "source": (
+                    f"El documento número {i} trata de la {first} y de {second} en "
+                    f"su caso; la {first} tiene frases largas y términos difíciles."
+                ),
+                "reference": f"El documento {i} trata de {first}.",
+                "task": "PL",
+            }
+        )
     train = [
         {
             "id": f"train{i}",
-            "source": f"Texto de entrenamiento {i} sobre trámites y plazos complejos.",
-            "reference": f"Texto fácil {i} sobre trámites.",
+            "source": f"Texto de entrenamiento {i} sobre {topic} y trámites complejos.",
+            "reference": f"Texto fácil {i} sobre {topic}.",
             "task": "PL",
         }
-        for i in range(6)
+        for i, topic in enumerate(TOPICS)
     ]
     docs_path = root / "dev.jsonl"
     train_path = root / "train.jsonl"
     write_jsonl(docs_path, dev)
     write_jsonl(train_path, train)
 
+    # one entry per (document, training document next to its source), as
+    # GenerationRequest.as_flat_text renders the end of a request
     adapt_script = root / "adapt_script.jsonl"
     write_jsonl(
         adapt_script,
         [
-            {"match": doc["source"], "response": f"Adaptación inicial de {doc['id']}."}
+            {
+                "match": f"[assistant]\n{demo['reference']}\n\n[user]\n{doc['source']}",
+                "response": adapt_reply(doc, demo),
+            }
             for doc in dev
+            for demo in train
         ],
     )
 
@@ -101,11 +126,35 @@ def build_fixtures(root: Path, cycles: int) -> dict:
         scripts[stream] = path
 
     return {
+        "dev": dev,
+        "train_docs": train,
         "docs": docs_path,
         "train": train_path,
         "adapt_script": adapt_script,
         **scripts,
     }
+
+
+def emb_replies(dev: list[dict], train: list[dict]) -> list[str]:
+    """Each document's reply when its rank-K demonstration is the K-th
+    nearest training source by the cosine of hash vectors, ties by
+    training position: the fs-emb ranking, computed by brute force."""
+    embedder = HashEmbeddingProvider(EMBED)
+    train_vecs = embedder.embed([demo["source"] for demo in train])
+    replies = []
+    for doc, vec in zip(dev, embedder.embed([doc["source"] for doc in dev])):
+        ranked = sorted(range(len(train)), key=lambda p: (-cosine(vec, train_vecs[p]), p))
+        replies.append(adapt_reply(doc, train[ranked[K - 1]]))
+    return replies
+
+
+def fail(message: str) -> None:
+    print(message, file=sys.stderr)
+    sys.exit(1)
+
+
+def adaptations(path: Path) -> list[str]:
+    return [json.loads(line)["adaptation"] for line in path.read_text(encoding="utf-8").splitlines()]
 
 
 def run_step(argv: list[str]) -> None:
@@ -140,7 +189,7 @@ def run(workdir: Path, cycles: int) -> None:
         "adapt",
         "--input", str(fixtures["docs"]),
         "--mode", "fs-bm25",
-        "--k", "2",
+        "--k", str(K),
         "--provider", f"scripted:{fixtures['adapt_script']}",
         "--seed", "7",
     ]
@@ -162,20 +211,24 @@ def run(workdir: Path, cycles: int) -> None:
         )
     for other in (adapt_built_path, adapt_csv_path):
         if other.read_bytes() != adapt_path.read_bytes():
-            print(f"{other} differs from {adapt_path}", file=sys.stderr)
-            sys.exit(1)
+            fail(f"{other} differs from {adapt_path}")
+    if len({reply.split(" junto a ")[1] for reply in adaptations(adapt_path)}) < 2:
+        fail(f"{adapt_path}: every document has the same rank-{K} BM25 demonstration")
     run_step(
         [
             "adapt",
             "--input", str(fixtures["docs"]),
             "--corpus", str(fixtures["train"]),
             "--mode", "fs-emb",
-            "--embed", "hash:64",
-            "--k", "2",
+            "--embed", f"hash:{EMBED}",
+            "--k", str(K),
             "--provider", f"scripted:{fixtures['adapt_script']}",
             "--output", str(adapt_emb_path),
         ]
     )
+    if adaptations(adapt_emb_path) != emb_replies(fixtures["dev"], fixtures["train_docs"]):
+        fail(f"{adapt_emb_path}: demonstrations differ from the brute-force cosine ranking")
+
     def refine(stream: str, output: Path, *extra: str) -> None:
         run_step(
             [
@@ -201,8 +254,7 @@ def run(workdir: Path, cycles: int) -> None:
     traces_w3_path = workdir / "traces_greedy_w3.jsonl"
     refine("greedy", traces_w3_path, "--workers", "3")
     if traces_w3_path.read_bytes() != trace_paths["greedy"].read_bytes():
-        print(f"{traces_w3_path} differs from {trace_paths['greedy']}", file=sys.stderr)
-        sys.exit(1)
+        fail(f"{traces_w3_path} differs from {trace_paths['greedy']}")
     run_step(
         [
             "ensemble",

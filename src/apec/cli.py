@@ -276,17 +276,6 @@ def _skipped_warning(skipped: int) -> None:
         print(f"warning: {skipped} training docs without reference skipped", file=sys.stderr)
 
 
-def _training_pairs(path) -> list[tuple[str, str]]:
-    """(source, reference) of the docs of the corpus at `path` usable as
-    demonstrations: those with a reference."""
-    docs = load_corpus(path)
-    pairs = [(doc.source, doc.reference) for doc in docs if doc.reference]
-    _skipped_warning(len(docs) - len(pairs))
-    if not pairs:
-        raise ApecError("no training docs with references; cannot build demonstrations")
-    return pairs
-
-
 def _training_index(path, params=None):
     """A BM25 index over the usable docs of the corpus at `path`, which
     reads their texts back from the file as rankings need them."""
@@ -357,7 +346,7 @@ def cmd_stats(args, config: dict) -> int:
 def cmd_index(args, config: dict) -> int:
     index = _training_index(args.corpus, Bm25Params(**_options(config, "bm25", args)))
     save_index(index, args.output)
-    print(f"indexed {len(index)} docs, {len(index.postings)} terms -> {args.output}")
+    print(f"indexed {len(index)} docs, {len(index.postings.terms)} terms -> {args.output}")
     return EXIT_OK
 
 
@@ -391,11 +380,16 @@ def cmd_adapt(args, config: dict) -> int:
         if args.mode == "fs-bm25":
             index = _bm25_index(args.index, args.corpus)
         elif args.mode != "zs":
-            pairs = _training_pairs(args.corpus)
+            # one pass over the training set before the pool starts; only the
+            # demonstrations used are read back from the file
+            pairs = CorpusPairs(args.corpus)
             if args.mode == "fs-emb":
-                # every document's demos before the pool starts: one pass over the training set
                 ranked = embedding_top_k(pairs, [doc.source for doc in docs], args.k, embed)
                 emb_demos = {doc.id: demos for doc, demos in zip(docs, ranked)}
+            else:
+                for _ in pairs.read():  # the positions random_k samples
+                    pass
+            _skipped_warning(pairs.skipped)
 
         def demos_for(doc: Document):
             if args.mode == "zs":

@@ -19,13 +19,15 @@ file stores as base64 little-endian uint32 and `load_index` decodes once.
 A term's slice is read only when a query first holds it; cached impacts
 hold the index's shared position ints.
 
-An index over a corpus file holds no texts. `build_index` reads the file
-once, a record at a time, and keeps each document's id, byte span, token
-count and a 16-byte digest of its record; the index file stores these with
-the sha256 of the whole file. `load_index` refuses a changed corpus. Either
-index reads a record back by its span, checks its digest and parses it
-only when a ranking first needs its texts, so memory grows with the
-number of documents and postings, not with the corpus text.
+Every demonstration mode reads a training corpus file through one type,
+`CorpusPairs`. It streams the file once, a record at a time, and keeps
+each usable document's id, byte span and a 16-byte digest of its record;
+a BM25 index adds its token count and postings, and the index file stores
+these with the sha256 of the whole file. `load_index` refuses a changed
+corpus. A record is read back by its span, checked against its digest and
+parsed only when a ranking or a sample first needs its texts, so memory
+grows with the number of documents (and postings), not with the corpus
+text.
 
 `embedding_top_k` takes a batch of queries and embeds them in one `embed`
 call. It then streams the training sources through the provider,
@@ -52,10 +54,9 @@ import sys
 from array import array
 from bisect import bisect_left
 from collections import Counter, defaultdict
-from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 from functools import cache, cached_property, partial
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, islice, repeat
 
 from .corpus import is_csv, read_corpus, read_record
 from .errors import ApecError, NoWordsError, ProviderUnavailableError
@@ -104,7 +105,7 @@ class Bm25Index:
     pairs: tuple | CorpusPairs = field(repr=False)  # position -> (source, adaptation)
     doc_token_counts: tuple[int, ...]
     avgdl: float
-    postings: _ColumnPostings = field(repr=False)  # a Mapping: term -> pos -> tf, pos ascending
+    postings: _ColumnPostings = field(repr=False)
     idf: dict[str, float] = field(repr=False)
     params: Bm25Params = Bm25Params()
     # term -> (positions, weights), filled as queries need them. Pool threads
@@ -174,11 +175,8 @@ def build_index(
     `ids` defaults to positions 0..n-1; a CorpusPairs brings its doc ids.
     They identify documents in persisted indexes and break ranking ties.
     """
-    if isinstance(pairs, CorpusPairs):
-        sources = pairs.read()
-    else:
-        if not pairs:
-            raise ApecError("cannot index an empty corpus")
+    sources = _sources(pairs)
+    if not isinstance(pairs, CorpusPairs):
         if ids is None:
             ids = range(len(pairs))
         elif len(ids) != len(pairs):
@@ -186,7 +184,6 @@ def build_index(
         elif len(set(ids)) != len(ids):
             raise ValueError("ids must be distinct")
         pairs = tuple(pairs)
-        sources = (source for source, _ in pairs)
     params = params or Bm25Params()
     by_term = defaultdict(partial(array, "I"))  # term -> its (pos, tf) pairs, interleaved
     token_counts = []
@@ -204,6 +201,16 @@ def build_index(
     if isinstance(pairs, CorpusPairs):
         ids = pairs.doc_ids  # known once the file is read
     return _column_index(pairs, ids, token_counts, avgdl, terms, dfs, joined[0::2], joined[1::2], params)
+
+
+def _sources(pairs):
+    """The sources of training `pairs` in position order: those a new
+    `CorpusPairs` streams from its file, or those of a non-empty list."""
+    if isinstance(pairs, CorpusPairs):
+        return pairs.read()
+    if not pairs:
+        raise ApecError("cannot index an empty corpus")
+    return (source for source, _ in pairs)
 
 
 def _column_index(pairs, ids, counts, avgdl, terms, dfs, positions, tfs, params, path=None):
@@ -299,7 +306,7 @@ def _cosine_bounds(query, q_hypot, rows, hypots, delta):
 
 
 def embedding_top_k(
-    pairs: list[tuple[str, str]],
+    pairs: list[tuple[str, str]] | CorpusPairs,
     queries: list[str],
     k: int,
     provider: EmbeddingProvider,
@@ -307,9 +314,10 @@ def embedding_top_k(
     """Each query's top k pairs by the cosine of query and pair-source vectors.
 
     The queries are embedded in one `embed` call, then the pair sources
-    in one call per `EMBED_BATCH_SIZE` of them. Each slice's vectors are
-    read once, as tuples, ranked against every query and dropped: only
-    each query's best k outlive the slice.
+    in one call per `EMBED_BATCH_SIZE` of them: a new `CorpusPairs` streams
+    them from its file, and then reads back only the pairs that rank. Each
+    slice's vectors are read once, as tuples, ranked against every query
+    and dropped: only each query's best k outlive the slice.
 
     A row v is scored exactly only if it can still enter q's top k. With
     n = dim, u = 2**-53, hypots h_q, h_v and d = `math.dist(q, v)`, the law
@@ -328,8 +336,7 @@ def embedding_top_k(
         raise ValueError("k must be >= 1")
     if isinstance(queries, str):
         raise TypeError("queries must be a list of query texts, not one str")
-    if not pairs:
-        raise ApecError("cannot index an empty corpus")
+    sources = _sources(pairs)
     if not all(map(str.strip, queries)):
         raise NoWordsError("cannot embed empty text")
     if not queries:
@@ -342,9 +349,9 @@ def embedding_top_k(
     delta = 16 * (dim + 4) * 2.0**-53
     bounded = True  # every row so far is zero or has a hypot in _HYPOTS
     best = [[] for _ in query_vecs]  # per query: its k smallest (-score, position, score)
-    for start in range(0, len(pairs), EMBED_BATCH_SIZE):
-        sources = [source for source, _ in pairs[start : start + EMBED_BATCH_SIZE]]
-        rows = [_values(vec, dim) for vec in embed_checked(provider, sources)]
+    start = 0
+    while batch := list(islice(sources, EMBED_BATCH_SIZE)):
+        rows = [_values(vec, dim) for vec in embed_checked(provider, batch)]
         hypots = [math.hypot(*row) for row in rows]
         bounded = bounded and all(h == 0.0 or _HYPOTS[0] <= h <= _HYPOTS[1] for h in hypots)
         row_norm = cache(lambda i: dense_norm(rows[i]))
@@ -362,6 +369,7 @@ def embedding_top_k(
                 keys.append((-score, start + i, score))
             best[q] = heapq.nsmallest(k, keys)  # equal scores: the lower position first
         del rows  # else this slice's tuples live on while the next slice's are built
+        start += EMBED_BATCH_SIZE
     return [
         [
             Demonstration(*pairs[p], retrieval_score=score, rank=rank)
@@ -378,19 +386,14 @@ def derive_doc_seed(seed: int, doc_id) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def random_k(pairs: list[tuple[str, str]], k: int, seed: int) -> list[Demonstration]:
-    """Sample k pairs uniformly without replacement, reproducibly."""
+def random_k(pairs: list[tuple[str, str]] | CorpusPairs, k: int, seed: int) -> list[Demonstration]:
+    """Sample k pairs uniformly without replacement, reproducibly; of a
+    read `CorpusPairs`, only the sampled pairs are read back."""
     if k > len(pairs):
         raise ApecError(f"k={k} exceeds corpus size {len(pairs)}")
-    rng = random.Random(seed)
-    chosen = rng.sample(range(len(pairs)), k)
+    chosen = random.Random(seed).sample(range(len(pairs)), k)
     return [
-        Demonstration(
-            source=pairs[p][0],
-            adaptation=pairs[p][1],
-            retrieval_score=0.0,
-            rank=rank,
-        )
+        Demonstration(*pairs[p], retrieval_score=0.0, rank=rank)
         for rank, p in enumerate(chosen, start=1)
     ]
 
@@ -449,9 +452,9 @@ def _column_array(path, name: str, text, typecode: str) -> array:
     return column
 
 
-class _ColumnPostings(Mapping):
-    """Read-only term -> {pos: tf} over two `array("I")` columns, `positions`
-    and `tfs`: every term's postings in sorted term order, term i's at
+class _ColumnPostings:
+    """Each term's postings, (pos, tf) pos ascending, in two `array("I")`
+    columns, `positions` and `tfs`, in sorted term order: term i's at
     `starts[i]:starts[i + 1]`. `build_index` fills them and `load_index`
     decodes them from a file, `path`, which error messages name.
 
@@ -486,34 +489,31 @@ class _ColumnPostings(Mapping):
             )
         return positions, tfs
 
-    def __getitem__(self, term: str) -> dict[int, int]:
-        return dict(zip(*self.slices(term)))
-
-    def __iter__(self):
-        return iter(self.terms)
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
 
 def _record_digest(record: bytes) -> bytes:
     return hashlib.sha256(record).digest()[:16]
 
 
-class CorpusPairs(dict):
-    """position -> (source, reference) of the documents with a reference in
-    the corpus file `corpus`, read back by byte span and parsed when first
-    looked up; a record must still have the digest it had when indexed.
-    `build_index` fills a new one with `read`, and `load_index` from the
-    index file `path`, which errors name. Pool threads share the pairs
-    without a lock, as `Bm25Index._impact_cache`: a racing write stores an
-    equal pair."""
+class CorpusPairs:
+    """The training set of every demonstration mode: position -> (source,
+    reference) of the documents with a reference in the corpus file
+    `corpus`, in file order; `len()` is their count. A new one learns them
+    in one streaming pass, `read`, which `build_index` and `embedding_top_k`
+    run and fs-rdm runs before `random_k`; `load_index` fills one from the
+    index file `path`, which errors name. A pair is read back by byte span
+    when first looked up, checked against the digest its record had in
+    that pass, parsed and cached. Pool threads share the cache without a
+    lock, as `Bm25Index._impact_cache`: a racing write stores an equal
+    pair."""
 
     def __init__(self, corpus, doc_ids=(), spans=(), digests=b"", sha256="", header=b"", path=None):
-        super().__init__()
         self.corpus, self.doc_ids, self.spans, self.digests = corpus, doc_ids, spans, digests
         self.sha256, self.header, self.path = sha256, header, path
         self.skipped = 0  # documents without a reference
+        self._read_back = {}  # position -> pair
+
+    def __len__(self) -> int:
+        return len(self.doc_ids)
 
     def read(self):
         """Yield the source of each document with a reference, reading the
@@ -521,6 +521,7 @@ class CorpusPairs(dict):
         record digest, the file's sha256 and a CSV file's header row."""
         sha256, header = hashlib.sha256(), bytearray()
         self.doc_ids, self.spans, self.digests = [], array("Q"), bytearray()
+        self.skipped, self._read_back = 0, {}  # as of this pass
         for doc, record in read_corpus(self.corpus, sha256, header):
             if not doc.reference:
                 self.skipped += 1
@@ -533,7 +534,9 @@ class CorpusPairs(dict):
             raise ApecError("no training docs with references; cannot build demonstrations")
         self.sha256, self.header = sha256.hexdigest(), bytes(header)
 
-    def __missing__(self, pos: int) -> tuple[str, str]:
+    def __getitem__(self, pos: int) -> tuple[str, str]:
+        if pos in self._read_back:
+            return self._read_back[pos]
         doc_id, corpus = self.doc_ids[pos], self.corpus
         start, end = self.spans[2 * pos : 2 * pos + 2]
         try:
@@ -549,7 +552,7 @@ class CorpusPairs(dict):
         except (ApecError, OSError, ValueError) as exc:  # ValueError: a CSV header not UTF-8
             problem = f"doc {doc_id!r}: {exc}"
             raise (_index_error(self.path, problem) if self.path else ValueError(problem)) from None
-        pair = self[pos] = doc.source, doc.reference
+        pair = self._read_back[pos] = doc.source, doc.reference
         return pair
 
 

@@ -911,6 +911,62 @@ class TestIndexOverCorpus:
         assert all(any(source in r["candidate"] for source in train_sources) for r in records)
 
 
+
+class TestTrainingSet:
+    """fs-rdm and fs-emb read their demonstrations through `CorpusPairs`:
+    one streaming pass over the training corpus, then a read-back of each
+    record they use, checked against that pass."""
+
+    def argv(self, tmp_path, docs_path, train_path, mode, workers="1"):
+        mode_args = ["--seed", "7"] if mode == "fs-rdm" else ["--embed", "hash:64"]
+        return ["adapt", "--input", str(docs_path), "--corpus", str(train_path), "--mode", mode,
+                *mode_args, "--k", "3", "--provider", "echo", "--workers", workers,
+                "--output", str(tmp_path / f"adapt{workers}.jsonl")]
+
+    @pytest.mark.parametrize("corpus_format", ["jsonl", "csv"])
+    @pytest.mark.parametrize("mode", ["fs-rdm", "fs-emb"])
+    def test_output_matches_golden(self, tmp_path, monkeypatch, capsys, mode, corpus_format):
+        """The demonstrations echoed ahead of each source are those of the
+        golden file, at one and two workers, and the CSV copy's row without
+        a reference is skipped with a warning."""
+        monkeypatch.setattr(
+            apec.cli, "make_chat_provider", lambda spec, config: DemoEchoProvider()
+        )
+        _, docs_path, train_path = write_workers_corpus(tmp_path)
+        if corpus_format == "csv":
+            train_path = write_csv_copy(train_path)
+        golden = Path(__file__).parent / "data" / f"adapt_{mode}_{corpus_format}.jsonl"
+        for workers in ("1", "2"):
+            assert main(self.argv(tmp_path, docs_path, train_path, mode, workers)) == EXIT_OK
+            assert (tmp_path / f"adapt{workers}.jsonl").read_bytes() == golden.read_bytes()
+        warning = "warning: 1 training docs without reference skipped\n" if corpus_format == "csv" else ""
+        assert capsys.readouterr().err == warning * 2
+
+    @pytest.mark.parametrize("corpus_format", ["jsonl", "csv"])
+    @pytest.mark.parametrize("mode", ["fs-rdm", "fs-emb"])
+    def test_record_rewritten_after_the_pass(self, tmp_path, monkeypatch, capsys, mode, corpus_format):
+        """Every record's text changes, keeping its length and its id, once
+        the streaming pass ends: the first read-back fails the run."""
+        _, docs_path, train_path = write_workers_corpus(tmp_path)
+        if corpus_format == "csv":
+            train_path = write_csv_copy(train_path)
+
+        class RewrittenAfterRead(apec.cli.CorpusPairs):
+            def read(self):
+                yield from super().read()
+                data = train_path.read_bytes()
+                train_path.write_bytes(data.replace(b"norma", b"normo"))
+                assert train_path.read_bytes() != data
+
+        monkeypatch.setattr(apec.cli, "CorpusPairs", RewrittenAfterRead)
+        argv = self.argv(tmp_path, docs_path, train_path, mode)
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert re.search(rf"error: doc 't\d+': {re.escape(str(train_path))} bytes \d+:\d+ changed", err)
+        assert "Traceback" not in err
+        assert not (tmp_path / "adapt1.jsonl").exists()
+
+
 class SlowFirstBlankProvider:
     """Blank completions for every document; the first document's comes last."""
 

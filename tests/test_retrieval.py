@@ -1,8 +1,10 @@
 import base64
+import csv
 import dataclasses
 import hashlib
 import json
 import math
+import operator
 import random
 import string
 import struct
@@ -92,7 +94,7 @@ def direct_scores(index, query):
         token_idf = index.idf.get(token)
         if token_idf is None:
             continue
-        for pos, tf in index.postings[token].items():
+        for pos, tf in zip(*index.postings.slices(token)):
             dl = index.doc_token_counts[pos]
             norm = params.k1 * (1.0 - params.b + params.b * dl / index.avgdl)
             scores[pos] += token_idf * tf * (params.k1 + 1.0) / (tf + norm)
@@ -222,7 +224,7 @@ class TestBuildIndex:
 
     def test_short_tokens_not_indexed(self):
         index = build_index([("la el un casa", "x")])
-        assert set(index.postings) == {"casa"}
+        assert index.postings.terms == ["casa"]
         assert index.doc_token_counts == (1,)
 
     def test_tokens_lowercased_with_punctuation_attached(self):
@@ -235,10 +237,10 @@ class TestBuildIndex:
 
     def test_posting_frequencies_positive(self):
         index = build_index(PAIRS)
-        assert all(
-            tf >= 1 for docs in index.postings.values() for tf in docs.values()
-        )
-        assert all(len(t) >= 4 for t in index.postings)
+        postings = index.postings
+        assert len(postings.tfs) == len(postings.positions) == postings.starts[-1] > 0
+        assert all(tf >= 1 for tf in postings.tfs)
+        assert all(len(t) >= 4 for t in postings.terms)
 
 
 class TestScoring:
@@ -872,6 +874,117 @@ class TestRandomK:
         assert derive_doc_seed(8, "doc-1") != derive_doc_seed(7, "doc-1")
 
 
+def count_parsed(monkeypatch):
+    """The start of each record that a `CorpusPairs` parses from here on."""
+    parsed = []
+    real_read_record = apec.retrieval.read_record
+
+    def read_record(corpus, record, start, header):
+        parsed.append(start)
+        return real_read_record(corpus, record, start, header)
+
+    monkeypatch.setattr(apec.retrieval, "read_record", read_record)
+    return parsed
+
+
+class TestCorpusPairs:
+    """A training corpus file of 75 documents, every fifth without a
+    reference (the key left out or empty), as JSONL or as CSV with \\r\\n
+    line ends and each source a quoted field over two lines. Its 60 usable
+    pairs span two `EMBED_BATCH_SIZE` slices; read through `CorpusPairs`,
+    they rank and sample as the same pairs in a list do."""
+
+    @staticmethod
+    def corpus(tmp_path, corpus_format):
+        rng = random.Random(9)
+        words = ["".join(rng.choices("aeioulmnprst", k=rng.randint(4, 8))) for _ in range(40)]
+        docs = [
+            {"id": f"t{i}", "source": " ".join(rng.choices(words, k=6)).replace(" ", "\n", 1),
+             "reference": " ".join(rng.choices(words, k=3)), "task": "PL"}
+            for i in range(75)
+        ]
+        for i, doc in enumerate(docs[::5]):
+            if i % 2:
+                doc["reference"] = ""
+            else:
+                del doc["reference"]
+        path = tmp_path / f"train.{corpus_format}"
+        if corpus_format == "csv":
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                writer = csv.DictWriter(handle, ["id", "source", "reference", "task"])
+                writer.writeheader()
+                writer.writerows(docs)
+        else:
+            path.write_text("".join(json.dumps(doc) + "\n" for doc in docs), encoding="utf-8")
+        pairs = [(doc["source"], doc["reference"]) for doc in docs if doc.get("reference")]
+        assert len(pairs) == 60 > EMBED_BATCH_SIZE
+        return path, pairs
+
+    @pytest.mark.parametrize("corpus_format", ["jsonl", "csv"])
+    def test_read_then_indexed_by_position(self, tmp_path, corpus_format):
+        path, pairs = self.corpus(tmp_path, corpus_format)
+        corpus = CorpusPairs(path)
+        assert len(corpus) == 0 and not corpus
+        for _ in range(2):  # a second pass starts afresh
+            assert list(corpus.read()) == [source for source, _ in pairs]
+            assert (len(corpus), corpus.skipped) == (60, 15)
+            assert list(corpus) == [corpus[p] for p in range(60)] == pairs
+        with pytest.raises(IndexError):
+            corpus[60]
+
+    @pytest.mark.parametrize("corpus_format", ["jsonl", "csv"])
+    def test_embedding_top_k_reads_back_only_ranked_pairs(self, tmp_path, monkeypatch, corpus_format):
+        path, pairs = self.corpus(tmp_path, corpus_format)
+        queries = [pairs[3][0], pairs[40][0].upper(), "sin palabras comunes", pairs[59][1]]
+        provider = HashEmbeddingProvider(16)
+        expected = embedding_top_k(pairs, queries, 4, provider)
+        parsed = count_parsed(monkeypatch)
+        corpus = CorpusPairs(path)
+        assert embedding_top_k(corpus, queries, 4, provider) == expected
+        assert corpus.skipped == 15
+        ranked = {demo.source for demos in expected for demo in demos}
+        assert len(parsed) == len(set(parsed)) == len(ranked)
+
+    @pytest.mark.parametrize("corpus_format", ["jsonl", "csv"])
+    def test_random_k_reads_back_only_sampled_pairs(self, tmp_path, monkeypatch, corpus_format):
+        path, pairs = self.corpus(tmp_path, corpus_format)
+        corpus = CorpusPairs(path)
+        for _ in corpus.read():
+            pass
+        parsed = count_parsed(monkeypatch)
+        sampled = set()
+        for seed in range(3):
+            demos = random_k(corpus, 5, seed)
+            assert demos == random_k(pairs, 5, seed)
+            sampled.update(demo.source for demo in demos)
+        assert len(parsed) == len(set(parsed)) == len(sampled)
+        with pytest.raises(ApecError, match="k=61 exceeds corpus size 60"):
+            random_k(corpus, 61, 0)
+
+    def test_random_k_shared_by_threads(self, tmp_path):
+        # fs-rdm's pool threads share one CorpusPairs and fill its cache
+        path, pairs = self.corpus(tmp_path, "csv")
+        corpus = CorpusPairs(path)
+        for _ in corpus.read():
+            pass
+        seeds = range(40)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(random_k, corpus, 5, seed) for seed in seeds]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [random_k(pairs, 5, seed) for seed in seeds]
+
+    def test_no_reference_is_an_error_once_read(self, tmp_path):
+        path = tmp_path / "train.jsonl"
+        path.write_text('{"id": 1, "source": "Texto.", "task": "PL"}\n', encoding="utf-8")
+        with pytest.raises(ApecError, match="no training docs with references"):
+            embedding_top_k(CorpusPairs(path), ["texto"], 1, HashEmbeddingProvider(8))
+
+
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         ids = ["d1", "d2", "d3", "d4"]
@@ -881,7 +994,8 @@ class TestPersistence:
         assert loaded.doc_ids == index.doc_ids
         assert [loaded.pairs[p] for p in range(len(PAIRS))] == list(index.pairs) == PAIRS
         assert loaded.avgdl == index.avgdl
-        assert loaded.postings == index.postings
+        columns = operator.attrgetter("terms", "starts", "positions", "tfs")
+        assert columns(loaded.postings) == columns(index.postings)
         assert loaded.idf == pytest.approx(index.idf)
         for query in ["casa verde", "tren ciudad"]:
             assert bm25_scores(loaded, query) == bm25_scores(index, query)
@@ -964,15 +1078,15 @@ class TestPersistence:
             ), trial
             loaded = load_index(path, corpus)
             assert type(built.postings) is type(loaded.postings)
-            assert (len(built.postings) == 0) == (trial >= 30) == (built.avgdl == 0.0), trial
+            assert (len(built.postings.terms) == 0) == (trial >= 30) == (built.avgdl == 0.0), trial
             assert loaded.idf == built.idf, trial
             for query in (pairs[0][0], " ".join(words)):
                 assert bm25_scores(loaded, query) == bm25_scores(built, query), trial
 
-    def test_records_parsed_only_when_ranked(self, tmp_path):
+    def test_records_parsed_only_when_ranked(self, tmp_path, monkeypatch):
         # d4's span cut to half its line, with the digest of that half, so the
         # record passes its digest check and fails to parse: only a ranking
-        # that reaches d4 reads it
+        # that reaches d4 reads it. Each record is parsed once, when first read
         ids = ["d1", "d2", "d3", "d4"]
         path = tmp_path / "index.json"
         corpus = save_index_over_corpus(build_index(PAIRS, ids=ids), path)
@@ -985,9 +1099,11 @@ class TestPersistence:
         payload["digests"] = base64.b64encode(digests).decode("ascii")
         path.write_text(json.dumps(payload), encoding="utf-8")
         loaded = load_index(path, corpus)
+        parsed = count_parsed(monkeypatch)
         assert [d.source for d in bm25_top_k(loaded, "casa verde", k=2)] == [PAIRS[2][0], PAIRS[0][0]]
         assert bm25_top_k(loaded, "perro", k=1, ratio_filter=(0.0, 1.0))[0].source == PAIRS[1][0]
-        assert sorted(loaded.pairs) == [0, 1, 2]
+        assert bm25_top_k(loaded, "casa verde", k=2)[0].source == PAIRS[2][0]
+        assert sorted(parsed) == spans[0:6:2]
         for query, k, window in [("tren ciudad", 1, None), ("casa", 3, (0.9, 1.0))]:
             with pytest.raises(ValueError, match=r"doc 'd4': .* bytes \d+:\d+ line 1: invalid JSON"):
                 bm25_top_k(loaded, query, k=k, ratio_filter=window)
@@ -1024,7 +1140,7 @@ class TestPostingsMemory:
             retained, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        postings = sum(map(len, index.postings.values()))
+        postings = len(index.postings.positions)
         assert retained / postings < 20
 
     def test_cached_impacts_share_position_ints(self, tmp_path):
@@ -1053,9 +1169,9 @@ class TestPostingsMemory:
 class TestCorpusMemory:
     """400 training pairs whose 30-word sources are indexed and whose
     800-word references are not, so the corpus file (about 2.5 MB) dwarfs
-    the postings. An index over a corpus file holds no text: its build
-    parses one record at a time, and a loaded index reads back only the
-    records that its rankings return."""
+    the postings. No demonstration mode holds the training text: an index
+    build parses one record at a time, and a loaded index, fs-rdm and
+    fs-emb read back only the records that they use."""
 
     @staticmethod
     def corpus(tmp_path):
@@ -1073,6 +1189,29 @@ class TestCorpusMemory:
         queries = [" ".join(rng.choices(words, k=30)) for _ in range(4)]
         texts = sum(len(r["source"]) + len(r["reference"]) for r in records)
         return path, queries, texts
+
+    @pytest.mark.parametrize("mode_args", [["--mode", "fs-rdm"], ["--mode", "fs-emb", "--embed", "hash"]])
+    def test_adapt_peak_below_reference_text(self, tmp_path, mode_args):
+        from apec.cli import main
+
+        path, queries, _ = self.corpus(tmp_path)
+        docs = tmp_path / "docs.jsonl"
+        docs.write_text("".join(
+            json.dumps({"id": f"d{i}", "source": query, "task": "PL"}) + "\n"
+            for i, query in enumerate(queries)
+        ), encoding="utf-8")
+        lines = path.read_text(encoding="utf-8").splitlines()
+        references = sum(len(json.loads(line)["reference"]) for line in lines)
+        del lines
+        argv = ["adapt", "--input", str(docs), "--corpus", str(path), *mode_args,
+                "--k", "3", "--provider", "echo", "--output", str(tmp_path / "out.jsonl")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < references / 2
 
     def test_index_build_peak_below_corpus_text(self, tmp_path):
         from apec.cli import main
