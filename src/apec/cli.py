@@ -346,7 +346,7 @@ def cmd_stats(args, config: dict) -> int:
 def cmd_index(args, config: dict) -> int:
     index = _training_index(args.corpus, Bm25Params(**_options(config, "bm25", args)))
     save_index(index, args.output)
-    print(f"indexed {len(index)} docs, {len(index.postings.terms)} terms -> {args.output}")
+    print(f"indexed {len(index)} docs, {len(index.terms)} terms -> {args.output}")
     return EXIT_OK
 
 

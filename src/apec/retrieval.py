@@ -13,11 +13,14 @@ formula's exact expression and are summed once per query-token
 occurrence, in query order, so scores are bit-identical to applying the
 formula to every posting on every query.
 
-Built and loaded indexes share one layout: two uint32 columns, `positions`
-and `tfs`, of every term's postings in sorted term order, which the index
-file stores as base64 little-endian uint32 and `load_index` decodes once.
-A term's slice is read only when a query first holds it; cached impacts
-hold the index's shared position ints.
+Built and loaded indexes share one layout, a term table: the sorted
+`terms`, and parallel to them the `starts` of each term's postings and a
+float64 `idf` column. The postings are two uint32 columns, `positions` and
+`tfs`, in sorted term order, which the index file stores as base64
+little-endian uint32 and `load_index` decodes once. A term's slice is read
+only when a query first holds it; cached impacts hold the index's shared
+position ints. An index's avgdl is the mean of its documents' token
+counts; `load_index` refuses a file whose stored `avgdl` is another number.
 
 Every demonstration mode reads a training corpus file through one type,
 `CorpusPairs`. It streams the file once, a record at a time, and keeps
@@ -101,12 +104,19 @@ class Demonstration:
 
 @dataclass(frozen=True)
 class Bm25Index:
+    """Term i of the sorted `terms` has idf `idf[i]` and its postings, (pos,
+    tf) pos ascending, at `starts[i]:starts[i + 1]` of the `positions` and
+    `tfs` columns. Errors in a loaded index name its file, `pairs.path`."""
+
     doc_ids: tuple
     pairs: tuple | CorpusPairs = field(repr=False)  # position -> (source, adaptation)
     doc_token_counts: tuple[int, ...]
     avgdl: float
-    postings: _ColumnPostings = field(repr=False)
-    idf: dict[str, float] = field(repr=False)
+    terms: list[str] = field(repr=False)
+    starts: array = field(repr=False)  # uint64, len(terms) + 1
+    idf: array = field(repr=False)  # float64
+    positions: array = field(repr=False)  # uint32
+    tfs: array = field(repr=False)  # uint32
     params: Bm25Params = Bm25Params()
     # term -> (positions, weights), filled as queries need them. Pool threads
     # share it and the cached properties below without a lock: every writer
@@ -130,13 +140,27 @@ class Bm25Index:
         )
 
     def _impacts(self, term: str) -> tuple[tuple[int, ...], tuple[float, ...]]:
-        """Positions holding an indexed term and its BM25 weight in each."""
+        """Positions holding a term and its BM25 weight in each; none if it is
+        not indexed. A term's postings are checked, which guards file input,
+        when a query first holds it."""
         impacts = self._impact_cache.get(term)
         if impacts is None:
-            token_idf = self.idf[term]
-            k1 = self.params.k1
-            norms = self._norms
-            positions, tfs = self.postings.slices(term)
+            i = bisect_left(self.terms, term)
+            if self.terms[i : i + 1] != [term]:
+                return (), ()
+            start, end, n_docs = self.starts[i], self.starts[i + 1], len(self.doc_ids)
+            positions, tfs = self.positions[start:end], self.tfs[start:end]
+            if not (
+                positions[-1] < n_docs
+                and all(map(operator.lt, positions, positions[1:]))
+                and min(tfs) >= 1
+            ):
+                raise _index_error(
+                    getattr(self.pairs, "path", None),
+                    f"postings of {term!r} must be ascending positions in "
+                    f"[0, {n_docs}), each with a count >= 1",
+                )
+            token_idf, k1, norms = self.idf[i], self.params.k1, self._norms
             impacts = (
                 tuple(map(self._position_ints.__getitem__, positions)),
                 tuple(
@@ -153,36 +177,29 @@ def bm25_tokens(text: str, min_token_len: int) -> list[str]:
     return [t for t in text.lower().split() if len(t) >= min_token_len]
 
 
-def _compute_idf(terms: list[str], dfs: list[int], n_docs: int, epsilon: float) -> dict[str, float]:
-    """idf of each of the sorted `terms` from its df, one log per distinct df. Sorted
-    terms sum the floor's mean in one order, so an index and its saved copy agree."""
+def _compute_idf(dfs: list[int], n_docs: int, epsilon: float) -> array:
+    """The idf column of the sorted terms from their dfs, one log per distinct df.
+    Sorted terms sum the floor's mean in one order, so an index and its saved copy agree."""
     by_df = {n_t: math.log((n_docs - n_t + 0.5) / (n_t + 0.5)) for n_t in set(dfs)}
     positive = [v for v in map(by_df.get, dfs) if v > 0]
     floor = epsilon * (sum(positive) / len(positive)) if positive else 0.0
     by_df = {n_t: floor if value < 0 else value for n_t, value in by_df.items()}
-    return dict(zip(terms, map(by_df.get, dfs)))
+    return array("d", map(by_df.get, dfs))
 
 
-def build_index(
-    pairs: list[tuple[str, str]] | CorpusPairs,
-    params: Bm25Params | None = None,
-    ids: list | None = None,
-) -> Bm25Index:
+def build_index(pairs: list[tuple[str, str]] | CorpusPairs, params: Bm25Params | None = None) -> Bm25Index:
     """Build an immutable BM25 index over training pairs: a list of
-    (source, adaptation), or a new `CorpusPairs`, whose corpus file this
-    reads once, a record at a time, keeping no text.
+    (source, adaptation), whose doc ids are its positions 0..n-1, or a new
+    `CorpusPairs`, whose corpus file this reads once, a record at a time,
+    keeping no text, and which brings its doc ids. Doc ids break ranking
+    ties and identify documents in a saved index.
 
-    `ids` defaults to positions 0..n-1; a CorpusPairs brings its doc ids.
-    They identify documents in persisted indexes and break ranking ties.
+    The index is one term table, the sorted terms with their idf and the
+    start of their postings, over two postings columns; avgdl is the mean
+    of the documents' token counts.
     """
     sources = _sources(pairs)
     if not isinstance(pairs, CorpusPairs):
-        if ids is None:
-            ids = range(len(pairs))
-        elif len(ids) != len(pairs):
-            raise ValueError("ids and pairs must have equal length")
-        elif len(set(ids)) != len(ids):
-            raise ValueError("ids must be distinct")
         pairs = tuple(pairs)
     params = params or Bm25Params()
     by_term = defaultdict(partial(array, "I"))  # term -> its (pos, tf) pairs, interleaved
@@ -197,10 +214,7 @@ def build_index(
     joined = array("I")
     for term in terms:
         joined += by_term.pop(term)
-    avgdl = sum(token_counts) / len(token_counts)
-    if isinstance(pairs, CorpusPairs):
-        ids = pairs.doc_ids  # known once the file is read
-    return _column_index(pairs, ids, token_counts, avgdl, terms, dfs, joined[0::2], joined[1::2], params)
+    return _column_index(pairs, token_counts, terms, dfs, joined[0::2], joined[1::2], params)
 
 
 def _sources(pairs):
@@ -213,15 +227,18 @@ def _sources(pairs):
     return (source for source, _ in pairs)
 
 
-def _column_index(pairs, ids, counts, avgdl, terms, dfs, positions, tfs, params, path=None):
-    """The index of `pairs` (source, adaptation) in id order over its postings columns."""
+def _column_index(pairs, counts, terms, dfs, positions, tfs, params):
+    """The index over its postings columns of a tuple of pairs or a read `CorpusPairs`."""
     return Bm25Index(
-        doc_ids=tuple(ids),
+        doc_ids=tuple(pairs.doc_ids if isinstance(pairs, CorpusPairs) else range(len(pairs))),
         pairs=pairs,
         doc_token_counts=tuple(counts),
-        avgdl=avgdl,
-        postings=_ColumnPostings(terms, dfs, positions, tfs, len(ids), path),
-        idf=_compute_idf(terms, dfs, len(ids), params.epsilon),
+        avgdl=sum(counts) / len(counts),
+        terms=terms,
+        starts=array("Q", accumulate(dfs, initial=0)),
+        idf=_compute_idf(dfs, len(counts), params.epsilon),
+        positions=positions,
+        tfs=tfs,
         params=params,
     )
 
@@ -232,10 +249,9 @@ def bm25_scores(index: Bm25Index, query: str) -> list[float]:
     if index.avgdl == 0.0:
         return scores
     for token in bm25_tokens(query, index.params.min_token_len):
-        if token in index.idf:
-            positions, weights = index._impacts(token)
-            for pos, weight in zip(positions, weights):
-                scores[pos] += weight
+        positions, weights = index._impacts(token)
+        for pos, weight in zip(positions, weights):
+            scores[pos] += weight
     return scores
 
 
@@ -408,15 +424,16 @@ def _b64_column(typecode: str, values) -> str:
 def save_index(index: Bm25Index, path) -> None:
     """Persist the postings of an index over a corpus file as versioned JSON.
 
-    `doc_freqs` maps terms to document frequencies; the `positions` and `tfs`
-    columns are the index's own, every term's postings in sorted term order,
-    written as base64 little-endian uint32. Pair texts are not stored: the
+    `doc_freqs` maps terms to document frequencies, the gaps between the
+    term table's `starts`; the `positions` and `tfs` columns are the index's
+    own, every term's postings in sorted term order, written as base64
+    little-endian uint32. Pair texts are not stored: the
     index names the corpus file it was built from by `corpus_sha256`, the
     hex sha256 of its bytes, `spans` gives each document's (start, end)
     byte span in it, in doc id order, as little-endian uint64, and
     `digests` the 16-byte digest of each document's record there.
     """
-    postings, starts, pairs = index.postings, index.postings.starts, index.pairs
+    starts, pairs = index.starts, index.pairs
     payload = {
         "schema_version": INDEX_SCHEMA_VERSION,
         "kind": INDEX_KIND,
@@ -424,9 +441,9 @@ def save_index(index: Bm25Index, path) -> None:
         "doc_ids": list(index.doc_ids),
         "doc_token_counts": list(index.doc_token_counts),
         "avgdl": index.avgdl,
-        "doc_freqs": dict(zip(postings.terms, map(operator.sub, starts[1:], starts))),
-        "positions": _b64_column("I", postings.positions),
-        "tfs": _b64_column("I", postings.tfs),
+        "doc_freqs": dict(zip(index.terms, map(operator.sub, starts[1:], starts))),
+        "positions": _b64_column("I", index.positions),
+        "tfs": _b64_column("I", index.tfs),
         "corpus_sha256": pairs.sha256,
         "spans": _b64_column("Q", pairs.spans),
         "digests": base64.b64encode(pairs.digests).decode("ascii"),
@@ -450,44 +467,6 @@ def _column_array(path, name: str, text, typecode: str) -> array:
     if sys.byteorder == "big":
         column.byteswap()
     return column
-
-
-class _ColumnPostings:
-    """Each term's postings, (pos, tf) pos ascending, in two `array("I")`
-    columns, `positions` and `tfs`, in sorted term order: term i's at
-    `starts[i]:starts[i + 1]`. `build_index` fills them and `load_index`
-    decodes them from a file, `path`, which error messages name.
-
-    A term's slice is checked on each access, which guards file input;
-    `Bm25Index._impacts` caches the result, so a query slices each term once.
-    """
-
-    def __init__(self, terms: list[str], dfs: list[int], positions, tfs, n_docs: int, path):
-        self.terms = terms  # sorted
-        self.starts = array("Q", accumulate(dfs, initial=0))
-        self.positions = positions
-        self.tfs = tfs
-        self._n_docs = n_docs
-        self._path = path
-
-    def slices(self, term: str) -> tuple[array, array]:
-        i = bisect_left(self.terms, term)
-        if self.terms[i : i + 1] != [term]:
-            raise KeyError(term)
-        start, end = self.starts[i], self.starts[i + 1]
-        positions = self.positions[start:end]
-        tfs = self.tfs[start:end]
-        if not (
-            positions[-1] < self._n_docs
-            and all(map(operator.lt, positions, positions[1:]))
-            and min(tfs) >= 1
-        ):
-            raise _index_error(
-                self._path,
-                f"postings of {term!r} must be ascending positions in "
-                f"[0, {self._n_docs}), each with a count >= 1",
-            )
-        return positions, tfs
 
 
 def _record_digest(record: bytes) -> bytes:
@@ -562,9 +541,10 @@ def load_index(path, corpus) -> Bm25Index:
     Each column is decoded once and its text dropped, and each term's
     document frequency comes from `doc_freqs`; a term's positions and
     counts are sliced out of the columns and checked the first time a
-    query holds it. The corpus, hashed in chunks, must have the recorded
-    sha256, and a document's record is read back and parsed the first time
-    a ranking needs its texts. Malformed content, a changed corpus and an
+    query holds it. The stored `avgdl` must be the mean of
+    `doc_token_counts`, which the index recomputes. The corpus, hashed in
+    chunks, must have the recorded sha256, and a document's record is read
+    back and parsed the first time a ranking needs its texts. Malformed content, a changed corpus and an
     older layout raise `ValueError`: `apec index` must rebuild.
     """
     with open(path, encoding="utf-8") as handle:
@@ -591,14 +571,14 @@ def load_index(path, corpus) -> Bm25Index:
         raise _index_error(path, f"bad params: {exc}") from None
     if not (isinstance(doc_ids, list) and all(isinstance(d, (str, int)) for d in doc_ids)):
         raise _index_error(path, "doc_ids is not a list of strings and integers")
+    if not doc_ids:
+        raise _index_error(path, "doc_ids is empty")
     if len(set(doc_ids)) != len(doc_ids):
         raise _index_error(path, "doc_ids repeat an id")
     if not (isinstance(counts, list) and all(type(n) is int and n >= 0 for n in counts)):
         raise _index_error(path, "doc_token_counts is not a list of token counts")
     if len(counts) != len(doc_ids):
         raise _index_error(path, f"{len(counts)} doc_token_counts for {len(doc_ids)} doc_ids")
-    if type(avgdl) not in (int, float) or not 0 <= avgdl <= sys.float_info.max:
-        raise _index_error(path, "avgdl is not a finite number >= 0")
     if not (
         isinstance(doc_freqs, dict) and all(type(n) is int and n >= 1 for n in doc_freqs.values())
     ):
@@ -632,4 +612,7 @@ def load_index(path, corpus) -> Bm25Index:
         raise _index_error(path, f"spans must be a start and an end per doc id, ascending, "
                                  f"disjoint byte ranges of {corpus}")
     pairs = CorpusPairs(corpus, doc_ids, spans, digests, corpus_sha256, head if is_csv(corpus) else b"", path)
-    return _column_index(pairs, doc_ids, counts, float(avgdl), terms, dfs, positions, tfs, params, path)
+    index = _column_index(pairs, counts, terms, dfs, positions, tfs, params)
+    if avgdl != index.avgdl:
+        raise _index_error(path, f"avgdl is not {index.avgdl!r}, the mean of doc_token_counts")
+    return index

@@ -67,6 +67,25 @@ def apec_response(
     )
 
 
+def corpus_lines(ids, pairs) -> list[bytes]:
+    """JSONL records, one document with a reference per (source, adaptation)
+    pair, under `ids`."""
+    return [
+        json.dumps({"id": doc_id, "source": source, "reference": adaptation, "task": "PL"})
+        .encode("utf-8") + b"\n"
+        for doc_id, (source, adaptation) in zip(ids, pairs)
+    ]
+
+
+def build_over_corpus(path, pairs, ids, params=None):
+    """Write `pairs` under the doc ids `ids` as the JSONL corpus file `path`
+    and build the index over it, through `CorpusPairs`."""
+    from apec.retrieval import CorpusPairs, build_index
+
+    path.write_bytes(b"".join(corpus_lines(ids, pairs)))
+    return build_index(CorpusPairs(path), params)
+
+
 def save_index_over_corpus(index, path):
     """Write the pairs of a built index as a JSONL corpus file, one
     document per doc id, and save the index at `path` over that file, with
@@ -76,11 +95,7 @@ def save_index_over_corpus(index, path):
     from apec.retrieval import CorpusPairs, save_index
 
     corpus = path.with_suffix(".corpus.jsonl")
-    lines = [
-        json.dumps({"id": doc_id, "source": source, "reference": adaptation, "task": "PL"})
-        .encode("utf-8") + b"\n"
-        for doc_id, (source, adaptation) in zip(index.doc_ids, index.pairs)
-    ]
+    lines = corpus_lines(index.doc_ids, index.pairs)
     data = b"".join(lines)
     corpus.write_bytes(data)
     ends = list(itertools.accumulate(map(len, lines)))

@@ -256,6 +256,12 @@ def drop_last_tf(payload):
     payload["tfs"] = base64.b64encode(base64.b64decode(payload["tfs"])[:-4]).decode("ascii")
 
 
+def no_docs(payload):
+    """An index of no document over the same corpus, which `apec index` never writes."""
+    payload.update(doc_ids=[], doc_token_counts=[], doc_freqs={}, positions="", tfs="", spans="",
+                   digests="")
+
+
 class TestIndex:
     def test_build_and_reuse(self, workdir, capsys):
         tmp_path, docs_path, train_path = workdir
@@ -313,6 +319,12 @@ class TestIndex:
             pytest.param(lambda p: p.update(avgdl=float("inf")), id="avgdl-inf"),
             pytest.param(lambda p: p.update(avgdl=10**400), id="avgdl-past-float-range"),
             pytest.param(lambda p: p.update(avgdl=-1.0), id="avgdl-negative"),
+            # finite avgdls other than the mean of doc_token_counts: 0 scores
+            # every document 0.0, the others change which ranks first
+            pytest.param(lambda p: p.update(avgdl=0.0), id="avgdl-zero"),
+            pytest.param(lambda p: p.update(avgdl=1e9), id="avgdl-1e9"),
+            pytest.param(lambda p: p.update(avgdl=0.5), id="avgdl-0.5"),
+            pytest.param(no_docs, id="no-docs"),
             pytest.param(lambda p: p["doc_ids"].insert(0, ["t0"]), id="list-doc-id"),
             pytest.param(lambda p: p["doc_ids"].__setitem__(1, p["doc_ids"][0]), id="repeated-doc-id"),
             pytest.param(lambda p: p["doc_token_counts"].pop(), id="short-token-counts"),

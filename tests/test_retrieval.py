@@ -10,6 +10,7 @@ import string
 import struct
 import sys
 import tracemalloc
+from array import array
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
@@ -41,7 +42,12 @@ from apec.similarity import (
     dense_norm,
 )
 
-from conftest import MiscountingEmbedder, PlantedEmbeddingProvider, save_index_over_corpus
+from conftest import (
+    MiscountingEmbedder,
+    PlantedEmbeddingProvider,
+    build_over_corpus,
+    save_index_over_corpus,
+)
 
 
 def oracle_bm25(pairs, query, params=None):
@@ -86,15 +92,16 @@ def oracle_ranking(pairs, query, params=None):
 def direct_scores(index, query):
     """Every posting scored by the formula, with no cached impacts: the
     arithmetic `bm25_scores` must reproduce bit for bit."""
-    params = index.params
+    params, rows = index.params, {term: i for i, term in enumerate(index.terms)}
     scores = [0.0] * len(index)
     if index.avgdl == 0.0:
         return scores
     for token in bm25_tokens(query, params.min_token_len):
-        token_idf = index.idf.get(token)
-        if token_idf is None:
+        if token not in rows:
             continue
-        for pos, tf in zip(*index.postings.slices(token)):
+        i = rows[token]
+        token_idf, start, end = index.idf[i], index.starts[i], index.starts[i + 1]
+        for pos, tf in zip(index.positions[start:end], index.tfs[start:end]):
             dl = index.doc_token_counts[pos]
             norm = params.k1 * (1.0 - params.b + params.b * dl / index.avgdl)
             scores[pos] += token_idf * tf * (params.k1 + 1.0) / (tf + norm)
@@ -138,6 +145,18 @@ def reference_index_file(pairs, params, ids, corpus: bytes) -> str:
         "tfs": column([tf for term in terms for tf in postings[term].values()]),
     }
     return json.dumps(payload, ensure_ascii=False, sort_keys=True, allow_nan=False) + "\n"
+
+
+def idf_hex(index) -> list[str]:
+    """The idf column by `float.hex`, once it is checked to be one float64
+    per term of the sorted term table."""
+    assert type(index.idf) is array and index.idf.typecode == "d"
+    assert len(index.idf) == len(index.terms)
+    return list(map(float.hex, index.idf))
+
+
+def term_idf(index, term: str) -> float:
+    return index.idf[index.terms.index(term)]
 
 
 VOCAB = [
@@ -214,17 +233,9 @@ class TestBuildIndex:
         with pytest.raises(ApecError, match="cannot index an empty corpus"):
             build_index([])
 
-    def test_ids_length_mismatch(self):
-        with pytest.raises(ValueError):
-            build_index(PAIRS, ids=["solo-uno"])
-
-    def test_repeated_ids(self):
-        with pytest.raises(ValueError, match="ids must be distinct"):
-            build_index(PAIRS, ids=["d1", "d2", "d1", "d4"])
-
     def test_short_tokens_not_indexed(self):
         index = build_index([("la el un casa", "x")])
-        assert index.postings.terms == ["casa"]
+        assert index.terms == ["casa"]
         assert index.doc_token_counts == (1,)
 
     def test_tokens_lowercased_with_punctuation_attached(self):
@@ -237,10 +248,9 @@ class TestBuildIndex:
 
     def test_posting_frequencies_positive(self):
         index = build_index(PAIRS)
-        postings = index.postings
-        assert len(postings.tfs) == len(postings.positions) == postings.starts[-1] > 0
-        assert all(tf >= 1 for tf in postings.tfs)
-        assert all(len(t) >= 4 for t in postings.terms)
+        assert len(index.tfs) == len(index.positions) == index.starts[-1] > 0
+        assert all(tf >= 1 for tf in index.tfs)
+        assert all(len(t) >= 4 for t in index.terms)
 
 
 class TestScoring:
@@ -260,14 +270,14 @@ class TestScoring:
         index = build_index(pairs)
         positives = [math.log((3 - 1 + 0.5) / (1 + 0.5))] * 6
         floor = 0.25 * (sum(positives) / len(positives))
-        assert index.idf["casa"] == pytest.approx(floor)
+        assert term_idf(index, "casa") == pytest.approx(floor)
         # dl == avgdl so the length norm cancels and score == idf
         assert bm25_scores(index, "casa") == pytest.approx([floor] * 3)
 
     def test_no_positive_idf_floor_is_zero(self):
         pairs = [("casa sola", "a"), ("casa sola", "b")]
         index = build_index(pairs)
-        assert index.idf["casa"] == 0.0
+        assert term_idf(index, "casa") == 0.0
         assert bm25_scores(index, "casa") == [0.0, 0.0]
 
     def test_query_multiplicity_counts(self):
@@ -322,9 +332,9 @@ class TestTopK:
         assert demos[0].adaptation == PAIRS[1][1]
         assert demos[0].retrieval_score > demos[1].retrieval_score
 
-    def test_ties_broken_by_ascending_doc_id(self):
+    def test_ties_broken_by_ascending_doc_id(self, tmp_path):
         pairs = [("casa perro", "a"), ("casa gato", "b"), ("casa pollo", "c")]
-        index = build_index(pairs, ids=[2, 0, 1])
+        index = build_over_corpus(tmp_path / "corpus.jsonl", pairs, [2, 0, 1])
         demos = bm25_top_k(index, "casa", k=3)
         assert [d.source for d in demos] == ["casa gato", "casa pollo", "casa perro"]
 
@@ -401,12 +411,11 @@ class TestCachedScoring:
         rng = random.Random(20240819)
         for trial in range(30):
             params, pairs, queries = random_case(rng)
-            ids = [f"d{p}" for p in range(len(pairs))]
-            warm = build_index(pairs, params=params, ids=ids)
+            warm = build_index(pairs, params=params)
             path = tmp_path / f"index{trial}.json"
             loaded = load_index(path, save_index_over_corpus(warm, path))
             for query in queries + queries:  # second round hits the warm cache
-                fresh = build_index(pairs, params=params, ids=ids)
+                fresh = build_index(pairs, params=params)
                 want = direct_scores(fresh, query)
                 assert bm25_scores(warm, query) == want, (trial, query)
                 assert bm25_scores(loaded, query) == want, (trial, query)
@@ -796,6 +805,18 @@ class TestEmbeddingIndex:
                 embedding_top_k(pairs, queries, 1, provider)
 
 
+class ArrayCopies:
+    """Prebuilt vectors: `embed` returns a fresh `array("d")` copy of each text's."""
+
+    provider_id = "array-copies"
+
+    def __init__(self, vectors: dict):
+        self._vectors = vectors
+
+    def embed(self, texts):
+        return [array("d", self._vectors[text]) for text in texts]
+
+
 class TestEmbeddingMemory:
     """1,500 training pairs, 8 queries, 768-d hash vectors. All 1,500
     vectors held at once would take 9.2 MB (1,500 × 768 × 8 bytes); a
@@ -812,8 +833,11 @@ class TestEmbeddingMemory:
         return pairs, queries
 
     def test_slices_bound_the_heap(self):
+        # the texts are hashed before tracing, and each embed call gets fresh
+        # copies of their vectors, as from a provider's reply
         pairs, queries = self.corpus()
-        provider = HashEmbeddingProvider(768)
+        texts = queries + [source for source, _ in pairs]
+        provider = ArrayCopies(dict(zip(texts, HashEmbeddingProvider(768).embed(texts))))
         tracemalloc.start()
         try:
             ranked = embedding_top_k(pairs, queries, 5, provider)
@@ -987,16 +1011,17 @@ class TestCorpusPairs:
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):
-        ids = ["d1", "d2", "d3", "d4"]
-        index = build_index(PAIRS, ids=ids)
+        index = build_over_corpus(tmp_path / "corpus.jsonl", PAIRS, ["d1", "d2", "d3", "d4"])
         path = tmp_path / "index.json"
-        loaded = load_index(path, save_index_over_corpus(index, path))
-        assert loaded.doc_ids == index.doc_ids
-        assert [loaded.pairs[p] for p in range(len(PAIRS))] == list(index.pairs) == PAIRS
+        save_index(index, path)
+        loaded = load_index(path, tmp_path / "corpus.jsonl")
+        assert loaded.doc_ids == index.doc_ids == ("d1", "d2", "d3", "d4")
+        assert [loaded.pairs[p] for p in range(len(PAIRS))] == PAIRS
+        assert [index.pairs[p] for p in range(len(PAIRS))] == PAIRS
         assert loaded.avgdl == index.avgdl
         columns = operator.attrgetter("terms", "starts", "positions", "tfs")
-        assert columns(loaded.postings) == columns(index.postings)
-        assert loaded.idf == pytest.approx(index.idf)
+        assert columns(loaded) == columns(index)
+        assert idf_hex(loaded) == idf_hex(index)
         for query in ["casa verde", "tren ciudad"]:
             assert bm25_scores(loaded, query) == bm25_scores(index, query)
 
@@ -1007,13 +1032,14 @@ class TestPersistence:
             ("casa perro perro perro", "casa"),
         ]
         path = tmp_path / "index.json"
+        index = build_over_corpus(tmp_path / "corpus.jsonl", pairs, ["a", "b", "c"])
         corpus = CorpusPairs(
             tmp_path / "corpus.jsonl",
             spans=[0, 12, 12, 30, 30, 2**40 + 1],
             digests=bytes(range(48)),
             sha256="0123456789abcdef" * 4,
         )
-        save_index(dataclasses.replace(build_index(pairs, ids=["a", "b", "c"]), pairs=corpus), path)
+        save_index(dataclasses.replace(index, pairs=corpus), path)
         # positions 0 2 | 1 2 | 0 1 and tfs 2 1 | 1 3 | 1 1 for casa, perro,
         # verde, each a little-endian uint32; spans 0 12 | 12 30 | 30 2**40+1,
         # each a little-endian uint64; digests the bytes 0, 1, ..., 47
@@ -1030,9 +1056,8 @@ class TestPersistence:
         )
 
     def test_column_postings_decoded_on_query(self, tmp_path):
-        ids = ["d1", "d2", "d3", "d4"]
         path = tmp_path / "index.json"
-        corpus = save_index_over_corpus(build_index(PAIRS, ids=ids), path)
+        corpus = save_index_over_corpus(build_index(PAIRS), path)
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert payload["schema_version"] == 1
         assert payload["kind"] == "bm25-index-digests"
@@ -1043,15 +1068,14 @@ class TestPersistence:
         payload["positions"] = base64.b64encode(positions).decode("ascii")
         path.write_text(json.dumps(payload), encoding="utf-8")
         loaded = load_index(path, corpus)
-        assert loaded.idf["perro"] == build_index(PAIRS).idf["perro"]
+        assert term_idf(loaded, "perro") == term_idf(build_index(PAIRS), "perro")
         assert bm25_top_k(loaded, "casa verde", k=1)[0].source == PAIRS[2][0]
         with pytest.raises(ValueError, match="rebuild it with `apec index`"):
             bm25_scores(loaded, "perro")
 
     def test_column_length_mismatch_fails_at_load(self, tmp_path):
-        ids = ["d1", "d2", "d3", "d4"]
         path = tmp_path / "index.json"
-        corpus = save_index_over_corpus(build_index(PAIRS, ids=ids), path)
+        corpus = save_index_over_corpus(build_index(PAIRS), path)
         payload = json.loads(path.read_text(encoding="utf-8"))
         payload["doc_freqs"]["perro"] += 1
         path.write_text(json.dumps(payload), encoding="utf-8")
@@ -1077,9 +1101,8 @@ class TestPersistence:
                 pairs, params, range(len(pairs)), corpus.read_bytes()
             ), trial
             loaded = load_index(path, corpus)
-            assert type(built.postings) is type(loaded.postings)
-            assert (len(built.postings.terms) == 0) == (trial >= 30) == (built.avgdl == 0.0), trial
-            assert loaded.idf == built.idf, trial
+            assert (len(built.terms) == 0) == (trial >= 30) == (built.avgdl == 0.0), trial
+            assert idf_hex(loaded) == idf_hex(built), trial
             for query in (pairs[0][0], " ".join(words)):
                 assert bm25_scores(loaded, query) == bm25_scores(built, query), trial
 
@@ -1087,9 +1110,8 @@ class TestPersistence:
         # d4's span cut to half its line, with the digest of that half, so the
         # record passes its digest check and fails to parse: only a ranking
         # that reaches d4 reads it. Each record is parsed once, when first read
-        ids = ["d1", "d2", "d3", "d4"]
-        path = tmp_path / "index.json"
-        corpus = save_index_over_corpus(build_index(PAIRS, ids=ids), path)
+        path, corpus = tmp_path / "index.json", tmp_path / "corpus.jsonl"
+        save_index(build_over_corpus(corpus, PAIRS, ["d1", "d2", "d3", "d4"]), path)
         payload = json.loads(path.read_text(encoding="utf-8"))
         spans = list(struct.unpack("<8Q", base64.b64decode(payload["spans"])))
         spans[7] = (spans[6] + spans[7]) // 2
@@ -1140,8 +1162,7 @@ class TestPostingsMemory:
             retained, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        postings = len(index.postings.positions)
-        assert retained / postings < 20
+        assert retained / len(index.positions) < 20
 
     def test_cached_impacts_share_position_ints(self, tmp_path):
         pairs, queries = self.corpus()
@@ -1154,7 +1175,7 @@ class TestPostingsMemory:
             retained, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        terms = {token for query in queries for token in bm25_tokens(query, 4)} & index.idf.keys()
+        terms = {token for query in queries for token in bm25_tokens(query, 4)} & set(index.terms)
         cached = [index._impacts(term)[0] for term in terms]
         assert retained / sum(map(len, cached)) < 60
         first_seen = {}

@@ -1,0 +1,106 @@
+"""Dead names in the package source: an import that its module never uses,
+and a module-level private name (`_x`) that no module of the package refers
+to. Either is what a deletion tends to leave behind."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "apec"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def dotted(node) -> str | None:
+    """`a.b.c` for a chain of attributes on a name read, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return ".".join([node.id, *reversed(parts)])
+    return None
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Each name an import binds that the module never reads. `import a.b`
+    counts as used only where `a.b` or an attribute of it is read."""
+    reads = {dotted(node) for node in ast.walk(tree)} - {None}
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                name = alias.asname or alias.name
+                if not any(read == name or read.startswith(name + ".") for read in reads):
+                    unused.append(f"{name} (line {node.lineno})")
+    return unused
+
+
+def private_definitions(tree: ast.Module):
+    """(name, line) of each module-level function, class or assignment whose
+    name starts with one underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno
+
+
+def references(tree: ast.Module):
+    """Every name the module reads, every attribute it names and every name it imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+@pytest.mark.parametrize(
+    # the package's __init__ imports only to re-export
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_every_import_is_used(path):
+    assert unused_imports(parse(path)) == []
+
+
+def test_every_private_name_is_referenced():
+    trees = {path.name: parse(path) for path in MODULES}
+    assert len(trees) > 5  # the glob found the package
+    referenced = {name for tree in trees.values() for name in references(tree)}
+    unreferenced = [
+        f"{module}:{line} {name}"
+        for module, tree in trees.items()
+        for name, line in private_definitions(tree)
+        if name not in referenced
+    ]
+    assert unreferenced == []
+
+
+def test_checks_catch_leftovers():
+    tree = ast.parse(
+        "import os\nimport urllib.parse\nimport urllib.request\n"
+        "from array import array as column\nfrom .x import kept, dropped\n"
+        "def _helper():\n    return kept\n"
+        "_TABLE: dict = {}\n_USED = 1\n__all__ = ['x']\n"
+        "print(os.sep, urllib.request.urlopen, _USED)\n"
+    )
+    assert unused_imports(tree) == ["urllib.parse (line 2)", "column (line 4)", "dropped (line 5)"]
+    referenced = set(references(tree))
+    assert [name for name, _ in private_definitions(tree) if name not in referenced] == [
+        "_helper",
+        "_TABLE",
+    ]
