@@ -3,7 +3,7 @@
 Documents carry an id, a source text, an optional reference adaptation
 and a task tag (PL or ER). Corpora load from JSONL, or from CSV when the
 file name ends in `.csv`. `read_corpus` reads a file once, a record at
-a time, and yields each record's bytes, whose byte span `read_record`
+a time, and yields each record's byte span and bytes, which `read_record`
 parses alone. Statistics
 report both aggregation conventions for the readability index: micro
 (over pooled corpus counts) and macro (mean of per-document values),
@@ -16,7 +16,7 @@ import contextlib
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import fmean
 from typing import Mapping, Optional
 
@@ -32,8 +32,6 @@ class Document:
     source: str
     reference: Optional[str] = None
     task: str = "PL"
-    # (start, end) of the record in the file it was loaded from
-    span: Optional[tuple[int, int]] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not str(self.id):
@@ -44,7 +42,7 @@ class Document:
             raise ValueError(f"unknown task {self.task!r}; expected one of {TASKS}")
 
 
-def _document_from_fields(fields, path, line: int, span=None) -> Document:
+def _document_from_fields(fields, path, line: int) -> Document:
     if not isinstance(fields, dict):
         raise ApecError(f"{path} line {line}: expected a JSON object")
     for key in ("id", "source", "task"):
@@ -71,7 +69,6 @@ def _document_from_fields(fields, path, line: int, span=None) -> Document:
             source=fields["source"],
             reference=reference,
             task=fields["task"],
-            span=span,
         )
     except ValueError as exc:
         raise ApecError(f"{path} line {line}: {exc}") from exc
@@ -137,32 +134,32 @@ def _read_csv(path, lines, fieldnames=None, header=None):
 
 
 def read_corpus(path, sha256=None, header=None):
-    """Yield (document, record bytes) for each record of the corpus file at
-    `path`, CSV if `is_csv(path)`, else JSONL, reading the file once, one
-    line at a time. Each line goes to `sha256` (a hashlib object) if given,
-    and a CSV file's header row to `header` (a bytearray) if given.
-    Duplicate ids, malformed lines and a file with no record raise ApecError
-    naming the file and the offending line number."""
+    """Yield (document, (start, end) byte span, record bytes) for each record
+    of the corpus file at `path`, CSV if `is_csv(path)`, else JSONL, reading
+    the file once, one line at a time. Each line goes to `sha256` (a hashlib
+    object) if given, and a CSV file's header row to `header` (a bytearray)
+    if given. Duplicate ids, malformed lines and a file with no record raise
+    ApecError naming the file and the offending line number."""
     seen: dict[str, int] = {}
     with open(path, "rb") as handle:
         lines = handle if sha256 is None else (sha256.update(line) or line for line in handle)
         rows = _read_csv(path, lines, header=header) if is_csv(path) else read_jsonl(path, lines)
         for line_no, fields, span, record in rows:
-            doc = _document_from_fields(fields, path, line_no, span)
+            doc = _document_from_fields(fields, path, line_no)
             if doc.id in seen:
                 raise ApecError(
                     f"{path} line {line_no}: duplicate id {doc.id!r} "
                     f"(first seen on line {seen[doc.id]})"
                 )
             seen[doc.id] = line_no
-            yield doc, record
+            yield doc, span, record
     if not seen:
         raise ApecError(f"no documents in {path}")
 
 
 def load_corpus(path) -> list[Document]:
     """The documents of the corpus file at `path`, as `read_corpus` reads them."""
-    return [doc for doc, _ in read_corpus(path)]
+    return [doc for doc, *_ in read_corpus(path)]
 
 
 def read_record(path, record: bytes, start: int, header: bytes = b"") -> Document:

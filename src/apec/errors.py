@@ -3,9 +3,11 @@
 A subclass of ApecError exists only where some code raises it and some
 code catches it by name; every other failure is a plain ApecError whose
 message says what is wrong, naming the file and line when an input file
-is at fault. The CLI maps them onto exit codes. `with_retries` is the
-retry policy and `HttpTransport` the kept-alive connections that both
-HTTP providers post through.
+is at fault. So a blank completion and a revision response without a
+correction share one class, UnusableResponseError, which the refinement
+loop catches as a failed cycle. The CLI maps errors onto exit codes.
+`with_retries` is the retry policy and `HttpTransport` the kept-alive
+connections that both HTTP providers post through.
 """
 
 import base64
@@ -45,12 +47,8 @@ class TransientProviderError(ApecError):
         self.retry_after = retry_after
 
 
-class ResponseEmptyError(ApecError):
-    """The provider returned an empty completion."""
-
-
-class MissingCorrectionError(ApecError):
-    """A revision response has no usable correction section."""
+class UnusableResponseError(ApecError):
+    """A completion is blank, or a revision response has no usable correction."""
 
 
 DEFAULT_RETRIES = 3

@@ -25,9 +25,8 @@ from .errors import (
     DEFAULT_TIMEOUT,
     ApecError,
     HttpTransport,
-    MissingCorrectionError,
     ProviderUnavailableError,
-    ResponseEmptyError,
+    UnusableResponseError,
     with_retries,
 )
 from .prompts import (
@@ -170,7 +169,7 @@ def parse_apec_response(raw: str, task: str) -> ParsedApecResponse:
     """
     correction_match = _CORRECTION_RE.search(raw)
     if correction_match is None:
-        raise MissingCorrectionError("response has no correction header")
+        raise UnusableResponseError("response has no correction header")
 
     analysis_match = _ANALYSIS_RE.search(raw, 0, correction_match.start())
     analysis_start = analysis_match.end() if analysis_match else 0
@@ -180,7 +179,7 @@ def parse_apec_response(raw: str, task: str) -> ParsedApecResponse:
     correction_end = final_match.start() if final_match else len(raw)
     correction = raw[correction_match.end() : correction_end].strip()
     if not correction:
-        raise MissingCorrectionError("correction section is empty")
+        raise UnusableResponseError("correction section is empty")
 
     final_notes = raw[final_match.end() :].strip() if final_match else None
     verdict = _detect_verdict(analysis) if task == TASK_EASY_READ else None
@@ -208,13 +207,13 @@ def generate_text(
 ) -> str:
     """Run one completion under the retry policy of `with_retries`.
 
-    Raises ProviderUnavailable once attempts are exhausted and
-    ResponseEmpty on a blank completion.
+    Raises ProviderUnavailableError once attempts are exhausted and
+    UnusableResponseError on a blank completion.
     """
     what = f"provider {getattr(provider, 'provider_id', '?')}"
     content = with_retries(lambda: provider.complete(request), retries, backoff, what)
     if not content.strip():
-        raise ResponseEmptyError("provider returned an empty completion")
+        raise UnusableResponseError("provider returned an empty completion")
     return content
 
 
@@ -236,7 +235,6 @@ class HttpChatProvider:
         timeout: float = DEFAULT_TIMEOUT,
     ):
         self._transport = HttpTransport(endpoint, api_key, timeout)
-        self.endpoint = endpoint
         self.model = model
         self.provider_id = f"http:{model}"
 
@@ -305,11 +303,6 @@ class ScriptedChatProvider:
             _check_fixture_entry(entry, f"{path} line {line_no}: fixture entry")
             entries.append(entry)
         return cls(entries, provider_id=f"scripted:{path}")
-
-    @property
-    def remaining(self) -> int:
-        with self._lock:
-            return self._used.count(False)
 
     def complete(self, request: GenerationRequest) -> str:
         text = request.as_flat_text()

@@ -21,10 +21,9 @@ from .errors import (
     DEFAULT_BACKOFF,
     DEFAULT_RETRIES,
     ApecError,
-    MissingCorrectionError,
     NoWordsError,
     ProviderUnavailableError,
-    ResponseEmptyError,
+    UnusableResponseError,
 )
 from .generation import (
     ChatProvider,
@@ -144,7 +143,7 @@ def run_apec(
         except ProviderUnavailableError:
             incomplete = True
             break
-        except (ResponseEmptyError, MissingCorrectionError, NoWordsError):
+        except (UnusableResponseError, NoWordsError):
             records.append(_failed_cycle(cycle, candidate))
             continue
 

@@ -20,7 +20,8 @@ float64 `idf` column. The postings are two uint32 columns, `positions` and
 little-endian uint32 and `load_index` decodes once. A term's slice is read
 only when a query first holds it; cached impacts hold the index's shared
 position ints. An index's avgdl is the mean of its documents' token
-counts; `load_index` refuses a file whose stored `avgdl` is another number.
+counts; `load_index` refuses a file whose stored `avgdl` is another number,
+or whose counts do not sum to the total of its `tfs`.
 
 Every demonstration mode reads a training corpus file through one type,
 `CorpusPairs`. It streams the file once, a record at a time, and keeps
@@ -246,8 +247,6 @@ def _column_index(pairs, counts, terms, dfs, positions, tfs, params):
 def bm25_scores(index: Bm25Index, query: str) -> list[float]:
     """Okapi score of every indexed document against the query."""
     scores = [0.0] * len(index)
-    if index.avgdl == 0.0:
-        return scores
     for token in bm25_tokens(query, index.params.min_token_len):
         positions, weights = index._impacts(token)
         for pos, weight in zip(positions, weights):
@@ -501,12 +500,12 @@ class CorpusPairs:
         sha256, header = hashlib.sha256(), bytearray()
         self.doc_ids, self.spans, self.digests = [], array("Q"), bytearray()
         self.skipped, self._read_back = 0, {}  # as of this pass
-        for doc, record in read_corpus(self.corpus, sha256, header):
+        for doc, span, record in read_corpus(self.corpus, sha256, header):
             if not doc.reference:
                 self.skipped += 1
                 continue
             self.doc_ids.append(doc.id)
-            self.spans.extend(doc.span)
+            self.spans.extend(span)
             self.digests += _record_digest(record)
             yield doc.source
         if not self.doc_ids:
@@ -542,10 +541,12 @@ def load_index(path, corpus) -> Bm25Index:
     document frequency comes from `doc_freqs`; a term's positions and
     counts are sliced out of the columns and checked the first time a
     query holds it. The stored `avgdl` must be the mean of
-    `doc_token_counts`, which the index recomputes. The corpus, hashed in
-    chunks, must have the recorded sha256, and a document's record is read
-    back and parsed the first time a ranking needs its texts. Malformed content, a changed corpus and an
-    older layout raise `ValueError`: `apec index` must rebuild.
+    `doc_token_counts`, which the index recomputes, and the counts must
+    sum to the total of `tfs`. The corpus, hashed in chunks, must have the
+    recorded sha256, and a document's record is read back and parsed the
+    first time a ranking needs its texts. Malformed content, a changed
+    corpus and an older layout raise `ValueError`: `apec index` must
+    rebuild.
     """
     with open(path, encoding="utf-8") as handle:
         try:
@@ -569,8 +570,9 @@ def load_index(path, corpus) -> Bm25Index:
         params = Bm25Params(**raw_params)
     except (TypeError, ValueError) as exc:
         raise _index_error(path, f"bad params: {exc}") from None
-    if not (isinstance(doc_ids, list) and all(isinstance(d, (str, int)) for d in doc_ids)):
-        raise _index_error(path, "doc_ids is not a list of strings and integers")
+    id_types = set(map(type, doc_ids)) if isinstance(doc_ids, list) else None
+    if id_types not in ({str}, {int}, set()):  # ties rank by doc id: one type orders
+        raise _index_error(path, "doc_ids is not a list of strings, or of integers")
     if not doc_ids:
         raise _index_error(path, "doc_ids is empty")
     if len(set(doc_ids)) != len(doc_ids):
@@ -589,6 +591,8 @@ def load_index(path, corpus) -> Bm25Index:
     positions, tfs = (_column_array(path, key, payload.pop(key), "I") for key in ("positions", "tfs"))
     if not len(positions) == len(tfs) == sum(dfs):
         raise _index_error(path, "positions and tfs must hold one entry per doc_freqs count")
+    if sum(counts) != sum(tfs):
+        raise _index_error(path, "doc_token_counts do not sum to the total of tfs")
     digests = _column_array(path, "digests", payload.pop("digests"), "B").tobytes()
     if len(digests) != 16 * len(doc_ids):
         raise _index_error(path, "digests must hold 16 bytes per doc id")

@@ -157,7 +157,6 @@ class HttpEmbeddingProvider:
         self, endpoint: str, model: str, api_key: str = "", timeout: float = DEFAULT_TIMEOUT
     ):
         self._transport = HttpTransport(endpoint, api_key, timeout)
-        self.endpoint = endpoint
         self.model = model
         self.provider_id = f"http:{endpoint}:{model}"
 

@@ -77,17 +77,9 @@ def segment_sentences(text: str) -> list[str]:
 
     Splits after '.', '!', '?' or '…' followed by whitespace (closing
     quotes/brackets may intervene) and at blank lines. A period ending a
-    known abbreviation does not split. Fragments without any word token
-    are merged into the neighbouring sentence so that no returned
-    sentence is bare punctuation, except when the whole text is. Blank
-    text has no sentences.
+    known abbreviation does not split. Blank text has no sentences.
     """
-    fragments: list[str] = []
-    for block in _PARAGRAPH_SPLIT.split(text):
-        block = block.strip()
-        if block:
-            fragments.extend(_scan_block(block))
-    return _merge_wordless(fragments)
+    return [s for block in _PARAGRAPH_SPLIT.split(text) for s in _scan_block(block.strip())]
 
 
 def _scan_block(block: str) -> list[str]:
@@ -113,25 +105,6 @@ def _ends_with_abbreviation(block: str, period_idx: int) -> bool:
     if not match:
         return False
     return (match.group(0) + ".").lower() in _ABBREVIATIONS
-
-
-def _merge_wordless(fragments: list[str]) -> list[str]:
-    sentences: list[str] = []
-    carry = ""
-    for fragment in fragments:
-        if not _WORD_TOKEN.search(fragment):
-            if sentences:
-                sentences[-1] = sentences[-1] + " " + fragment
-            else:
-                carry = (carry + " " + fragment).strip()
-        elif carry:
-            sentences.append(carry + " " + fragment)
-            carry = ""
-        else:
-            sentences.append(fragment)
-    if carry:  # punctuation-only input
-        sentences.append(carry)
-    return sentences
 
 
 @functools.lru_cache(maxsize=_SYLLABLE_CACHE_SIZE)
@@ -182,8 +155,6 @@ def text_stats(text: str) -> TextStats:
     Only sentences containing at least one word token are counted, so
     word_count >= sentence_count and syllable_count >= word_count.
     """
-    if not text.strip():
-        return TextStats(0, 0, 0)
     sentence_count = 0
     word_count = 0
     syllable_count = 0

@@ -8,7 +8,7 @@ import pytest
 
 import apec
 from apec.corpus import Document
-from apec.errors import ApecError, NoWordsError
+from apec.errors import ApecError, NoWordsError, ProviderUnavailableError
 from apec.generation import REFINE, GenerationRequest, ScriptedChatProvider
 from apec.refine import (
     TRACE_SCHEMA_VERSION,
@@ -226,7 +226,8 @@ class TestRunApec:
         config = ApecConfig(cycles=3)
         trace = run_apec(DOC, "Sol.", INDEX, provider, hash_embedder, config=config)
         assert len(trace.records) == 3
-        assert provider.remaining == 0
+        with pytest.raises(ProviderUnavailableError):  # one response a cycle: all are spent
+            provider.complete(GenerationRequest(system_prompt="", messages=(("user", "x"),)))
 
     def test_demos_fixed_across_cycles(self, hash_embedder):
         seen = []

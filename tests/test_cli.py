@@ -262,6 +262,23 @@ def no_docs(payload):
                    digests="")
 
 
+def mixed_doc_id_types(payload):
+    """The first doc id an integer among strings. No query token reaches the
+    min_token_len, so every score is 0.0 and ranking ties compare doc ids."""
+    payload["doc_ids"][0] = 0
+    payload["params"]["min_token_len"] = 1000
+
+
+def set_token_counts(count):
+    """Every document's token count `count`, and the avgdl that is their mean."""
+
+    def corrupt(payload):
+        payload["doc_token_counts"] = [count] * len(payload["doc_ids"])
+        payload["avgdl"] = float(count)
+
+    return corrupt
+
+
 class TestIndex:
     def test_build_and_reuse(self, workdir, capsys):
         tmp_path, docs_path, train_path = workdir
@@ -327,7 +344,11 @@ class TestIndex:
             pytest.param(no_docs, id="no-docs"),
             pytest.param(lambda p: p["doc_ids"].insert(0, ["t0"]), id="list-doc-id"),
             pytest.param(lambda p: p["doc_ids"].__setitem__(1, p["doc_ids"][0]), id="repeated-doc-id"),
+            pytest.param(mixed_doc_id_types, id="mixed-doc-id-types"),
             pytest.param(lambda p: p["doc_token_counts"].pop(), id="short-token-counts"),
+            # counts whose mean is the avgdl, but whose total is not that of the tfs
+            pytest.param(set_token_counts(0), id="token-counts-all-zero"),
+            pytest.param(set_token_counts(1), id="token-counts-all-one"),
             pytest.param(lambda p: p.update(positions=[0, 1]), id="posting-list"),
             pytest.param(lambda p: p.update(positions="AAAA!AAA"), id="bad-base64"),
             pytest.param(lambda p: p.update(tfs="AQAAAAEA"), id="partial-uint32"),
@@ -1656,6 +1677,113 @@ class TestUnreadableInput:
         assert "Traceback" not in err
         assert str(bad) in err
         assert not out_path.exists()
+
+
+class TestErrorExits:
+    """Error exits that no other test reaches: each prints its message and
+    no traceback, and writes no output file."""
+
+    def run(self, capsys, argv, out_path):
+        rc = main(argv + ["--output", str(out_path)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert not out_path.exists()
+        return rc, err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["adapt", "--mode", "zs", "--provider", "scripted:"],
+             "scripted provider needs a fixture path: scripted:PATH"),
+            (["adapt", "--mode", "fs-emb", "--provider", "echo", "--embed", "word2vec"],
+             "unknown embedding provider spec 'word2vec' (hash[:DIM] | http)"),
+            (["adapt", "--mode", "fs-bm25", "--provider", "echo", "--ratio", "1"],
+             "--ratio expects LO,HI, got '1'"),
+            (["adapt", "--mode", "fs-emb", "--provider", "echo"], "fs-emb needs --embed"),
+        ],
+        ids=["scripted-without-path", "unknown-embed-spec", "ratio-one-number", "fs-emb-without-embed"],
+    )
+    def test_usage_error(self, workdir, capsys, argv, message):
+        tmp_path, docs_path, train_path = workdir
+        argv = argv + ["--input", str(docs_path), "--corpus", str(train_path)]
+        rc, err = self.run(capsys, argv, tmp_path / "out.jsonl")
+        assert rc == EXIT_USAGE
+        assert f"usage error: {message}\n" in err
+
+    def test_unreadable_config(self, workdir, capsys):
+        tmp_path, docs_path, _ = workdir
+        config = tmp_path / "missing.json"
+        argv = ["stats", "--config", str(config), "--input", str(docs_path)]
+        rc, err = self.run(capsys, argv, tmp_path / "out.json")
+        assert rc == EXIT_CONFIG
+        assert f"error: cannot read config {config}: " in err
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("source", "   ", "document source must be non-empty"),
+         ("task", "XX", "unknown task 'XX'; expected one of ('PL', 'ER')")],
+        ids=["whitespace-source", "unknown-task"],
+    )
+    @pytest.mark.parametrize("corpus_format", ["jsonl", "csv"])
+    def test_invalid_document(self, tmp_path, capsys, corpus_format, field, value, message):
+        rows = [{"id": "a", "source": "Texto a.", "task": "PL"}]
+        rows.append({**rows[0], "id": "b", field: value})
+        path = tmp_path / f"bad.{corpus_format}"
+        if corpus_format == "csv":
+            path.write_text("id,source,task\n" + "".join(
+                f"{r['id']},{r['source']},{r['task']}\n" for r in rows), encoding="utf-8")
+        else:
+            write_lines(path, rows)
+        rc, err = self.run(capsys, ["stats", "--input", str(path)], tmp_path / "out.json")
+        assert rc == EXIT_CONFIG
+        line = 3 if corpus_format == "csv" else 2  # the CSV header is line 1
+        assert f"error: {path} line {line}: {message}\n" in err
+
+    def adapt_over_index(self, capsys, workdir, index_path):
+        tmp_path, docs_path, train_path = workdir
+        argv = ["adapt", "--input", str(docs_path), "--corpus", str(train_path),
+                "--index", str(index_path), "--mode", "fs-bm25", "--provider", "echo"]
+        rc, err = self.run(capsys, argv, tmp_path / "out.jsonl")
+        assert rc == EXIT_CONFIG
+        assert err.startswith(f"error: index file {index_path}: ")
+        assert err.endswith("; rebuild it with `apec index`\n")
+        return err
+
+    def test_index_json_array(self, workdir, capsys):
+        index_path = workdir[0] / "index.json"
+        index_path.write_text("[]\n", encoding="utf-8")
+        assert ": not a JSON object;" in self.adapt_over_index(capsys, workdir, index_path)
+
+    def test_token_counts_not_a_list(self, workdir, capsys):
+        tmp_path, _, train_path = workdir
+        index_path = tmp_path / "index.json"
+        assert main(["index", "--corpus", str(train_path), "--output", str(index_path)]) == EXIT_OK
+        payload = json.loads(index_path.read_text(encoding="utf-8"))
+        payload["doc_token_counts"] = dict(enumerate(payload["doc_token_counts"]))
+        index_path.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        err = self.adapt_over_index(capsys, workdir, index_path)
+        assert ": doc_token_counts is not a list of token counts;" in err
+
+    def test_span_over_two_records(self, workdir, capsys):
+        # t0's span widened over t1, which has no reference and so no span of
+        # its own: the spans stay disjoint, and the digest is that of both lines
+        tmp_path, _, train_path = workdir
+        rows = [json.loads(line) for line in train_path.read_text(encoding="utf-8").splitlines()]
+        del rows[1]["reference"]
+        write_lines(train_path, rows)
+        index_path = tmp_path / "index.json"
+        assert main(["index", "--corpus", str(train_path), "--output", str(index_path)]) == EXIT_OK
+        capsys.readouterr()
+        payload = json.loads(index_path.read_text(encoding="utf-8"))
+        assert payload["doc_ids"][:2] == ["t0", "t2"]
+        lines = train_path.read_bytes().splitlines(keepends=True)
+        both = lines[0] + lines[1]
+        set_spans(lambda s: [0, len(both), *s[2:]])(payload)
+        set_digests(lambda d: hashlib.sha256(both).digest()[:16] + d[16:])(payload)
+        index_path.write_text(json.dumps(payload), encoding="utf-8")
+        err = self.adapt_over_index(capsys, workdir, index_path)
+        assert f"doc 't0': {train_path} bytes 0:{len(both)}: 2 records, not one;" in err
 
 
 class TestConfig:

@@ -5,10 +5,9 @@ import pytest
 
 from apec.errors import (
     ApecError,
-    MissingCorrectionError,
     ProviderUnavailableError,
-    ResponseEmptyError,
     TransientProviderError,
+    UnusableResponseError,
 )
 from apec.generation import (
     DECODING_PROFILES,
@@ -151,12 +150,12 @@ class TestParseResponse:
         assert parsed.final_notes == "Nada."
 
     def test_missing_correction_header(self):
-        with pytest.raises(MissingCorrectionError):
+        with pytest.raises(UnusableResponseError, match="^response has no correction header$"):
             parse_apec_response("# Análisis de la adaptación\nTexto.", "PL")
 
     def test_empty_correction_section(self):
         raw = "# Corrección\n\n# Final\nNada."
-        with pytest.raises(MissingCorrectionError):
+        with pytest.raises(UnusableResponseError, match="^correction section is empty$"):
             parse_apec_response(raw, "PL")
 
     def test_no_final_header(self):
@@ -239,7 +238,7 @@ class TestGenerateText:
 
     def test_blank_completion(self):
         provider = FlakyProvider(failures=0, response="  \n ")
-        with pytest.raises(ResponseEmptyError):
+        with pytest.raises(UnusableResponseError, match="^provider returned an empty completion$"):
             generate_text(provider, REQUEST, backoff=0.0)
 
 
@@ -270,7 +269,8 @@ class TestScriptedProvider:
         perro = GenerationRequest(system_prompt="", messages=(("user", "el perro corre"),))
         assert provider.complete(gato) == "miau"
         assert provider.complete(perro) == "guau"
-        assert provider.remaining == 0
+        with pytest.raises(ProviderUnavailableError):  # both entries are spent
+            provider.complete(gato)
 
     def test_empty_match_consumed_in_order(self):
         provider = ScriptedChatProvider(
@@ -298,8 +298,9 @@ class TestScriptedProvider:
         ]
         fixture.write_text("\n".join(lines), encoding="utf-8")
         provider = ScriptedChatProvider.from_path(fixture)
-        assert provider.remaining == 1
         assert provider.complete(REQUEST) == "respuesta"
+        with pytest.raises(ProviderUnavailableError):  # the blank line is no entry
+            provider.complete(REQUEST)
 
 
 def _chat_payload(content) -> dict:
@@ -390,7 +391,7 @@ class TestHttpChatProvider:
         payload = {"choices": [{"message": {"role": "assistant", "content": None}}]}
         stub_server.script.append(Reply(body=payload))
         provider = HttpChatProvider(stub_server.url, "m")
-        with pytest.raises(ResponseEmptyError):
+        with pytest.raises(UnusableResponseError, match="empty completion"):
             generate_text(provider, REQUEST, retries=2, backoff=0.0)
         assert len(stub_server.received) == 1
 

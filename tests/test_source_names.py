@@ -1,14 +1,18 @@
 """Dead names in the package source: an import that its module never uses,
-and a module-level private name (`_x`) that no module of the package refers
-to. Either is what a deletion tends to leave behind."""
+a module-level private name (`_x`) that no module of the package refers
+to, and a public method or property of a class that no program file reads
+(the package, `scripts/` and `perfbench/`; tests do not count). Each is
+what a deletion tends to leave behind."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "apec"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "apec"
 MODULES = sorted(PACKAGE.glob("*.py"))
+PROGRAM = MODULES + sorted(ROOT.glob("scripts/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
 
 
 def parse(path: Path) -> ast.Module:
@@ -69,6 +73,27 @@ def references(tree: ast.Module):
             yield from (alias.name for alias in node.names)
 
 
+def public_members(tree: ast.Module):
+    """(class, name, line) of each method or property, public by its name,
+    that a class of the module defines."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if not item.name.startswith("_"):
+                        yield node.name, item.name, item.lineno
+
+
+def member_reads(tree: ast.Module):
+    """Every attribute the module reads, and every string constant, which
+    may name one for getattr or for a tracer that wraps it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
 @pytest.mark.parametrize(
     # the package's __init__ imports only to re-export
     "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
@@ -90,6 +115,18 @@ def test_every_private_name_is_referenced():
     assert unreferenced == []
 
 
+def test_every_public_member_is_read():
+    assert len(PROGRAM) > len(MODULES) + 2  # the globs found scripts/ and perfbench/
+    reads = {name for path in PROGRAM for name in member_reads(parse(path))}
+    unread = [
+        f"{path.name}:{line} {cls}.{name}"
+        for path in MODULES
+        for cls, name, line in public_members(parse(path))
+        if name not in reads
+    ]
+    assert unread == []
+
+
 def test_checks_catch_leftovers():
     tree = ast.parse(
         "import os\nimport urllib.parse\nimport urllib.request\n"
@@ -104,3 +141,13 @@ def test_checks_catch_leftovers():
         "_helper",
         "_TABLE",
     ]
+    tree = ast.parse(
+        "class Provider:\n"
+        "    @property\n    def remaining(self):\n        return self._left\n"
+        "    def complete(self):\n        return self._spend()\n"
+        "    def close(self):\n        pass\n"
+        "    def _spend(self):\n        self.remaining_count = 0\n"
+        "provider = Provider()\nprint(provider.complete(), getattr(provider, 'close'))\n"
+    )
+    reads = set(member_reads(tree))
+    assert [name for _, name, _ in public_members(tree) if name not in reads] == ["remaining"]

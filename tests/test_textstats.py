@@ -11,9 +11,12 @@ from apec.textstats import (
     FH_INTERCEPT,
     FH_SENTENCE_WEIGHT,
     FH_SYLLABLE_WEIGHT,
+    TextStats,
     _ABBREVIATIONS,
     _CLOSERS,
+    _PARAGRAPH_SPLIT,
     _TERMINALS,
+    _WORD_TOKEN,
     _ends_with_abbreviation,
     _scan_block,
     count_syllables,
@@ -129,9 +132,9 @@ class TestSegmentation:
             "Y un resto",
         ]
 
-    def test_wordless_fragment_merged(self):
-        sentences = segment_sentences("Hola. !!! Adiós.")
-        assert sentences == ["Hola. !!!", "Adiós."]
+    def test_wordless_fragment_kept(self):
+        # text_stats skips it: it holds no word token
+        assert segment_sentences("Hola. !!! Adiós.") == ["Hola.", "!!!", "Adiós."]
 
     def test_punctuation_only_text_survives(self):
         assert segment_sentences("...") == ["..."]
@@ -244,6 +247,67 @@ class TestRegexScanner:
     )
     def test_examples_match_reference(self, block):
         assert _scan_block(block) == reference_scan_block(block)
+
+
+def reference_segment_sentences(text: str) -> list[str]:
+    """The original segmentation, which merged each fragment without a word
+    token into its neighbour: the reference for counting the unmerged
+    sentences in `text_stats`."""
+    sentences: list[str] = []
+    carry = ""
+    for block in _PARAGRAPH_SPLIT.split(text):
+        for fragment in _scan_block(block.strip()):
+            if not _WORD_TOKEN.search(fragment):
+                if sentences:
+                    sentences[-1] = sentences[-1] + " " + fragment
+                else:
+                    carry = (carry + " " + fragment).strip()
+            elif carry:
+                sentences.append(carry + " " + fragment)
+                carry = ""
+            else:
+                sentences.append(fragment)
+    if carry:  # punctuation-only input
+        sentences.append(carry)
+    return sentences
+
+
+def reference_text_stats(text: str) -> TextStats:
+    """The original `text_stats`, over the merged sentences."""
+    if not text.strip():
+        return TextStats(0, 0, 0)
+    sentence_count = word_count = syllable_count = 0
+    for sentence in reference_segment_sentences(text):
+        words = tokenize_words(sentence)
+        if words:
+            sentence_count += 1
+            word_count += len(words)
+            syllable_count += sum(map(count_syllables, words))
+    return TextStats(sentence_count, word_count, syllable_count)
+
+
+# letters, digits, terminals, openers, closers, abbreviations and blank lines
+STATS_PIECES = st.one_of(
+    st.sampled_from(["casa", "Él", "aéreo", "x", "7", "2024"]),
+    st.sampled_from(list(_TERMINALS) + list("¡¿«»\"()")),
+    st.sampled_from(["Sr.", "etc.", "sr", "Etc."]),
+    st.sampled_from([" ", "  ", "\n", "\n\n", "\n \n"]),
+)
+
+
+class TestUnmergedCounts:
+    @given(st.lists(STATS_PIECES, max_size=40).map("".join))
+    @settings(max_examples=1000)
+    def test_same_counts_as_merging_reference(self, text):
+        assert text_stats(text) == reference_text_stats(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", " \n\n ", "...", "¡¿?! Hola.", "Hola. !!! Adiós.", "«» \n\n Sr. Pérez. (…) 7",
+         "Fin.\n\n!!!\n\n?? etc. casa"],
+    )
+    def test_examples_match_reference(self, text):
+        assert text_stats(text) == reference_text_stats(text)
 
 
 class TestSyllables:
