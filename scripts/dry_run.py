@@ -5,7 +5,8 @@ then drives the CLI through stats, index, adapt (BM25 few-shot from the
 index file, BM25 few-shot from an index built in memory, BM25 few-shot
 from the index file of a CSV copy of the training corpus, then embedding
 few-shot, all with the same scripted replies; the CSV copy and its index
-live in a temporary directory, so that every artifact is JSON), two
+live in a temporary directory, so that every artifact is JSON or JSONL,
+apart from the index's raw sidecar `index.json.columns`), two
 refinement streams over the BM25 adaptations (the first again with three
 workers), ensembling, and evaluation. Artifacts land in --workdir (default: a
 fresh temp directory) and are printed at the end.

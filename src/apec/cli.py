@@ -365,6 +365,8 @@ def cmd_adapt(args, config: dict) -> int:
         raise UsageError(f"--k must be >= 1, got {args.k}")
     if args.ratio and args.mode != "fs-bm25":
         raise UsageError("--ratio only applies to fs-bm25")
+    if args.embed and args.mode != "fs-emb":
+        raise UsageError("--embed only applies to fs-emb")
     if args.mode != "zs" and not args.corpus:
         raise UsageError(f"mode {args.mode} needs --corpus for demonstrations")
     if args.mode == "fs-emb" and not args.embed:

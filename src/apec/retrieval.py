@@ -16,12 +16,13 @@ formula to every posting on every query.
 Built and loaded indexes share one layout, a term table: the sorted
 `terms`, and parallel to them the `starts` of each term's postings and a
 float64 `idf` column. The postings are two uint32 columns, `positions` and
-`tfs`, in sorted term order, which the index file stores as base64
-little-endian uint32 and `load_index` decodes once. A term's slice is read
-only when a query first holds it; cached impacts hold the index's shared
-position ints. An index's avgdl is the mean of its documents' token
-counts; `load_index` refuses a file whose stored `avgdl` is another number,
-or whose counts do not sum to the total of its `tfs`.
+`tfs`, in sorted term order. An index file is a one-line JSON header and a
+sidecar of raw little-endian columns, which `load_index` reads straight
+into arrays. A term's slice is read only when a query first holds it;
+cached impacts hold the index's shared position ints. An index's avgdl is
+the mean of its documents' token counts; `load_index` refuses a file whose
+stored `avgdl` is another number, or whose counts do not sum to the total
+of its `tfs`.
 
 Every demonstration mode reads a training corpus file through one type,
 `CorpusPairs`. It streams the file once, a record at a time, and keeps
@@ -46,7 +47,6 @@ bit-identical to `cosine()`, and ties rank by position.
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import heapq
 import json
@@ -74,7 +74,7 @@ from .similarity import (
 )
 
 INDEX_SCHEMA_VERSION = 1
-INDEX_KIND = "bm25-index-digests"
+INDEX_KIND = "bm25-index-columns"
 INDEX_LAYOUT = (INDEX_SCHEMA_VERSION, INDEX_KIND)
 
 
@@ -413,56 +413,43 @@ def random_k(pairs: list[tuple[str, str]] | CorpusPairs, k: int, seed: int) -> l
     ]
 
 
-def _b64_column(typecode: str, values) -> str:
-    column = array(typecode, values)
-    if sys.byteorder == "big":
-        column.byteswap()
-    return base64.b64encode(column.tobytes()).decode("ascii")
-
-
 def save_index(index: Bm25Index, path) -> None:
-    """Persist the postings of an index over a corpus file as versioned JSON.
+    """Persist an index over a corpus file: its columns, raw little-endian,
+    in the sidecar `path` + ".columns", then a one-line JSON header at `path`.
 
-    `doc_freqs` maps terms to document frequencies, the gaps between the
-    term table's `starts`; the `positions` and `tfs` columns are the index's
-    own, every term's postings in sorted term order, written as base64
-    little-endian uint32. Pair texts are not stored: the
-    index names the corpus file it was built from by `corpus_sha256`, the
-    hex sha256 of its bytes, `spans` gives each document's (start, end)
-    byte span in it, in doc id order, as little-endian uint64, and
-    `digests` the 16-byte digest of each document's record there.
+    The sidecar holds, in order: `dfs` (uint32 per term, the gaps between
+    `starts`), `doc_token_counts` (uint32 per doc id), the index's own
+    `positions` and `tfs` (uint32), `spans` (uint64, each document's start
+    and end byte in the corpus) and `digests` (16 bytes per document, of its
+    record). The header holds `params`, `doc_ids`, `avgdl`, the sorted
+    `terms`, and the hex sha256 of the corpus file as `corpus_sha256` and of
+    the sidecar as `columns_sha256`. Pair texts are not stored.
     """
-    starts, pairs = index.starts, index.pairs
-    payload = {
-        "schema_version": INDEX_SCHEMA_VERSION,
-        "kind": INDEX_KIND,
-        "params": asdict(index.params),
-        "doc_ids": list(index.doc_ids),
-        "doc_token_counts": list(index.doc_token_counts),
-        "avgdl": index.avgdl,
-        "doc_freqs": dict(zip(index.terms, map(operator.sub, starts[1:], starts))),
-        "positions": _b64_column("I", index.positions),
-        "tfs": _b64_column("I", index.tfs),
-        "corpus_sha256": pairs.sha256,
-        "spans": _b64_column("Q", pairs.spans),
-        "digests": base64.b64encode(pairs.digests).decode("ascii"),
-    }
+    starts, pairs, sha256 = index.starts, index.pairs, hashlib.sha256()
+    with open(f"{os.fspath(path)}.columns", "wb") as handle:
+        for column in (array("I", map(operator.sub, starts[1:], starts)), array("I", index.doc_token_counts),
+                       index.positions, index.tfs, array("Q", pairs.spans), array("B", pairs.digests)):
+            if sys.byteorder == "big":
+                column = array(column.typecode, column)
+                column.byteswap()
+            sha256.update(column)
+            column.tofile(handle)
+    header = dict(schema_version=INDEX_SCHEMA_VERSION, kind=INDEX_KIND, params=asdict(index.params),
+                  doc_ids=list(index.doc_ids), avgdl=index.avgdl, corpus_sha256=pairs.sha256,
+                  terms=index.terms, columns_sha256=sha256.hexdigest())
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, ensure_ascii=False, sort_keys=True, allow_nan=False)
-        handle.write("\n")
+        handle.write(json.dumps(header, ensure_ascii=False, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _index_error(path, problem: str) -> ValueError:
     return ValueError(f"index file {path}: {problem}; rebuild it with `apec index`")
 
 
-def _column_array(path, name: str, text, typecode: str) -> array:
+def _read_column(handle, sha256, typecode: str, n: int) -> array:
+    """n little-endian items from `handle`, hashed into `sha256` as read."""
     column = array(typecode)
-    try:
-        column.frombytes(base64.b64decode(text, validate=True))
-    except (TypeError, ValueError):  # not a base64 string, or not whole items
-        bits = 8 * column.itemsize
-        raise _index_error(path, f"{name} is not base64 of little-endian uint{bits}s") from None
+    column.fromfile(handle, n)
+    sha256.update(column)
     if sys.byteorder == "big":
         column.byteswap()
     return column
@@ -537,33 +524,32 @@ class CorpusPairs:
 def load_index(path, corpus) -> Bm25Index:
     """Load a persisted index over `corpus`, the corpus file it was built from.
 
-    Each column is decoded once and its text dropped, and each term's
-    document frequency comes from `doc_freqs`; a term's positions and
-    counts are sliced out of the columns and checked the first time a
-    query holds it. The stored `avgdl` must be the mean of
-    `doc_token_counts`, which the index recomputes, and the counts must
-    sum to the total of `tfs`. The corpus, hashed in chunks, must have the
-    recorded sha256, and a document's record is read back and parsed the
-    first time a ranking needs its texts. Malformed content, a changed
-    corpus and an older layout raise `ValueError`: `apec index` must
-    rebuild.
+    The header's `terms` must be strings in ascending order. Each column is
+    read from the sidecar straight into an array and hashed as it is read;
+    the sidecar must have the header's `columns_sha256` and the size that
+    the header's lengths and `dfs` give, each df in [1, number of docs]. A
+    term's postings are checked the first time a query holds it. `avgdl`
+    must be the mean of `doc_token_counts`, whose total must be that of
+    `tfs`. The corpus, hashed in chunks, must have the recorded sha256, and
+    a document's record is read back and parsed the first time a ranking
+    needs its texts. Malformed content, a missing sidecar, a changed corpus
+    and an older layout raise `ValueError`: `apec index` must rebuild.
     """
     with open(path, encoding="utf-8") as handle:
         try:
-            payload = json.load(handle)
+            header = json.load(handle)
         except ValueError as exc:  # not JSON, or not UTF-8
             raise _index_error(path, f"not valid JSON: {exc}") from None
-    if not isinstance(payload, dict):
+    if not isinstance(header, dict):
         raise _index_error(path, "not a JSON object")
-    layout = (payload.get("schema_version"), payload.get("kind"))
+    layout = (header.get("schema_version"), header.get("kind"))
     if layout != INDEX_LAYOUT:
         raise _index_error(path, f"(schema_version, kind) is {layout}, not {INDEX_LAYOUT}")
-    keys = ("params", "doc_ids", "doc_token_counts", "avgdl", "doc_freqs", "corpus_sha256",
-            "positions", "tfs", "spans", "digests")
-    missing_keys = [key for key in keys if key not in payload]
+    keys = ("params", "doc_ids", "avgdl", "corpus_sha256", "terms", "columns_sha256")
+    missing_keys = [key for key in keys if key not in header]
     if missing_keys:
         raise _index_error(path, f"missing {', '.join(missing_keys)}")
-    raw_params, doc_ids, counts, avgdl, doc_freqs, corpus_sha256 = (payload.pop(key) for key in keys[:6])
+    raw_params, doc_ids, avgdl, corpus_sha256, terms, columns_sha256 = map(header.get, keys)
     if not isinstance(raw_params, dict) or raw_params.keys() != asdict(Bm25Params()).keys():
         raise _index_error(path, "params must hold exactly k1, b, epsilon, min_token_len")
     try:
@@ -577,30 +563,38 @@ def load_index(path, corpus) -> Bm25Index:
         raise _index_error(path, "doc_ids is empty")
     if len(set(doc_ids)) != len(doc_ids):
         raise _index_error(path, "doc_ids repeat an id")
-    if not (isinstance(counts, list) and all(type(n) is int and n >= 0 for n in counts)):
-        raise _index_error(path, "doc_token_counts is not a list of token counts")
-    if len(counts) != len(doc_ids):
-        raise _index_error(path, f"{len(counts)} doc_token_counts for {len(doc_ids)} doc_ids")
     if not (
-        isinstance(doc_freqs, dict) and all(type(n) is int and n >= 1 for n in doc_freqs.values())
+        isinstance(terms, list) and set(map(type, terms)) <= {str}
+        and all(map(operator.lt, terms, terms[1:]))  # bisect_left finds a term's row
     ):
-        raise _index_error(path, "doc_freqs is not a map of terms to counts >= 1")
-    terms = sorted(doc_freqs)
-    dfs = list(map(doc_freqs.get, terms))
-    del doc_freqs
-    positions, tfs = (_column_array(path, key, payload.pop(key), "I") for key in ("positions", "tfs"))
-    if not len(positions) == len(tfs) == sum(dfs):
-        raise _index_error(path, "positions and tfs must hold one entry per doc_freqs count")
+        raise _index_error(path, "terms is not a list of strings in strictly ascending order")
+    n_docs, sidecar, sha256 = len(doc_ids), f"{os.fspath(path)}.columns", hashlib.sha256()
+    try:
+        with open(sidecar, "rb") as handle:
+            read = partial(_read_column, handle, sha256)
+            size = os.fstat(handle.fileno()).st_size
+            dfs = read("I", min(len(terms), size // 4))  # of a shorter file, the size check fails
+            if dfs and not (min(dfs) >= 1 and max(dfs) <= n_docs):
+                raise _index_error(path, f"dfs must be document frequencies in [1, {n_docs}]")
+            n_postings = sum(dfs)
+            expected = 4 * (len(terms) + n_docs + 2 * n_postings) + 32 * n_docs
+            if size != expected:
+                raise _index_error(path, f"{sidecar} holds {size} bytes, not the {expected} "
+                                         f"that its terms, doc_ids and dfs give")
+            counts, positions, tfs, spans = (read(typecode, n) for typecode, n in (
+                ("I", n_docs), ("I", n_postings), ("I", n_postings), ("Q", 2 * n_docs)))
+            digests = read("B", 16 * n_docs).tobytes()
+    except (OSError, EOFError) as exc:  # EOFError: the file shrank while it was read
+        raise _index_error(path, f"cannot read its columns: {exc}") from None
+    if sha256.hexdigest() != columns_sha256:
+        raise _index_error(path, f"{sidecar} has sha256 {sha256.hexdigest()!r}, not columns_sha256 "
+                                 f"{columns_sha256!r}: it changed or belongs to another index")
     if sum(counts) != sum(tfs):
         raise _index_error(path, "doc_token_counts do not sum to the total of tfs")
-    digests = _column_array(path, "digests", payload.pop("digests"), "B").tobytes()
-    if len(digests) != 16 * len(doc_ids):
-        raise _index_error(path, "digests must hold 16 bytes per doc id")
-    spans = _column_array(path, "spans", payload.pop("spans"), "Q")
     sha256 = hashlib.sha256()
     with open(corpus, "rb") as handle:
         # the bytes before the first indexed record: a CSV file's header row, and skipped rows
-        head = handle.read(min(spans[0], os.fstat(handle.fileno()).st_size)) if spans else b""
+        head = handle.read(min(spans[0], os.fstat(handle.fileno()).st_size))
         for chunk in chain([head], iter(partial(handle.read, 1 << 16), b"")):
             sha256.update(chunk)
         size = handle.tell()
@@ -608,10 +602,9 @@ def load_index(path, corpus) -> Bm25Index:
         raise _index_error(path, f"built from a corpus with sha256 {corpus_sha256!r}, not {corpus} "
                                  f"as it is now (sha256 {sha256.hexdigest()!r})")
     if not (
-        len(spans) == 2 * len(doc_ids)
-        and all(map(operator.lt, spans[0::2], spans[1::2]))
+        all(map(operator.lt, spans[0::2], spans[1::2]))
         and all(map(operator.le, spans[1::2], spans[2::2]))
-        and (not spans or spans[-1] <= size)
+        and spans[-1] <= size
     ):
         raise _index_error(path, f"spans must be a start and an end per doc id, ascending, "
                                  f"disjoint byte ranges of {corpus}")

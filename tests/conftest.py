@@ -4,10 +4,12 @@ import itertools
 import json
 import math
 import socket
+import struct
 import threading
 import time
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -107,6 +109,42 @@ def save_index_over_corpus(index, path):
     )
     save_index(dataclasses.replace(index, pairs=pairs), path)
     return corpus
+
+
+# the sidecar of an index file: these columns, then 16 bytes of digest per document
+INDEX_COLUMNS = (("dfs", "I"), ("doc_token_counts", "I"), ("positions", "I"), ("tfs", "I"), ("spans", "Q"))
+
+
+def read_index_file(path) -> dict:
+    """An index file's header with its sidecar's columns added under their
+    names: lists of ints, and `digests` as bytes."""
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = Path(f"{path}.columns").read_bytes()
+    n_terms, n_docs = len(payload["terms"]), len(payload["doc_ids"])
+    n_postings = sum(struct.unpack_from(f"<{n_terms}I", data))
+    offset = 0
+    for (name, code), n in zip(INDEX_COLUMNS, (n_terms, n_docs, n_postings, n_postings, 2 * n_docs)):
+        payload[name] = list(struct.unpack_from(f"<{n}{code}", data, offset))
+        offset += struct.calcsize(f"<{n}{code}")
+    payload["digests"] = data[offset:]
+    return payload
+
+
+def write_index_file(path, payload) -> None:
+    """Write a `read_index_file` payload back. With a `columns_sha256` key, the
+    columns that it holds go to the sidecar in layout order, each a list of
+    ints or raw bytes, and `columns_sha256` becomes the sidecar's sha256;
+    without one, the payload is an earlier layout's single JSON object."""
+    header = dict(payload)
+    if "columns_sha256" in header:
+        data = b"".join(
+            column if isinstance(column, bytes) else struct.pack(f"<{len(column)}{code}", *column)
+            for name, code in (*INDEX_COLUMNS, ("digests", None))
+            if (column := header.pop(name, None)) is not None
+        )
+        Path(f"{path}.columns").write_bytes(data)
+        header["columns_sha256"] = hashlib.sha256(data).hexdigest()
+    Path(path).write_text(json.dumps(header) + "\n", encoding="utf-8")
 
 
 @pytest.fixture

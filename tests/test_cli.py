@@ -29,7 +29,7 @@ from apec.errors import ApecError
 from apec.refine import ApecTrace, trace_from_dict, trace_to_dict
 from apec.similarity import HashEmbeddingProvider
 
-from conftest import Reply, apec_response
+from conftest import Reply, apec_response, read_index_file, write_index_file
 
 
 def write_lines(path, rows):
@@ -166,39 +166,53 @@ def u32_column(values) -> str:
     return base64.b64encode(struct.pack(f"<{len(values)}I", *values)).decode("ascii")
 
 
-def term_postings(payload) -> dict:
-    """term -> [(pos, tf), ...] read back from the columns of an index file."""
-    positions, tfs = (
-        struct.unpack(f"<{len(raw) // 4}I", raw)
-        for raw in (base64.b64decode(payload[key]) for key in ("positions", "tfs"))
+def parent_layout(payload, kind="bm25-index-digests"):
+    """Turn a payload into the layout before the sidecar, one JSON object of
+    `kind`: `doc_freqs` maps terms to dfs, the token counts are a list, and
+    the other columns are base64 of little-endian uint32, uint64 or bytes."""
+    terms, dfs, spans = payload.pop("terms"), payload.pop("dfs"), payload.pop("spans")
+    del payload["columns_sha256"]
+    payload.update(
+        kind=kind, doc_freqs=dict(zip(terms, dfs)),
+        positions=u32_column(payload["positions"]), tfs=u32_column(payload["tfs"]),
+        spans=base64.b64encode(struct.pack(f"<{len(spans)}Q", *spans)).decode("ascii"),
+        digests=base64.b64encode(payload["digests"]).decode("ascii"),
     )
-    postings, start = {}, 0
-    for term in sorted(payload["doc_freqs"]):
-        end = start + payload["doc_freqs"][term]
-        postings[term] = list(zip(positions[start:end], tfs[start:end]))
-        start = end
+
+
+def term_postings(payload) -> dict:
+    """term -> [(pos, tf), ...] of an index file's columns."""
+    postings, start, positions, tfs = {}, 0, payload["positions"], payload["tfs"]
+    for term, df in zip(payload["terms"], payload["dfs"]):
+        postings[term] = list(zip(positions[start : start + df], tfs[start : start + df]))
+        start += df
     return postings
 
 
 def set_postings(pairs):
-    """Give every term the same postings, `pairs` of (pos, tf)."""
+    """Give every term the same postings, `pairs` of (pos, tf). The first
+    document's token count becomes the total of the new tfs and the others'
+    0, with the avgdl that is their mean, so that the file loads and the
+    postings check is what fails, when a query first holds a term."""
 
     def corrupt(payload):
-        terms = payload["doc_freqs"]
-        payload["doc_freqs"] = {term: len(pairs) for term in terms}
-        payload["positions"] = u32_column([pos for pos, _ in pairs] * len(terms))
-        payload["tfs"] = u32_column([tf for _, tf in pairs] * len(terms))
+        n_terms, n_docs = len(payload["terms"]), len(payload["doc_ids"])
+        payload["dfs"] = [len(pairs)] * n_terms
+        payload["positions"] = [pos for pos, _ in pairs] * n_terms
+        payload["tfs"] = [tf for _, tf in pairs] * n_terms
+        total = sum(payload["tfs"])
+        payload["doc_token_counts"] = [total] + [0] * (n_docs - 1)
+        payload["avgdl"] = total / n_docs
 
+    corrupt.message = "postings of "
     return corrupt
 
 
 def set_spans(change):
-    """Replace the spans column, read as a flat [start, end, ...] list, with change(list)."""
+    """Replace the spans column, a flat [start, end, ...] list, with change(list)."""
 
     def corrupt(payload):
-        raw = base64.b64decode(payload["spans"])
-        spans = change(list(struct.unpack(f"<{len(raw) // 8}Q", raw)))
-        payload["spans"] = base64.b64encode(struct.pack(f"<{len(spans)}Q", *spans)).decode("ascii")
+        payload["spans"] = change(payload["spans"])
 
     return corrupt
 
@@ -209,22 +223,23 @@ def halve_spans(spans):
 
 
 def columns_layout(payload):
-    """The layout before spans: no corpus digest, no spans, kind bm25-index-columns."""
+    """The layout before spans: no corpus digest, no spans, kind bm25-index-columns,
+    the kind of today's header."""
+    parent_layout(payload, "bm25-index-columns")
     del payload["corpus_sha256"], payload["spans"], payload["digests"]
-    payload["kind"] = "bm25-index-columns"
 
 
 def spans_layout(payload):
     """The layout before record digests: kind bm25-index-spans, no digests."""
+    parent_layout(payload, "bm25-index-spans")
     del payload["digests"]
-    payload["kind"] = "bm25-index-spans"
 
 
 def set_digests(change):
     """Replace the digests column's bytes with change(bytes)."""
 
     def corrupt(payload):
-        payload["digests"] = base64.b64encode(change(base64.b64decode(payload["digests"]))).decode()
+        payload["digests"] = change(payload["digests"])
 
     return corrupt
 
@@ -233,9 +248,27 @@ def first_df(change):
     """Replace the first term's document frequency n with change(n)."""
 
     def corrupt(payload):
-        term = min(payload["doc_freqs"])
-        payload["doc_freqs"][term] = change(payload["doc_freqs"][term])
+        payload["dfs"][0] = change(payload["dfs"][0])
 
+    return corrupt
+
+
+def first_df_same_total(df):
+    """The first term's document frequency set to `df`, and the difference
+    taken from the terms after it (each keeps a df >= 1), or given to the
+    second, so that Σdfs and the sidecar's size stay as they were."""
+
+    def corrupt(payload):
+        dfs = payload["dfs"]
+        excess, dfs[0] = df - dfs[0], df
+        if excess < 0:
+            dfs[1] -= excess
+        for i in range(1, len(dfs)):
+            taken = min(excess, dfs[i] - 1) if excess > 0 else 0
+            dfs[i], excess = dfs[i] - taken, excess - taken
+        assert excess <= 0
+
+    corrupt.message = "dfs must be document frequencies in [1, 40]"
     return corrupt
 
 
@@ -243,23 +276,39 @@ def older_format(kind, encode):
     """An earlier layout: `kind`, and `postings` of term -> encode([(pos, tf), ...])."""
 
     def corrupt(payload):
-        payload["postings"] = {term: encode(docs) for term, docs in term_postings(payload).items()}
+        postings = {term: encode(docs) for term, docs in term_postings(payload).items()}
+        parent_layout(payload, kind)
         for key in ("doc_freqs", "positions", "tfs"):
             del payload[key]
-        payload["kind"] = kind
+        payload["postings"] = postings
+
+    return corrupt
+
+
+def packed_tail(name, code, cut):
+    """The column `name` as raw bytes, short of `cut` bytes of its last item."""
+
+    def corrupt(payload):
+        column = payload[name]
+        payload[name] = struct.pack(f"<{len(column)}{code}", *column)[:-cut]
 
     return corrupt
 
 
 def drop_last_tf(payload):
     """A position without a count."""
-    payload["tfs"] = base64.b64encode(base64.b64decode(payload["tfs"])[:-4]).decode("ascii")
+    payload["tfs"].pop()
 
 
 def no_docs(payload):
     """An index of no document over the same corpus, which `apec index` never writes."""
-    payload.update(doc_ids=[], doc_token_counts=[], doc_freqs={}, positions="", tfs="", spans="",
-                   digests="")
+    payload.update(doc_ids=[], doc_token_counts=[], terms=[], dfs=[], positions=[], tfs=[], spans=[],
+                   digests=b"")
+
+
+def swap_first_terms(payload):
+    terms = payload["terms"]
+    terms[0], terms[1] = terms[1], terms[0]
 
 
 def mixed_doc_id_types(payload):
@@ -327,7 +376,7 @@ class TestIndex:
             ),
             pytest.param(lambda p: p.pop("params"), id="no-params"),
             pytest.param(lambda p: (p.pop("positions"), p.pop("tfs")), id="no-postings"),
-            pytest.param(lambda p: p.pop("doc_freqs"), id="no-doc-freqs"),
+            pytest.param(lambda p: p.pop("dfs"), id="no-doc-freqs"),
             pytest.param(lambda p: p["params"].pop("k1"), id="params-missing-k1"),
             pytest.param(lambda p: p.update(avgdl="4.0"), id="avgdl-string"),
             pytest.param(lambda p: p["params"].update(k1=float("nan")), id="params-k1-nan"),
@@ -349,14 +398,11 @@ class TestIndex:
             # counts whose mean is the avgdl, but whose total is not that of the tfs
             pytest.param(set_token_counts(0), id="token-counts-all-zero"),
             pytest.param(set_token_counts(1), id="token-counts-all-one"),
-            pytest.param(lambda p: p.update(positions=[0, 1]), id="posting-list"),
-            pytest.param(lambda p: p.update(positions="AAAA!AAA"), id="bad-base64"),
-            pytest.param(lambda p: p.update(tfs="AQAAAAEA"), id="partial-uint32"),
+            pytest.param(packed_tail("tfs", "I", 1), id="partial-uint32"),
             pytest.param(drop_last_tf, id="odd-field-count"),
             pytest.param(first_df(lambda n: n + 1), id="columns-short-of-doc-freqs"),
-            pytest.param(first_df(lambda n: 0), id="empty-posting"),
-            pytest.param(first_df(str), id="non-integer-field"),
-            pytest.param(first_df(lambda n: n + 0.5), id="fractional-df"),
+            pytest.param(first_df_same_total(0), id="empty-posting"),
+            pytest.param(first_df_same_total(41), id="df-past-doc-count"),
             pytest.param(set_postings([(40, 1)]), id="position-past-last-doc"),
             # -1 written as a 32-bit two's complement reads as 2**32 - 1
             pytest.param(set_postings([(2**32 - 1, 1)]), id="negative-position"),
@@ -372,9 +418,7 @@ class TestIndex:
                 id="corpus-sha256-of-another-file",
             ),
             pytest.param(lambda p: p.pop("spans"), id="no-spans"),
-            pytest.param(lambda p: p.update(spans="AAAA!AAA"), id="spans-bad-base64"),
-            pytest.param(lambda p: p.update(spans=[0, 10]), id="spans-list"),
-            pytest.param(lambda p: p.update(spans="AQAAAAEAAAABAAAA"), id="spans-partial-uint64"),
+            pytest.param(packed_tail("spans", "Q", 4), id="spans-partial-uint64"),
             pytest.param(set_spans(lambda s: s[:-2]), id="spans-one-doc-short"),
             pytest.param(set_spans(lambda s: [*s, s[-1], s[-1] + 1]), id="spans-one-doc-over"),
             pytest.param(set_spans(lambda s: [s[1], s[0], *s[2:]]), id="span-end-before-start"),
@@ -390,23 +434,51 @@ class TestIndex:
             pytest.param(set_spans(halve_spans), id="spans-of-half-lines"),
             pytest.param(spans_layout, id="spans-layout"),
             pytest.param(lambda p: p.pop("digests"), id="no-digests"),
-            pytest.param(lambda p: p.update(digests="AAAA!AAA"), id="digests-bad-base64"),
-            pytest.param(lambda p: p.update(digests=[0] * 16), id="digests-list"),
             pytest.param(set_digests(lambda d: d[:-16]), id="digests-one-doc-short"),
             pytest.param(set_digests(lambda d: d + d[:16]), id="digests-one-doc-over"),
             pytest.param(set_digests(lambda d: d[16:] + d[:16]), id="digest-of-another-record"),
+            pytest.param(set_digests(lambda d: d[:-1]), id="sidecar-one-byte-short"),
+            pytest.param(set_digests(lambda d: d + b"\0"), id="sidecar-one-byte-over"),
+            pytest.param(lambda p: p["terms"].__setitem__(1, p["terms"][0]), id="repeated-term"),
+            pytest.param(swap_first_terms, id="swapped-terms"),
+            pytest.param(lambda p: p["terms"].__setitem__(0, 1), id="non-string-term"),
         ],
     )
     def test_malformed_index_is_data_error(self, tmp_path, capsys, corrupt):
+        # a case that edits a column writes the sidecar's new sha256 into the
+        # header, so that it reaches the check it targets
         _, docs_path, train_path = write_workers_corpus(tmp_path)  # 40 training docs
         index_path = tmp_path / "index.json"
         rc = main(["index", "--corpus", str(train_path), "--output", str(index_path)])
         assert rc == EXIT_OK
-        payload = json.loads(index_path.read_text(encoding="utf-8"))
+        payload = read_index_file(index_path)
         corrupt(payload)
-        index_path.write_text(json.dumps(payload), encoding="utf-8")
+        write_index_file(index_path, payload)
+        err = self.assert_refused(capsys, docs_path, train_path, index_path)
+        assert getattr(corrupt, "message", "") in err
+
+    @pytest.mark.parametrize("other", [False, True], ids=["no-sidecar", "sidecar-of-another-index"])
+    def test_sidecar_not_its_headers_is_data_error(self, tmp_path, capsys, other):
+        _, docs_path, train_path = write_workers_corpus(tmp_path)
+        index_path, sidecar = tmp_path / "index.json", tmp_path / "index.json.columns"
+        assert main(["index", "--corpus", str(train_path), "--output", str(index_path)]) == EXIT_OK
+        if other:
+            # the records in reverse order: the same terms, dfs and sizes, other bytes
+            lines = train_path.read_bytes().splitlines(keepends=True)
+            reversed_path, other_path = tmp_path / "reversed.jsonl", tmp_path / "other.json"
+            reversed_path.write_bytes(b"".join(reversed(lines)))
+            assert main(["index", "--corpus", str(reversed_path), "--output", str(other_path)]) == EXIT_OK
+            other_sidecar = (tmp_path / "other.json.columns").read_bytes()
+            assert len(other_sidecar) == sidecar.stat().st_size
+            sidecar.write_bytes(other_sidecar)
+        else:
+            sidecar.unlink()
+        err = self.assert_refused(capsys, docs_path, train_path, index_path)
+        assert ("belongs to another index" if other else "cannot read its columns: ") in err
+
+    def assert_refused(self, capsys, docs_path, train_path, index_path):
         capsys.readouterr()
-        out_path = tmp_path / "adapt.jsonl"
+        out_path = index_path.parent / "adapt.jsonl"
         rc = main(
             [
                 "adapt",
@@ -423,6 +495,7 @@ class TestIndex:
         assert "Traceback" not in err
         assert "rebuild it with `apec index`" in err
         assert not out_path.exists()
+        return err
 
 
 class TestAdapt:
@@ -924,6 +997,31 @@ class TestIndexOverCorpus:
         assert len({tuple(t[:-1]) for t in turns}) > 1  # demonstrations vary by document
         if corpus_format == "csv":  # the demonstrations hold the two-line sources
             assert all("\n" in t[0] for t in turns)
+
+    def test_index_of_the_layout_before_its_sidecar_is_refused(self, tmp_path, capsys):
+        # one JSON object with base64 columns, over the corpus's first record
+        docs, docs_path, train_path = write_workers_corpus(tmp_path)
+        line = train_path.read_bytes().splitlines(keepends=True)[0]
+        index_path = tmp_path / "index.json"
+        index_path.write_text(json.dumps({
+            "schema_version": 1, "kind": "bm25-index-digests",
+            "params": {"b": 0.75, "epsilon": 0.25, "k1": 1.5, "min_token_len": 4},
+            "doc_ids": ["t0"], "doc_token_counts": [2], "avgdl": 2.0,
+            "doc_freqs": {"norma": 1, "proceso": 1},
+            "positions": u32_column([0, 0]), "tfs": u32_column([1, 1]),
+            "corpus_sha256": hashlib.sha256(train_path.read_bytes()).hexdigest(),
+            "spans": base64.b64encode(struct.pack("<2Q", 0, len(line))).decode("ascii"),
+            "digests": base64.b64encode(hashlib.sha256(line).digest()[:16]).decode("ascii"),
+        }) + "\n", encoding="utf-8")
+        for name, argv in self.commands(tmp_path, docs, docs_path, train_path).items():
+            out_path = tmp_path / f"{name}.jsonl"
+            rc = main([*argv, "--index", str(index_path), "--output", str(out_path)])
+            err = capsys.readouterr().err
+            assert rc == EXIT_CONFIG, name
+            assert "(schema_version, kind) is (1, 'bm25-index-digests')" in err
+            assert err.endswith("; rebuild it with `apec index`\n")
+            assert "Traceback" not in err
+            assert not out_path.exists()
 
     def test_refine_loaded_equals_built(self, tmp_path, monkeypatch):
         monkeypatch.setattr(
@@ -1700,8 +1798,15 @@ class TestErrorExits:
             (["adapt", "--mode", "fs-bm25", "--provider", "echo", "--ratio", "1"],
              "--ratio expects LO,HI, got '1'"),
             (["adapt", "--mode", "fs-emb", "--provider", "echo"], "fs-emb needs --embed"),
+            (["adapt", "--mode", "zs", "--provider", "echo", "--embed", "hash"],
+             "--embed only applies to fs-emb"),
+            (["adapt", "--mode", "fs-rdm", "--provider", "echo", "--embed", "hash:8"],
+             "--embed only applies to fs-emb"),
+            (["adapt", "--mode", "fs-bm25", "--provider", "echo", "--embed", "word2vec"],
+             "--embed only applies to fs-emb"),
         ],
-        ids=["scripted-without-path", "unknown-embed-spec", "ratio-one-number", "fs-emb-without-embed"],
+        ids=["scripted-without-path", "unknown-embed-spec", "ratio-one-number", "fs-emb-without-embed",
+             "embed-in-zs", "embed-in-fs-rdm", "embed-in-fs-bm25"],
     )
     def test_usage_error(self, workdir, capsys, argv, message):
         tmp_path, docs_path, train_path = workdir
@@ -1754,16 +1859,20 @@ class TestErrorExits:
         index_path.write_text("[]\n", encoding="utf-8")
         assert ": not a JSON object;" in self.adapt_over_index(capsys, workdir, index_path)
 
-    def test_token_counts_not_a_list(self, workdir, capsys):
+    def test_columns_file_of_wrong_size(self, workdir, capsys):
+        # 4 docs and 5 terms: 4·(5 + 4 + 2·Σdfs) + 32·4 bytes, less one token count
         tmp_path, _, train_path = workdir
         index_path = tmp_path / "index.json"
         assert main(["index", "--corpus", str(train_path), "--output", str(index_path)]) == EXIT_OK
-        payload = json.loads(index_path.read_text(encoding="utf-8"))
-        payload["doc_token_counts"] = dict(enumerate(payload["doc_token_counts"]))
-        index_path.write_text(json.dumps(payload), encoding="utf-8")
+        payload = read_index_file(index_path)
+        assert (len(payload["doc_ids"]), len(payload["terms"])) == (4, 5)
+        expected = 4 * (5 + 4 + 2 * sum(payload["dfs"])) + 32 * 4
+        payload["doc_token_counts"].pop()
+        write_index_file(index_path, payload)
         capsys.readouterr()
         err = self.adapt_over_index(capsys, workdir, index_path)
-        assert ": doc_token_counts is not a list of token counts;" in err
+        assert (f": {index_path}.columns holds {expected - 4} bytes, not the {expected} "
+                f"that its terms, doc_ids and dfs give;") in err
 
     def test_span_over_two_records(self, workdir, capsys):
         # t0's span widened over t1, which has no reference and so no span of
@@ -1775,13 +1884,13 @@ class TestErrorExits:
         index_path = tmp_path / "index.json"
         assert main(["index", "--corpus", str(train_path), "--output", str(index_path)]) == EXIT_OK
         capsys.readouterr()
-        payload = json.loads(index_path.read_text(encoding="utf-8"))
+        payload = read_index_file(index_path)
         assert payload["doc_ids"][:2] == ["t0", "t2"]
         lines = train_path.read_bytes().splitlines(keepends=True)
         both = lines[0] + lines[1]
         set_spans(lambda s: [0, len(both), *s[2:]])(payload)
         set_digests(lambda d: hashlib.sha256(both).digest()[:16] + d[16:])(payload)
-        index_path.write_text(json.dumps(payload), encoding="utf-8")
+        write_index_file(index_path, payload)
         err = self.adapt_over_index(capsys, workdir, index_path)
         assert f"doc 't0': {train_path} bytes 0:{len(both)}: 2 records, not one;" in err
 

@@ -1,4 +1,3 @@
-import base64
 import csv
 import dataclasses
 import hashlib
@@ -46,7 +45,9 @@ from conftest import (
     MiscountingEmbedder,
     PlantedEmbeddingProvider,
     build_over_corpus,
+    read_index_file,
     save_index_over_corpus,
+    write_index_file,
 )
 
 
@@ -108,11 +109,12 @@ def direct_scores(index, query):
     return scores
 
 
-def reference_index_file(pairs, params, ids, corpus: bytes) -> str:
-    """The index file as a dict-of-dicts build writes it: a {pos: tf} map per
-    term, flattened in sorted term order into little-endian uint32 columns,
-    over `corpus`, the bytes of a JSONL file with one line per pair, each
-    line's span and 16-byte digest (its sha256's first 16 bytes). The byte oracle `save_index` must
+def reference_index_file(pairs, params, ids, corpus: bytes) -> tuple[str, bytes]:
+    """The header line and the sidecar of the index file as a dict-of-dicts
+    build writes them: a {pos: tf} map per term, flattened in sorted term
+    order into little-endian uint32 columns, over `corpus`, the bytes of a
+    JSONL file with one line per pair, each line's span and 16-byte digest
+    (its sha256's first 16 bytes). The byte oracle `save_index` must
     reproduce."""
     postings, counts = {}, []
     for pos, (source, _) in enumerate(pairs):
@@ -124,27 +126,31 @@ def reference_index_file(pairs, params, ids, corpus: bytes) -> str:
     terms = sorted(postings)
 
     def column(values, code="I"):
-        return base64.b64encode(struct.pack(f"<{len(values)}{code}", *values)).decode("ascii")
+        return struct.pack(f"<{len(values)}{code}", *values)
 
     offsets, digests = [0], b""
     for line in corpus.splitlines(keepends=True):
         offsets += [offsets[-1], offsets[-1] + len(line)]
         digests += hashlib.sha256(line).digest()[:16]
-    payload = {
+    sidecar = b"".join([
+        column([len(postings[term]) for term in terms]),
+        column(counts),
+        column([pos for term in terms for pos in postings[term]]),
+        column([tf for term in terms for tf in postings[term].values()]),
+        column(offsets[1:], "Q"),
+        digests,
+    ])
+    header = {
         "schema_version": 1,
-        "kind": "bm25-index-digests",
+        "kind": "bm25-index-columns",
         "corpus_sha256": hashlib.sha256(corpus).hexdigest(),
-        "spans": column(offsets[1:], "Q"),
-        "digests": base64.b64encode(digests).decode("ascii"),
+        "columns_sha256": hashlib.sha256(sidecar).hexdigest(),
         "params": dataclasses.asdict(params),
         "doc_ids": list(ids),
-        "doc_token_counts": counts,
         "avgdl": sum(counts) / len(counts),
-        "doc_freqs": {term: len(postings[term]) for term in terms},
-        "positions": column([pos for term in terms for pos in postings[term]]),
-        "tfs": column([tf for term in terms for tf in postings[term].values()]),
+        "terms": terms,
     }
-    return json.dumps(payload, ensure_ascii=False, sort_keys=True, allow_nan=False) + "\n"
+    return json.dumps(header, ensure_ascii=False, sort_keys=True, allow_nan=False) + "\n", sidecar
 
 
 def idf_hex(index) -> list[str]:
@@ -1040,33 +1046,34 @@ class TestPersistence:
             sha256="0123456789abcdef" * 4,
         )
         save_index(dataclasses.replace(index, pairs=corpus), path)
-        # positions 0 2 | 1 2 | 0 1 and tfs 2 1 | 1 3 | 1 1 for casa, perro,
-        # verde, each a little-endian uint32; spans 0 12 | 12 30 | 30 2**40+1,
-        # each a little-endian uint64; digests the bytes 0, 1, ..., 47
+        # dfs 2 2 2 and token counts 3 2 4; positions 0 2 | 1 2 | 0 1 and tfs
+        # 2 1 | 1 3 | 1 1 for casa, perro, verde; all little-endian uint32.
+        # spans 0 12 | 12 30 | 30 2**40+1, little-endian uint64; digests the bytes 0, 1, ..., 47
+        sidecar = bytes.fromhex(
+            "02000000" "02000000" "02000000" "03000000" "02000000" "04000000"
+            "00000000" "02000000" "01000000" "02000000" "00000000" "01000000"
+            "02000000" "01000000" "01000000" "03000000" "01000000" "01000000"
+            "0000000000000000" "0c00000000000000" "0c00000000000000" "1e00000000000000"
+            "1e00000000000000" "0100000000010000"
+        ) + bytes(range(48))
+        assert (tmp_path / "index.json.columns").read_bytes() == sidecar
         assert path.read_text(encoding="utf-8") == (
-            '{"avgdl": 3.0, "corpus_sha256": "' + "0123456789abcdef" * 4 + '", '
-            '"digests": "AAECAwQFBgcICQoLDA0ODxAREhMUFRYXGBkaGxwdHh8gISIjJCUmJygpKissLS4v", '
-            '"doc_freqs": {"casa": 2, "perro": 2, "verde": 2}, '
-            '"doc_ids": ["a", "b", "c"], "doc_token_counts": [3, 2, 4], '
-            '"kind": "bm25-index-digests", '
+            '{"avgdl": 3.0, "columns_sha256": "' + hashlib.sha256(sidecar).hexdigest() + '", '
+            '"corpus_sha256": "' + "0123456789abcdef" * 4 + '", '
+            '"doc_ids": ["a", "b", "c"], "kind": "bm25-index-columns", '
             '"params": {"b": 0.75, "epsilon": 0.25, "k1": 1.5, "min_token_len": 4}, '
-            '"positions": "AAAAAAIAAAABAAAAAgAAAAAAAAABAAAA", "schema_version": 1, '
-            '"spans": "AAAAAAAAAAAMAAAAAAAAAAwAAAAAAAAAHgAAAAAAAAAeAAAAAAAAAAEAAAAAAQAA", '
-            '"tfs": "AgAAAAEAAAABAAAAAwAAAAEAAAABAAAA"}\n'
+            '"schema_version": 1, "terms": ["casa", "perro", "verde"]}\n'
         )
 
     def test_column_postings_decoded_on_query(self, tmp_path):
         path = tmp_path / "index.json"
         corpus = save_index_over_corpus(build_index(PAIRS), path)
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload = read_index_file(path)
         assert payload["schema_version"] == 1
-        assert payload["kind"] == "bm25-index-digests"
-        terms = sorted(payload["doc_freqs"])
-        perro = sum(payload["doc_freqs"][term] for term in terms[: terms.index("perro")])
-        positions = bytearray(base64.b64decode(payload["positions"]))
-        positions[4 * perro] = 9  # past the last document
-        payload["positions"] = base64.b64encode(positions).decode("ascii")
-        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert payload["kind"] == "bm25-index-columns"
+        perro = sum(payload["dfs"][: payload["terms"].index("perro")])
+        payload["positions"][perro] = 9  # past the last document
+        write_index_file(path, payload)
         loaded = load_index(path, corpus)
         assert term_idf(loaded, "perro") == term_idf(build_index(PAIRS), "perro")
         assert bm25_top_k(loaded, "casa verde", k=1)[0].source == PAIRS[2][0]
@@ -1076,10 +1083,10 @@ class TestPersistence:
     def test_column_length_mismatch_fails_at_load(self, tmp_path):
         path = tmp_path / "index.json"
         corpus = save_index_over_corpus(build_index(PAIRS), path)
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        payload["doc_freqs"]["perro"] += 1
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(ValueError, match="one entry per doc_freqs count"):
+        payload = read_index_file(path)
+        payload["dfs"][payload["terms"].index("perro")] += 1
+        write_index_file(path, payload)
+        with pytest.raises(ValueError, match=r"holds \d+ bytes, not the \d+ that its terms, doc_ids and dfs"):
             load_index(path, corpus)
 
     def test_built_and_loaded_idf_agree_exactly(self, tmp_path):
@@ -1097,7 +1104,8 @@ class TestPersistence:
             built = build_index(pairs, params=params)
             path = tmp_path / f"index{trial}.json"
             corpus = save_index_over_corpus(built, path)
-            assert path.read_text(encoding="utf-8") == reference_index_file(
+            written = path.read_text(encoding="utf-8"), (tmp_path / f"index{trial}.json.columns").read_bytes()
+            assert written == reference_index_file(
                 pairs, params, range(len(pairs)), corpus.read_bytes()
             ), trial
             loaded = load_index(path, corpus)
@@ -1112,14 +1120,12 @@ class TestPersistence:
         # that reaches d4 reads it. Each record is parsed once, when first read
         path, corpus = tmp_path / "index.json", tmp_path / "corpus.jsonl"
         save_index(build_over_corpus(corpus, PAIRS, ["d1", "d2", "d3", "d4"]), path)
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        spans = list(struct.unpack("<8Q", base64.b64decode(payload["spans"])))
+        payload = read_index_file(path)
+        spans = payload["spans"]
         spans[7] = (spans[6] + spans[7]) // 2
-        payload["spans"] = base64.b64encode(struct.pack("<8Q", *spans)).decode("ascii")
         half = corpus.read_bytes()[spans[6] : spans[7]]
-        digests = base64.b64decode(payload["digests"])[:48] + hashlib.sha256(half).digest()[:16]
-        payload["digests"] = base64.b64encode(digests).decode("ascii")
-        path.write_text(json.dumps(payload), encoding="utf-8")
+        payload["digests"] = payload["digests"][:48] + hashlib.sha256(half).digest()[:16]
+        write_index_file(path, payload)
         loaded = load_index(path, corpus)
         parsed = count_parsed(monkeypatch)
         assert [d.source for d in bm25_top_k(loaded, "casa verde", k=2)] == [PAIRS[2][0], PAIRS[0][0]]
