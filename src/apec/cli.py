@@ -54,7 +54,6 @@ from .refine import (
     trace_to_dict,
 )
 from .retrieval import (
-    Bm25Params,
     CorpusPairs,
     bm25_top_k,
     build_index,
@@ -85,21 +84,18 @@ class UsageError(ApecError):
 
 _ENV_REF = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
-# Every config key with its default; a dict is a section. `apec` and
-# `bm25` take their defaults from ApecConfig and Bm25Params, which also
-# hold the range rules (_RULES). A flag overrides the key that its dest
-# names.
+# Every config key with its default; a dict is a section. `apec` takes
+# its defaults from ApecConfig, which also holds the range rules of its
+# keys and of `retries`. A flag overrides the key that its dest names.
 _HTTP_DEFAULTS = {"endpoint": "", "api_key": "", "model": "default", "timeout": DEFAULT_TIMEOUT}
 _CONFIG_DEFAULTS = {
     "seed": 0,
     "workers": 1,
     "retries": ApecConfig.retries,
     "apec": {key: getattr(ApecConfig, key) for key in ("cycles", "demo_count")},
-    "bm25": vars(Bm25Params()),
     "llm": _HTTP_DEFAULTS,
     "embeddings": _HTTP_DEFAULTS,
 }
-_RULES = {"": ApecConfig, "apec": ApecConfig, "bm25": Bm25Params}
 
 
 def load_config(path) -> dict:
@@ -144,15 +140,13 @@ def _options(config: dict, section: str = "", args=None) -> dict:
     """Every option of a config section (the top level by default): the
     flag of that name if given, else its config value converted by
     `_convert`, else its default; a null value or section means the
-    default. A value that breaks its rule in `_RULES` (or `workers` below
-    1) is a UsageError from a flag and an ApecError from the config."""
+    default. A value that breaks its rule in `ApecConfig` (or `workers`
+    below 1) is a UsageError from a flag and an ApecError from the config."""
     values = config.get(section) if section else config
     if values is None:
         values = {}
     elif not isinstance(values, dict):
         raise ApecError(f"config key {section} must be an object, got {values!r}")
-    rules = _RULES.get(section)
-    ruled = {field.name for field in dataclasses.fields(rules)} if rules else set()
     options = {}
     for key, default in (_CONFIG_DEFAULTS[section] if section else _CONFIG_DEFAULTS).items():
         if isinstance(default, dict):
@@ -167,8 +161,8 @@ def _options(config: dict, section: str = "", args=None) -> dict:
             value = default
         options[key] = value
         try:
-            if key in ruled:
-                rules(**{key: value})
+            if key in {field.name for field in dataclasses.fields(ApecConfig)}:
+                ApecConfig(**{key: value})
             elif key == "workers" and value < 1:  # the pool size, which no dataclass holds
                 raise ValueError("workers must be >= 1")
         except ValueError as exc:
@@ -276,20 +270,15 @@ def _skipped_warning(skipped: int) -> None:
         print(f"warning: {skipped} training docs without reference skipped", file=sys.stderr)
 
 
-def _training_index(path, params=None):
-    """A BM25 index over the usable docs of the corpus at `path`, which
-    reads their texts back from the file as rankings need them."""
-    index = build_index(CorpusPairs(path), params)
-    _skipped_warning(index.pairs.skipped)
-    return index
-
-
 def _bm25_index(index_path, corpus_path):
     """The index file at `index_path` over the corpus it was built from, or
-    a new index over the corpus."""
+    a new index with `Bm25Params()` over the usable docs of the corpus,
+    which reads their texts back from the file as rankings need them."""
     if index_path:
         return load_index(index_path, corpus_path)
-    return _training_index(corpus_path)
+    index = build_index(CorpusPairs(corpus_path))
+    _skipped_warning(index.pairs.skipped)
+    return index
 
 
 def _run_docs(work, docs: list[Document], workers: int) -> tuple[list, list]:
@@ -344,7 +333,7 @@ def cmd_stats(args, config: dict) -> int:
 
 
 def cmd_index(args, config: dict) -> int:
-    index = _training_index(args.corpus, Bm25Params(**_options(config, "bm25", args)))
+    index = _bm25_index(None, args.corpus)
     save_index(index, args.output)
     print(f"indexed {len(index)} docs, {len(index.terms)} terms -> {args.output}")
     return EXIT_OK
@@ -480,6 +469,9 @@ def cmd_ensemble(args, config: dict) -> int:
                     f"inputs {args.inputs[first]} and {args.inputs[position]} share the stream "
                     f"name {name!r}; tag them with `refine --stream` or rename the files"
                 )
+    unknown = [name for name in priority or [] if name not in owners]
+    if unknown:
+        raise UsageError(f"--priority names streams that no input holds: {', '.join(unknown)}")
 
     for label, by_doc in zip(labels, streams):
         missing = sorted(set().union(*streams) - set(by_doc))
@@ -537,13 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stats)
 
     p = subs.add_parser("index", help="build a BM25 demonstration index")
-    _add_common(p)
     p.add_argument("--corpus", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--k1", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--min-token-len", type=int, dest="min_token_len")
     p.set_defaults(func=cmd_index)
 
     p = subs.add_parser("adapt", help="produce initial adaptations")
@@ -605,6 +592,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output(args) -> None:
+    """A UsageError when `--output`, or its sidecar for `index`, is an input file."""
+    output = getattr(args, "output", None) or ""
+    for out in [output, f"{output}.columns"] if args.command == "index" else [output]:
+        for dest in ("input", "inputs", "docs", "corpus", "index", "config"):
+            paths = getattr(args, dest, None) or []
+            for path in [paths] if isinstance(paths, str) else paths:
+                if os.path.exists(out) and os.path.exists(path) and os.path.samefile(path, out):
+                    raise UsageError(f"--output {output} would overwrite the --{dest} file {path}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -612,6 +610,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_output(args)
         return args.func(args, load_config(getattr(args, "config", None)))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

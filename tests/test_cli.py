@@ -1,9 +1,11 @@
+import argparse
 import base64
 import csv
 import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
 import struct
 import time
@@ -20,13 +22,16 @@ from apec.cli import (
     EXIT_PARTIAL,
     EXIT_PROVIDER,
     EXIT_USAGE,
+    build_parser,
     load_config,
     main,
     read_adaptations,
     write_jsonl,
 )
 from apec.errors import ApecError
+from apec.prompts import PLAIN_LANGUAGE_REVIEW_TEMPLATE
 from apec.refine import ApecTrace, trace_from_dict, trace_to_dict
+from apec.retrieval import Bm25Params, CorpusPairs, build_index, save_index
 from apec.similarity import HashEmbeddingProvider
 
 from conftest import Reply, apec_response, read_index_file, write_index_file
@@ -1042,6 +1047,154 @@ class TestIndexOverCorpus:
         assert all(any(source in r["candidate"] for source in train_sources) for r in records)
 
 
+def write_topic_corpus(tmp_path):
+    """Ten documents over six training pairs, as in scripts/dry_run.py: each
+    source shares topic words with two training sources, and each training
+    reference is unique, so a reply can name the demonstration it follows."""
+    topics = ["beca", "impuesto", "vivienda", "empleo", "salud", "transporte"]
+    docs = [
+        {
+            "id": f"dev{i}",
+            "source": f"El documento número {i} trata de la {topics[i % 6]} y de "
+            f"{topics[(2 * i + 1) % 6]} en su caso; la {topics[i % 6]} tiene frases "
+            "largas y términos difíciles.",
+            "reference": f"El documento {i} trata de {topics[i % 6]}.",
+            "task": "PL",
+        }
+        for i in range(10)
+    ]
+    train = [
+        {
+            "id": f"train{i}",
+            "source": f"Texto de entrenamiento {i} sobre {topic} y trámites complejos.",
+            "reference": f"Texto fácil {i} sobre {topic}.",
+            "task": "PL",
+        }
+        for i, topic in enumerate(topics)
+    ]
+    docs_path, train_path = tmp_path / "dev.jsonl", tmp_path / "train.jsonl"
+    write_lines(docs_path, docs)
+    write_lines(train_path, train)
+    return docs, train, docs_path, train_path
+
+
+class TestOneBm25Configuration:
+    """Every index the CLI builds uses `Bm25Params()`, and no config key
+    changes it, so `--index` and an in-memory build pick the same
+    demonstrations under any config."""
+
+    def test_index_file_and_build_agree_under_a_bm25_config(self, tmp_path, capsys):
+        docs, train, docs_path, train_path = write_topic_corpus(tmp_path)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"bm25": {"k1": 0.1, "min_token_len": 9}}), encoding="utf-8")
+        index_path = tmp_path / "index.json"
+        index_argv = ["index", "--corpus", str(train_path), "--output", str(index_path)]
+        assert main([*index_argv, "--config", str(config_path)]) == EXIT_USAGE
+        assert main(index_argv) == EXIT_OK
+        # each reply names the rank-2 demonstration, the turn before the document's own
+        review = PLAIN_LANGUAGE_REVIEW_TEMPLATE.splitlines()[0]
+        script = tmp_path / "script.jsonl"
+        write_lines(script, [
+            {"match": f"[assistant]\n{demo['reference']}\n\n[user]\n{doc['source']}",
+             "response": f"Adaptación de {doc['id']} junto a {demo['id']}."}
+            for doc in docs for demo in train
+        ] + [
+            {"match": f"[assistant]\n{demo['reference']}\n\n[user]\n{review}",
+             "response": apec_response(f"Versión junto a {demo['id']}.")}
+            for _ in docs for demo in train
+        ])
+        initial = tmp_path / "initial.jsonl"
+        write_lines(initial, [{"doc_id": d["id"], "adaptation": f"Inicial {d['id']}."} for d in docs])
+        common = ["--corpus", str(train_path), "--provider", f"scripted:{script}",
+                  "--config", str(config_path)]
+        commands = {
+            "adapt": ["adapt", "--input", str(docs_path), "--mode", "fs-bm25", "--k", "2", *common],
+            "refine": ["refine", "--input", str(initial), "--docs", str(docs_path), "--embed",
+                       "hash", "--cycles", "1", "--demos", "2", *common],
+        }
+        for name, argv in commands.items():
+            built, loaded = tmp_path / f"{name}_built.jsonl", tmp_path / f"{name}_loaded.jsonl"
+            assert main([*argv, "--output", str(built)]) == EXIT_OK
+            assert main([*argv, "--index", str(index_path), "--output", str(loaded)]) == EXIT_OK
+            assert loaded.read_bytes() == built.read_bytes(), name
+        assert "Traceback" not in capsys.readouterr().err
+        adapted = (tmp_path / "adapt_built.jsonl").read_text(encoding="utf-8").splitlines()
+        assert len({json.loads(line)["adaptation"].split(" junto a ")[1] for line in adapted}) > 1
+
+        # the config's params would pick other demonstrations: an index file
+        # written with them, as earlier versions could, loads with them
+        tuned = tmp_path / "tuned.json"
+        save_index(build_index(CorpusPairs(train_path), Bm25Params(k1=0.1, min_token_len=9)), tuned)
+        tuned_out = tmp_path / "adapt_tuned.jsonl"
+        argv = [*commands["adapt"], "--index", str(tuned), "--output", str(tuned_out)]
+        assert main(argv) == EXIT_OK
+        assert tuned_out.read_bytes() != (tmp_path / "adapt_built.jsonl").read_bytes()
+
+
+class TestOutputIsAnInput:
+    """An `--output` that names an input file of its command, however
+    spelled, is a usage error found before any file is read, so the input
+    keeps its bytes."""
+
+    def commands(self, tmp_path):
+        _, docs_path, train_path = write_workers_corpus(tmp_path)
+        index_path, config_path = tmp_path / "index.json", tmp_path / "config.json"
+        assert main(["index", "--corpus", str(train_path), "--output", str(index_path)]) == EXIT_OK
+        config_path.write_text("{}", encoding="utf-8")
+        initial, one, two = tmp_path / "initial.jsonl", tmp_path / "uno.jsonl", tmp_path / "dos.jsonl"
+        write_lines(initial, [{"doc_id": "d0", "adaptation": "Inicial d0."}])
+        write_lines(one, [make_trace_record("d0", "uno", "U", 1.0)])
+        write_lines(two, [make_trace_record("d0", "dos", "D", 2.0)])
+        docs, train, index, config = map(str, (docs_path, train_path, index_path, config_path))
+        return {
+            "stats": ["stats", "--input", docs, "--config", config],
+            "index": ["index", "--corpus", train],
+            "adapt": ["adapt", "--input", docs, "--corpus", train, "--index", index,
+                      "--mode", "fs-bm25", "--provider", "echo", "--config", config],
+            "refine": ["refine", "--input", str(initial), "--docs", docs, "--corpus", train,
+                       "--index", index, "--provider", "echo", "--embed", "hash", "--config", config],
+            "evaluate": ["evaluate", "--input", str(initial), "--corpus", docs, "--embed", "hash",
+                         "--config", config],
+            "ensemble": ["ensemble", "--inputs", str(one), str(two)],
+        }
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("stats", "--input"), ("stats", "--config"),
+            ("index", "--corpus"),
+            ("adapt", "--input"), ("adapt", "--corpus"), ("adapt", "--index"), ("adapt", "--config"),
+            ("refine", "--input"), ("refine", "--docs"), ("refine", "--corpus"),
+            ("refine", "--index"), ("refine", "--config"),
+            ("evaluate", "--input"), ("evaluate", "--corpus"), ("evaluate", "--config"),
+            ("ensemble", "--inputs"),
+        ],
+    )
+    def test_usage_error_and_input_unchanged(self, tmp_path, monkeypatch, capsys, command, flag):
+        argv = self.commands(tmp_path)[command]
+        target = argv[argv.index(flag) + 1]
+        before = Path(target).read_bytes()
+        monkeypatch.chdir(tmp_path)  # the output spelled relative, the inputs absolute
+        capsys.readouterr()
+        output = os.path.basename(target)
+        assert main([*argv, "--output", output]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"usage error: --output {output} would overwrite the {flag} file {target}" in err
+        assert "Traceback" not in err
+        assert Path(target).read_bytes() == before
+
+    def test_index_sidecar_is_an_input(self, tmp_path, capsys):
+        _, _, train_path = write_workers_corpus(tmp_path)
+        corpus = tmp_path / "index.json.columns"
+        corpus.write_bytes(train_path.read_bytes())
+        argv = ["index", "--corpus", str(corpus), "--output", str(tmp_path / "index.json")]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"would overwrite the --corpus file {corpus}" in err
+        assert "Traceback" not in err
+        assert corpus.read_bytes() == train_path.read_bytes()
+        assert not (tmp_path / "index.json").exists()
+
 
 class TestTrainingSet:
     """fs-rdm and fs-emb read their demonstrations through `CorpusPairs`:
@@ -1577,6 +1730,20 @@ class TestEnsemble:
         assert rc == EXIT_OK
         assert json.loads(out_path.read_text())["stream"] == "dos"
 
+    def test_unknown_priority_stream_is_usage_error(self, tmp_path, capsys):
+        # a typo would otherwise leave ties to input order, silently
+        one, two = tmp_path / "uno.jsonl", tmp_path / "dos.jsonl"
+        write_lines(one, [make_trace_record("a", "uno", "U-a", 30.0)])
+        write_lines(two, [make_trace_record("a", "dos", "D-a", 30.0)])
+        out_path = tmp_path / "best.jsonl"
+        argv = ["ensemble", "--inputs", str(one), str(two), "--priority", "dos,unos,tres",
+                "--output", str(out_path)]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "usage error: --priority names streams that no input holds: unos, tres" in err
+        assert "Traceback" not in err
+        assert not out_path.exists()
+
     def test_single_input_is_usage_error(self, tmp_path):
         one = tmp_path / "uno.jsonl"
         write_lines(one, [make_trace_record("a", "u", "U-a", 10.0)])
@@ -1938,7 +2105,7 @@ class TestConfig:
         tail = ["--config", str(path), "--output", str(out_path)]
         adapt = ["adapt", "--input", str(docs_path), "--mode", "zs", "--provider"]
         assert main(adapt + ["echo"] + tail) == EXIT_OK
-        assert main(["index", "--corpus", str(train_path)] + tail) == EXIT_OK
+        assert main(["stats", "--input", str(docs_path)] + tail) == EXIT_OK
         out_path.unlink()
         assert main(adapt + ["http"] + tail) == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -1951,7 +2118,7 @@ class TestConfig:
         [
             ("adapt", {"seed": "${APEC_UNSET_VAR}"}, "seed"),
             ("stats", {"embeddings": {"endpoint": "${APEC_UNSET_VAR}/v1"}}, "embeddings.endpoint"),
-            ("index", {"bm25": {"k1": "${APEC_UNSET_VAR}"}}, "bm25.k1"),
+            ("refine", {"retries": "${APEC_UNSET_VAR}"}, "retries"),
             ("refine", {"apec": {"cycles": "${APEC_UNSET_VAR}"}}, "apec.cycles"),
         ],
     )
@@ -2030,8 +2197,6 @@ class TestConfig:
 def config_argv(command, tmp_path, docs_path, train_path, provider="http"):
     """A run of `command` that reads its config before anything else fails."""
     out = str(tmp_path / "out.jsonl")
-    if command == "index":
-        return ["index", "--corpus", str(train_path), "--output", out]
     if command == "adapt":
         return ["adapt", "--input", str(docs_path), "--mode", "zs", "--provider", provider,
                 "--output", out]
@@ -2048,9 +2213,9 @@ class TestConfigValues:
     @pytest.mark.parametrize(
         "command, config, message",
         [
-            ("index", {"bm25": {"k1": "abc"}}, "config key bm25.k1 must be float, got 'abc'"),
-            ("index", {"bm25": {"min_token_len": 2.5}}, "config key bm25.min_token_len"),
-            ("index", {"bm25": []}, "config key bm25 must be an object"),
+            ("adapt", {"llm": {"timeout": "abc"}}, "config key llm.timeout must be float, got 'abc'"),
+            ("refine", {"apec": {"cycles": 2.5}}, "config key apec.cycles must be int, got 2.5"),
+            ("adapt", {"llm": []}, "config key llm must be an object, got []"),
             ("adapt", {"llm": None}, "http provider needs llm.endpoint or LLM_ENDPOINT"),
             ("adapt", {"llm": {"timeout": [1]}}, "config key llm.timeout must be float"),
             ("adapt", {"workers": True}, "config key workers must be int, got True"),
@@ -2078,29 +2243,36 @@ class TestConfigValues:
         assert "Traceback" not in err
 
     def test_numbers_as_strings_and_nulls(self, workdir):
-        tmp_path, _, train_path = workdir
-        outputs = []
-        for name, config in (
-            ("flags", None),
-            ("strings", {"bm25": {"k1": "1.5", "b": "0.75", "min_token_len": "4"}}),
-            ("nulls", {"bm25": {"k1": None, "epsilon": None}, "llm": None, "seed": None}),
+        # "2" reads as 2; null, for a key or a whole section, as the default
+        tmp_path, docs_path, train_path = workdir
+        initial = tmp_path / "initial.jsonl"
+        write_lines(initial, [{"doc_id": "a", "adaptation": "Inicial a."}])
+        base = ["refine", "--input", str(initial), "--docs", str(docs_path),
+                "--corpus", str(train_path), "--provider", "echo", "--embed", "hash"]
+        outputs = {}
+        for name, config, flags in (
+            ("flags", None, ["--cycles", "2", "--demos", "1", "--workers", "2"]),
+            ("strings", {"apec": {"cycles": "2", "demo_count": "1"}, "workers": "2"}, []),
+            ("defaults", None, []),
+            ("nulls", {"apec": None, "workers": None, "retries": None}, []),
         ):
-            out_path = tmp_path / f"{name}.json"
-            argv = ["index", "--corpus", str(train_path), "--output", str(out_path)]
+            out_path = tmp_path / f"{name}.jsonl"
+            argv = [*base, *flags, "--output", str(out_path)]
             if config is not None:
                 config_path = tmp_path / f"{name}.config.json"
                 config_path.write_text(json.dumps(config), encoding="utf-8")
                 argv += ["--config", str(config_path)]
-            else:
-                argv += ["--k1", "1.5", "--b", "0.75"]
             assert main(argv) == EXIT_OK
-            outputs.append(out_path.read_bytes())
-        assert outputs[0] == outputs[1] == outputs[2]
+            outputs[name] = out_path.read_bytes()
+        assert outputs["flags"] == outputs["strings"]
+        assert outputs["defaults"] == outputs["nulls"]
+        assert outputs["flags"] != outputs["defaults"]  # 2 cycles, not 5
 
     def test_unread_bad_value_is_ignored(self, workdir):
+        # adapt with `echo` reads neither the llm nor the apec section
         tmp_path, docs_path, train_path = workdir
         config_path = tmp_path / "config.json"
-        config_path.write_text('{"bm25": {"k1": "abc"}}', encoding="utf-8")
+        config_path.write_text('{"llm": {"timeout": "abc"}, "apec": {"cycles": 0}}', encoding="utf-8")
         argv = config_argv("adapt", tmp_path, docs_path, train_path, "echo")
         assert main(argv + ["--config", str(config_path)]) == EXIT_OK
 
@@ -2113,13 +2285,6 @@ BAD_FLAGS = [
     ("refine", ["--demos", "-1"], "demo_count must be >= 0, got -1"),
     ("refine", ["--retries", "-1"], "retries must be >= 0, got -1"),
     ("refine", ["--workers", "0"], "workers must be >= 1, got 0"),
-    ("index", ["--b", "2"], "b must be in [0, 1], got 2.0"),
-    ("index", ["--k1", "-1"], "k1 must be >= 0, got -1.0"),
-    ("index", ["--epsilon", "-0.5"], "epsilon must be >= 0, got -0.5"),
-    ("index", ["--min-token-len", "0"], "min_token_len must be >= 1, got 0"),
-    ("index", ["--k1", "nan"], "k1 must be finite, got nan"),
-    ("index", ["--k1", "inf"], "k1 must be finite, got inf"),
-    ("index", ["--epsilon", "inf"], "epsilon must be finite, got inf"),
 ]
 BAD_CONFIG = [
     ("adapt", {"retries": -1}, "config key retries: retries must be >= 0, got -1"),
@@ -2128,11 +2293,6 @@ BAD_CONFIG = [
     ("refine", {"apec": {"cycles": 0}}, "config key apec.cycles: cycles must be >= 1, got 0"),
     ("refine", {"apec": {"demo_count": -1}}, "config key apec.demo_count: demo_count must be"),
     ("refine", {"retries": -1}, "config key retries: retries must be >= 0, got -1"),
-    ("index", {"bm25": {"b": 2}}, "config key bm25.b: b must be in [0, 1], got 2.0"),
-    ("index", {"bm25": {"min_token_len": 0}}, "config key bm25.min_token_len: min_token_len"),
-    ("index", {"bm25": {"k1": "1e999"}}, "config key bm25.k1: k1 must be finite, got inf"),
-    ("index", {"bm25": {"k1": float("inf")}}, "config key bm25.k1: k1 must be finite, got inf"),
-    ("index", {"bm25": {"epsilon": "nan"}}, "config key bm25.epsilon: epsilon must be finite"),
 ]
 
 
@@ -2548,5 +2708,28 @@ class TestHelpers:
         assert main(argv) == EXIT_USAGE
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "option", [["--k1", "1.5"], ["--b", "0.75"], ["--epsilon", "0.25"],
+                   ["--min-token-len", "4"], ["--config", "c.json"]],
+        ids=lambda option: option[0],
+    )
+    def test_index_takes_no_bm25_settings(self, option, capsys):
+        # every index the CLI builds uses Bm25Params()
+        assert main(["index", "--corpus", "d.jsonl", "--output", "i.json", *option]) == EXIT_USAGE
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
     def test_no_arguments(self):
         assert main([]) == EXIT_USAGE
+
+    def test_readme_usage_shows_only_parser_options(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        lines = readme.split("## CLI\n", 1)[1].split("```\n", 2)[1].splitlines()
+        subparsers = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ).choices
+        assert [line.split()[1] for line in lines] == list(subparsers)
+        for line in lines:
+            shown = re.findall(r"--[\w-]+", line.split("#")[0])
+            options = subparsers[line.split()[1]]._option_string_actions
+            assert shown and [flag for flag in shown if flag not in options] == [], line
