@@ -57,6 +57,7 @@ from .retrieval import (
     CorpusPairs,
     bm25_top_k,
     build_index,
+    columns_path,
     derive_doc_seed,
     embedding_top_k,
     load_index,
@@ -367,30 +368,22 @@ def cmd_adapt(args, config: dict) -> int:
     embed = make_embed_provider(args.embed, config) if args.mode == "fs-emb" else None
     with _closing(provider, embed):
         docs = load_corpus(args.input)
-        index = pairs = None
-        if args.mode == "fs-bm25":
+        # fs-rdm and fs-emb read the training set once before the pool starts; only demos used are read back
+        if args.mode == "zs":
+            demos_for = lambda doc: []
+        elif args.mode == "fs-bm25":
             index = _bm25_index(args.index, args.corpus)
-        elif args.mode != "zs":
-            # one pass over the training set before the pool starts; only the
-            # demonstrations used are read back from the file
+            demos_for = lambda doc: bm25_top_k(index, doc.source, k=args.k, ratio_filter=ratio)
+        elif args.mode == "fs-rdm":
             pairs = CorpusPairs(args.corpus)
-            if args.mode == "fs-emb":
-                ranked = embedding_top_k(pairs, [doc.source for doc in docs], args.k, embed)
-                emb_demos = {doc.id: demos for doc, demos in zip(docs, ranked)}
-            else:
-                for _ in pairs.read():  # the positions random_k samples
-                    pass
+            k = min(args.k, sum(1 for _ in pairs.read()))  # one pass learns what random_k samples
             _skipped_warning(pairs.skipped)
-
-        def demos_for(doc: Document):
-            if args.mode == "zs":
-                return []
-            if args.mode == "fs-rdm":
-                seed = derive_doc_seed(options["seed"], doc.id)
-                return random_k(pairs, min(args.k, len(pairs)), seed)
-            if args.mode == "fs-bm25":
-                return bm25_top_k(index, doc.source, k=args.k, ratio_filter=ratio)
-            return emb_demos[doc.id]
+            demos_for = lambda doc: random_k(pairs, k, derive_doc_seed(options["seed"], doc.id))
+        else:
+            pairs = CorpusPairs(args.corpus)
+            ranked = embedding_top_k(pairs, [doc.source for doc in docs], args.k, embed)
+            _skipped_warning(pairs.skipped)
+            demos_for = dict(zip(docs, ranked)).__getitem__
 
         def work(doc: Document):
             demos = demos_for(doc)
@@ -593,11 +586,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_output(args) -> None:
-    """A UsageError when `--output`, or its sidecar for `index`, is an input file."""
+    """A UsageError when `--output`, or its sidecar for `index`, is a file the command reads."""
     output = getattr(args, "output", None) or ""
-    for out in [output, f"{output}.columns"] if args.command == "index" else [output]:
-        for dest in ("input", "inputs", "docs", "corpus", "index", "config"):
-            paths = getattr(args, dest, None) or []
+    for out in [output, columns_path(output)] if args.command == "index" else [output]:
+        for dest in ("input", "inputs", "docs", "corpus", "index", "config", "provider"):
+            paths = getattr(args, dest, None) or ""
+            if dest == "index":
+                paths = [paths, columns_path(paths)] if paths else []
+            elif dest == "provider":
+                paths = [paths.removeprefix("scripted:")] if paths.startswith("scripted:") else []
             for path in [paths] if isinstance(paths, str) else paths:
                 if os.path.exists(out) and os.path.exists(path) and os.path.samefile(path, out):
                     raise UsageError(f"--output {output} would overwrite the --{dest} file {path}")

@@ -17,12 +17,12 @@ Built and loaded indexes share one layout, a term table: the sorted
 `terms`, and parallel to them the `starts` of each term's postings and a
 float64 `idf` column. The postings are two uint32 columns, `positions` and
 `tfs`, in sorted term order. An index file is a one-line JSON header and a
-sidecar of raw little-endian columns, which `load_index` reads straight
-into arrays. A term's slice is read only when a query first holds it;
-cached impacts hold the index's shared position ints. An index's avgdl is
-the mean of its documents' token counts; `load_index` refuses a file whose
-stored `avgdl` is another number, or whose counts do not sum to the total
-of its `tfs`.
+sidecar of raw little-endian columns, `columns_path` of it, which
+`load_index` reads straight into arrays. It holds no params and no avgdl:
+only an index with `Bm25Params()` is saved, a loaded one ranks with them,
+and its avgdl is the mean of its documents' token counts, which must sum
+to the total of its `tfs`. A term's slice is read only when a query first
+holds it; cached impacts hold the index's shared position ints.
 
 Every demonstration mode reads a training corpus file through one type,
 `CorpusPairs`. It streams the file once, a record at a time, and keeps
@@ -58,7 +58,7 @@ import sys
 from array import array
 from bisect import bisect_left
 from collections import Counter, defaultdict
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from itertools import accumulate, chain, islice, repeat
 
@@ -73,9 +73,7 @@ from .similarity import (
     embed_checked,
 )
 
-INDEX_SCHEMA_VERSION = 1
-INDEX_KIND = "bm25-index-columns"
-INDEX_LAYOUT = (INDEX_SCHEMA_VERSION, INDEX_KIND)
+INDEX_LAYOUT = {"schema_version": 1, "kind": "bm25-index-defaults"}
 
 
 @dataclass(frozen=True)
@@ -413,20 +411,28 @@ def random_k(pairs: list[tuple[str, str]] | CorpusPairs, k: int, seed: int) -> l
     ]
 
 
+def columns_path(path) -> str:
+    """The sidecar of the index file `path`, which holds its columns."""
+    return f"{os.fspath(path)}.columns"
+
+
 def save_index(index: Bm25Index, path) -> None:
     """Persist an index over a corpus file: its columns, raw little-endian,
-    in the sidecar `path` + ".columns", then a one-line JSON header at `path`.
+    in the sidecar `columns_path(path)`, then a one-line JSON header at `path`.
 
     The sidecar holds, in order: `dfs` (uint32 per term, the gaps between
     `starts`), `doc_token_counts` (uint32 per doc id), the index's own
     `positions` and `tfs` (uint32), `spans` (uint64, each document's start
     and end byte in the corpus) and `digests` (16 bytes per document, of its
-    record). The header holds `params`, `doc_ids`, `avgdl`, the sorted
-    `terms`, and the hex sha256 of the corpus file as `corpus_sha256` and of
-    the sidecar as `columns_sha256`. Pair texts are not stored.
+    record). The header holds `doc_ids`, the sorted `terms`, and the hex
+    sha256 of the corpus file as `corpus_sha256` and of the sidecar as
+    `columns_sha256`. Pair texts and params are not stored: an index built
+    with params other than `Bm25Params()` is a ValueError, and writes no file.
     """
+    if index.params != Bm25Params():
+        raise ValueError(f"only an index built with Bm25Params() is saved, not {index.params}")
     starts, pairs, sha256 = index.starts, index.pairs, hashlib.sha256()
-    with open(f"{os.fspath(path)}.columns", "wb") as handle:
+    with open(columns_path(path), "wb") as handle:
         for column in (array("I", map(operator.sub, starts[1:], starts)), array("I", index.doc_token_counts),
                        index.positions, index.tfs, array("Q", pairs.spans), array("B", pairs.digests)):
             if sys.byteorder == "big":
@@ -434,9 +440,8 @@ def save_index(index: Bm25Index, path) -> None:
                 column.byteswap()
             sha256.update(column)
             column.tofile(handle)
-    header = dict(schema_version=INDEX_SCHEMA_VERSION, kind=INDEX_KIND, params=asdict(index.params),
-                  doc_ids=list(index.doc_ids), avgdl=index.avgdl, corpus_sha256=pairs.sha256,
-                  terms=index.terms, columns_sha256=sha256.hexdigest())
+    header = dict(INDEX_LAYOUT, doc_ids=list(index.doc_ids), corpus_sha256=pairs.sha256, terms=index.terms,
+                  columns_sha256=sha256.hexdigest())
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(json.dumps(header, ensure_ascii=False, sort_keys=True, allow_nan=False) + "\n")
 
@@ -528,12 +533,13 @@ def load_index(path, corpus) -> Bm25Index:
     read from the sidecar straight into an array and hashed as it is read;
     the sidecar must have the header's `columns_sha256` and the size that
     the header's lengths and `dfs` give, each df in [1, number of docs]. A
-    term's postings are checked the first time a query holds it. `avgdl`
-    must be the mean of `doc_token_counts`, whose total must be that of
-    `tfs`. The corpus, hashed in chunks, must have the recorded sha256, and
-    a document's record is read back and parsed the first time a ranking
-    needs its texts. Malformed content, a missing sidecar, a changed corpus
-    and an older layout raise `ValueError`: `apec index` must rebuild.
+    term's postings are checked the first time a query holds it. The index
+    ranks with `Bm25Params()`; the total of `doc_token_counts`, whose mean
+    is its avgdl, must be that of `tfs`. The corpus, hashed in chunks, must
+    have the recorded sha256, and a document's record is read back and
+    parsed the first time a ranking needs its texts. Malformed content, a
+    missing sidecar, a changed corpus and an older layout raise
+    `ValueError`: `apec index` must rebuild.
     """
     with open(path, encoding="utf-8") as handle:
         try:
@@ -543,19 +549,11 @@ def load_index(path, corpus) -> Bm25Index:
     if not isinstance(header, dict):
         raise _index_error(path, "not a JSON object")
     layout = (header.get("schema_version"), header.get("kind"))
-    if layout != INDEX_LAYOUT:
-        raise _index_error(path, f"(schema_version, kind) is {layout}, not {INDEX_LAYOUT}")
-    keys = ("params", "doc_ids", "avgdl", "corpus_sha256", "terms", "columns_sha256")
-    missing_keys = [key for key in keys if key not in header]
-    if missing_keys:
-        raise _index_error(path, f"missing {', '.join(missing_keys)}")
-    raw_params, doc_ids, avgdl, corpus_sha256, terms, columns_sha256 = map(header.get, keys)
-    if not isinstance(raw_params, dict) or raw_params.keys() != asdict(Bm25Params()).keys():
-        raise _index_error(path, "params must hold exactly k1, b, epsilon, min_token_len")
-    try:
-        params = Bm25Params(**raw_params)
-    except (TypeError, ValueError) as exc:
-        raise _index_error(path, f"bad params: {exc}") from None
+    if layout != tuple(INDEX_LAYOUT.values()):
+        raise _index_error(path, f"(schema_version, kind) is {layout}, not {tuple(INDEX_LAYOUT.values())}")
+    # a missing key reads as None, which fails that key's own check below
+    doc_ids, corpus_sha256, terms, columns_sha256 = map(
+        header.get, ("doc_ids", "corpus_sha256", "terms", "columns_sha256"))
     id_types = set(map(type, doc_ids)) if isinstance(doc_ids, list) else None
     if id_types not in ({str}, {int}, set()):  # ties rank by doc id: one type orders
         raise _index_error(path, "doc_ids is not a list of strings, or of integers")
@@ -568,7 +566,7 @@ def load_index(path, corpus) -> Bm25Index:
         and all(map(operator.lt, terms, terms[1:]))  # bisect_left finds a term's row
     ):
         raise _index_error(path, "terms is not a list of strings in strictly ascending order")
-    n_docs, sidecar, sha256 = len(doc_ids), f"{os.fspath(path)}.columns", hashlib.sha256()
+    n_docs, sidecar, sha256 = len(doc_ids), columns_path(path), hashlib.sha256()
     try:
         with open(sidecar, "rb") as handle:
             read = partial(_read_column, handle, sha256)
@@ -609,7 +607,4 @@ def load_index(path, corpus) -> Bm25Index:
         raise _index_error(path, f"spans must be a start and an end per doc id, ascending, "
                                  f"disjoint byte ranges of {corpus}")
     pairs = CorpusPairs(corpus, doc_ids, spans, digests, corpus_sha256, head if is_csv(corpus) else b"", path)
-    index = _column_index(pairs, counts, terms, dfs, positions, tfs, params)
-    if avgdl != index.avgdl:
-        raise _index_error(path, f"avgdl is not {index.avgdl!r}, the mean of doc_token_counts")
-    return index
+    return _column_index(pairs, counts, terms, dfs, positions, tfs, Bm25Params())

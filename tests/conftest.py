@@ -79,13 +79,13 @@ def corpus_lines(ids, pairs) -> list[bytes]:
     ]
 
 
-def build_over_corpus(path, pairs, ids, params=None):
+def build_over_corpus(path, pairs, ids):
     """Write `pairs` under the doc ids `ids` as the JSONL corpus file `path`
     and build the index over it, through `CorpusPairs`."""
     from apec.retrieval import CorpusPairs, build_index
 
     path.write_bytes(b"".join(corpus_lines(ids, pairs)))
-    return build_index(CorpusPairs(path), params)
+    return build_index(CorpusPairs(path))
 
 
 def save_index_over_corpus(index, path):

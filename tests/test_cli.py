@@ -197,8 +197,8 @@ def term_postings(payload) -> dict:
 def set_postings(pairs):
     """Give every term the same postings, `pairs` of (pos, tf). The first
     document's token count becomes the total of the new tfs and the others'
-    0, with the avgdl that is their mean, so that the file loads and the
-    postings check is what fails, when a query first holds a term."""
+    0, so that the file loads and the postings check is what fails, when a
+    query first holds a term."""
 
     def corrupt(payload):
         n_terms, n_docs = len(payload["terms"]), len(payload["doc_ids"])
@@ -207,7 +207,6 @@ def set_postings(pairs):
         payload["tfs"] = [tf for _, tf in pairs] * n_terms
         total = sum(payload["tfs"])
         payload["doc_token_counts"] = [total] + [0] * (n_docs - 1)
-        payload["avgdl"] = total / n_docs
 
     corrupt.message = "postings of "
     return corrupt
@@ -228,8 +227,7 @@ def halve_spans(spans):
 
 
 def columns_layout(payload):
-    """The layout before spans: no corpus digest, no spans, kind bm25-index-columns,
-    the kind of today's header."""
+    """The layout before spans: no corpus digest, no spans, kind bm25-index-columns."""
     parent_layout(payload, "bm25-index-columns")
     del payload["corpus_sha256"], payload["spans"], payload["digests"]
 
@@ -317,19 +315,30 @@ def swap_first_terms(payload):
 
 
 def mixed_doc_id_types(payload):
-    """The first doc id an integer among strings. No query token reaches the
-    min_token_len, so every score is 0.0 and ranking ties compare doc ids."""
+    """The first doc id an integer among strings, which rank ties could not order."""
     payload["doc_ids"][0] = 0
-    payload["params"]["min_token_len"] = 1000
+
+
+mixed_doc_id_types.message = "doc_ids is not a list of strings, or of integers"
+
+
+def drop_key(key, message):
+    """The header without `key`, which reads as None and fails that key's own check."""
+
+    def corrupt(payload):
+        del payload[key]
+
+    corrupt.message = message
+    return corrupt
 
 
 def set_token_counts(count):
-    """Every document's token count `count`, and the avgdl that is their mean."""
+    """Every document's token count `count`."""
 
     def corrupt(payload):
         payload["doc_token_counts"] = [count] * len(payload["doc_ids"])
-        payload["avgdl"] = float(count)
 
+    corrupt.message = "doc_token_counts do not sum to the total of tfs"
     return corrupt
 
 
@@ -379,28 +388,16 @@ class TestIndex:
                 ),
                 id="packed-format",
             ),
-            pytest.param(lambda p: p.pop("params"), id="no-params"),
             pytest.param(lambda p: (p.pop("positions"), p.pop("tfs")), id="no-postings"),
             pytest.param(lambda p: p.pop("dfs"), id="no-doc-freqs"),
-            pytest.param(lambda p: p["params"].pop("k1"), id="params-missing-k1"),
-            pytest.param(lambda p: p.update(avgdl="4.0"), id="avgdl-string"),
-            pytest.param(lambda p: p["params"].update(k1=float("nan")), id="params-k1-nan"),
-            pytest.param(lambda p: p["params"].update(epsilon=float("inf")), id="params-epsilon-inf"),
-            pytest.param(lambda p: p.update(avgdl=float("nan")), id="avgdl-nan"),
-            pytest.param(lambda p: p.update(avgdl=float("inf")), id="avgdl-inf"),
-            pytest.param(lambda p: p.update(avgdl=10**400), id="avgdl-past-float-range"),
-            pytest.param(lambda p: p.update(avgdl=-1.0), id="avgdl-negative"),
-            # finite avgdls other than the mean of doc_token_counts: 0 scores
-            # every document 0.0, the others change which ranks first
-            pytest.param(lambda p: p.update(avgdl=0.0), id="avgdl-zero"),
-            pytest.param(lambda p: p.update(avgdl=1e9), id="avgdl-1e9"),
-            pytest.param(lambda p: p.update(avgdl=0.5), id="avgdl-0.5"),
             pytest.param(no_docs, id="no-docs"),
+            pytest.param(drop_key("doc_ids", "doc_ids is not a list of strings"), id="no-doc-ids"),
+            pytest.param(drop_key("terms", "terms is not a list of strings"), id="no-terms"),
             pytest.param(lambda p: p["doc_ids"].insert(0, ["t0"]), id="list-doc-id"),
             pytest.param(lambda p: p["doc_ids"].__setitem__(1, p["doc_ids"][0]), id="repeated-doc-id"),
             pytest.param(mixed_doc_id_types, id="mixed-doc-id-types"),
             pytest.param(lambda p: p["doc_token_counts"].pop(), id="short-token-counts"),
-            # counts whose mean is the avgdl, but whose total is not that of the tfs
+            # counts whose total is not that of the tfs
             pytest.param(set_token_counts(0), id="token-counts-all-zero"),
             pytest.param(set_token_counts(1), id="token-counts-all-one"),
             pytest.param(packed_tail("tfs", "I", 1), id="partial-uint32"),
@@ -415,7 +412,7 @@ class TestIndex:
             pytest.param(set_postings([(3, 1), (3, 1)]), id="repeated-position"),
             pytest.param(set_postings([(0, 0)]), id="zero-tf"),
             pytest.param(columns_layout, id="columns-layout"),
-            pytest.param(lambda p: p.pop("corpus_sha256"), id="no-corpus-sha256"),
+            pytest.param(drop_key("corpus_sha256", "built from a corpus with sha256 None"), id="no-corpus-sha256"),
             pytest.param(lambda p: p.update(corpus_sha256="abc123"), id="short-corpus-sha256"),
             pytest.param(lambda p: p.update(corpus_sha256=None), id="null-corpus-sha256"),
             pytest.param(
@@ -1079,9 +1076,9 @@ def write_topic_corpus(tmp_path):
 
 
 class TestOneBm25Configuration:
-    """Every index the CLI builds uses `Bm25Params()`, and no config key
-    changes it, so `--index` and an in-memory build pick the same
-    demonstrations under any config."""
+    """Every index the CLI builds uses `Bm25Params()`, no config key changes
+    it, and an index file holds no params, so `--index` and an in-memory
+    build pick the same demonstrations under any config."""
 
     def test_index_file_and_build_agree_under_a_bm25_config(self, tmp_path, capsys):
         docs, train, docs_path, train_path = write_topic_corpus(tmp_path)
@@ -1121,14 +1118,44 @@ class TestOneBm25Configuration:
         adapted = (tmp_path / "adapt_built.jsonl").read_text(encoding="utf-8").splitlines()
         assert len({json.loads(line)["adaptation"].split(" junto a ")[1] for line in adapted}) > 1
 
-        # the config's params would pick other demonstrations: an index file
-        # written with them, as earlier versions could, loads with them
+        # the config's params would pick other demonstrations: an index built
+        # with them cannot be saved
         tuned = tmp_path / "tuned.json"
-        save_index(build_index(CorpusPairs(train_path), Bm25Params(k1=0.1, min_token_len=9)), tuned)
-        tuned_out = tmp_path / "adapt_tuned.jsonl"
-        argv = [*commands["adapt"], "--index", str(tuned), "--output", str(tuned_out)]
-        assert main(argv) == EXIT_OK
-        assert tuned_out.read_bytes() != (tmp_path / "adapt_built.jsonl").read_bytes()
+        with pytest.raises(ValueError, match=r"only an index built with Bm25Params\(\) is saved"):
+            save_index(build_index(CorpusPairs(train_path), Bm25Params(k1=0.1, min_token_len=9)), tuned)
+        assert not list(tmp_path.glob("tuned.json*"))
+
+    @pytest.mark.parametrize(
+        "params", [Bm25Params(), Bm25Params(k1=0.1, min_token_len=9)], ids=["default", "tuned"]
+    )
+    def test_index_file_holding_params_is_refused(self, tmp_path, capsys, params):
+        """A header of the earlier layout, which held `params` and `avgdl`
+        beside today's keys, is refused by its kind, whatever params it holds."""
+        docs, _, docs_path, train_path = write_topic_corpus(tmp_path)
+        index_path = tmp_path / "index.json"
+        assert main(["index", "--corpus", str(train_path), "--output", str(index_path)]) == EXIT_OK
+        counts = read_index_file(index_path)["doc_token_counts"]
+        header = json.loads(index_path.read_text(encoding="utf-8"))
+        header.update(kind="bm25-index-columns", params=dataclasses.asdict(params),
+                      avgdl=sum(counts) / len(counts))
+        index_path.write_text(json.dumps(header, sort_keys=True) + "\n", encoding="utf-8")
+        initial = tmp_path / "initial.jsonl"
+        write_lines(initial, [{"doc_id": d["id"], "adaptation": f"Inicial {d['id']}."} for d in docs])
+        commands = {
+            "adapt": ["adapt", "--input", str(docs_path), "--mode", "fs-bm25"],
+            "refine": ["refine", "--input", str(initial), "--docs", str(docs_path), "--embed", "hash"],
+        }
+        capsys.readouterr()
+        for name, argv in commands.items():
+            out_path = tmp_path / f"{name}.jsonl"
+            rc = main([*argv, "--corpus", str(train_path), "--index", str(index_path),
+                       "--provider", "echo", "--output", str(out_path)])
+            err = capsys.readouterr().err
+            assert rc == EXIT_CONFIG, name
+            assert "(schema_version, kind) is (1, 'bm25-index-columns')" in err
+            assert err.endswith("; rebuild it with `apec index`\n")
+            assert "Traceback" not in err
+            assert not out_path.exists()
 
 
 class TestOutputIsAnInput:
@@ -1182,6 +1209,34 @@ class TestOutputIsAnInput:
         assert f"usage error: --output {output} would overwrite the {flag} file {target}" in err
         assert "Traceback" not in err
         assert Path(target).read_bytes() == before
+
+    @pytest.mark.parametrize("command", ["adapt", "refine"])
+    def test_sidecar_of_index_flag_is_an_input(self, tmp_path, capsys, command):
+        # the sidecar is read through --index; overwritten, the next run fails
+        argv = self.commands(tmp_path)[command]
+        sidecar = f"{argv[argv.index('--index') + 1]}.columns"
+        before = Path(sidecar).read_bytes()
+        capsys.readouterr()
+        assert main([*argv, "--output", sidecar]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"usage error: --output {sidecar} would overwrite the --index file {sidecar}" in err
+        assert "Traceback" not in err
+        assert Path(sidecar).read_bytes() == before
+
+    @pytest.mark.parametrize("command", ["adapt", "refine"])
+    def test_scripted_fixture_is_an_input(self, tmp_path, monkeypatch, capsys, command):
+        argv = self.commands(tmp_path)[command]
+        fixture = tmp_path / "script.jsonl"
+        write_lines(fixture, [{"match": "", "response": "Respuesta."}])
+        before = fixture.read_bytes()
+        argv[argv.index("--provider") + 1] = f"scripted:{fixture}"
+        monkeypatch.chdir(tmp_path)  # the output spelled relative, the fixture absolute
+        capsys.readouterr()
+        assert main([*argv, "--output", "script.jsonl"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"usage error: --output script.jsonl would overwrite the --provider file {fixture}" in err
+        assert "Traceback" not in err
+        assert fixture.read_bytes() == before
 
     def test_index_sidecar_is_an_input(self, tmp_path, capsys):
         _, _, train_path = write_workers_corpus(tmp_path)

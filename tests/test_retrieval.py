@@ -109,16 +109,16 @@ def direct_scores(index, query):
     return scores
 
 
-def reference_index_file(pairs, params, ids, corpus: bytes) -> tuple[str, bytes]:
+def reference_index_file(pairs, ids, corpus: bytes) -> tuple[str, bytes]:
     """The header line and the sidecar of the index file as a dict-of-dicts
-    build writes them: a {pos: tf} map per term, flattened in sorted term
-    order into little-endian uint32 columns, over `corpus`, the bytes of a
-    JSONL file with one line per pair, each line's span and 16-byte digest
-    (its sha256's first 16 bytes). The byte oracle `save_index` must
-    reproduce."""
+    build with the default params writes them: a {pos: tf} map per term,
+    flattened in sorted term order into little-endian uint32 columns, over
+    `corpus`, the bytes of a JSONL file with one line per pair, each line's
+    span and 16-byte digest (its sha256's first 16 bytes). The byte oracle
+    `save_index` must reproduce."""
     postings, counts = {}, []
     for pos, (source, _) in enumerate(pairs):
-        tokens = [t for t in source.lower().split() if len(t) >= params.min_token_len]
+        tokens = [t for t in source.lower().split() if len(t) >= 4]
         counts.append(len(tokens))
         for token in tokens:
             docs = postings.setdefault(token, {})
@@ -142,12 +142,10 @@ def reference_index_file(pairs, params, ids, corpus: bytes) -> tuple[str, bytes]
     ])
     header = {
         "schema_version": 1,
-        "kind": "bm25-index-columns",
+        "kind": "bm25-index-defaults",
         "corpus_sha256": hashlib.sha256(corpus).hexdigest(),
         "columns_sha256": hashlib.sha256(sidecar).hexdigest(),
-        "params": dataclasses.asdict(params),
         "doc_ids": list(ids),
-        "avgdl": sum(counts) / len(counts),
         "terms": terms,
     }
     return json.dumps(header, ensure_ascii=False, sort_keys=True, allow_nan=False) + "\n", sidecar
@@ -418,14 +416,14 @@ class TestCachedScoring:
         for trial in range(30):
             params, pairs, queries = random_case(rng)
             warm = build_index(pairs, params=params)
-            path = tmp_path / f"index{trial}.json"
-            loaded = load_index(path, save_index_over_corpus(warm, path))
+            path = tmp_path / f"index{trial}.json"  # a file holds a default-params index only
+            loaded = load_index(path, save_index_over_corpus(build_index(pairs), path))
             for query in queries + queries:  # second round hits the warm cache
                 fresh = build_index(pairs, params=params)
                 want = direct_scores(fresh, query)
                 assert bm25_scores(warm, query) == want, (trial, query)
-                assert bm25_scores(loaded, query) == want, (trial, query)
                 assert bm25_scores(fresh, query) == want, (trial, query)
+                assert bm25_scores(loaded, query) == direct_scores(build_index(pairs), query), (trial, query)
 
     def test_repeated_query_tokens_accumulate_per_occurrence(self):
         index = build_index(PAIRS)
@@ -1058,19 +1056,30 @@ class TestPersistence:
         ) + bytes(range(48))
         assert (tmp_path / "index.json.columns").read_bytes() == sidecar
         assert path.read_text(encoding="utf-8") == (
-            '{"avgdl": 3.0, "columns_sha256": "' + hashlib.sha256(sidecar).hexdigest() + '", '
+            '{"columns_sha256": "' + hashlib.sha256(sidecar).hexdigest() + '", '
             '"corpus_sha256": "' + "0123456789abcdef" * 4 + '", '
-            '"doc_ids": ["a", "b", "c"], "kind": "bm25-index-columns", '
-            '"params": {"b": 0.75, "epsilon": 0.25, "k1": 1.5, "min_token_len": 4}, '
+            '"doc_ids": ["a", "b", "c"], "kind": "bm25-index-defaults", '
             '"schema_version": 1, "terms": ["casa", "perro", "verde"]}\n'
         )
+
+    @pytest.mark.parametrize(
+        "params", [Bm25Params(k1=0.1), Bm25Params(min_token_len=9)], ids=["k1", "min-token-len"]
+    )
+    def test_only_default_params_are_saved(self, tmp_path, params):
+        # the file stores no params and loads with Bm25Params(): a tuned index
+        # would load as another ranking, so it is refused before any file is written
+        build_over_corpus(tmp_path / "corpus.jsonl", PAIRS, ["d1", "d2", "d3", "d4"])
+        index = build_index(CorpusPairs(tmp_path / "corpus.jsonl"), params)
+        with pytest.raises(ValueError, match=r"only an index built with Bm25Params\(\) is saved"):
+            save_index(index, tmp_path / "index.json")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
 
     def test_column_postings_decoded_on_query(self, tmp_path):
         path = tmp_path / "index.json"
         corpus = save_index_over_corpus(build_index(PAIRS), path)
         payload = read_index_file(path)
         assert payload["schema_version"] == 1
-        assert payload["kind"] == "bm25-index-columns"
+        assert payload["kind"] == "bm25-index-defaults"
         perro = sum(payload["dfs"][: payload["terms"].index("perro")])
         payload["positions"][perro] = 9  # past the last document
         write_index_file(path, payload)
@@ -1091,23 +1100,21 @@ class TestPersistence:
 
     def test_built_and_loaded_idf_agree_exactly(self, tmp_path):
         # the idf floor is a mean over terms; a built index and its saved
-        # copy must sum it in the same order. The last trials index tokens
-        # shorter than min_token_len only: no terms, and avgdl 0.0
+        # copy must sum it in the same order. The last trials' sources hold
+        # tokens shorter than min_token_len only: no terms, and avgdl 0.0
         rng = random.Random(20241018)
         words = [f"{stem}{end}" for stem in ("casa", "perro", "libro", "lento") for end in "aeiou"]
+        short = [f"{stem}{end}" for stem in ("s", "l", "m") for end in ("ol", "uz", "ar")]
         for trial in range(34):
-            params = Bm25Params(min_token_len=4 if trial < 30 else 7)
             pairs = [
-                (" ".join(rng.choices(words, k=rng.randint(1, 12))), "a")
+                (" ".join(rng.choices(words if trial < 30 else short, k=rng.randint(1, 12))), "a")
                 for _ in range(rng.randint(3, 12))
             ]
-            built = build_index(pairs, params=params)
+            built = build_index(pairs)
             path = tmp_path / f"index{trial}.json"
             corpus = save_index_over_corpus(built, path)
             written = path.read_text(encoding="utf-8"), (tmp_path / f"index{trial}.json.columns").read_bytes()
-            assert written == reference_index_file(
-                pairs, params, range(len(pairs)), corpus.read_bytes()
-            ), trial
+            assert written == reference_index_file(pairs, range(len(pairs)), corpus.read_bytes()), trial
             loaded = load_index(path, corpus)
             assert (len(built.terms) == 0) == (trial >= 30) == (built.avgdl == 0.0), trial
             assert idf_hex(loaded) == idf_hex(built), trial

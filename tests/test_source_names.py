@@ -1,10 +1,14 @@
 """Dead names in the package source: an import that its module never uses,
 a module-level private name (`_x`) that no module of the package refers
-to, and a public method or property of a class that no program file reads
-(the package, `scripts/` and `perfbench/`; tests do not count). Each is
-what a deletion tends to leave behind."""
+to, a public method or property of a class that no program file reads
+(the package, `scripts/` and `perfbench/`; tests do not count), and a
+module-level public function, class or constant that no program file
+reads, beyond the package's `__init__` re-exporting it, and that README's
+Library block does not name. Each is what a deletion tends to leave
+behind."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -46,9 +50,9 @@ def unused_imports(tree: ast.Module) -> list[str]:
     return unused
 
 
-def private_definitions(tree: ast.Module):
-    """(name, line) of each module-level function, class or assignment whose
-    name starts with one underscore."""
+def definitions(tree: ast.Module):
+    """(name, line) of each module-level function, class or assigned name,
+    but for dunder names such as `__version__`."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -58,8 +62,13 @@ def private_definitions(tree: ast.Module):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
+            if not name.startswith("__"):
                 yield name, node.lineno
+
+
+def private_definitions(tree: ast.Module):
+    """(name, line) of each definition whose name starts with one underscore."""
+    return [(name, line) for name, line in definitions(tree) if name.startswith("_")]
 
 
 def references(tree: ast.Module):
@@ -92,6 +101,24 @@ def member_reads(tree: ast.Module):
             yield node.attr
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             yield node.value
+
+
+def export_reads(tree: ast.Module, reexports: bool = False):
+    """Every name the module reads, every attribute it reads, every string
+    constant (a tracer names what it wraps by string) and, unless the module
+    only `reexports` them, every name it imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.ImportFrom) and not reexports:
+            yield from (alias.name for alias in node.names)
+    yield from member_reads(tree)
+
+
+def library_block() -> ast.Module:
+    """The Python code block under README's `## Library` heading."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return ast.parse(re.search(r"^## Library\n+```python\n(.*?)^```", readme, re.M | re.S).group(1))
 
 
 @pytest.mark.parametrize(
@@ -127,6 +154,21 @@ def test_every_public_member_is_read():
     assert unread == []
 
 
+def test_every_public_export_is_read():
+    library = set(export_reads(library_block()))
+    assert {"embedding_top_k", "HashEmbeddingProvider"} <= library  # README's block was found
+    reads = library | {
+        name for path in PROGRAM for name in export_reads(parse(path), path.name == "__init__.py")
+    }
+    unread = [
+        f"{path.name}:{line} {name}"
+        for path in MODULES
+        for name, line in definitions(parse(path))
+        if not name.startswith("_") and name not in reads
+    ]
+    assert unread == []
+
+
 def test_checks_catch_leftovers():
     tree = ast.parse(
         "import os\nimport urllib.parse\nimport urllib.request\n"
@@ -151,3 +193,16 @@ def test_checks_catch_leftovers():
     )
     reads = set(member_reads(tree))
     assert [name for _, name, _ in public_members(tree) if name not in reads] == ["remaining"]
+    tree = ast.parse(
+        "from .x import exported, traced, read\n"
+        "LIMIT = 3\nUNUSED = 4\n"
+        "def helper():\n    return LIMIT\n"
+        "def orphan():\n    return helper()\n"
+        "class Gone:\n    pass\n"
+        "WRAPPED = ('traced', read)\n"
+    )
+    init = ast.parse("from .x import exported, orphan\n")
+    reads = set(export_reads(tree)) | set(export_reads(init, reexports=True))
+    assert [name for name, _ in definitions(tree) if name not in reads] == [
+        "UNUSED", "orphan", "Gone", "WRAPPED"
+    ]
