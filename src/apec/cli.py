@@ -262,7 +262,7 @@ def _skipped_warning(skipped: int) -> None:
 
 def _bm25_index(index_path, corpus_path):
     """The index file at `index_path` over the corpus it was built from, or
-    a new index with `Bm25Params()` over the usable docs of the corpus,
+    a new index over the usable docs of the corpus,
     which reads their texts back from the file as rankings need them."""
     if index_path:
         return load_index(index_path, corpus_path)
@@ -431,10 +431,10 @@ def cmd_ensemble(args, config: dict) -> int:
     priority = args.priority.split(",") if args.priority else None
 
     streams = [read_traces(path) for path in args.inputs]
-    labels = [Path(path).stem for path in args.inputs]
+    names = [sorted({trace.stream for trace in by_doc.values()}) for by_doc in streams]
     owners = {}  # stream name -> position of the first input holding it
-    for position, by_doc in enumerate(streams):
-        for name in sorted({trace.stream for trace in by_doc.values()}):
+    for position, stream_names in enumerate(names):
+        for name in stream_names:
             first = owners.setdefault(name, position)
             if first != position:
                 raise UsageError(
@@ -445,11 +445,11 @@ def cmd_ensemble(args, config: dict) -> int:
     if unknown:
         raise UsageError(f"--priority names streams that no input holds: {', '.join(unknown)}")
 
-    for label, by_doc in zip(labels, streams):
+    for path, stream_names, by_doc in zip(args.inputs, names, streams):
         missing = sorted(set().union(*streams) - set(by_doc))
         if missing:
             print(
-                f"warning: stream {label} missing {len(missing)} docs: {missing[:5]}",
+                f"warning: {path} (streams {stream_names}) missing {len(missing)} docs: {missing[:5]}",
                 file=sys.stderr,
             )
 
@@ -473,7 +473,7 @@ def cmd_ensemble(args, config: dict) -> int:
 
 
 def cmd_tablecheck(args, config: dict) -> int:
-    results = run_table_checks(tolerance=args.tolerance)
+    results = run_table_checks()
     print(render_check_report(results))
     return EXIT_OK if all_asserted_ok(results) else EXIT_CHECK_FAILED
 
@@ -558,7 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ensemble)
 
     p = subs.add_parser("tablecheck", help="verify reported-results fixtures")
-    p.add_argument("--tolerance", type=float, default=0.01)
     p.set_defaults(func=cmd_tablecheck)
 
     return parser

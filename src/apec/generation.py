@@ -50,7 +50,6 @@ class DecodingParams:
     temperature: float = 0.0  # 0 is greedy decoding: HttpChatProvider then sends no top_k
     top_k: int = 1
     top_p: float = 1.0
-    max_new_tokens: int = DEFAULT_MAX_NEW_TOKENS
 
 
 GREEDY = DecodingParams()
@@ -254,7 +253,7 @@ class HttpChatProvider:
             "messages": messages,
             "temperature": decoding.temperature,
             "top_p": decoding.top_p,
-            "max_tokens": decoding.max_new_tokens,
+            "max_tokens": DEFAULT_MAX_NEW_TOKENS,
         }
         if decoding.temperature > 0:
             payload["top_k"] = decoding.top_k

@@ -1,10 +1,11 @@
 """Few-shot demonstration selection over (source, adaptation) pairs.
 
 BM25 ranking follows the Okapi form with an idf floor for very common
-terms: tokens are whitespace-split, lowercased and dropped when shorter
-than `min_token_len`. Alternatives: embedding-similarity ranking and
-seeded random sampling. A length-ratio filter can exclude training
-pairs whose adaptation is much shorter/longer than its source.
+terms, under one configuration, `Bm25Params`: tokens are whitespace-split,
+lowercased and dropped when shorter than its `min_token_len`.
+Alternatives: embedding-similarity ranking and seeded random sampling. A
+length-ratio filter can exclude training pairs whose adaptation is much
+shorter/longer than its source.
 
 Query-independent work is cached on the index: length norms on first
 use, and a term's impact vector (positions and `idf·tf·(k1+1)/(tf+norm)`
@@ -18,11 +19,11 @@ Built and loaded indexes share one layout, a term table: the sorted
 float64 `idf` column. The postings are two uint32 columns, `positions` and
 `tfs`, in sorted term order. An index file is a one-line JSON header and a
 sidecar of raw little-endian columns, `columns_path` of it, which
-`load_index` reads straight into arrays. It holds no params and no avgdl:
-only an index with `Bm25Params()` is saved, a loaded one ranks with them,
-and its avgdl is the mean of its documents' token counts, which must sum
-to the total of its `tfs`. A term's slice is read only when a query first
-holds it; cached impacts hold the index's shared position ints.
+`load_index` reads straight into arrays. It holds no params, as every
+index ranks with `Bm25Params`, and no avgdl: its avgdl is the mean of its
+documents' token counts, which must sum to the total of its `tfs`. A
+term's slice is read only when a query first holds it; cached impacts
+hold the index's shared position ints.
 
 Every demonstration mode reads a training corpus file through one type,
 `CorpusPairs`. It streams the file once, a record at a time, and keeps
@@ -76,21 +77,13 @@ from .similarity import (
 INDEX_LAYOUT = {"schema_version": 1, "kind": "bm25-index-defaults"}
 
 
-@dataclass(frozen=True)
 class Bm25Params:
-    k1: float = 1.5
-    b: float = 0.75
-    epsilon: float = 0.25
-    min_token_len: int = 4
+    """The one BM25 configuration: every index, built or loaded, ranks with it."""
 
-    def __post_init__(self):
-        for name, low in (("k1", 0), ("epsilon", 0), ("min_token_len", 1)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}")
-            if not getattr(self, name) < math.inf:  # NaN or inf
-                raise ValueError(f"{name} must be finite")
-        if not 0.0 <= self.b <= 1.0:
-            raise ValueError("b must be in [0, 1]")
+    k1 = 1.5
+    b = 0.75
+    epsilon = 0.25
+    min_token_len = 4
 
 
 @dataclass(frozen=True)
@@ -116,7 +109,6 @@ class Bm25Index:
     idf: array = field(repr=False)  # float64
     positions: array = field(repr=False)  # uint32
     tfs: array = field(repr=False)  # uint32
-    params: Bm25Params = Bm25Params()
     # term -> (positions, weights), filled as queries need them. Pool threads
     # share it and the cached properties below without a lock: every writer
     # stores an equal value for its key, so a racing write is harmless and a
@@ -133,7 +125,7 @@ class Bm25Index:
     @cached_property
     def _norms(self) -> tuple[float, ...]:
         """Per-document `k1·(1 - b + b·dl/avgdl)`; needs avgdl > 0."""
-        k1, b = self.params.k1, self.params.b
+        k1, b = Bm25Params.k1, Bm25Params.b
         return tuple(
             k1 * (1.0 - b + b * dl / self.avgdl) for dl in self.doc_token_counts
         )
@@ -159,7 +151,7 @@ class Bm25Index:
                     f"postings of {term!r} must be ascending positions in "
                     f"[0, {n_docs}), each with a count >= 1",
                 )
-            token_idf, k1, norms = self.idf[i], self.params.k1, self._norms
+            token_idf, k1, norms = self.idf[i], Bm25Params.k1, self._norms
             impacts = (
                 tuple(map(self._position_ints.__getitem__, positions)),
                 tuple(
@@ -171,17 +163,18 @@ class Bm25Index:
         return impacts
 
 
-def bm25_tokens(text: str, min_token_len: int) -> list[str]:
-    """Whitespace tokens, lowercased, shorter ones dropped."""
+def bm25_tokens(text: str) -> list[str]:
+    """Whitespace tokens, lowercased, those shorter than `Bm25Params.min_token_len` dropped."""
+    min_token_len = Bm25Params.min_token_len
     return [t for t in text.lower().split() if len(t) >= min_token_len]
 
 
-def _compute_idf(dfs: list[int], n_docs: int, epsilon: float) -> array:
+def _compute_idf(dfs: list[int], n_docs: int) -> array:
     """The idf column of the sorted terms from their dfs, one log per distinct df.
     Sorted terms sum the floor's mean in one order, so an index and its saved copy agree."""
     by_df = {n_t: math.log((n_docs - n_t + 0.5) / (n_t + 0.5)) for n_t in set(dfs)}
     positive = [v for v in map(by_df.get, dfs) if v > 0]
-    floor = epsilon * (sum(positive) / len(positive)) if positive else 0.0
+    floor = Bm25Params.epsilon * (sum(positive) / len(positive)) if positive else 0.0
     by_df = {n_t: floor if value < 0 else value for n_t, value in by_df.items()}
     return array("d", map(by_df.get, dfs))
 
@@ -195,16 +188,16 @@ def build_index(pairs: list[tuple[str, str]] | CorpusPairs, params: Bm25Params |
 
     The index is one term table, the sorted terms with their idf and the
     start of their postings, over two postings columns; avgdl is the mean
-    of the documents' token counts.
+    of the documents' token counts. Every index ranks with `Bm25Params`:
+    `params` is read by nothing, kept for callers passing `Bm25Params()`.
     """
     sources = _sources(pairs)
     if not isinstance(pairs, CorpusPairs):
         pairs = tuple(pairs)
-    params = params or Bm25Params()
     by_term = defaultdict(partial(array, "I"))  # term -> its (pos, tf) pairs, interleaved
     token_counts = []
     for pos, source in enumerate(sources):
-        tokens = bm25_tokens(source, params.min_token_len)
+        tokens = bm25_tokens(source)
         token_counts.append(len(tokens))
         for token, tf in Counter(tokens).items():
             by_term[token].fromlist([pos, tf])
@@ -213,7 +206,7 @@ def build_index(pairs: list[tuple[str, str]] | CorpusPairs, params: Bm25Params |
     joined = array("I")
     for term in terms:
         joined += by_term.pop(term)
-    return _column_index(pairs, token_counts, terms, dfs, joined[0::2], joined[1::2], params)
+    return _column_index(pairs, token_counts, terms, dfs, joined[0::2], joined[1::2])
 
 
 def _sources(pairs):
@@ -226,7 +219,7 @@ def _sources(pairs):
     return (source for source, _ in pairs)
 
 
-def _column_index(pairs, counts, terms, dfs, positions, tfs, params):
+def _column_index(pairs, counts, terms, dfs, positions, tfs):
     """The index over its postings columns of a tuple of pairs or a read `CorpusPairs`."""
     return Bm25Index(
         doc_ids=tuple(pairs.doc_ids if isinstance(pairs, CorpusPairs) else range(len(pairs))),
@@ -235,17 +228,16 @@ def _column_index(pairs, counts, terms, dfs, positions, tfs, params):
         avgdl=sum(counts) / len(counts),
         terms=terms,
         starts=array("Q", accumulate(dfs, initial=0)),
-        idf=_compute_idf(dfs, len(counts), params.epsilon),
+        idf=_compute_idf(dfs, len(counts)),
         positions=positions,
         tfs=tfs,
-        params=params,
     )
 
 
 def bm25_scores(index: Bm25Index, query: str) -> list[float]:
     """Okapi score of every indexed document against the query."""
     scores = [0.0] * len(index)
-    for token in bm25_tokens(query, index.params.min_token_len):
+    for token in bm25_tokens(query):
         positions, weights = index._impacts(token)
         for pos, weight in zip(positions, weights):
             scores[pos] += weight
@@ -426,11 +418,9 @@ def save_index(index: Bm25Index, path) -> None:
     and end byte in the corpus) and `digests` (16 bytes per document, of its
     record). The header holds `doc_ids`, the sorted `terms`, and the hex
     sha256 of the corpus file as `corpus_sha256` and of the sidecar as
-    `columns_sha256`. Pair texts and params are not stored: an index built
-    with params other than `Bm25Params()` is a ValueError, and writes no file.
+    `columns_sha256`. Pair texts are not stored, and no params: every index
+    ranks with `Bm25Params`.
     """
-    if index.params != Bm25Params():
-        raise ValueError(f"only an index built with Bm25Params() is saved, not {index.params}")
     starts, pairs, sha256 = index.starts, index.pairs, hashlib.sha256()
     with open(columns_path(path), "wb") as handle:
         for column in (array("I", map(operator.sub, starts[1:], starts)), array("I", index.doc_token_counts),
@@ -515,7 +505,7 @@ class CorpusPairs:
             if _record_digest(record) != self.digests[16 * pos : 16 * pos + 16]:
                 raise ApecError(f"{corpus} bytes {start}:{end} changed since they were indexed")
             doc = read_record(corpus, record, start, self.header)
-            if doc.id != str(doc_id) or doc.reference is None:
+            if doc.id != doc_id or doc.reference is None:
                 raise ApecError(f"{corpus} bytes {start}:{end} hold doc {doc.id!r}, "
                                 f"reference {doc.reference!r}")
         except (ApecError, OSError, ValueError) as exc:  # ValueError: a CSV header not UTF-8
@@ -532,11 +522,11 @@ def load_index(path, corpus) -> Bm25Index:
     read from the sidecar straight into an array and hashed as it is read;
     the sidecar must have the header's `columns_sha256` and the size that
     the header's lengths and `dfs` give, each df in [1, number of docs]. A
-    term's postings are checked the first time a query holds it. The index
-    ranks with `Bm25Params()`; the total of `doc_token_counts`, whose mean
-    is its avgdl, must be that of `tfs`. The corpus, hashed in chunks, must
-    have the recorded sha256, and a document's record is read back and
-    parsed the first time a ranking needs its texts. Malformed content, a
+    term's postings are checked the first time a query holds it. The total
+    of `doc_token_counts`, whose mean is its avgdl, must be that of `tfs`.
+    The corpus, hashed in chunks, must have the recorded sha256, and a
+    document's record is read back and parsed the first time a ranking
+    needs its texts. Malformed content, a
     missing sidecar, a changed corpus and an older layout raise
     `ValueError`: `apec index` must rebuild.
     """
@@ -553,9 +543,8 @@ def load_index(path, corpus) -> Bm25Index:
     # a missing key reads as None, which fails that key's own check below
     doc_ids, corpus_sha256, terms, columns_sha256 = map(
         header.get, ("doc_ids", "corpus_sha256", "terms", "columns_sha256"))
-    id_types = set(map(type, doc_ids)) if isinstance(doc_ids, list) else None
-    if id_types not in ({str}, {int}, set()):  # ties rank by doc id: one type orders
-        raise _index_error(path, "doc_ids is not a list of strings, or of integers")
+    if not (isinstance(doc_ids, list) and set(map(type, doc_ids)) <= {str}):  # a corpus's ids are strings
+        raise _index_error(path, "doc_ids is not a list of strings")
     if not doc_ids:
         raise _index_error(path, "doc_ids is empty")
     if len(set(doc_ids)) != len(doc_ids):
@@ -606,4 +595,4 @@ def load_index(path, corpus) -> Bm25Index:
         raise _index_error(path, f"spans must be a start and an end per doc id, ascending, "
                                  f"disjoint byte ranges of {corpus}")
     pairs = CorpusPairs(corpus, doc_ids, spans, digests, corpus_sha256, head if is_csv(corpus) else b"", path)
-    return _column_index(pairs, counts, terms, dfs, positions, tfs, Bm25Params())
+    return _column_index(pairs, counts, terms, dfs, positions, tfs)

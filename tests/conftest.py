@@ -91,13 +91,15 @@ def build_over_corpus(path, pairs, ids):
 def save_index_over_corpus(index, path):
     """Write the pairs of a built index as a JSONL corpus file, one
     document per doc id, and save the index at `path` over that file, with
-    its sha256 and each record's byte span and 16-byte digest. Returns
+    its sha256, each record's byte span and 16-byte digest, and its doc ids
+    as strings, as `apec index` writes them. Returns
     the corpus path: the index file's path with `.corpus.jsonl` in place of
     its suffix."""
     from apec.retrieval import CorpusPairs, save_index
 
     corpus = path.with_suffix(".corpus.jsonl")
-    lines = corpus_lines(index.doc_ids, index.pairs)
+    doc_ids = tuple(map(str, index.doc_ids))
+    lines = corpus_lines(doc_ids, index.pairs)
     data = b"".join(lines)
     corpus.write_bytes(data)
     ends = list(itertools.accumulate(map(len, lines)))
@@ -107,7 +109,7 @@ def save_index_over_corpus(index, path):
         digests=b"".join(hashlib.sha256(line).digest()[:16] for line in lines),
         sha256=hashlib.sha256(data).hexdigest(),
     )
-    save_index(dataclasses.replace(index, pairs=pairs), path)
+    save_index(dataclasses.replace(index, doc_ids=doc_ids, pairs=pairs), path)
     return corpus
 
 

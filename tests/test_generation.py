@@ -11,6 +11,7 @@ from apec.errors import (
 )
 from apec.generation import (
     DECODING_PROFILES,
+    DEFAULT_MAX_NEW_TOKENS,
     GREEDY,
     INITIAL_SAMPLED,
     REFINE,
@@ -40,7 +41,8 @@ class TestDecodingParams:
         assert GREEDY.temperature == 0.0
         assert (INITIAL_SAMPLED.temperature, INITIAL_SAMPLED.top_k, INITIAL_SAMPLED.top_p) == (0.3, 40, 0.95)
         assert (REFINE.temperature, REFINE.top_k, REFINE.top_p) == (0.8, 50, 1.0)
-        assert GREEDY.max_new_tokens == 2048
+        assert DEFAULT_MAX_NEW_TOKENS == 2048  # every profile's requests carry it
+        assert not hasattr(GREEDY, "max_new_tokens")
         assert DECODING_PROFILES == {
             "greedy": GREEDY,
             "initial-sampled": INITIAL_SAMPLED,
