@@ -2,6 +2,7 @@ import argparse
 import base64
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -16,6 +17,7 @@ import pytest
 import apec.cli
 
 from apec.cli import (
+    EXIT_CHECK_FAILED,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_PARTIAL,
@@ -88,10 +90,13 @@ class TestTablecheck:
         assert "KNOWN-DIFF" in out
         assert out.count("PASS") == 38
 
-    def test_tight_tolerance_fails(self):
+    def test_tight_tolerance_fails(self, monkeypatch, capsys):
         results = run_table_checks(tolerance=0.0001)
         assert not all_asserted_ok(results)
         assert "FAIL" in {r.status for r in results}
+        monkeypatch.setattr(apec.cli, "run_table_checks", functools.partial(run_table_checks, tolerance=0.0001))
+        assert main(["tablecheck"]) == EXIT_CHECK_FAILED
+        assert "FAIL" in capsys.readouterr().out
 
 
 class TestStats:
