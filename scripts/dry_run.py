@@ -3,10 +3,11 @@
 Builds a ten-document Spanish corpus plus scripted provider fixtures,
 then drives the CLI through stats, index, adapt (BM25 few-shot from the
 index file, BM25 few-shot from an index built in memory, BM25 few-shot
-from the index file of a CSV copy of the training corpus, then embedding
-few-shot, all with the same scripted replies; the CSV copy and its index
-live in a temporary directory, so that every artifact is JSON or JSONL,
-apart from the index's raw sidecar `index.json.columns`), two
+from the index files of two CSV copies of the training corpus, the second
+starting with a UTF-8 BOM, then embedding few-shot, all with the same
+scripted replies; the CSV copies, their indexes and the second copy's
+adaptations live in a temporary directory, so that every artifact is
+JSON or JSONL, apart from the index's raw sidecar `index.json.columns`), two
 refinement streams over the BM25 adaptations (the first again with three
 workers), ensembling, and evaluation. Artifacts land in --workdir (default: a
 fresh temp directory) and are printed at the end.
@@ -15,7 +16,7 @@ Each dev source shares topic words with two training sources, so BM25
 ranks differ by document. A scripted adapt reply names the document and
 the training document whose demonstration sits next to the source in the
 request (the last, rank k), so a wrong demonstration changes the reply.
-The script exits non-zero if a step fails, if the three BM25 adaptation
+The script exits non-zero if a step fails, if the four BM25 adaptation
 files differ in any byte, if their demonstrations are the same for every
 document, if an embedding few-shot reply does not name the rank-k
 training document of a brute-force cosine ranking, or if the
@@ -197,22 +198,25 @@ def run(workdir: Path, cycles: int) -> None:
     train = ["--corpus", str(fixtures["train"])]
     run_step([*fs_bm25, *train, "--index", str(index_path), "--output", str(adapt_path)])
     run_step([*fs_bm25, *train, "--output", str(adapt_built_path)])  # no --index: built in memory
+    rows = [json.loads(line) for line in fixtures["train"].read_text(encoding="utf-8").splitlines()]
     with tempfile.TemporaryDirectory() as csv_dir:
-        train_csv_path = Path(csv_dir) / "train.csv"
-        index_csv_path = Path(csv_dir) / "index_csv.json"
-        rows = map(json.loads, fixtures["train"].read_text(encoding="utf-8").splitlines())
-        with open(train_csv_path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.DictWriter(handle, ["id", "source", "reference", "task"])  # \r\n line ends
-            writer.writeheader()
-            writer.writerows(rows)
-        run_step(["index", "--corpus", str(train_csv_path), "--output", str(index_csv_path)])
-        run_step(
-            [*fs_bm25, "--corpus", str(train_csv_path), "--index", str(index_csv_path),
-             "--output", str(adapt_csv_path)]
-        )
-    for other in (adapt_built_path, adapt_csv_path):
-        if other.read_bytes() != adapt_path.read_bytes():
-            fail(f"{other} differs from {adapt_path}")
+        adapt_bom_path = Path(csv_dir) / "adapt_bom.jsonl"
+        for stem, encoding, output in (("train", "utf-8", adapt_csv_path),
+                                       ("train_bom", "utf-8-sig", adapt_bom_path)):
+            train_csv_path = Path(csv_dir) / f"{stem}.csv"
+            index_csv_path = Path(csv_dir) / f"index_{stem}.json"
+            with open(train_csv_path, "w", encoding=encoding, newline="") as handle:
+                writer = csv.DictWriter(handle, ["id", "source", "reference", "task"])  # \r\n line ends
+                writer.writeheader()
+                writer.writerows(rows)
+            run_step(["index", "--corpus", str(train_csv_path), "--output", str(index_csv_path)])
+            run_step(
+                [*fs_bm25, "--corpus", str(train_csv_path), "--index", str(index_csv_path),
+                 "--output", str(output)]
+            )
+        for other in (adapt_built_path, adapt_csv_path, adapt_bom_path):
+            if other.read_bytes() != adapt_path.read_bytes():
+                fail(f"{other} differs from {adapt_path}")
     if len({reply.split(" junto a ")[1] for reply in adaptations(adapt_path)}) < 2:
         fail(f"{adapt_path}: every document has the same rank-{K} BM25 demonstration")
     run_step(

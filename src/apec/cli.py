@@ -232,8 +232,6 @@ def read_adaptations(path) -> dict[str, str]:
     outputs: dict[str, str] = {}
     for line_no, record, *_ in read_jsonl(path):
         where = f"{path} line {line_no}"
-        if not isinstance(record, dict):
-            raise ApecError(f"{where}: expected a JSON object")
         doc_id = record.get("doc_id")
         text = record.get("adaptation", record.get("final"))
         if type(doc_id) not in (str, int) or not isinstance(text, str):

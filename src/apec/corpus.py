@@ -43,9 +43,7 @@ class Document:
             raise ValueError(f"unknown task {self.task!r}; expected one of {TASKS}")
 
 
-def _document_from_fields(fields, path, line: int) -> Document:
-    if not isinstance(fields, dict):
-        raise ApecError(f"{path} line {line}: expected a JSON object")
+def _document_from_fields(fields: dict, path, line: int) -> Document:
     for key in ("id", "source", "task"):
         if fields.get(key) in (None, ""):
             raise ApecError(f"{path} line {line}: missing field {key!r}")
@@ -76,19 +74,21 @@ def _document_from_fields(fields, path, line: int) -> Document:
 
 
 def read_jsonl(path, lines=None):
-    """Yield (line number, decoded value, (start, end) byte span, raw line)
-    for each non-blank line of a JSON Lines file, read one line at a time,
-    or of `lines`, its raw lines. The value may be of any JSON type, so
-    callers check its shape; a line that is not UTF-8 or not JSON raises
+    """Yield (line number, JSON object as a dict, (start, end) byte span, raw
+    line) for each non-blank line of a JSON Lines file, read one line at a
+    time, or of `lines`, its raw lines. A UTF-8 BOM opening line 1 is
+    dropped; a line that is not UTF-8, not JSON or not a JSON object raises
     ApecError naming the file and the line."""
     with open(path, "rb") if lines is None else contextlib.nullcontext(lines) as handle:
         end = 0
         for line_no, raw in enumerate(handle, start=1):
             start, end = end, end + len(raw)
             try:
-                line = raw.decode("utf-8")
+                line = raw.decode("utf-8-sig" if line_no == 1 else "utf-8")
                 if line.strip():
-                    yield line_no, json.loads(line), (start, end), raw
+                    if not isinstance(value := json.loads(line), dict):
+                        raise ApecError(f"{path} line {line_no}: expected a JSON object")
+                    yield line_no, value, (start, end), raw
             except ValueError as exc:  # not UTF-8, or not JSON
                 raise ApecError(f"{path} line {line_no}: invalid JSON: {exc}") from exc
 
@@ -108,13 +108,15 @@ def is_csv(path) -> bool:
     return str(path).lower().endswith(".csv")
 
 
-def _csv_lines(lines, held: list):
+def _csv_lines(lines, held: list, first: str = "utf-8-sig"):
     """Raw `lines` decoded, also split at a lone \\r, as `newline=""` splits
-    them; each raw piece is appended to `held` as it is yielded."""
+    them, the first one as `first` (by default, without a UTF-8 BOM); each
+    raw piece is appended to `held` as it is yielded."""
     for line in lines:
         for raw in line.splitlines(keepends=True):
             held.append(raw)
-            yield raw.decode("utf-8")
+            yield raw.decode(first)
+            first = "utf-8"
 
 
 def _read_csv(path, lines, fieldnames=None, header=None):
@@ -125,7 +127,7 @@ def _read_csv(path, lines, fieldnames=None, header=None):
     raises ApecError naming it, and a row that the csv module rejects (such
     as a field over its size limit) one naming the file and the line."""
     held = []  # the raw lines read since the last row
-    reader = csv.DictReader(_csv_lines(lines, held), fieldnames)
+    reader = csv.DictReader(_csv_lines(lines, held, "utf-8" if fieldnames else "utf-8-sig"), fieldnames)
     try:
         reader.fieldnames  # reads the header row unless it is given
         start = sum(map(len, held))

@@ -225,13 +225,11 @@ def trace_to_dict(trace: ApecTrace) -> dict:
 _JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "bool": (bool,)}
 
 
-def trace_from_dict(payload) -> ApecTrace:
-    """The trace that `trace_to_dict` wrote, read back from JSON; other keys
-    are ignored. ValueError unless `payload` is a dict of this schema version
-    whose fields and cycle records are all present and of their annotated
-    type, with every float finite."""
-    if not isinstance(payload, dict):
-        raise ValueError(f"trace must be a JSON object, got {type(payload).__name__}")
+def trace_from_dict(payload: dict) -> ApecTrace:
+    """The trace that `trace_to_dict` wrote, read back from its JSON object,
+    a dict; other keys are ignored. ValueError unless it is of this schema
+    version and its fields and cycle records are all present and of their
+    annotated type, with every float finite."""
     version = payload.get("schema_version")
     if version != TRACE_SCHEMA_VERSION:
         raise ValueError(f"unsupported trace schema version {version!r}")

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import json
 import math
 import operator
 import os
@@ -63,7 +62,7 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from itertools import accumulate, chain, islice, repeat
 
-from .corpus import is_csv, read_corpus, read_record, write_jsonl
+from .corpus import is_csv, read_corpus, read_jsonl, read_record, write_jsonl
 from .errors import ApecError, NoWordsError, ProviderUnavailableError
 from .similarity import (
     EMBED_BATCH_SIZE,
@@ -530,13 +529,12 @@ def load_index(path, corpus) -> Bm25Index:
     missing sidecar, a changed corpus and an older layout raise
     `ValueError`: `apec index` must rebuild.
     """
-    with open(path, encoding="utf-8") as handle:
-        try:
-            header = json.load(handle)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise _index_error(path, f"not valid JSON: {exc}") from None
-    if not isinstance(header, dict):
-        raise _index_error(path, "not a JSON object")
+    try:
+        [(_, header, *_)] = read_jsonl(path)
+    except ApecError as exc:  # a line that is not UTF-8, not JSON or not a JSON object
+        raise ValueError(f"index file {exc}; rebuild it with `apec index`") from None
+    except ValueError:  # no line, or more than one
+        raise _index_error(path, "the header must be one JSON line") from None
     layout = (header.get("schema_version"), header.get("kind"))
     if layout != tuple(INDEX_LAYOUT.values()):
         raise _index_error(path, f"(schema_version, kind) is {layout}, not {tuple(INDEX_LAYOUT.values())}")

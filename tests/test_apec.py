@@ -435,7 +435,7 @@ class TestTraceSerialization:
     @pytest.mark.parametrize(
         "payload, message",
         [
-            (5, "trace must be a JSON object, got int"),
+            ({"final_score": float("inf")}, "final_score must be finite, got inf"),
             ({"records": None}, "malformed trace: KeyError: 'records'"),
             ({"final": None}, "missing 1 required positional argument: 'final'"),
             ({"records": 5}, "malformed trace: TypeError"),

@@ -696,8 +696,7 @@ class TestAdapt:
             ]
         )
         assert rc == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert f"{script} line 3: fixture entry must be an object" in err and "got 5" in err
+        assert capsys.readouterr().err == f"error: {script} line 3: expected a JSON object\n"
 
     @pytest.mark.parametrize(
         "line, problem",
@@ -1355,6 +1354,51 @@ class TestTrainingSet:
         assert not (tmp_path / "adapt1.jsonl").exists()
 
 
+class TestByteOrderMark:
+    """A corpus file that starts with a UTF-8 BOM reads as the same file
+    without it. An index over it reads back its first record, and a CSV
+    file's header row, with the BOM: spans and digests stay over the bytes
+    on disk."""
+
+    @pytest.mark.parametrize("corpus_format", ["jsonl", "csv"])
+    def test_output_same_as_without_bom(self, tmp_path, monkeypatch, corpus_format):
+        monkeypatch.setattr(
+            apec.cli, "make_chat_provider", lambda spec, config: DemoEchoProvider()
+        )
+        _, docs_path, train_path = write_workers_corpus(tmp_path)
+        rows = [json.loads(line) for line in train_path.read_text(encoding="utf-8").splitlines()]
+        outputs = {}
+        for encoding in ("utf-8", "utf-8-sig"):
+            root = tmp_path / encoding
+            root.mkdir()
+            corpus = root / f"train.{corpus_format}"
+            with open(corpus, "w", encoding=encoding, newline="") as handle:
+                if corpus_format == "csv":
+                    writer = csv.DictWriter(handle, ["id", "source", "reference", "task"])
+                    writer.writeheader()
+                    writer.writerows(rows)
+                else:
+                    handle.writelines(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
+            assert corpus.read_bytes().startswith(b"\xef\xbb\xbf") == (encoding == "utf-8-sig")
+            # k is every training document, so each record is read back
+            adapt = ["adapt", "--input", str(docs_path), "--corpus", str(corpus),
+                     "--k", str(len(rows)), "--provider", "echo"]
+            steps = {
+                "stats.json": ["stats", "--input", str(corpus), "--embed", "hash"],
+                "index.json": ["index", "--corpus", str(corpus)],
+                "fs-bm25.jsonl": [*adapt, "--mode", "fs-bm25", "--index", str(root / "index.json")],
+                "fs-rdm.jsonl": [*adapt, "--mode", "fs-rdm", "--seed", "7"],
+            }
+            for name, argv in steps.items():
+                assert main([*argv, "--output", str(root / name)]) == EXIT_OK, (encoding, name)
+            outputs[encoding] = {name: (root / name).read_bytes() for name in steps if name != "index.json"}
+        assert outputs["utf-8-sig"] == outputs["utf-8"]
+        first_demo = f"{rows[0]['source']} | {rows[0]['reference']} | "
+        for name in ("fs-bm25.jsonl", "fs-rdm.jsonl"):
+            records = [json.loads(line) for line in outputs["utf-8"][name].splitlines()]
+            assert all(first_demo in record["adaptation"] for record in records), name
+
+
 class SlowFirstBlankProvider:
     """Blank completions for every document; the first document's comes last."""
 
@@ -1940,6 +1984,52 @@ class TestMalformedLine:
         assert f"{bad} line 2" in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("value", [[1, 2], "text", 3, None], ids=["array", "string", "number", "null"])
+    @pytest.mark.parametrize(
+        "bad_input",
+        ["corpus", "training-corpus", "evaluate-adaptations", "refine-adaptations", "traces",
+         "fixture", "index"],
+    )
+    def test_non_object_line_is_one_message(self, workdir, capsys, bad_input, value):
+        """A line that is JSON but not an object gets the same message in
+        every JSON Lines input; for the index header, the rebuild hint follows."""
+        tmp_path, docs_path, train_path = workdir
+        bad = tmp_path / "bad.jsonl"
+        good = {
+            "corpus": [{"id": "a", "source": "Texto a.", "reference": "A.", "task": "PL"}],
+            "traces": [make_trace_record("a", "", "D-a", 5.0)],
+            "fixture": [{"match": "Fuente", "response": "Texto."}],
+            "index": [],
+        }.get(bad_input.split("-")[-1], [{"doc_id": "a", "adaptation": "Inicial a."}])
+        write_lines(bad, [*good, value])
+        first = tmp_path / "uno.jsonl"
+        write_lines(first, [make_trace_record("a", "", "U-a", 1.0)])
+        argv = {
+            "corpus": ["stats", "--input", str(bad)],
+            "training-corpus": ["adapt", "--input", str(docs_path), "--corpus", str(bad),
+                                "--mode", "fs-rdm", "--provider", "echo"],
+            "evaluate-adaptations": ["evaluate", "--input", str(bad), "--corpus", str(docs_path),
+                                     "--embed", "hash"],
+            "refine-adaptations": ["refine", "--input", str(bad), "--docs", str(docs_path),
+                                   "--corpus", str(train_path), "--provider", "echo",
+                                   "--embed", "hash"],
+            "traces": ["ensemble", "--inputs", str(first), str(bad)],
+            "fixture": ["adapt", "--input", str(docs_path), "--mode", "zs",
+                        "--provider", f"scripted:{bad}"],
+            "index": ["adapt", "--input", str(docs_path), "--corpus", str(train_path),
+                      "--index", str(bad), "--mode", "fs-bm25", "--provider", "echo"],
+        }[bad_input]
+        out_path = tmp_path / "out.jsonl"
+        rc = main(argv + ["--output", str(out_path)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        if bad_input == "index":
+            assert err == (f"error: index file {bad} line 1: expected a JSON object; "
+                           "rebuild it with `apec index`\n")
+        else:
+            assert err == f"error: {bad} line 2: expected a JSON object\n"
+        assert not out_path.exists()
+
 
 class TestCorpusFieldTypes:
     """A corpus text field of the wrong JSON type is a data error naming the
@@ -2129,9 +2219,22 @@ class TestErrorExits:
         return err
 
     def test_index_json_array(self, workdir, capsys):
-        index_path = workdir[0] / "index.json"
+        tmp_path, docs_path, train_path = workdir
+        index_path = tmp_path / "index.json"
         index_path.write_text("[]\n", encoding="utf-8")
-        assert ": not a JSON object;" in self.adapt_over_index(capsys, workdir, index_path)
+        argv = ["adapt", "--input", str(docs_path), "--corpus", str(train_path),
+                "--index", str(index_path), "--mode", "fs-bm25", "--provider", "echo"]
+        rc, err = self.run(capsys, argv, tmp_path / "out.jsonl")
+        assert rc == EXIT_CONFIG
+        assert err == (f"error: index file {index_path} line 1: expected a JSON object; "
+                       "rebuild it with `apec index`\n")
+
+    @pytest.mark.parametrize("content", ["", "\n", '{"schema_version": 1}\n{"kind": "x"}\n'],
+                             ids=["empty", "blank", "two-lines"])
+    def test_index_header_not_one_line(self, workdir, capsys, content):
+        index_path = workdir[0] / "index.json"
+        index_path.write_text(content, encoding="utf-8")
+        assert ": the header must be one JSON line;" in self.adapt_over_index(capsys, workdir, index_path)
 
     def test_columns_file_of_wrong_size(self, workdir, capsys):
         # 4 docs and 5 terms: 4·(5 + 4 + 2·Σdfs) + 32·4 bytes, less one token count

@@ -11,6 +11,8 @@ from apec.corpus import (
     corpus_stats,
     evaluate_run,
     load_corpus,
+    read_corpus,
+    read_record,
     render_evaluation_table,
     render_stats_table,
 )
@@ -19,6 +21,8 @@ from apec.similarity import table_average
 from apec.textstats import fh_index
 
 from conftest import MiscountingEmbedder
+
+BOM = "\ufeff".encode()
 
 
 def write_jsonl(path, rows):
@@ -134,6 +138,16 @@ class TestLoadJsonl:
         with pytest.raises(ApecError, match=f"^{re.escape(str(path))} line 2: invalid JSON"):
             load_corpus(path)
 
+    def test_bom_dropped_from_line_one_only(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        first = BOM + b'{"id": "a", "source": "Uno.", "task": "PL"}\n'
+        path.write_bytes(first)
+        [(doc, span, record)] = read_corpus(path)
+        assert (doc.id, span, record) == ("a", (0, len(first)), first)
+        path.write_bytes(first + BOM + b'{"id": "b", "source": "Dos.", "task": "PL"}\n')
+        with pytest.raises(ApecError, match="line 2: invalid JSON"):
+            load_corpus(path)
+
 
 class TestLoadCsv:
     def test_basic_load(self, tmp_path):
@@ -167,6 +181,16 @@ class TestLoadCsv:
         path.write_text("id,source,task\na,,PL\n", encoding="utf-8")
         with pytest.raises(ApecError, match="line 2: missing field 'source'"):
             load_corpus(path)
+
+    def test_bom_dropped_from_header_row_only(self, tmp_path):
+        path = tmp_path / "corpus.csv"
+        path.write_bytes(BOM + "id,source,task\na,Uno.,PL\n\ufeffb,Dos.,PL\n".encode())
+        header = bytearray()
+        records = list(read_corpus(path, header=header))
+        assert [doc.id for doc, *_ in records] == ["a", "\ufeffb"]
+        assert header == BOM + b"id,source,task\n"
+        for doc, (start, _), record in records:  # a record read back under the header row
+            assert read_record(path, record, start, bytes(header)) == doc
 
     def test_duplicate_id(self, tmp_path):
         path = tmp_path / "corpus.csv"
