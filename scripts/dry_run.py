@@ -4,10 +4,11 @@ Builds a ten-document Spanish corpus plus scripted provider fixtures,
 then drives the CLI through stats, index, adapt (BM25 few-shot from the
 index file, BM25 few-shot from an index built in memory, BM25 few-shot
 from the index files of two CSV copies of the training corpus, the second
-starting with a UTF-8 BOM, then embedding few-shot, all with the same
-scripted replies; the CSV copies, their indexes and the second copy's
-adaptations live in a temporary directory, so that every artifact is
-JSON or JSONL, apart from the index's raw sidecar `index.json.columns`), two
+starting with a UTF-8 BOM, then random few-shot and embedding few-shot,
+all with the same scripted replies; the CSV copies, their indexes, the
+second copy's adaptations and the random few-shot adaptations live in a
+temporary directory, so that every artifact is JSON or JSONL, apart from
+the index's raw sidecar `index.json.columns`), two
 refinement streams over the BM25 adaptations (the first again with three
 workers), ensembling, and evaluation. Artifacts land in --workdir (default: a
 fresh temp directory) and are printed at the end.
@@ -18,8 +19,10 @@ the training document whose demonstration sits next to the source in the
 request (the last, rank k), so a wrong demonstration changes the reply.
 The script exits non-zero if a step fails, if the four BM25 adaptation
 files differ in any byte, if their demonstrations are the same for every
-document, if an embedding few-shot reply does not name the rank-k
-training document of a brute-force cosine ranking, or if the
+document, if a random few-shot reply does not name the rank-k training
+document of an independent derivation of the per-document sample, if an
+embedding few-shot reply does not name the rank-k training document of a
+brute-force cosine ranking, or if the
 three-worker traces differ in any byte from the one-worker traces of the
 same stream.
 
@@ -29,7 +32,9 @@ Usage:
 
 import argparse
 import csv
+import hashlib
 import json
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -41,6 +46,7 @@ ANALYSIS = "La adaptación tiene frases largas."
 FINAL = "Sin comentarios adicionales."
 TOPICS = ["beca", "impuesto", "vivienda", "empleo", "salud", "transporte"]
 K = 2  # demonstrations per adapt request
+SEED = 7  # adapt --seed of the fs-rdm stage
 EMBED = 64  # hash embedding dimension of the fs-emb stage
 
 
@@ -137,6 +143,19 @@ def build_fixtures(root: Path, cycles: int) -> dict:
     }
 
 
+def rdm_replies(dev: list[dict], train: list[dict]) -> list[str]:
+    """Each document's reply when its rank-K demonstration is the K-th of
+    K training positions sampled by a generator seeded with the first 8
+    bytes, big-endian, of the sha256 of "SEED:doc id": fs-rdm's sample,
+    derived here without apec."""
+    replies = []
+    for doc in dev:
+        digest = hashlib.sha256(f"{SEED}:{doc['id']}".encode("utf-8")).digest()
+        sample = random.Random(int.from_bytes(digest[:8], "big")).sample(range(len(train)), K)
+        replies.append(adapt_reply(doc, train[sample[K - 1]]))
+    return replies
+
+
 def emb_replies(dev: list[dict], train: list[dict]) -> list[str]:
     """Each document's reply when its rank-K demonstration is the K-th
     nearest training source by the cosine of hash vectors, ties by
@@ -199,12 +218,12 @@ def run(workdir: Path, cycles: int) -> None:
     run_step([*fs_bm25, *train, "--index", str(index_path), "--output", str(adapt_path)])
     run_step([*fs_bm25, *train, "--output", str(adapt_built_path)])  # no --index: built in memory
     rows = [json.loads(line) for line in fixtures["train"].read_text(encoding="utf-8").splitlines()]
-    with tempfile.TemporaryDirectory() as csv_dir:
-        adapt_bom_path = Path(csv_dir) / "adapt_bom.jsonl"
+    with tempfile.TemporaryDirectory() as tmp_dir:
+        adapt_bom_path = Path(tmp_dir) / "adapt_bom.jsonl"
         for stem, encoding, output in (("train", "utf-8", adapt_csv_path),
                                        ("train_bom", "utf-8-sig", adapt_bom_path)):
-            train_csv_path = Path(csv_dir) / f"{stem}.csv"
-            index_csv_path = Path(csv_dir) / f"index_{stem}.json"
+            train_csv_path = Path(tmp_dir) / f"{stem}.csv"
+            index_csv_path = Path(tmp_dir) / f"index_{stem}.json"
             with open(train_csv_path, "w", encoding=encoding, newline="") as handle:
                 writer = csv.DictWriter(handle, ["id", "source", "reference", "task"])  # \r\n line ends
                 writer.writeheader()
@@ -217,6 +236,14 @@ def run(workdir: Path, cycles: int) -> None:
         for other in (adapt_built_path, adapt_csv_path, adapt_bom_path):
             if other.read_bytes() != adapt_path.read_bytes():
                 fail(f"{other} differs from {adapt_path}")
+        adapt_rdm_path = Path(tmp_dir) / "adapt_rdm.jsonl"
+        run_step(
+            ["adapt", "--input", str(fixtures["docs"]), *train, "--mode", "fs-rdm",
+             "--seed", str(SEED), "--k", str(K), "--provider", f"scripted:{fixtures['adapt_script']}",
+             "--output", str(adapt_rdm_path)]
+        )
+        if adaptations(adapt_rdm_path) != rdm_replies(fixtures["dev"], fixtures["train_docs"]):
+            fail(f"{adapt_rdm_path}: demonstrations differ from the derived per-document samples")
     if len({reply.split(" junto a ")[1] for reply in adaptations(adapt_path)}) < 2:
         fail(f"{adapt_path}: every document has the same rank-{K} BM25 demonstration")
     run_step(

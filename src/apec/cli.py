@@ -56,17 +56,7 @@ from .refine import (
     run_apec,
     trace_to_dict,
 )
-from .retrieval import (
-    CorpusPairs,
-    bm25_top_k,
-    build_index,
-    columns_path,
-    derive_doc_seed,
-    embedding_top_k,
-    load_index,
-    random_k,
-    save_index,
-)
+from .retrieval import columns_path, demonstrations, open_index, save_index
 from .similarity import HashEmbeddingProvider, HttpEmbeddingProvider
 from .tables import all_asserted_ok, render_check_report, run_table_checks
 
@@ -108,7 +98,7 @@ def load_config(path) -> dict:
     if path is None:
         return {}
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:  # a UTF-8 BOM is dropped
             raw = json.load(handle)
     except OSError as exc:
         raise ApecError(f"cannot read config {path}: {exc}") from exc
@@ -258,17 +248,6 @@ def _skipped_warning(skipped: int) -> None:
         print(f"warning: {skipped} training docs without reference skipped", file=sys.stderr)
 
 
-def _bm25_index(index_path, corpus_path):
-    """The index file at `index_path` over the corpus it was built from, or
-    a new index over the usable docs of the corpus,
-    which reads their texts back from the file as rankings need them."""
-    if index_path:
-        return load_index(index_path, corpus_path)
-    index = build_index(CorpusPairs(corpus_path))
-    _skipped_warning(index.pairs.skipped)
-    return index
-
-
 def _run_docs(work, docs: list[Document], workers: int, output) -> int:
     """Run `work(doc) -> (record, error or None)` over the documents, write the
     records to `output` and report the (doc id, error) failures, both in input
@@ -319,7 +298,8 @@ def cmd_stats(args, config: dict) -> int:
 
 
 def cmd_index(args, config: dict) -> int:
-    index = _bm25_index(None, args.corpus)
+    index = open_index(None, args.corpus)
+    _skipped_warning(index.pairs.skipped)
     save_index(index, args.output)
     print(f"indexed {len(index)} docs, {len(index.terms)} terms -> {args.output}")
     return EXIT_OK
@@ -353,22 +333,10 @@ def cmd_adapt(args, config: dict) -> int:
     embed = make_embed_provider(args.embed, config) if args.mode == "fs-emb" else None
     with _closing(provider, embed):
         docs = load_corpus(args.input)
-        # fs-rdm and fs-emb read the training set once before the pool starts; only demos used are read back
-        if args.mode == "zs":
-            demos_for = lambda doc: []
-        elif args.mode == "fs-bm25":
-            index = _bm25_index(args.index, args.corpus)
-            demos_for = lambda doc: bm25_top_k(index, doc.source, k=args.k, ratio_filter=ratio)
-        elif args.mode == "fs-rdm":
-            pairs = CorpusPairs(args.corpus)
-            k = min(args.k, sum(1 for _ in pairs.read()))  # one pass learns what random_k samples
-            _skipped_warning(pairs.skipped)
-            demos_for = lambda doc: random_k(pairs, k, derive_doc_seed(seed, doc.id))
-        else:
-            pairs = CorpusPairs(args.corpus)
-            ranked = embedding_top_k(pairs, [doc.source for doc in docs], args.k, embed)
-            _skipped_warning(pairs.skipped)
-            demos_for = dict(zip(docs, ranked)).__getitem__
+        demos_for, skipped = demonstrations(
+            args.mode, docs, args.corpus, args.index, args.k, ratio, seed, embed
+        )
+        _skipped_warning(skipped)
 
         def work(doc: Document):
             demos = demos_for(doc)
@@ -395,7 +363,8 @@ def cmd_refine(args, config: dict) -> int:
         docs = load_corpus(args.docs)
         outputs = read_adaptations(args.input)
         docs = docs_with_outputs(outputs, docs)
-        index = _bm25_index(args.index, args.corpus)
+        index = open_index(args.index, args.corpus)
+        _skipped_warning(index.pairs.skipped)
 
         def work(doc: Document):
             trace = run_apec(

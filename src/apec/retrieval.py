@@ -25,15 +25,17 @@ documents' token counts, which must sum to the total of its `tfs`. A
 term's slice is read only when a query first holds it; cached impacts
 hold the index's shared position ints.
 
-Every demonstration mode reads a training corpus file through one type,
-`CorpusPairs`. It streams the file once, a record at a time, and keeps
-each usable document's id, byte span and a 16-byte digest of its record;
-a BM25 index adds its token count and postings, and the index file stores
-these with the sha256 of the whole file. `load_index` refuses a changed
-corpus. A record is read back by its span, checked against its digest and
-parsed only when a ranking or a sample first needs its texts, so memory
-grows with the number of documents (and postings), not with the corpus
-text.
+`demonstrations` is the one entry point to a document's demonstrations,
+in every adapt mode, and `open_index` opens the BM25 index of fs-bm25 and
+`refine`. Every demonstration mode reads a training corpus file through
+one type, `CorpusPairs`. It streams the file once, a record at a time,
+and keeps each usable document's id, byte span and a 16-byte digest of
+its record; a BM25 index adds its token count and postings, and the index
+file stores these with the sha256 of the whole file. `load_index` refuses
+a changed corpus. A record is read back by its span, checked against its
+digest and parsed only when a ranking or a sample first needs its texts,
+so memory grows with the number of documents (and postings), not with the
+corpus text.
 
 `embedding_top_k` takes a batch of queries and embeds them in one `embed`
 call. It then streams the training sources through the provider,
@@ -457,8 +459,8 @@ class CorpusPairs:
     reference) of the documents with a reference in the corpus file
     `corpus`, in file order; `len()` is their count. A new one learns them
     in one streaming pass, `read`, which `build_index` and `embedding_top_k`
-    run and fs-rdm runs before `random_k`; `load_index` fills one from the
-    index file `path`, which errors name. A pair is read back by byte span
+    run and `demonstrations` runs for fs-rdm before `random_k`; `load_index`
+    fills one from the index file `path`, which errors name. A pair is read back by byte span
     when first looked up, checked against the digest its record had in
     that pass, parsed and cached. Pool threads share the cache without a
     lock, as `Bm25Index._impact_cache`: a racing write stores an equal
@@ -594,3 +596,29 @@ def load_index(path, corpus) -> Bm25Index:
                                  f"disjoint byte ranges of {corpus}")
     pairs = CorpusPairs(corpus, doc_ids, spans, digests, corpus_sha256, head if is_csv(corpus) else b"", path)
     return _column_index(pairs, counts, terms, dfs, positions, tfs)
+
+
+def open_index(path, corpus) -> Bm25Index:
+    """`load_index(path, corpus)`, or with no `path` a new index over the corpus
+    file, whose `pairs.skipped` counts its documents without a reference."""
+    return load_index(path, corpus) if path else build_index(CorpusPairs(corpus))
+
+
+def demonstrations(mode: str, docs, corpus, index, k: int, ratio, seed: int, embed):
+    """`(demos_for, skipped)`: `demos_for(doc)` gives a document of `docs` its
+    k demonstrations in `mode` from the training corpus file, or every pair
+    when k exceeds their count, and `skipped` counts the training documents
+    without a reference. Only fs-bm25 reads `index` and `ratio`, fs-rdm
+    `seed` and fs-emb `embed`. fs-rdm and fs-emb stream the corpus here, and
+    fs-emb ranks every document here too."""
+    if mode == "zs":
+        return (lambda doc: []), 0
+    if mode == "fs-bm25":
+        bm25 = open_index(index, corpus)
+        return (lambda doc: bm25_top_k(bm25, doc.source, k=k, ratio_filter=ratio)), bm25.pairs.skipped
+    pairs = CorpusPairs(corpus)
+    if mode == "fs-rdm":
+        k = min(k, sum(1 for _ in pairs.read()))  # one pass learns what random_k samples
+        return (lambda doc: random_k(pairs, k, derive_doc_seed(seed, doc.id))), pairs.skipped
+    ranked = embedding_top_k(pairs, [doc.source for doc in docs], k, embed)
+    return dict(zip(docs, ranked)).__getitem__, pairs.skipped

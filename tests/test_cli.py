@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import apec.cli
+import apec.retrieval
 
 from apec.cli import (
     EXIT_CHECK_FAILED,
@@ -965,7 +966,7 @@ class TestIndexOverCorpus:
         index_path = tmp_path / "index.json"
         assert main(["index", "--corpus", str(train_path), "--output", str(index_path)]) == EXIT_OK
         make = "load_index" if source == "loaded" else "build_index"
-        real = getattr(apec.cli, make)
+        real = getattr(apec.retrieval, make)
 
         def make_then_rewrite(*args, **kwargs):
             index = real(*args, **kwargs)
@@ -974,7 +975,7 @@ class TestIndexOverCorpus:
             assert train_path.read_bytes() != data
             return index
 
-        monkeypatch.setattr(apec.cli, make, make_then_rewrite)
+        monkeypatch.setattr(apec.retrieval, make, make_then_rewrite)
         argv = self.commands(tmp_path, docs, docs_path, train_path)["adapt"]
         if source == "loaded":
             argv += ["--index", str(index_path)]
@@ -1338,20 +1339,44 @@ class TestTrainingSet:
         if corpus_format == "csv":
             train_path = write_csv_copy(train_path)
 
-        class RewrittenAfterRead(apec.cli.CorpusPairs):
+        class RewrittenAfterRead(apec.retrieval.CorpusPairs):
             def read(self):
                 yield from super().read()
                 data = train_path.read_bytes()
                 train_path.write_bytes(data.replace(b"norma", b"normo"))
                 assert train_path.read_bytes() != data
 
-        monkeypatch.setattr(apec.cli, "CorpusPairs", RewrittenAfterRead)
+        monkeypatch.setattr(apec.retrieval, "CorpusPairs", RewrittenAfterRead)
         argv = self.argv(tmp_path, docs_path, train_path, mode)
         assert main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert re.search(rf"error: doc 't\d+': {re.escape(str(train_path))} bytes \d+:\d+ changed", err)
         assert "Traceback" not in err
         assert not (tmp_path / "adapt1.jsonl").exists()
+
+    @pytest.mark.parametrize("mode", ["fs-rdm", "fs-bm25", "fs-emb"])
+    def test_k_above_usable_pairs_gives_every_pair(self, tmp_path, monkeypatch, mode):
+        """A --k above the number of training docs with a reference gives
+        every document each of those docs once, in every few-shot mode."""
+        requests = []
+
+        class RecordingProvider(DemoEchoProvider):
+            def complete(self, request):
+                requests.append(request)
+                return "Adaptación."
+
+        monkeypatch.setattr(apec.cli, "make_chat_provider", lambda spec, config: RecordingProvider())
+        docs, docs_path, train_path = write_workers_corpus(tmp_path)
+        train_path = write_csv_copy(train_path)  # 40 docs with a reference and one without
+        mode_args = {"fs-rdm": ["--seed", "7"], "fs-bm25": [], "fs-emb": ["--embed", "hash:64"]}[mode]
+        argv = ["adapt", "--input", str(docs_path), "--corpus", str(train_path), "--mode", mode,
+                *mode_args, "--k", "42", "--provider", "echo", "--output", str(tmp_path / "adapt.jsonl")]
+        assert main(argv) == EXIT_OK
+        assert len(requests) == len(docs)
+        for request in requests:
+            demo_sources = [content for role, content in request.messages[:-1] if role == "user"]
+            assert len(request.messages) == 2 * 40 + 1
+            assert len(set(demo_sources)) == 40
 
 
 class TestByteOrderMark:
@@ -2498,7 +2523,8 @@ class TestConfigValues:
         assert "Traceback" not in err
 
     def test_numbers_as_strings_and_nulls(self, workdir):
-        # "2" reads as 2; null, for a key or a whole section, as the default
+        # "2" reads as 2; null, for a key or a whole section, as the default;
+        # a config that starts with a UTF-8 BOM reads as one without it
         tmp_path, docs_path, train_path = workdir
         initial = tmp_path / "initial.jsonl"
         write_lines(initial, [{"doc_id": "a", "adaptation": "Inicial a."}])
@@ -2510,16 +2536,18 @@ class TestConfigValues:
             ("strings", {"apec": {"cycles": "2", "demo_count": "1"}, "workers": "2"}, []),
             ("defaults", None, []),
             ("nulls", {"apec": None, "workers": None, "retries": None}, []),
+            ("bom", {"apec": {"cycles": "2", "demo_count": "1"}, "workers": "2"}, []),
         ):
             out_path = tmp_path / f"{name}.jsonl"
             argv = [*base, *flags, "--output", str(out_path)]
             if config is not None:
                 config_path = tmp_path / f"{name}.config.json"
-                config_path.write_text(json.dumps(config), encoding="utf-8")
+                config_path.write_text(json.dumps(config), encoding="utf-8-sig" if name == "bom" else "utf-8")
+                assert load_config(config_path) == config
                 argv += ["--config", str(config_path)]
             assert main(argv) == EXIT_OK
             outputs[name] = out_path.read_bytes()
-        assert outputs["flags"] == outputs["strings"]
+        assert outputs["flags"] == outputs["strings"] == outputs["bom"]
         assert outputs["defaults"] == outputs["nulls"]
         assert outputs["flags"] != outputs["defaults"]  # 2 cycles, not 5
 
